@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, ensemble, girsanov, instability
-from .integrate import SimConfig, blowup_bump, cfl_dt, power_law_field, simulate_path
+from .integrate import SimConfig, blowup_bump, power_law_field, simulate_path
 from .noise import (
     ConstantFn,
     ExpDecayFn,

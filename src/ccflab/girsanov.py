@@ -18,8 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtr
 
+from .ensemble import run_paths, wilson_ci
 from .integrate import PathRecord, SimConfig, drift, simulate_path
 from .noise import ExpDecayFn, LinearB, ZeroNoise
 from .spectral import (
@@ -47,7 +48,6 @@ __all__ = [
     "first_passage_oracle",
     "blowup_probability_bound",
     "blowup_ensemble",
-    "wilson_interval",
 ]
 
 
@@ -314,17 +314,6 @@ def riccati_check(track: CharacteristicTrack, tol: float,
 # -- scalar first-passage bound ------------------------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
-    if trials == 0:
-        return 0.0, 1.0
-    p = successes / trials
-    denom = 1.0 + z**2 / trials
-    center = (p + z**2 / (2 * trials)) / denom
-    half = z * np.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
-    return center - half, center + half
-
-
 def first_passage_oracle(b0: float, lam: float, K: float) -> float:
     """Closed form for ``P{ int_0^t b dW > ln K for all t }`` with
     ``b = b0 exp(-lam t)``: time-change to Brownian motion run to the total
@@ -333,7 +322,7 @@ def first_passage_oracle(b0: float, lam: float, K: float) -> float:
     if lam <= 0.0:
         raise ValueError("decay rate must be positive for a square-integrable b")
     sigma = b0 / np.sqrt(2.0 * lam)
-    return float(1.0 - 2.0 * _norm.cdf(np.log(K) / sigma))
+    return float(1.0 - 2.0 * ndtr(np.log(K) / sigma))
 
 
 def _effective_variance(b_fn, horizon0: float) -> float:
@@ -363,7 +352,7 @@ def _effective_variance(b_fn, horizon0: float) -> float:
 def blowup_probability_bound(spec: GirsanovSpec, num_paths: int,
                              rng: np.random.Generator,
                              monitor_points: int = 16384,
-                             block: int = 4096) -> dict:
+                             block: int = 64) -> dict:
     """Monte Carlo estimate of ``P{ int_0^t b dW > ln K for all t }``.
 
     The law of the integral depends on ``b`` only through its cumulative
@@ -374,7 +363,17 @@ def blowup_probability_bound(spec: GirsanovSpec, num_paths: int,
     Wilson interval attached) an unbiased bridge-corrected estimate is
     returned: each increment is weighted by the exact Brownian-bridge
     non-crossing probability.
+
+    Paths are streamed ``block`` at a time through two reused
+    ``(block, monitor_points)`` buffers, so memory is
+    O(``block * monitor_points``) whatever ``num_paths`` is.  The draws are
+    consumed in path order and every reduction is per path, so ``estimate``
+    does not depend on ``block``; ``corrected`` only changes in the order its
+    per-path weights are summed.
     """
+    if num_paths < 1 or monitor_points < 1 or block < 1:
+        raise ValueError(f"num_paths, monitor_points and block must be >= 1, got "
+                         f"{num_paths}, {monitor_points}, {block}")
     b_fn = spec.b_fn
     sigma2_main = _effective_variance(b_fn, spec.horizon)
     a = float(np.log(spec.threshold_k))   # < 0
@@ -391,30 +390,42 @@ def blowup_probability_bound(spec: GirsanovSpec, num_paths: int,
     d_tau = sigma2_main / monitor_points
     sigma_tail2 = max(sigma2_total - sigma2_main, 0.0)
 
+    rows = min(block, num_paths)
+    w_buf = np.empty((rows, monitor_points))
+    q_buf = np.empty((rows, monitor_points))
     surv_count = 0
     corrected_sum = 0.0
     done = 0
     while done < num_paths:
-        m = min(block, num_paths - done)
-        incs = rng.standard_normal((m, monitor_points)) * np.sqrt(d_tau)
-        w = np.cumsum(incs, axis=1)
-        alive = np.all(w > a, axis=1)
+        m = min(rows, num_paths - done)
+        w, q = w_buf[:m], q_buf[:m]
+        rng.standard_normal(out=w)
+        w *= np.sqrt(d_tau)
+        np.cumsum(w, axis=1, out=w)
+        alive = w.min(axis=1) > a
         surv_count += int(np.count_nonzero(alive))
-        # bridge correction: P{min of bridge > a} per increment
-        w_prev = np.concatenate([np.zeros((m, 1)), w[:, :-1]], axis=1)
+        w -= a                  # from here on w holds w - a
+        # bridge correction: P{min of bridge > a} per increment is
+        # 1 - exp(-2 (w_prev - a)(w - a) / d_tau), with w_prev = 0 at column 0;
+        # scaling by -2 after the product is exact, so no factor changes
+        np.multiply(w[:, :-1], w[:, 1:], out=q[:, 1:])
+        np.multiply(w[:, 0], -a, out=q[:, 0])
+        q *= -2.0
+        q /= d_tau
         with np.errstate(over="ignore"):
-            no_cross = -np.expm1(-2.0 * (w_prev - a) * (w - a) / d_tau)
-        no_cross = np.clip(no_cross, 0.0, 1.0)
-        weights = np.where(alive, np.prod(no_cross, axis=1), 0.0)
+            np.expm1(q, out=q)
+        np.negative(q, out=q)
+        np.clip(q, 0.0, 1.0, out=q)
+        weights = np.where(alive, np.prod(q, axis=1), 0.0)
         if sigma_tail2 > 0.0:
-            tail_keep = np.clip(2.0 * _norm.cdf((w[:, -1] - a) / np.sqrt(sigma_tail2)) - 1.0,
+            tail_keep = np.clip(2.0 * ndtr(w[:, -1] / np.sqrt(sigma_tail2)) - 1.0,
                                 0.0, 1.0)
             weights = weights * np.where(alive, tail_keep, 0.0)
         corrected_sum += float(np.sum(weights))
         done += m
 
     est = surv_count / num_paths
-    lo, hi = wilson_interval(surv_count, num_paths)
+    lo, hi = wilson_ci(surv_count, num_paths)
     return {
         "estimate": est,
         "ci_lo": lo,
@@ -463,8 +474,6 @@ def blowup_ensemble(cfg: SimConfig, spec: GirsanovSpec, u0: Field,
     noise = LinearB(b_fn=spec.b_fn, b_star=spec.b_star).validate(cfg.horizon)
     base = replace(cfg, noise=noise)
     bound = blowup_probability_bound(spec, mc_paths, np.random.default_rng(cfg.seed))
-
-    from .ensemble import run_paths  # local import avoids a cycle
 
     statuses = run_paths(_StatusTask(base, u0), base.seed, num_paths, workers=workers)
     n_blew = sum(1 for s in statuses if s == "blewup")

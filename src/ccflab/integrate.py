@@ -49,7 +49,6 @@ __all__ = [
     "PathRecord",
     "LowFreqTrajectory",
     "cutoff_chi",
-    "cfl_dt",
     "drift",
     "em_step",
     "simulate_path",
@@ -64,16 +63,6 @@ __all__ = [
 def plateau_bump(y: np.ndarray, inner: float = 1.0, outer: float = 2.0) -> np.ndarray:
     """C-infinity plateau profile: 1 on |y|<=inner, 0 on |y|>=outer."""
     return transition_bump((np.abs(y) - inner) / (outer - inner))
-
-
-def cfl_dt(grid: SpectralGrid, speed: float, safety: float = 0.5) -> float:
-    """Largest stable RK4 step for advection at the given speed.
-
-    The RK4 stability region reaches |z| = 2*sqrt(2) on the imaginary axis;
-    z = speed * xi_max * dt for the fastest retained mode.
-    """
-    xi_max = 2.0 * np.pi * grid.dealias_keep / grid.period
-    return safety * 2.0 * np.sqrt(2.0) / (max(speed, 1e-12) * xi_max)
 
 
 def cutoff_chi(x: float, radius: float | None) -> float:

@@ -53,6 +53,10 @@ class TestExitCodes:
     def test_missing_config_file(self):
         assert main(["simulate", "--config", "/nonexistent/x.json"]) == 3
 
+    def test_blowup_without_mc_paths_is_a_usage_error(self, capsys):
+        assert main(["blowup", "--paths", "0", "--set", "study.mc_paths=0"]) == 3
+        assert "num_paths" in capsys.readouterr().err
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 3
         assert "subcommand" in capsys.readouterr().out or True

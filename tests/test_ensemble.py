@@ -124,6 +124,9 @@ class TestWilson:
         lo, hi = wilson_ci(0, 5)
         assert 0.0 <= lo < hi <= 1.0
 
+    def test_no_trials_gives_unit_interval(self):
+        assert wilson_ci(0, 0) == (0.0, 1.0)
+
 
 class TestRateFit:
     def test_exact_power_law(self):

@@ -3,6 +3,8 @@ coupled u = beta*v equivalence, characteristic tracking of the transported
 maximum, the max-point identity on wide windows, the pathwise Riccati bound,
 and the scalar first-passage bound against its reflection-principle oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,6 @@ from ccflab.girsanov import (
     riccati_check,
     run_random_pde,
     track_max_characteristic,
-    wilson_interval,
 )
 from ccflab.integrate import SimConfig, blowup_bump, simulate_path
 from ccflab.noise import ExpDecayFn, LinearB, ZeroNoise
@@ -196,10 +197,48 @@ class TestFirstPassage:
         with pytest.raises(ValueError):
             blowup_probability_bound(spec, 100, np.random.default_rng(0))
 
-    def test_wilson_interval(self):
-        lo, hi = wilson_interval(50, 100)
-        assert lo < 0.5 < hi
-        assert wilson_interval(0, 0) == (0.0, 1.0)
+    @staticmethod
+    def linear_spec():
+        return GirsanovSpec(b_fn=ExpDecayFn(0.5, 1.0), b_star=0.2625,
+                            threshold_k=0.5, horizon=1.0)
+
+    def test_block_invariance(self):
+        runs = [blowup_probability_bound(self.linear_spec(), 333, np.random.default_rng(3),
+                                         monitor_points=2048, block=block)
+                for block in (1, 7, 64, 333)]
+        for out in runs[1:]:
+            assert out["estimate"] == runs[0]["estimate"]
+            assert (out["ci_lo"], out["ci_hi"]) == (runs[0]["ci_lo"], runs[0]["ci_hi"])
+            assert out["corrected"] == pytest.approx(runs[0]["corrected"], rel=1e-12, abs=0)
+
+    def test_frozen_values(self):
+        # values of the one-array computation that the streamed blocks must keep
+        out = blowup_probability_bound(self.linear_spec(), 512, np.random.default_rng(0))
+        assert out["estimate"] == 0.94921875
+        assert out["ci_lo"] == 0.926634038608981
+        assert out["ci_hi"] == 0.9651128190352277
+        assert out["corrected"] == pytest.approx(0.9484347074322856, rel=1e-12)
+        assert out["oracle"] == pytest.approx(0.9500645237714559, rel=1e-14)
+        assert out["monitor_points"] == 16384
+
+    def test_memory_independent_of_paths(self):
+        # a single (512, 16384) float64 block would be 64 MiB per temporary
+        tracemalloc.start()
+        try:
+            blowup_probability_bound(self.linear_spec(), 512, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+    @pytest.mark.parametrize("kwargs", [dict(num_paths=0), dict(monitor_points=0),
+                                        dict(block=0)],
+                             ids=["num_paths", "monitor_points", "block"])
+    def test_rejects_empty_sizes(self, kwargs):
+        args = dict(num_paths=10, monitor_points=64, block=4) | kwargs
+        with pytest.raises(ValueError, match=">= 1"):
+            blowup_probability_bound(self.linear_spec(), rng=np.random.default_rng(0),
+                                     **args)
 
 
 class TestBlowupEnsemble:
