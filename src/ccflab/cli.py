@@ -282,7 +282,7 @@ def cmd_global(cfg: dict, args) -> int:
         k1 = diagnostics.fit_k1_from_sweep(model, sim.s, q_hat, study["k2"],
                                            np.random.default_rng(sim.seed + 1))
     spec = diagnostics.LyapunovSpec(k1=k1, k2=study["k2"], q_hat=q_hat, s=sim.s)
-    records = ensemble.run_paths(ensemble._SimTask(sim, u0), sim.seed, n_paths,
+    records = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, n_paths,
                                  workers=int(study["workers"]))
     n_blew = sum(1 for r in records if r.status == "blewup")
     slope, growth_ok = diagnostics.lyapunov_growth_check(records, spec) \

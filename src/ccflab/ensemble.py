@@ -25,6 +25,7 @@ __all__ = [
     "EnsembleResult",
     "path_seed",
     "run_paths",
+    "SimTask",
     "run_ensemble",
     "recompute_summaries",
     "config_digest",
@@ -151,8 +152,8 @@ def _outcome_from_record(index: int, seed: int, rec: PathRecord) -> PathOutcome:
 
 
 @dataclass(frozen=True)
-class _SimTask:
-    """Picklable per-seed task for plain SPDE ensembles."""
+class SimTask:
+    """Picklable per-seed task: one SPDE path from shared initial data."""
 
     cfg: SimConfig
     u0: Field
@@ -164,7 +165,7 @@ class _SimTask:
 def run_ensemble(cfg: SimConfig, u0: Field, num_paths: int,
                  workers: int = 1, run_id: str = "ensemble") -> EnsembleResult:
     """Independent paths from shared initial data, seeds ``cfg.seed XOR index``."""
-    records = run_paths(_SimTask(cfg, u0), cfg.seed, num_paths, workers)
+    records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers)
     per_path = [_outcome_from_record(i, path_seed(cfg.seed, i), r)
                 for i, r in enumerate(records)]
     return EnsembleResult(run_id, config_digest(cfg), per_path,
@@ -311,7 +312,7 @@ def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
     for j, eps in enumerate(eps_sorted):
         sups = per_seed[:, j]
         table.append({"eps": eps, "mean_sq_gap": float(sups.mean()),
-                      "sem": float(sups.std(ddof=1) / np.sqrt(max(num_paths - 1, 1)))
+                      "sem": float(sups.std(ddof=1) / np.sqrt(num_paths))
                       if num_paths > 1 else 0.0})
     slope, intercept, r2 = rate_fit([(row["eps"], row["mean_sq_gap"]) for row in table])
     return {"table": table, "slope": slope, "intercept": intercept, "r2": r2,

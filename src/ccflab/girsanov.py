@@ -20,14 +20,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .ensemble import run_paths, wilson_ci
-from .integrate import PathRecord, SimConfig, drift, simulate_path
+from .ensemble import SimTask, run_paths, wilson_ci
+from .integrate import SimConfig, drift, rk4, simulate_path
 from .noise import ExpDecayFn, LinearB, ZeroNoise
 from .spectral import (
     Field,
-    SpectralGrid,
     argmax_refined,
-    dealiased_product,
     derivative,
     evaluate_at,
     frac_laplacian,
@@ -42,7 +40,6 @@ __all__ = [
     "beta_path",
     "girsanov_residual",
     "run_random_pde",
-    "track_max_characteristic",
     "identity_sv_residual",
     "riccati_check",
     "first_passage_oracle",
@@ -104,14 +101,6 @@ class CharacteristicTrack:
     flagged: bool               # track left the well-resolved region
 
 
-def _rk4_beta_step(v: Field, cfg: SimConfig, beta_i: float, dt: float) -> Field:
-    k1 = beta_i * drift(v, cfg)
-    k2 = beta_i * drift(v + (0.5 * dt) * k1, cfg)
-    k3 = beta_i * drift(v + (0.5 * dt) * k2, cfg)
-    k4 = beta_i * drift(v + dt * k3, cfg)
-    return v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
                    record_every: int = 1, track: bool = False,
                    stop_threshold: float | None = None,
@@ -144,16 +133,12 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
         observe(0.0, v, phi, beta[0])
 
     for i in range(n_steps):
+        b_i = beta[i]
         if track:
             # frozen-field 4th-order step of d phi/dt = beta Hv(phi)
             hv = hilbert(v)
-            b_i = beta[i]
-            g1 = b_i * evaluate_at(hv, phi)
-            g2 = b_i * evaluate_at(hv, phi + 0.5 * dt * g1)
-            g3 = b_i * evaluate_at(hv, phi + 0.5 * dt * g2)
-            g4 = b_i * evaluate_at(hv, phi + dt * g3)
-            phi = phi + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-        v = _rk4_beta_step(v, cfg, beta[i], dt)
+            phi = rk4(lambda x: b_i * evaluate_at(hv, x), phi, dt)
+        v = rk4(lambda f: b_i * drift(f, cfg), v, dt)
         if v.diverged:
             flagged = True
             break
@@ -174,37 +159,6 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
                                         np.array(trk_f), np.array(trk_beta),
                                         np.array(trk_vx), flagged)
     return np.array(times), fields, track_obj
-
-
-def track_max_characteristic(fields: list[Field], times: np.ndarray,
-                             beta: np.ndarray, x0: float | None = None) -> CharacteristicTrack:
-    """Track the transported maximum through a stored trajectory.
-
-    Off-grid field values come from direct Fourier summation; the trajectory
-    step is fourth order in the frozen-field approximation.
-    """
-    phi = argmax_refined(fields[0]) if x0 is None else x0
-    pos, fval, vxres = [], [], []
-    flagged = False
-    for i, v in enumerate(fields):
-        pos.append(phi)
-        fval.append(evaluate_at(frac_laplacian(v, 1.0), phi))
-        vx = abs(evaluate_at(derivative(v), phi))
-        vxres.append(vx)
-        if vx > 0.1 * max(derivative(v).max_abs(), 1e-300):
-            flagged = True
-        if i + 1 < len(fields):
-            dt = times[i + 1] - times[i]
-            hv = hilbert(v)
-            b_i = beta[i]
-            g1 = b_i * evaluate_at(hv, phi)
-            g2 = b_i * evaluate_at(hv, phi + 0.5 * dt * g1)
-            g3 = b_i * evaluate_at(hv, phi + 0.5 * dt * g2)
-            g4 = b_i * evaluate_at(hv, phi + dt * g3)
-            phi = phi + (dt / 6.0) * (g1 + 2.0 * g2 + 2.0 * g3 + g4)
-    return CharacteristicTrack(np.asarray(times, dtype=float), np.array(pos),
-                               np.array(fval), np.asarray(beta, dtype=float)[: len(fields)],
-                               np.array(vxres), flagged)
 
 
 def girsanov_residual(cfg: SimConfig, u0: Field) -> float:
@@ -450,15 +404,6 @@ class BlowupEnsembleResult:
     passed: bool
 
 
-@dataclass(frozen=True)
-class _StatusTask:
-    cfg: SimConfig
-    u0: Field
-
-    def __call__(self, seed: int) -> str:
-        return simulate_path(replace(self.cfg, seed=seed), self.u0).status
-
-
 def blowup_ensemble(cfg: SimConfig, spec: GirsanovSpec, u0: Field,
                     num_paths: int, mc_paths: int = 100_000,
                     workers: int = 1) -> BlowupEnsembleResult:
@@ -475,9 +420,9 @@ def blowup_ensemble(cfg: SimConfig, spec: GirsanovSpec, u0: Field,
     base = replace(cfg, noise=noise)
     bound = blowup_probability_bound(spec, mc_paths, np.random.default_rng(cfg.seed))
 
-    statuses = run_paths(_StatusTask(base, u0), base.seed, num_paths, workers=workers)
-    n_blew = sum(1 for s in statuses if s == "blewup")
-    n_bad = sum(1 for s in statuses if s == "diverged")
+    records = run_paths(SimTask(base, u0), base.seed, num_paths, workers=workers)
+    n_blew = sum(1 for r in records if r.status == "blewup")
+    n_bad = sum(1 for r in records if r.status == "diverged")
     frac = n_blew / num_paths if num_paths else 0.0
     ci_half = 0.5 * (bound["ci_hi"] - bound["ci_lo"])
     passed = bool(num_paths == 0 or frac >= bound["estimate"] - 2.0 * ci_half)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .ensemble import path_seed, rate_fit
-from .integrate import LowFreqTrajectory, low_frequency_initial, plateau_bump, \
+from .integrate import LowFreqTrajectory, low_frequency_initial, plateau_bump, rk4, \
     simulate_low_frequency
 from .modulated import (
     CarrierBasis,
@@ -314,14 +314,6 @@ def _mod_rhs(u: ModulatedField) -> ModulatedField:
     return -1.0 * mod_product(mod_hilbert(u), mod_derivative(u))
 
 
-def _rk4_mod(u: ModulatedField, dt: float) -> ModulatedField:
-    k1 = _mod_rhs(u)
-    k2 = _mod_rhs(u + (0.5 * dt) * k1)
-    k3 = _mod_rhs(u + (0.5 * dt) * k2)
-    k4 = _mod_rhs(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
                         seed: int, horizon: float, dt: float,
                         low: LowFreqTrajectory | None = None,
@@ -344,7 +336,7 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
     status, t_stop = "completed", n_steps * dt
     for i in range(n_steps):
         t = low.times[i]
-        unew = _rk4_mod(u, dt)
+        unew = rk4(_mod_rhs, u, dt)
         if stochastic:
             h = eval_noise_mod(noise, t, u)
             dw = float(np.sqrt(dt) * rng.standard_normal())

@@ -49,6 +49,7 @@ __all__ = [
     "PathRecord",
     "LowFreqTrajectory",
     "cutoff_chi",
+    "rk4",
     "drift",
     "em_step",
     "simulate_path",
@@ -68,9 +69,9 @@ def plateau_bump(y: np.ndarray, inner: float = 1.0, outer: float = 2.0) -> np.nd
 def cutoff_chi(x: float, radius: float | None) -> float:
     """Smooth gate: 1 on [0, R], 0 beyond 2R, monotone in between.
 
-    ``radius=None`` disables the gate (identically 1).
+    ``radius=None`` or ``+inf`` disables the gate (identically 1).
     """
-    if radius is None or np.isinf(radius):
+    if radius is None or np.isposinf(radius):
         return 1.0
     if radius <= 0.0:
         raise ValueError("cutoff radius must be positive")
@@ -108,8 +109,7 @@ class SimConfig:
             raise ValueError("Sobolev index must exceed 3 for these runs")
         if not 0.0 <= self.eps_mollify < 1.0:
             raise ValueError("eps_mollify must lie in [0, 1)")
-        if self.cutoff_radius is not None and not self.cutoff_radius > 1.0 \
-                and not np.isinf(self.cutoff_radius):
+        if self.cutoff_radius is not None and not self.cutoff_radius > 1.0:
             raise ValueError("cutoff radius must exceed 1")
         if self.drift_scheme not in ("rk4", "euler"):
             raise ValueError("drift_scheme must be 'rk4' or 'euler'")
@@ -131,10 +131,6 @@ class PathRecord:
     snapshots: list[tuple[float, Field]]
     wiener_increments: np.ndarray  # one row of K increments per macro step taken
     config: SimConfig
-
-    @property
-    def blowup_time(self) -> float | None:
-        return self.t_stop if self.status == "blewup" else None
 
     def to_jsonl(self, stream: io.TextIOBase):
         """One JSON row per recorded step, preceded by a header row."""
@@ -175,11 +171,32 @@ class PathRecord:
 # -- drift and stepping ----------------------------------------------------------
 
 
+def rk4(rhs, y, dt: float):
+    """One classical fourth-order Runge-Kutta step of ``y' = rhs(y)``.
+
+    ``y`` may be a float, a :class:`Field` or a ``ModulatedField``: anything
+    closed under addition and scaling by a float.
+    """
+    k1 = rhs(y)
+    k2 = rhs(y + (0.5 * dt) * k1)
+    k3 = rhs(y + (0.5 * dt) * k2)
+    k4 = rhs(y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _gate(u: Field, cfg: SimConfig) -> float:
+    """Cut-off factor ``chi_R(|u|_{H^{s-3/2}})``; 1 without taking the norm
+    when no radius is set."""
+    if cfg.cutoff_radius is None or np.isposinf(cfg.cutoff_radius):
+        return 1.0
+    return cutoff_chi(sobolev_norm(u, cfg.s - 1.5), cfg.cutoff_radius)
+
+
 def drift(u: Field, cfg: SimConfig) -> Field:
     """Negated gated transport term, ready to be added to the state."""
     if not cfg.transport_enabled:
         return Field.zeros(u.grid)
-    gate = cutoff_chi(sobolev_norm(u, cfg.s - 1.5), cfg.cutoff_radius)
+    gate = _gate(u, cfg)
     if gate == 0.0:
         return Field.zeros(u.grid)
     eps = cfg.eps_mollify
@@ -193,11 +210,7 @@ def drift(u: Field, cfg: SimConfig) -> Field:
 def _drift_substep(u: Field, cfg: SimConfig, dt: float) -> Field:
     if cfg.drift_scheme == "euler":
         return u + dt * drift(u, cfg)
-    k1 = drift(u, cfg)
-    k2 = drift(u + (0.5 * dt) * k1, cfg)
-    k3 = drift(u + (0.5 * dt) * k2, cfg)
-    k4 = drift(u + dt * k3, cfg)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return rk4(lambda f: drift(f, cfg), u, dt)
 
 
 def em_step(u: Field, t: float, cfg: SimConfig, dw: np.ndarray,
@@ -207,7 +220,7 @@ def em_step(u: Field, t: float, cfg: SimConfig, dw: np.ndarray,
     unew = _drift_substep(u, cfg, dt)
     comps = cfg.noise.components(t, u)
     if comps:
-        gate = cutoff_chi(sobolev_norm(u, cfg.s - 1.5), cfg.cutoff_radius)
+        gate = _gate(u, cfg)
         if gate != 0.0:
             acc = unew.coefficients.copy()
             for c, w in zip(comps, dw):
@@ -333,9 +346,6 @@ class LowFreqTrajectory:
     fields: list[Field]
     blewup: bool = False
 
-    def at_index(self, i: int) -> Field:
-        return self.fields[i]
-
 
 def low_frequency_initial(grid: SpectralGrid, m: int, n: int, delta: float) -> Field:
     """``-H(m n^{-1} phitilde(x_c/n^delta))`` on the centered coordinate."""
@@ -370,11 +380,7 @@ def simulate_low_frequency(m: int, n: int, delta: float, horizon: float,
     fields = [u]
     blewup = False
     for i in range(n_steps):
-        k1 = rhs(u)
-        k2 = rhs(u + (0.5 * dt) * k1)
-        k3 = rhs(u + (0.5 * dt) * k2)
-        k4 = rhs(u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        u = rk4(rhs, u, dt)
         if u.diverged:
             blewup = True
             break

@@ -5,6 +5,7 @@ the rate-fit plumbing."""
 import numpy as np
 import pytest
 
+from ccflab import ensemble
 from ccflab.ensemble import (
     config_digest,
     convergence_study,
@@ -162,3 +163,15 @@ class TestConvergenceStudy:
         gaps = [row["mean_sq_gap"] for row in out["table"]]
         assert gaps[0] > gaps[-1] > 0.0
         assert out["slope"] > 0.3
+
+    def test_sem_is_std_over_sqrt_n(self, monkeypatch):
+        # fixed per-seed rows, one column per width (largest width first)
+        rows = [[4.0, 1.0], [5.0, 1.5], [7.0, 2.0], [8.0, 3.5]]
+        monkeypatch.setattr(ensemble, "run_paths", lambda task, seed, n, workers: rows)
+        out = convergence_study(small_cfg(), [0.2, 0.1], num_paths=len(rows),
+                                u0=small_u0(), k_threshold=1.0)
+        cols = np.array(rows)
+        for j, row in enumerate(out["table"]):
+            want = cols[:, j].std(ddof=1) / np.sqrt(len(rows))
+            assert row["sem"] == pytest.approx(want, rel=1e-14)
+            assert row["mean_sq_gap"] == pytest.approx(cols[:, j].mean(), rel=1e-14)

@@ -4,6 +4,7 @@ maximum, the max-point identity on wide windows, the pathwise Riccati bound,
 and the scalar first-passage bound against its reflection-principle oracle."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from ccflab.girsanov import (
     identity_sv_residual,
     riccati_check,
     run_random_pde,
-    track_max_characteristic,
 )
+from ccflab.ensemble import path_seed
 from ccflab.integrate import SimConfig, blowup_bump, simulate_path
 from ccflab.noise import ExpDecayFn, LinearB, ZeroNoise
 from ccflab.spectral import (
@@ -30,6 +31,7 @@ from ccflab.spectral import (
     evaluate_at,
     random_band_limited,
     sobolev_norm,
+    sup_norms,
 )
 
 GRID = SpectralGrid(n_modes=256)
@@ -96,13 +98,25 @@ class TestGirsanovResidual:
 
 class TestCharacteristicTrack:
     def test_constant_field(self):
-        g = GRID
-        v = Field.from_function(g, lambda x: 0 * x + 0.7)
-        beta = np.ones(11)
-        times = np.linspace(0.0, 0.1, 11)
-        trk = track_max_characteristic([v] * 11, times, beta)
+        v = Field.from_function(GRID, lambda x: 0 * x + 0.7)
+        cfg = SimConfig(grid=GRID, s=3.1, dt=0.01, horizon=0.1, noise=ZeroNoise())
+        _, _, trk = run_random_pde(cfg, v, np.ones(11), track=True)
+        assert trk.times.size == 11
         assert np.allclose(trk.positions, trk.positions[0])
         assert np.allclose(trk.f_values, 0.0, atol=1e-12)
+
+    def test_frozen_track(self):
+        # frozen values: a change in the RK4 stage arithmetic shows here
+        grid = SpectralGrid(n_modes=128)
+        u0 = blowup_bump(grid, 2.0, width=1.0)
+        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, noise=ZeroNoise())
+        inc = np.sqrt(cfg.dt) * np.random.default_rng(4).standard_normal((20, 1))
+        beta = beta_path(ExpDecayFn(0.5, 1.0), inc, cfg.dt)
+        _, fields, trk = run_random_pde(cfg, u0, beta, track=True)
+        assert trk.times.size == 21
+        assert trk.positions[-1] == pytest.approx(3.8014613905613364, rel=1e-12)
+        assert trk.f_values[-1] == pytest.approx(2.0735500735579255, rel=1e-12)
+        assert sobolev_norm(fields[-1], 3.1) == pytest.approx(21.889662740858974, rel=1e-12)
 
     def test_max_transported_deterministic(self):
         # resolved deterministic run: d_x v at the tracked point stays small
@@ -260,3 +274,24 @@ class TestBlowupEnsemble:
                         blowup_threshold=50.0)
         res = blowup_ensemble(cfg, self.spec(), u0, num_paths=0, mc_paths=1000)
         assert res.n_paths == 0 and res.passed
+
+    def test_paths_match_direct_runs_and_workers(self):
+        grid = SpectralGrid(n_modes=64)
+        u0 = blowup_bump(grid, 1.0, width=1.0)
+        # a threshold just above the initial quantity: of the two paths at
+        # seed 4, one is flagged at t = 0.004 and one completes
+        _, q_ux, q_hux = sup_norms(u0)
+        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.05, seed=4,
+                        blowup_threshold=1.01 * (q_ux + q_hux), blowup_doublings=0)
+        spec = self.spec()
+        res1 = blowup_ensemble(cfg, spec, u0, num_paths=2, mc_paths=100, workers=1)
+        res2 = blowup_ensemble(cfg, spec, u0, num_paths=2, mc_paths=100, workers=2)
+        assert (res2.n_blewup, res2.n_unresolved, res2.fraction) == \
+            (res1.n_blewup, res1.n_unresolved, res1.fraction)
+        base = replace(cfg, noise=LinearB(b_fn=spec.b_fn, b_star=spec.b_star))
+        statuses = [simulate_path(replace(base, seed=path_seed(cfg.seed, i)), u0).status
+                    for i in range(2)]
+        assert res1.n_blewup == statuses.count("blewup")
+        assert res1.n_unresolved == statuses.count("diverged")
+        assert res1.fraction == statuses.count("blewup") / 2
+        assert statuses == ["blewup", "completed"]

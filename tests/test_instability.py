@@ -267,6 +267,18 @@ class TestStudies:
         assert out["gap_curve"][t_idx] > 0.5 * out["reference"][t_idx]
         assert out["initial_gap"] < out["reference_amplitude"]
 
+    def test_frozen_actual_mod(self):
+        # frozen values: a change in the RK4 stage arithmetic shows here
+        p = InstabilityParams(m=1, n=64, env_modes=256)
+        out = simulate_actual_mod(p, InstabilityH(sigma0=p.sigma0), seed=9,
+                                  horizon=0.02, dt=5e-3)
+        assert out["status"] == "completed"
+        assert out["t_stop"] == 0.02
+        assert modulated_norm(out["state"], p.s) == pytest.approx(1.2366993620091407,
+                                                                  rel=1e-12)
+        assert modulated_norm(out["state"], p.sigma0) == pytest.approx(
+            0.1871494631489195, rel=1e-12)
+
     def test_exit_time_respected(self):
         # shrink the exit radius below the solution norm: path must stop at once
         p = InstabilityParams(m=1, n=64, exit_radius=1e-300)

@@ -17,10 +17,11 @@ from ccflab.integrate import (
     em_step,
     low_frequency_initial,
     power_law_field,
+    rk4,
     simulate_low_frequency,
     simulate_path,
 )
-from ccflab.noise import ExpDecayFn, LinearB, ZeroNoise
+from ccflab.noise import ExpDecayFn, GeneralH, LinearB, WienerSpec, ZeroNoise
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -57,6 +58,37 @@ class TestCutoffChi:
     def test_disabled(self):
         assert cutoff_chi(1e9, None) == 1.0
         assert cutoff_chi(1e9, np.inf) == 1.0
+
+
+class TestSimConfig:
+    @pytest.mark.parametrize("radius", [0.5, 1.0, -np.inf, np.nan])
+    def test_rejects_cutoff_radius(self, radius):
+        with pytest.raises(ValueError):
+            zero_cfg(cutoff_radius=radius)
+
+    @pytest.mark.parametrize("radius", [None, np.inf, 2.0])
+    def test_accepts_cutoff_radius(self, radius):
+        assert zero_cfg(cutoff_radius=radius).cutoff_radius == radius
+
+
+class TestRk4:
+    # one step of y' = lam y multiplies y by the degree-4 Taylor polynomial
+    @staticmethod
+    def amplification(z):
+        return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+
+    def test_scalar_linear(self):
+        lam, dt = -1.7, 0.3
+        got = rk4(lambda y: lam * y, 2.0, dt)
+        assert got == pytest.approx(2.0 * self.amplification(lam * dt), rel=1e-14)
+
+    def test_field_linear_per_coefficient(self):
+        rng = np.random.default_rng(12)
+        u = random_band_limited(GRID, 20, rng, rms=0.5)
+        lam, dt = 0.9, 0.05
+        got = rk4(lambda f: lam * f, u, dt)
+        want = self.amplification(lam * dt) * u.coefficients
+        assert np.allclose(got.coefficients, want, rtol=1e-14, atol=1e-16)
 
 
 class TestDrift:
@@ -185,6 +217,21 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             simulate_path(cfg, u0)
 
+    def test_frozen_general_h_gated(self):
+        # tiny GeneralH path with the gate strictly between 0 and 1; frozen
+        # values: a change in the RK4 stage arithmetic or the gate shows here
+        grid = SpectralGrid(n_modes=64)
+        u0 = random_band_limited(grid, 8, np.random.default_rng(2), rms=0.5)
+        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, seed=3,
+                        noise=GeneralH(wiener=WienerSpec(n_components=4)),
+                        cutoff_radius=sobolev_norm(u0, 1.6) / 1.5)
+        rec = simulate_path(cfg, u0)
+        assert rec.status == "completed"
+        assert rec.wiener_increments.shape == (20, 4)
+        assert rec.diagnostics["h_s"][-1] == pytest.approx(121.52130646992151, rel=1e-12)
+        assert rec.diagnostics["sup_ux"][-1] == pytest.approx(3.733239827661896, rel=1e-12)
+        assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.93661865702782, rel=1e-12)
+
 
 class TestCoupledPair:
     def test_equal_eps_identical(self):
@@ -229,16 +276,23 @@ class TestLowFrequency:
         from ccflab.integrate import dealiased_product, derivative, hilbert
         u = -1.0 * u_T
         dt = 2e-3
+
+        def rhs(f):
+            return -1.0 * dealiased_product(hilbert(f), derivative(f))
+
         for _ in range(int(T / dt)):
-            def rhs(f):
-                return -1.0 * dealiased_product(hilbert(f), derivative(f))
-            k1 = rhs(u)
-            k2 = rhs(u + (0.5 * dt) * k1)
-            k3 = rhs(u + (0.5 * dt) * k2)
-            k4 = rhs(u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            u = rk4(rhs, u, dt)
         assert np.allclose(u.samples, -fwd.fields[0].samples, atol=1e-8)
         assert back.times[-1] == pytest.approx(T)
+
+    def test_frozen_values(self):
+        # frozen values: a change in the RK4 stage arithmetic shows here
+        traj = simulate_low_frequency(1, 2, 0.9, 0.2, n_modes=64, dt=2e-2)
+        assert len(traj.times) == 11
+        assert sobolev_norm(traj.fields[-1], 3.1) == pytest.approx(3.1993670441614426,
+                                                                   rel=1e-12)
+        assert traj.fields[-1].samples.max() == pytest.approx(0.4940297471127496,
+                                                              rel=1e-12)
 
     def test_delta_validation(self):
         with pytest.raises(ValueError):
