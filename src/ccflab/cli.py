@@ -4,7 +4,7 @@ Config key tree (defaults shown by ``--dump-config``):
 
 * ``grid.*``      period, n_modes, dealias_fraction
 * ``sim.*``       s, dt, horizon, eps_mollify, cutoff_radius, blowup_threshold,
-                  blowup_doublings, record_every, drift_scheme, adapt, seed
+                  blowup_doublings, record_every, adapt, seed
 * ``noise.*``     family (zero | general | strong | linear | instability) and
                   its parameters (q, theta, b0, lam, b_star, k_exp, n_exp,
                   sigma0, n_components, component_decay)
@@ -41,7 +41,6 @@ from .noise import (
     ZeroNoise,
 )
 from .spectral import (
-    Field,
     SpectralGrid,
     cotlar_residual,
     derivative,
@@ -57,7 +56,7 @@ DEFAULTS: dict = {
     "sim": {
         "s": 3.1, "dt": 1e-3, "horizon": 1.0, "eps_mollify": 0.0,
         "cutoff_radius": None, "blowup_threshold": 1e3, "blowup_doublings": 3,
-        "record_every": 10, "drift_scheme": "rk4", "adapt": True, "seed": 0,
+        "record_every": 10, "adapt": True, "seed": 0,
     },
     "noise": {
         "family": "zero", "q": 1.0, "theta": 1.0, "b0": 0.5, "lam": 1.0,
@@ -157,9 +156,17 @@ def build_sim(cfg: dict, grid=None, noise=None) -> SimConfig:
         seed=int(s["seed"]), eps_mollify=s["eps_mollify"],
         cutoff_radius=s["cutoff_radius"], blowup_threshold=s["blowup_threshold"],
         blowup_doublings=int(s["blowup_doublings"]),
-        record_every=int(s["record_every"]), drift_scheme=s["drift_scheme"],
-        adapt=bool(s["adapt"]),
+        record_every=int(s["record_every"]), adapt=bool(s["adapt"]),
     )
+
+
+def study_paths(cfg: dict, args, minimum: int) -> int:
+    """``--paths`` if given, else ``study.paths``; fewer than ``minimum`` is a
+    usage error."""
+    n = int(args.paths if args.paths is not None else cfg["study"]["paths"])
+    if n < minimum:
+        raise ValueError(f"paths must be >= {minimum}, got {n}")
+    return n
 
 
 def write_csv(path: str | None, header: list[str], rows: list[list]):
@@ -221,8 +228,8 @@ def cmd_simulate(cfg: dict, args) -> int:
     sim = build_sim(cfg)
     rng = np.random.default_rng(sim.seed)
     u0 = power_law_field(sim.grid, sim.s, rng, amplitude=cfg["study"]["amplitude"])
-    n_paths = int(args.paths if args.paths is not None else cfg["study"]["paths"])
-    if n_paths <= 1:
+    n_paths = study_paths(cfg, args, 1)
+    if n_paths == 1:
         rec = simulate_path(sim, u0)
         print(f"status={rec.status} t_stop={rec.t_stop:.6g} "
               f"final |u|_Hs={rec.diagnostics['h_s'][-1]:.6g}")
@@ -248,7 +255,7 @@ def cmd_blowup(cfg: dict, args) -> int:
                                  threshold_k=k_thr, horizon=cfg["sim"]["horizon"])
     u0 = blowup_bump(grid, study["f0"], width=study["width"])
     sim = build_sim(cfg, grid=grid, noise=ZeroNoise())
-    n_paths = int(args.paths if args.paths is not None else study["paths"])
+    n_paths = study_paths(cfg, args, 0)   # 0: Monte Carlo bound only
     res = girsanov.blowup_ensemble(sim, spec, u0, n_paths,
                                    mc_paths=int(study["mc_paths"]),
                                    workers=int(study["workers"]))
@@ -272,7 +279,7 @@ def cmd_global(cfg: dict, args) -> int:
     model.validate(horizon=cfg["sim"]["horizon"])
     sim = build_sim(cfg, grid=grid, noise=model)
     u0 = blowup_bump(grid, study["f0"], width=study["width"])
-    n_paths = int(args.paths if args.paths is not None else study["paths"])
+    n_paths = study_paths(cfg, args, 1)
     q_hat = study["q_hat"]
     if q_hat is None:
         q_hat = diagnostics.estimate_commutator_constant(
@@ -327,7 +334,7 @@ def cmd_instability(cfg: dict, args) -> int:
                          sigma0=cfg["noise"]["sigma0"])
     horizon = study["horizon"] if study["horizon"] is not None else 1.0
     dt = cfg["sim"]["dt"]
-    n_paths = int(args.paths if args.paths is not None else study["paths"])
+    n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
     seed = int(cfg["sim"]["seed"])
     rows = []
     points = []
@@ -370,7 +377,7 @@ def cmd_converge(cfg: dict, args) -> int:
     grid = build_grid(cfg)
     noise = build_noise(cfg)
     sim = build_sim(cfg, grid=grid, noise=noise)
-    n_paths = int(args.paths if args.paths is not None else study["paths"])
+    n_paths = study_paths(cfg, args, 1)
     out = ensemble.convergence_study(sim, list(study["eps_list"]), n_paths,
                                      eps_ref=study["eps_ref"],
                                      workers=int(study["workers"]))

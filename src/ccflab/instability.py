@@ -35,7 +35,6 @@ from .integrate import LowFreqTrajectory, low_frequency_initial, plateau_bump, r
 from .modulated import (
     CarrierBasis,
     ModulatedField,
-    apply_symbol,
     carrier0,
     mod_derivative,
     mod_helmholtz_inverse_dx,
@@ -45,7 +44,7 @@ from .modulated import (
     packet,
 )
 from .noise import InstabilityH, ZeroNoise, instability_factor
-from .spectral import Field, SpectralGrid, hilbert, sobolev_norm
+from .spectral import Field, SpectralGrid, hilbert
 
 __all__ = [
     "InstabilityParams",

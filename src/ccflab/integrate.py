@@ -6,13 +6,13 @@ The drift is the gated, mollified transport term
 
 the diffusion is the selected noise family times the same gate, driven by K
 scalar Brownian increments.  The noise enters in Euler-Maruyama fashion
-(strong order 1/2); the drift substep can be taken either as plain forward
-Euler or, by default, as a classical fourth-order Runge-Kutta substep.
-Forward Euler on a spectral advection operator amplifies the highest retained
-modes at rate ~ (c k_max)^2 dt/2 per unit time, which wrecks long horizons at
-realistic step sizes; the RK4 substep is neutrally stable on the imaginary
-axis and leaves the strong order of the noise unchanged.  The ``euler``
-scheme is kept for cross-checks.
+(strong order 1/2) on top of a classical fourth-order Runge-Kutta drift
+substep.  Forward Euler on a spectral advection operator would amplify the
+highest retained modes at rate ~ (c k_max)^2 dt/2 per unit time, which wrecks
+long horizons at realistic step sizes; the RK4 substep is neutrally stable on
+the imaginary axis and leaves the strong order of the noise unchanged.  A
+step whose relative ``H^s`` increment exceeds ``ADAPT_REL_INCREMENT`` is
+split with a Brownian bridge, at most ``MAX_HALVINGS`` times.
 
 One path is one logical task: no shared mutable state, RNG derived from the
 config seed, bit-identical reruns for a fixed config.
@@ -96,11 +96,7 @@ class SimConfig:
     blowup_doublings: int = 3
     record_every: int = 1
     snapshot_every: int = 0
-    drift_scheme: str = "rk4"
     adapt: bool = True
-    adapt_rel_increment: float = 0.10
-    max_halvings: int = 12
-    transport_enabled: bool = True
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.horizon <= 0.0:
@@ -111,8 +107,6 @@ class SimConfig:
             raise ValueError("eps_mollify must lie in [0, 1)")
         if self.cutoff_radius is not None and not self.cutoff_radius > 1.0:
             raise ValueError("cutoff radius must exceed 1")
-        if self.drift_scheme not in ("rk4", "euler"):
-            raise ValueError("drift_scheme must be 'rk4' or 'euler'")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -194,8 +188,6 @@ def _gate(u: Field, cfg: SimConfig) -> float:
 
 def drift(u: Field, cfg: SimConfig) -> Field:
     """Negated gated transport term, ready to be added to the state."""
-    if not cfg.transport_enabled:
-        return Field.zeros(u.grid)
     gate = _gate(u, cfg)
     if gate == 0.0:
         return Field.zeros(u.grid)
@@ -207,17 +199,11 @@ def drift(u: Field, cfg: SimConfig) -> Field:
     return (-gate) * term
 
 
-def _drift_substep(u: Field, cfg: SimConfig, dt: float) -> Field:
-    if cfg.drift_scheme == "euler":
-        return u + dt * drift(u, cfg)
-    return rk4(lambda f: drift(f, cfg), u, dt)
-
-
 def em_step(u: Field, t: float, cfg: SimConfig, dw: np.ndarray,
             dt: float | None = None) -> Field:
     """One step: drift substep plus gated noise increments."""
     dt = cfg.dt if dt is None else dt
-    unew = _drift_substep(u, cfg, dt)
+    unew = rk4(lambda f: drift(f, cfg), u, dt)
     comps = cfg.noise.components(t, u)
     if comps:
         gate = _gate(u, cfg)
@@ -229,14 +215,19 @@ def em_step(u: Field, t: float, cfg: SimConfig, dw: np.ndarray,
     return unew
 
 
+# adaptive halving: at most 2**MAX_HALVINGS = 4096 sub-steps per macro step
+ADAPT_REL_INCREMENT = 0.10
+MAX_HALVINGS = 12
+
+
 def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: np.ndarray,
                    rng: np.random.Generator, depth: int) -> Field:
     unew = em_step(u, t, cfg, dw, dt)
-    if not cfg.adapt or depth >= cfg.max_halvings:
+    if not cfg.adapt or depth >= MAX_HALVINGS:
         return unew
     base = sobolev_norm(u, cfg.s)
     inc = sobolev_norm(unew - u, cfg.s) if not unew.diverged else np.inf
-    if inc <= cfg.adapt_rel_increment * max(base, 1e-12):
+    if inc <= ADAPT_REL_INCREMENT * max(base, 1e-12):
         return unew
     # split the increment with a Brownian bridge and recurse on both halves
     k = dw.shape[0]

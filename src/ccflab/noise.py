@@ -35,10 +35,6 @@ __all__ = [
     "InstabilityH",
     "helmholtz_inverse_dx",
     "transport_gradient_powers",
-    "eval_general_h",
-    "eval_strong_alpha",
-    "eval_linear_b",
-    "eval_instability_h",
     "sample_wiener_increments",
     "hilbert_schmidt_norm",
 ]
@@ -82,7 +78,6 @@ class WienerSpec:
 
     n_components: int = 8
     component_decay: float = 2.0
-    seed_base: int = 0
 
     def __post_init__(self):
         if self.n_components < 1:
@@ -134,6 +129,13 @@ def hilbert_schmidt_norm(components: list[Field], s: float) -> float:
     return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in components)))
 
 
+def instability_factor(norm_sigma0: float) -> float:
+    """``exp(-1/r)`` continuously extended by 0 at r = 0."""
+    if norm_sigma0 <= 0.0:
+        return 0.0
+    return float(np.exp(-1.0 / norm_sigma0))
+
+
 # -- model variants --------------------------------------------------------------
 
 
@@ -145,9 +147,6 @@ class ZeroNoise:
 
     def components(self, t: float, u: Field) -> list[Field]:
         return []
-
-    def validate(self, horizon: float = 0.0):
-        return self
 
 
 @dataclass(frozen=True)
@@ -168,10 +167,11 @@ class GeneralH:
         return self.wiener.n_components
 
     def components(self, t: float, u: Field) -> list[Field]:
-        return eval_general_h(self, t, u)
-
-    def validate(self, horizon: float = 0.0):
-        return self
+        """``c_j q(t) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``, j = 1..K."""
+        base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,
+                                                              self.exponent_n))
+        base = self.q_fn(t) * base
+        return [c * base for c in self.wiener.coefficients]
 
 
 @dataclass(frozen=True)
@@ -183,7 +183,10 @@ class StrongAlpha:
     n_components: int = 1
 
     def components(self, t: float, u: Field) -> list[Field]:
-        return [eval_strong_alpha(self, t, u)]
+        """``[q(t) (1 + |u_x|_inf + |H u_x|_inf)^theta u]``."""
+        _, sup_ux, sup_hux = sup_norms(u)
+        scale = self.q_fn(t) * (1.0 + sup_ux + sup_hux) ** self.theta
+        return [scale * u]
 
     def validate(self, horizon: float = 10.0, q_hat: float | None = None,
                  samples: int = 2048):
@@ -225,7 +228,8 @@ class LinearB:
             raise ValueError("b_star must be positive")
 
     def components(self, t: float, u: Field) -> list[Field]:
-        return [eval_linear_b(self, t, u)]
+        """``[b(t) u]``."""
+        return [self.b_fn(t) * u]
 
     def validate(self, horizon: float = 10.0, samples: int = 4096):
         ts = np.linspace(0.0, horizon, samples)
@@ -254,50 +258,13 @@ class InstabilityH:
             raise ValueError("exponents must be >= 1")
 
     def components(self, t: float, u: Field) -> list[Field]:
-        return [eval_instability_h(self, t, u)]
-
-    def validate(self, horizon: float = 0.0):
-        return self
+        """``[q(t) exp(-1/|u|_{H^sigma0}) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]]``."""
+        factor = self.q_fn(t) * instability_factor(sobolev_norm(u, self.sigma0))
+        if factor == 0.0:
+            return [Field.zeros(u.grid)]
+        base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,
+                                                              self.exponent_n))
+        return [factor * base]
 
 
 NoiseModel = ZeroNoise | GeneralH | StrongAlpha | LinearB | InstabilityH
-
-
-# -- evaluation functions ---------------------------------------------------------
-
-
-def eval_general_h(model: GeneralH, t: float, u: Field) -> list[Field]:
-    """Component fields ``c_j * q(t) * (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``."""
-    base = helmholtz_inverse_dx(transport_gradient_powers(u, model.exponent_k,
-                                                          model.exponent_n))
-    base = model.q_fn(t) * base
-    return [c * base for c in model.wiener.coefficients]
-
-
-def eval_strong_alpha(model: StrongAlpha, t: float, u: Field) -> Field:
-    """``q(t) (1 + |u_x|_inf + |H u_x|_inf)^theta u``."""
-    _, sup_ux, sup_hux = sup_norms(u)
-    scale = model.q_fn(t) * (1.0 + sup_ux + sup_hux) ** model.theta
-    return scale * u
-
-
-def eval_linear_b(model: LinearB, t: float, u: Field) -> Field:
-    """``b(t) u``."""
-    return model.b_fn(t) * u
-
-
-def instability_factor(norm_sigma0: float) -> float:
-    """``exp(-1/r)`` continuously extended by 0 at r = 0."""
-    if norm_sigma0 <= 0.0:
-        return 0.0
-    return float(np.exp(-1.0 / norm_sigma0))
-
-
-def eval_instability_h(model: InstabilityH, t: float, u: Field) -> Field:
-    """``q(t) exp(-1/|u|_{H^sigma0}) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``."""
-    factor = model.q_fn(t) * instability_factor(sobolev_norm(u, model.sigma0))
-    if factor == 0.0:
-        return Field.zeros(u.grid)
-    base = helmholtz_inverse_dx(transport_gradient_powers(u, model.exponent_k,
-                                                          model.exponent_n))
-    return factor * base

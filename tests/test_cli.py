@@ -23,8 +23,9 @@ class TestConfig:
         assert build_sim(cfg).grid.n_modes == 128
 
     def test_override_unknown_key(self):
-        with pytest.raises(KeyError):
-            apply_overrides(load_config(None, []), ["sim.notakey=1"])
+        for pair in ("sim.notakey=1", "sim.drift_scheme=euler"):
+            with pytest.raises(KeyError):
+                apply_overrides(load_config(None, []), [pair])
 
     def test_override_type_checked(self):
         with pytest.raises(TypeError):
@@ -56,6 +57,19 @@ class TestExitCodes:
     def test_blowup_without_mc_paths_is_a_usage_error(self, capsys):
         assert main(["blowup", "--paths", "0", "--set", "study.mc_paths=0"]) == 3
         assert "num_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--paths", "0"],
+        ["simulate", "--paths", "-3"],
+        ["global", "--paths", "0"],
+        ["converge", "--paths", "0"],
+        ["blowup", "--paths", "-1", "--set", "study.mc_paths=64"],
+        ["instability", "--paths", "-1", "--set", "study.n_list=[64]"],
+    ], ids=["simulate-0", "simulate-neg3", "global-0", "converge-0", "blowup-neg1",
+            "instability-neg1"])
+    def test_paths_below_minimum_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 3
+        assert "paths must be >=" in capsys.readouterr().err
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 3

@@ -79,6 +79,14 @@ class TestResult:
         assert again == r.summaries
 
 
+class TestDigest:
+    def test_frozen_digest(self):
+        # any change to the fields of SimConfig or of a noise model moves the
+        # digest written into every ensemble header: update this on purpose
+        cfg = small_cfg(noise=GeneralH(wiener=WienerSpec(n_components=2)))
+        assert config_digest(cfg) == "ec077f21a007c22d"
+
+
 class TestPersistence:
     def test_roundtrip(self, tmp_path):
         r = run_ensemble(small_cfg(), small_u0(), 5)

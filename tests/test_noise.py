@@ -13,10 +13,6 @@ from ccflab.noise import (
     StrongAlpha,
     WienerSpec,
     ZeroNoise,
-    eval_general_h,
-    eval_instability_h,
-    eval_linear_b,
-    eval_strong_alpha,
     helmholtz_inverse_dx,
     hilbert_schmidt_norm,
     sample_wiener_increments,
@@ -54,20 +50,20 @@ class TestGeneralH:
                         wiener=WienerSpec(n_components=K))
 
     def test_zero_input(self):
-        comps = eval_general_h(self.model(K=4), 0.3, Field.zeros(GRID))
+        comps = self.model(K=4).components(0.3, Field.zeros(GRID))
         assert len(comps) == 4
         assert all(c.max_abs() == 0.0 for c in comps)
 
     def test_two_mode_hand_value(self):
         # u = cos x: u_x + H u_x = -sin x - cos x, then the Helmholtz-inverse
         # derivative gives (-cos x + sin x)/2 (multiplier i xi/(1+xi^2) at k=1).
-        comps = eval_general_h(self.model(), 0.0, cosx())
+        comps = self.model().components(0.0, cosx())
         want = 0.5 * (-np.cos(GRID.x) + np.sin(GRID.x))
         assert np.allclose(comps[0].samples, want, atol=1e-12)
 
     def test_component_scaling(self):
         m = self.model(K=3)
-        comps = eval_general_h(m, 0.0, cosx())
+        comps = m.components(0.0, cosx())
         c = m.wiener.coefficients
         assert np.allclose(comps[1].samples, (c[1] / c[0]) * comps[0].samples, atol=1e-13)
 
@@ -80,7 +76,7 @@ class TestGeneralH:
         s = 3.1
         for _ in range(20):
             u = random_band_limited(GRID, 80, rng, rms=rng.uniform(0.1, 5.0))
-            hs = hilbert_schmidt_norm(eval_general_h(m, 0.0, u), s)
+            hs = hilbert_schmidt_norm(m.components(0.0, u), s)
             assert hs <= np.sqrt(2.0) * csum * sobolev_norm(u, s) * (1.0 + 1e-10)
 
     def test_lipschitz_ratio_bounded(self):
@@ -96,8 +92,8 @@ class TestGeneralH:
             du = sobolev_norm(u - v, s)
             if du < 1e-9:
                 continue
-            hu = eval_general_h(m, 0.0, u)
-            hv = eval_general_h(m, 0.0, v)
+            hu = m.components(0.0, u)
+            hv = m.components(0.0, v)
             diff = np.sqrt(sum(sobolev_norm(a - b, s) ** 2 for a, b in zip(hu, hv)))
             nmax = max(sobolev_norm(u, s), sobolev_norm(v, s), 1.0)
             ratios.append(diff / du / nmax)
@@ -107,18 +103,18 @@ class TestGeneralH:
 class TestStrongAlpha:
     def test_zero(self):
         m = StrongAlpha(theta=1.0)
-        assert eval_strong_alpha(m, 0.0, Field.zeros(GRID)).max_abs() == 0.0
+        assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
 
     def test_cos_three_cos(self):
         m = StrongAlpha(q_fn=ConstantFn(1.0), theta=1.0)
-        got = eval_strong_alpha(m, 0.0, cosx())
+        got = m.components(0.0, cosx())[0]
         assert np.allclose(got.samples, 3.0 * np.cos(GRID.x), atol=1e-9)
 
     def test_collinear(self):
         rng = np.random.default_rng(4)
         u = random_band_limited(GRID, 40, rng)
         m = StrongAlpha(theta=0.7)
-        out = eval_strong_alpha(m, 0.0, u)
+        out = m.components(0.0, u)[0]
         lam = out.samples[10] / u.samples[10]
         assert np.allclose(out.samples, lam * u.samples, atol=1e-10)
 
@@ -136,16 +132,16 @@ class TestStrongAlpha:
 class TestLinearB:
     def test_zero_field(self):
         m = LinearB(b_fn=ExpDecayFn(0.5, 1.0), b_star=0.3)
-        assert eval_linear_b(m, 0.0, Field.zeros(GRID)).max_abs() == 0.0
+        assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
 
     def test_b_zero(self):
         m = LinearB(b_fn=ExpDecayFn(0.0, 1.0), b_star=0.3)
-        assert eval_linear_b(m, 1.2, cosx()).max_abs() == 0.0
+        assert m.components(1.2, cosx())[0].max_abs() == 0.0
 
     def test_identity_at_t0(self):
         m = LinearB(b_fn=ExpDecayFn(1.0, 1.0), b_star=1.1)
         u = cosx(0.7)
-        assert np.allclose(eval_linear_b(m, 0.0, u).samples, u.samples)
+        assert np.allclose(m.components(0.0, u)[0].samples, u.samples)
 
     def test_validation(self):
         LinearB(b_fn=ExpDecayFn(0.5, 1.0), b_star=0.26).validate()
@@ -162,7 +158,7 @@ class TestInstabilityH:
 
     def test_zero_extension(self):
         m = InstabilityH(sigma0=1.6)
-        assert eval_instability_h(m, 0.0, Field.zeros(GRID)).max_abs() == 0.0
+        assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
 
     def test_factor_monotone(self):
         m = InstabilityH(sigma0=1.6)
@@ -171,7 +167,7 @@ class TestInstabilityH:
         norms = []
         for amp in (0.5, 1.0, 2.0):
             u = amp * base
-            out = eval_instability_h(m, 0.0, u)
+            out = m.components(0.0, u)[0]
             # scalar factor exp(-1/|u|) against the linear part: normalize out
             norms.append(sobolev_norm(out, m.sigma0) / amp)
         assert norms[0] < norms[1] < norms[2]
@@ -183,7 +179,7 @@ class TestInstabilityH:
         rng = np.random.default_rng(6)
         for _ in range(20):
             u = random_band_limited(GRID, 60, rng, rms=rng.uniform(0.1, 3.0))
-            out = eval_instability_h(m, 0.0, u)
+            out = m.components(0.0, u)[0]
             r = sobolev_norm(u, m.sigma0)
             bound = np.sqrt(2.0) * np.exp(-1.0 / r) * sobolev_norm(u, m.sigma0 + 0.0)
             # the Helmholtz-inverse derivative loses one derivative; use H^{sigma0}
