@@ -11,9 +11,11 @@ Config key tree (defaults shown by ``--dump-config``):
 * ``study.*``     per-subcommand knobs (paths, widths, carrier lists, ...)
 
 Overrides: ``--set key.path=value`` with JSON-typed values, checked against
-the schema.  Every subcommand is deterministic given (config, seed) and
-rewrites its outputs byte-identically.  Exit codes: 0 pass, 2 acceptance
-failure, 3 runtime error.
+the schema.  Every subcommand takes ``--config``, ``--seed`` and ``--set``,
+plus only those of ``--paths``, ``--out`` and ``--report`` that it reads.
+Every subcommand is deterministic given (config, seed) and rewrites its
+outputs byte-identically.  Exit codes: 0 pass, 2 acceptance failure, 3 usage
+or runtime error.
 """
 
 from __future__ import annotations
@@ -127,9 +129,11 @@ def build_grid(cfg: dict) -> SpectralGrid:
                         dealias_fraction=g["dealias_fraction"])
 
 
-def build_noise(cfg: dict):
+def build_noise(cfg: dict, family: str | None = None):
+    """The noise model of ``family`` (default ``noise.family``) from the
+    ``noise.*`` parameters."""
     n = cfg["noise"]
-    family = n["family"]
+    family = n["family"] if family is None else family
     if family == "zero":
         return ZeroNoise()
     if family == "general":
@@ -247,14 +251,13 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_blowup(cfg: dict, args) -> int:
     study = cfg["study"]
-    noise_cfg = cfg["noise"]
     grid = build_grid(cfg)
-    b0, lam, k_thr = noise_cfg["b0"], noise_cfg["lam"], study["threshold_k"]
-    b_star = noise_cfg["b_star"] if noise_cfg["b_star"] is not None else 1.05 * b0**2
-    spec = girsanov.GirsanovSpec(b_fn=ExpDecayFn(b0, lam), b_star=b_star,
+    noise = build_noise(cfg, "linear")
+    b_fn, k_thr = noise.b_fn, study["threshold_k"]
+    spec = girsanov.GirsanovSpec(b_fn=b_fn, b_star=noise.b_star,
                                  threshold_k=k_thr, horizon=cfg["sim"]["horizon"])
     u0 = blowup_bump(grid, study["f0"], width=study["width"])
-    sim = build_sim(cfg, grid=grid, noise=ZeroNoise())
+    sim = build_sim(cfg, grid=grid, noise=noise)
     n_paths = study_paths(cfg, args, 0)   # 0: Monte Carlo bound only
     res = girsanov.blowup_ensemble(sim, spec, u0, n_paths,
                                    mc_paths=int(study["mc_paths"]),
@@ -266,20 +269,18 @@ def cmd_blowup(cfg: dict, args) -> int:
     write_csv(args.report,
               ["b0", "lambda", "K", "bound_mc", "bound_oracle", "spde_fraction",
                "ci_lo", "ci_hi"],
-              [[b0, lam, k_thr, b["estimate"], b["oracle"], res.fraction,
-                b["ci_lo"], b["ci_hi"]]])
+              [[b_fn.amplitude, b_fn.rate, k_thr, b["estimate"], b["oracle"],
+                res.fraction, b["ci_lo"], b["ci_hi"]]])
     return 0 if res.passed else 2
 
 
 def cmd_global(cfg: dict, args) -> int:
     study = cfg["study"]
     grid = build_grid(cfg)
-    model = StrongAlpha(q_fn=ConstantFn(cfg["noise"]["q"]),
-                        theta=cfg["noise"]["theta"])
-    model.validate(horizon=cfg["sim"]["horizon"])
+    model = build_noise(cfg, "strong").validate(horizon=cfg["sim"]["horizon"])
     sim = build_sim(cfg, grid=grid, noise=model)
     u0 = blowup_bump(grid, study["f0"], width=study["width"])
-    n_paths = study_paths(cfg, args, 1)
+    n_paths = study_paths(cfg, args, diagnostics.MIN_GROWTH_PATHS)
     q_hat = study["q_hat"]
     if q_hat is None:
         q_hat = diagnostics.estimate_commutator_constant(
@@ -292,8 +293,10 @@ def cmd_global(cfg: dict, args) -> int:
     records = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, n_paths,
                                  workers=int(study["workers"]))
     n_blew = sum(1 for r in records if r.status == "blewup")
+    n_done = sum(1 for r in records if r.status == "completed")
+    # too few completed paths for the growth check is a failed study
     slope, growth_ok = diagnostics.lyapunov_growth_check(records, spec) \
-        if n_paths >= 8 else (0.0, True)
+        if n_done >= diagnostics.MIN_GROWTH_PATHS else (float("nan"), False)
     print(f"blowups {n_blew}/{n_paths}; lyapunov slope {slope:.4f} vs K1={k1:.4f} "
           f"({'pass' if growth_ok else 'FAIL'})")
     write_csv(args.report, ["theta", "q", "paths", "blowups", "k1", "slope", "growth_ok"],
@@ -304,10 +307,7 @@ def cmd_global(cfg: dict, args) -> int:
 def cmd_girsanov(cfg: dict, args) -> int:
     study = cfg["study"]
     grid = build_grid(cfg)
-    noise = build_noise(cfg)
-    if not isinstance(noise, LinearB):
-        noise = LinearB(b_fn=ExpDecayFn(cfg["noise"]["b0"], cfg["noise"]["lam"]),
-                        b_star=1.05 * cfg["noise"]["b0"] ** 2)
+    noise = build_noise(cfg, "linear")
     rng = np.random.default_rng(int(cfg["sim"]["seed"]))
     u0 = power_law_field(grid, cfg["sim"]["s"], rng,
                          amplitude=study["amplitude"], max_mode=grid.dealias_keep // 4)
@@ -328,36 +328,31 @@ def cmd_girsanov(cfg: dict, args) -> int:
 
 def cmd_instability(cfg: dict, args) -> int:
     study = cfg["study"]
-    noise = InstabilityH(q_fn=ConstantFn(cfg["noise"]["q"]),
-                         exponent_k=int(cfg["noise"]["k_exp"]),
-                         exponent_n=int(cfg["noise"]["n_exp"]),
-                         sigma0=cfg["noise"]["sigma0"])
+    noise = build_noise(cfg, "instability")
     horizon = study["horizon"] if study["horizon"] is not None else 1.0
     dt = cfg["sim"]["dt"]
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
     seed = int(cfg["sim"]["seed"])
+    # one parameter set, re-used at every carrier n (the decay exponents and
+    # the separation experiment do not depend on n or m)
+    sep_p = instability.InstabilityParams(m=int(study["m"]),
+                                          n=int(study["separation_n"]),
+                                          delta=study["delta"], s=cfg["sim"]["s"],
+                                          sigma0=cfg["noise"]["sigma0"])
     rows = []
     points = []
     for n in study["n_list"]:
-        p = instability.InstabilityParams(m=int(study["m"]), n=int(n),
-                                          delta=study["delta"], s=cfg["sim"]["s"],
-                                          sigma0=cfg["noise"]["sigma0"])
+        p = replace(sep_p, n=int(n))
         out = instability.error_functional_ensemble(p, noise, n_paths, horizon,
                                                     dt, seed=seed)
         points.append((float(n), out["mean_sup_sq"]))
         rows.append([n, out["mean_sup_sq"], out["det_sup_sq"]])
         print(f"n={n:5d}  E sup |defect|^2 = {out['mean_sup_sq']:.6e}")
     slope, _, r2 = ensemble.rate_fit(points)
-    p0 = instability.InstabilityParams(m=1, n=int(study["n_list"][0]),
-                                       delta=study["delta"], s=cfg["sim"]["s"],
-                                       sigma0=cfg["noise"]["sigma0"])
-    target = 2.0 * p0.rate_error + 0.3
+    target = 2.0 * sep_p.rate_error + 0.3
     print(f"defect slope {slope:.3f} (target <= {target:.3f}, r2={r2:.3f})")
     write_csv(args.report, ["n", "mean_sup_sq_defect", "det_sup_sq"], rows)
 
-    sep_p = instability.InstabilityParams(m=1, n=int(study["separation_n"]),
-                                          delta=study["delta"], s=cfg["sim"]["s"],
-                                          sigma0=cfg["noise"]["sigma0"])
     sep = instability.separation_experiment(sep_p, horizon=max(horizon, 1.8),
                                             dt=dt, noise=noise,
                                             num_paths=max(1, n_paths // 4), seed=seed)
@@ -390,19 +385,32 @@ def cmd_converge(cfg: dict, args) -> int:
     return 0 if out["slope"] >= 0.8 else 2
 
 
+# each subcommand with the optional flags it reads
 COMMANDS = {
-    "identities": cmd_identities,
-    "simulate": cmd_simulate,
-    "blowup": cmd_blowup,
-    "global": cmd_global,
-    "girsanov": cmd_girsanov,
-    "instability": cmd_instability,
-    "converge": cmd_converge,
+    "identities": (cmd_identities, ("report",)),
+    "simulate": (cmd_simulate, ("paths", "out")),
+    "blowup": (cmd_blowup, ("paths", "report")),
+    "global": (cmd_global, ("paths", "report")),
+    "girsanov": (cmd_girsanov, ("report",)),
+    "instability": (cmd_instability, ("paths", "out", "report")),
+    "converge": (cmd_converge, ("paths", "report")),
+}
+FLAGS = {
+    "paths": {"type": int, "default": None, "help": "override study.paths"},
+    "out": {"default": None, "help": "primary output file"},
+    "report": {"default": None, "help": "CSV report file"},
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Usage errors exit 3; 2 is the code of a failed check."""
+        self.print_usage(sys.stderr)
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccflab",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -410,18 +418,14 @@ def main(argv=None) -> int:
     parser.add_argument("--dump-config", action="store_true",
                         help="print the default config tree and exit")
     sub = parser.add_subparsers(dest="command")
-    for name, fn in COMMANDS.items():
+    for name, (fn, flags) in COMMANDS.items():
         sp = sub.add_parser(name, help=fn.__doc__)
         sp.add_argument("--config", default=None, help="JSON config file")
-        sp.add_argument("--out", default=None, help="primary output file")
-        sp.add_argument("--report", default=None, help="CSV report file")
-        sp.add_argument("--paths", type=int, default=None,
-                        help="override study.paths")
         sp.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        sp.add_argument("--tolerance", type=float, default=None,
-                        help="override study.tolerance")
         sp.add_argument("--set", action="append", default=[], metavar="KEY=VAL",
                         dest="overrides", help="dotted-key config override")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **FLAGS[flag])
     args = parser.parse_args(argv)
     if args.dump_config:
         print(json.dumps(DEFAULTS, indent=2, sort_keys=True, default=float))
@@ -433,9 +437,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, args.overrides)
         if args.seed is not None:
             cfg["sim"]["seed"] = args.seed
-        if args.tolerance is not None:
-            cfg["study"]["tolerance"] = args.tolerance
-        return COMMANDS[args.command](cfg, args)
+        return COMMANDS[args.command][0](cfg, args)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -44,6 +44,9 @@ __all__ = [
     "lyapunov_growth_check",
 ]
 
+# completed paths the growth check needs for a meaningful standard error
+MIN_GROWTH_PATHS = 8
+
 
 @dataclass(frozen=True)
 class LyapunovSpec:
@@ -76,10 +79,10 @@ def transport_pairing(u: Field, s_pair: float) -> float:
     return sobolev_inner(w, u, s_pair)
 
 
-def estimate_commutator_constant(samples: int, s: float, rng: np.random.Generator,
-                                 grid: SpectralGrid | None = None,
-                                 max_mode: int | None = None) -> float:
-    """Empirical pairing constant: running max of the normalized pairing ratio.
+def estimate_commutator_constant(samples: int, s: float,
+                                 rng: np.random.Generator) -> float:
+    """Empirical pairing constant: running max of the normalized pairing ratio
+    over random fields on the dealiased band of a 256-mode grid.
 
     Fields with a vanishing gradient quantity (< 1e-8) are skipped.  The
     estimate is reproducible given the generator state and nondecreasing in
@@ -87,13 +90,11 @@ def estimate_commutator_constant(samples: int, s: float, rng: np.random.Generato
     """
     if samples < 100:
         raise ValueError("need at least 100 samples for a meaningful estimate")
-    if grid is None:
-        grid = SpectralGrid(n_modes=256)
+    grid = SpectralGrid(n_modes=256)
     q_hat = 0.0
     for _ in range(samples):
-        kmax = max_mode if max_mode is not None else grid.dealias_keep
-        u = random_band_limited(grid, kmax, rng, rms=rng.uniform(0.05, 2.0),
-                                decay=rng.uniform(0.8, 2.5))
+        u = random_band_limited(grid, grid.dealias_keep, rng,
+                                rms=rng.uniform(0.05, 2.0), decay=rng.uniform(0.8, 2.5))
         bq = blowup_quantity(u)
         if bq < 1e-8:
             continue
@@ -125,16 +126,14 @@ def lyapunov_drift_residual(u: Field, t: float, model: StrongAlpha,
 
 
 def fit_k1_from_sweep(model: StrongAlpha, spec_s: float, q_hat: float, k2: float,
-                      rng: np.random.Generator, samples: int = 400,
-                      grid: SpectralGrid | None = None,
-                      margin: float = 1.1) -> float:
-    """Smallest admissible constant (with head-room) over a random state sweep.
+                      rng: np.random.Generator, samples: int = 400) -> float:
+    """Smallest admissible constant (with head-room) over a random state sweep
+    on a 256-mode grid.
 
-    Returns ``margin * max(eps, sup_states [LHS + K2 penalty])`` so that the
+    Returns ``1.1 * max(eps, sup_states [LHS + K2 penalty])`` so that the
     drift condition holds with this K1 at every sampled state.
     """
-    if grid is None:
-        grid = SpectralGrid(n_modes=256)
+    grid = SpectralGrid(n_modes=256)
     probe = LyapunovSpec(k1=1.0, k2=k2, q_hat=q_hat, s=spec_s)
     worst = 0.0
     for _ in range(samples):
@@ -144,11 +143,11 @@ def fit_k1_from_sweep(model: StrongAlpha, spec_s: float, q_hat: float, k2: float
         lhs, rhs = _drift_condition_sides(u, 0.0, model, probe)
         # rhs = k1 - penalty, so lhs + penalty is the k1 needed at this state
         worst = max(worst, lhs + (1.0 - rhs))
-    return margin * max(worst, 1e-6)
+    return 1.1 * max(worst, 1e-6)
 
 
-def lyapunov_growth_check(records: list[PathRecord], spec: LyapunovSpec,
-                          min_paths: int = 8) -> tuple[float, bool]:
+def lyapunov_growth_check(records: list[PathRecord],
+                          spec: LyapunovSpec) -> tuple[float, bool]:
     """Linear-growth bound on the expected Lyapunov value of an ensemble.
 
     Compares the ensemble mean of ``log(1 + |u(t)|^2_{H^{s-1}})`` against the
@@ -157,8 +156,8 @@ def lyapunov_growth_check(records: list[PathRecord], spec: LyapunovSpec,
     slope of the mean curve and the pass flag.
     """
     completed = [r for r in records if r.status == "completed"]
-    if len(completed) < min_paths:
-        raise ValueError(f"need at least {min_paths} completed paths, "
+    if len(completed) < MIN_GROWTH_PATHS:
+        raise ValueError(f"need at least {MIN_GROWTH_PATHS} completed paths, "
                          f"got {len(completed)}")
     times = completed[0].times
     for r in completed[1:]:

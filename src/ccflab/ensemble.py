@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-from dataclasses import asdict, dataclass, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -80,18 +80,16 @@ class EnsembleResult:
 
 
 def config_digest(cfg) -> str:
-    """Stable digest of a configuration dataclass (or plain dict)."""
-    if is_dataclass(cfg):
-        payload = {"__type__": type(cfg).__name__, **_plain(asdict(cfg))}
-    else:
-        payload = _plain(cfg)
-    text = json.dumps(payload, sort_keys=True, default=_plain)
+    """Stable digest of a configuration dataclass (or plain dict); the type of
+    every nested dataclass is hashed with its fields."""
+    text = json.dumps(_plain(cfg), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _plain(obj):
     if is_dataclass(obj) and not isinstance(obj, type):
-        return {"__type__": type(obj).__name__, **_plain(asdict(obj))}
+        return {"__type__": type(obj).__name__,
+                **{f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -163,12 +161,12 @@ class SimTask:
 
 
 def run_ensemble(cfg: SimConfig, u0: Field, num_paths: int,
-                 workers: int = 1, run_id: str = "ensemble") -> EnsembleResult:
+                 workers: int = 1) -> EnsembleResult:
     """Independent paths from shared initial data, seeds ``cfg.seed XOR index``."""
     records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers)
     per_path = [_outcome_from_record(i, path_seed(cfg.seed, i), r)
                 for i, r in enumerate(records)]
-    return EnsembleResult(run_id, config_digest(cfg), per_path,
+    return EnsembleResult("ensemble", config_digest(cfg), per_path,
                           recompute_summaries(per_path))
 
 
@@ -264,7 +262,7 @@ class _CoupledFamilyTask:
     k_threshold: float
 
     def __call__(self, seed: int) -> list[float]:
-        base = replace(self.cfg, seed=seed, adapt=False, snapshot_every=1)
+        base = replace(self.cfg, seed=seed, adapt=False, keep_snapshots=True)
         rec_r = simulate_path(replace(base, eps_mollify=self.eps_ref), self.u0)
         s32 = self.cfg.s - 1.5
         out = []

@@ -95,16 +95,14 @@ class CharacteristicTrack:
 
 
 def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
-                   record_every: int = 1, track: bool = False,
-                   stop_threshold: float | None = None,
-                   x0: float | None = None):
+                   record_every: int = 1, track: bool = False):
     """Integrate ``v_t + beta(t) (Hv) v_x = 0`` with the drift gate of ``cfg``.
 
     ``beta`` holds one value per step (frozen within the step, matching the
     order of the noise coupling).  Returns ``(times, fields, track)``: the
     fields sampled every ``record_every`` steps and, when ``track`` is set, a
-    :class:`CharacteristicTrack` integrated online with the same step size
-    (``None`` otherwise).
+    :class:`CharacteristicTrack` of the characteristic started at the argmax of
+    ``u0``, integrated online with the same step size (``None`` otherwise).
     """
     dt = cfg.dt
     n_steps = min(int(round(cfg.horizon / dt)), len(beta) - 1)
@@ -113,7 +111,7 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
     trk_t, trk_pos, trk_f, trk_beta, trk_vx = [], [], [], [], []
     flagged = False
     if track:
-        phi = argmax_refined(v) if x0 is None else x0
+        phi = argmax_refined(v)
 
         def observe(t, f, pos, beta_i):
             lam_v = frac_laplacian(f, 1.0)
@@ -138,14 +136,12 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
             break
         t = (i + 1) * dt
         if track:
-            observe(t, v, phi, beta[min(i + 1, beta.shape[0] - 1)])
+            observe(t, v, phi, beta[i + 1])
             if trk_vx[-1] > 0.1 * max(derivative(v).max_abs(), 1e-300):
                 flagged = True
         if (i + 1) % record_every == 0 or i == n_steps - 1:
             times.append(t)
             fields.append(v)
-        if stop_threshold is not None and track and trk_f and trk_f[-1] >= stop_threshold:
-            break
 
     track_obj = None
     if track:
@@ -164,15 +160,13 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> float:
     """
     if not isinstance(cfg.noise, LinearB):
         raise ValueError("girsanov_residual needs a LinearB noise model")
-    base = replace(cfg, adapt=False, record_every=max(1, cfg.record_every),
-                   snapshot_every=1)
+    base = replace(cfg, adapt=False, keep_snapshots=True)
     rec = simulate_path(base, u0)
     beta = beta_path(cfg.noise.b_fn, rec.wiener_increments, cfg.dt)
     vcfg = replace(base, noise=ZeroNoise())
     times_v, fields_v, _ = run_random_pde(vcfg, u0, beta,
-                                          record_every=base.record_every)
+                                          record_every=cfg.record_every)
     worst = 0.0
-    steps_per_rec = base.record_every
     for j, (tv, v) in enumerate(zip(times_v, fields_v)):
         i_step = int(round(tv / cfg.dt))
         if i_step >= beta.shape[0] or j >= len(rec.snapshots):

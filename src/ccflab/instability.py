@@ -88,9 +88,10 @@ def phi_profile_prime(y: np.ndarray) -> np.ndarray:
     return out
 
 
-def profile_l2_line(profile, half_width: float = 8.0, n_pts: int = 1 << 16) -> float:
-    """Line L2 norm of a rapidly decaying profile, by fine trapezoid quadrature."""
-    y = np.linspace(-half_width, half_width, n_pts)
+def profile_l2_line(profile) -> float:
+    """Line L2 norm of a profile that is negligible outside [-8, 8], by
+    trapezoid quadrature on 2^16 points."""
+    y = np.linspace(-8.0, 8.0, 1 << 16)
     return float(np.sqrt(np.trapezoid(profile(y) ** 2, y)))
 
 
@@ -105,7 +106,6 @@ class InstabilityParams:
     sigma0: float = 1.6
     exit_radius: float = 20.0
     env_modes: int = 1024
-    max_carrier: int = 2
 
     def __post_init__(self):
         if self.m not in (-1, 1):
@@ -141,7 +141,7 @@ class InstabilityParams:
 
     @cached_property
     def basis(self) -> CarrierBasis:
-        return CarrierBasis(self.env_grid, float(self.n), self.max_carrier)
+        return CarrierBasis(self.env_grid, float(self.n))
 
     def scaled(self, profile) -> np.ndarray:
         xc = self.env_grid.x - 0.5 * self.period
@@ -182,7 +182,7 @@ def build_low_initial(p: InstabilityParams, grid: SpectralGrid | None = None) ->
 def low_trajectory(p: InstabilityParams, horizon: float, dt: float) -> LowFreqTrajectory:
     """Deterministic low-frequency trajectory sampled on the step grid."""
     return simulate_low_frequency(p.m, p.n, p.delta, horizon, dt=dt,
-                                  grid=p.env_grid, record_every=1)
+                                  grid=p.env_grid)
 
 
 def approx_solution(p: InstabilityParams, t: float, ul_t: Field,
@@ -198,15 +198,14 @@ def approx_solution_mod(p: InstabilityParams, t: float, ul_t: Field) -> Modulate
     return carrier0(p.basis, ul_t) + build_high_frequency_mod(p, t)
 
 
-def packet_norm_ratio(profile, n: int, r: float, delta: float,
-                      env_modes: int = 2048) -> float:
-    """Normalized packet norm against its large-n limit.
+def packet_norm_ratio(profile, n: int, r: float, delta: float) -> float:
+    """Normalized packet norm against its large-n limit, on 2048 envelope modes.
 
     Returns ``n^{-delta/2-r} |profile(x/n^d) cos(nx)|_{H^r}`` divided by
     ``|profile|_{L2} / sqrt(2)``; tends to 1 as the carrier grows.
     """
     period = 16.0 * float(n) ** delta
-    grid = SpectralGrid(period=period, n_modes=env_modes)
+    grid = SpectralGrid(period=period, n_modes=2048)
     basis = CarrierBasis(grid, float(n))
     xc = grid.x - 0.5 * period
     mf = packet(basis, profile(xc / n**delta))

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import io
 import json
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,7 +53,6 @@ __all__ = [
     "em_step",
     "simulate_path",
     "simulate_low_frequency",
-    "coupled_mollified_pair",
     "blowup_bump",
     "power_law_field",
     "plateau_bump",
@@ -95,7 +93,7 @@ class SimConfig:
     blowup_threshold: float = 1.0e3
     blowup_doublings: int = 3
     record_every: int = 1
-    snapshot_every: int = 0
+    keep_snapshots: bool = False
     adapt: bool = True
 
     def __post_init__(self):
@@ -116,7 +114,8 @@ DIAGNOSTIC_NAMES = ("h_s", "h_sm1", "h_sm32", "sup_ux", "sup_hux", "max_lam", "l
 
 @dataclass
 class PathRecord:
-    """Diagnostic time series and sparse snapshots for one realization."""
+    """Diagnostic time series and, if kept, the recorded states of one
+    realization."""
 
     times: np.ndarray
     diagnostics: dict[str, np.ndarray]
@@ -124,7 +123,6 @@ class PathRecord:
     t_stop: float
     snapshots: list[tuple[float, Field]]
     wiener_increments: np.ndarray  # one row of K increments per macro step taken
-    config: SimConfig
 
     def to_jsonl(self, stream: io.TextIOBase):
         """One JSON row per recorded step, preceded by a header row."""
@@ -135,31 +133,6 @@ class PathRecord:
         for i, t in enumerate(self.times):
             row = [float(t)] + [float(self.diagnostics[k][i]) for k in DIAGNOSTIC_NAMES]
             stream.write(json.dumps({"kind": "row", "v": row}) + "\n")
-
-    def write_snapshots(self, path: str):
-        """Binary snapshot file: little-endian doubles, header with N, L, s."""
-        with open(path, "wb") as fh:
-            n = self.config.grid.n_modes
-            fh.write(b"CCFSNAP1")
-            fh.write(struct.pack("<IddI", n, self.config.grid.period,
-                                 self.config.s, len(self.snapshots)))
-            for t, f in self.snapshots:
-                fh.write(struct.pack("<d", t))
-                fh.write(np.ascontiguousarray(f.coefficients, dtype="<c16").tobytes())
-
-    @staticmethod
-    def read_snapshots(path: str) -> list[tuple[float, np.ndarray]]:
-        out = []
-        with open(path, "rb") as fh:
-            magic = fh.read(8)
-            if magic != b"CCFSNAP1":
-                raise ValueError("not a snapshot file")
-            n, _period, _s, count = struct.unpack("<IddI", fh.read(24))
-            for _ in range(count):
-                (t,) = struct.unpack("<d", fh.read(8))
-                c = np.frombuffer(fh.read(16 * n), dtype="<c16")
-                out.append((t, c))
-        return out
 
 
 # -- drift and stepping ----------------------------------------------------------
@@ -277,10 +250,10 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         diags = {name: np.array([r[i] for r in rows])
                  for i, name in enumerate(DIAGNOSTIC_NAMES)}
         return PathRecord(np.array(times), diags, status, t_stop, snapshots,
-                          increments[:taken], cfg)
+                          increments[:taken])
 
     record(0.0, u, q_ux, q_hux)
-    if cfg.snapshot_every:
+    if cfg.keep_snapshots:
         snapshots.append((0.0, u))
 
     t = 0.0
@@ -302,27 +275,16 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
             doublings += 1
         if q >= cfg.blowup_threshold and doublings >= cfg.blowup_doublings:
             record(t, u, q_ux, q_hux)
-            if cfg.snapshot_every:
+            if cfg.keep_snapshots:
                 snapshots.append((t, u))
             return finalize("blewup", t, i + 1)
 
         if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
             record(t, u, q_ux, q_hux)
-            if cfg.snapshot_every and ((i + 1) // cfg.record_every) % cfg.snapshot_every == 0:
+            if cfg.keep_snapshots:
                 snapshots.append((t, u))
 
     return finalize("completed", t, n_steps)
-
-
-def coupled_mollified_pair(cfg: SimConfig, eps1: float, eps2: float,
-                           u0: Field) -> tuple[PathRecord, PathRecord]:
-    """Two runs driven by the identical Wiener realization, differing only in
-    the mollification width.  Adaptive halving is disabled to keep the two
-    increment streams aligned step by step."""
-    base = replace(cfg, adapt=False)
-    rec1 = simulate_path(replace(base, eps_mollify=eps1), u0)
-    rec2 = simulate_path(replace(base, eps_mollify=eps2), u0)
-    return rec1, rec2
 
 
 # -- deterministic low-frequency solver --------------------------------------------
@@ -347,12 +309,12 @@ def low_frequency_initial(grid: SpectralGrid, m: int, n: int, delta: float) -> F
 
 def simulate_low_frequency(m: int, n: int, delta: float, horizon: float,
                            n_modes: int = 1024, dt: float = 2.0e-3,
-                           record_every: int = 1,
                            grid: SpectralGrid | None = None,
                            initial: Field | None = None) -> LowFreqTrajectory:
     """Classical RK4 pseudospectral solve of ``u_t + (Hu) u_x = 0`` from the
-    low-frequency initial profile; period scales as ``16 n^delta`` so the bump
-    never wraps.  ``initial`` overrides the standard profile (test hook)."""
+    low-frequency initial profile, recorded at every step; period scales as
+    ``16 n^delta`` so the bump never wraps.  ``initial`` overrides the
+    standard profile (test hook)."""
     if m not in (-1, 1):
         raise ValueError("m must be +1 or -1")
     if not 0.75 < delta < 1.0:
@@ -375,26 +337,19 @@ def simulate_low_frequency(m: int, n: int, delta: float, horizon: float,
         if u.diverged:
             blewup = True
             break
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
-            times.append((i + 1) * dt)
-            fields.append(u)
+        times.append((i + 1) * dt)
+        fields.append(u)
     return LowFreqTrajectory(grid, np.array(times), fields, blewup)
 
 
 # -- initial data factories -----------------------------------------------------------
 
 
-def blowup_bump(grid: SpectralGrid, f0: float, width: float = 1.0,
-                kind: str = "sin_gauss") -> Field:
+def blowup_bump(grid: SpectralGrid, f0: float, width: float = 1.0) -> Field:
     """Odd-about-max profile scaled so that ``Lam u0`` equals ``f0`` at the
     argmax of ``u0`` (the quantity driving the transported-maximum bound)."""
     xc = grid.x - 0.5 * grid.period
-    if kind == "sin_gauss":
-        prof = np.sin(xc) * np.exp(-(xc**2) / width**2)
-    elif kind == "gauss":
-        prof = np.exp(-(xc**2) / width**2)
-    else:
-        raise ValueError(f"unknown profile kind {kind!r}")
+    prof = np.sin(xc) * np.exp(-(xc**2) / width**2)
     u = dealias(Field.from_samples(grid, prof))
     x0 = argmax_refined(u)
     lam_at_max = evaluate_at(frac_laplacian(u, 1.0), x0)

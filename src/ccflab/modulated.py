@@ -114,17 +114,17 @@ def carrier0(basis: CarrierBasis, f: Field) -> ModulatedField:
 
 
 def packet(basis: CarrierBasis, envelope_samples: np.ndarray,
-           phase: complex = 1.0, carrier_index: int = 1) -> ModulatedField:
-    """Real packet ``Re[envelope * phase * exp(i c n x)]`` as a modulated field.
+           phase: complex = 1.0) -> ModulatedField:
+    """Real packet ``Re[envelope * phase * exp(i n x)]`` on the first carrier.
 
     The stored envelope is ``envelope * phase / 2`` so that the two-sided
     representation reproduces the cosine convention: with ``phase = exp(-i m t)``
-    and a real envelope this is ``envelope * cos(c n x - m t)``.
+    and a real envelope this is ``envelope * cos(n x - m t)``.
     """
     mf = ModulatedField.zeros(basis)
     n = basis.grid.n_modes
     env = np.asarray(envelope_samples, dtype=np.complex128) * (0.5 * phase)
-    mf.coeffs[carrier_index][:] = np.fft.fft(env) / n
+    mf.coeffs[1][:] = np.fft.fft(env) / n
     return mf
 
 

@@ -33,7 +33,6 @@ __all__ = [
     "SupportError",
     "apply_multiplier",
     "derivative",
-    "antiderivative",
     "hilbert",
     "frac_laplacian",
     "bessel",
@@ -238,14 +237,6 @@ def apply_multiplier(f: Field, values: np.ndarray) -> Field:
 def derivative(f: Field) -> Field:
     """Spectral derivative (multiplier ``i xi``); zero mode stays zero."""
     return apply_multiplier(f, 1j * f.grid.wavenumbers)
-
-
-def antiderivative(f: Field) -> Field:
-    """Zero-mean antiderivative (multiplier ``1/(i xi)`` off the zero mode)."""
-    xi = f.grid.wavenumbers
-    m = np.zeros(f.grid.n_modes, dtype=np.complex128)
-    m[1:] = 1.0 / (1j * xi[1:])
-    return apply_multiplier(f, m)
 
 
 def hilbert(f: Field) -> Field:

@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from ccflab.cli import apply_overrides, build_noise, build_sim, load_config, main
+from ccflab.cli import (
+    apply_overrides,
+    build_grid,
+    build_noise,
+    build_sim,
+    load_config,
+    main,
+)
+from ccflab.diagnostics import blowup_quantity
+from ccflab.integrate import blowup_bump
 from ccflab.noise import GeneralH, LinearB, StrongAlpha, ZeroNoise
 
 
@@ -62,11 +71,12 @@ class TestExitCodes:
         ["simulate", "--paths", "0"],
         ["simulate", "--paths", "-3"],
         ["global", "--paths", "0"],
+        ["global", "--paths", "2"],
         ["converge", "--paths", "0"],
         ["blowup", "--paths", "-1", "--set", "study.mc_paths=64"],
         ["instability", "--paths", "-1", "--set", "study.n_list=[64]"],
-    ], ids=["simulate-0", "simulate-neg3", "global-0", "converge-0", "blowup-neg1",
-            "instability-neg1"])
+    ], ids=["simulate-0", "simulate-neg3", "global-0", "global-2", "converge-0",
+            "blowup-neg1", "instability-neg1"])
     def test_paths_below_minimum_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 3
         assert "paths must be >=" in capsys.readouterr().err
@@ -86,7 +96,42 @@ class TestExitCodes:
 
     def test_identities_zero_tolerance_fails(self):
         assert main(["identities", "--set", "study.fields=5",
-                     "--tolerance", "0"]) == 2
+                     "--set", "study.tolerance=0"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["blowup", "--bogus"],
+        ["bogus"],
+        ["girsanov", "--out", "x.csv"],
+        ["identities", "--paths", "3"],
+        ["simulate", "--report", "r.csv"],
+    ], ids=["bogus-flag", "bogus-subcommand", "girsanov-out", "identities-paths",
+            "simulate-report"])
+    def test_usage_error_exits_3(self, argv, capsys):
+        # argparse alone exits 2, the code of a failed check
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["girsanov", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
+
+    def test_global_too_few_completed_paths_fails(self, capsys):
+        # a threshold just above the initial monitored quantity flags paths as
+        # blown up at once, so fewer than 8 complete: FAIL with a nan slope
+        grid = build_grid(load_config(None, ["grid.n_modes=64"]))
+        q0 = blowup_quantity(blowup_bump(grid, 1.0))
+        code = main(["global", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.005",
+                     "--set", "study.f0=1.0", "--set", "study.q_hat=0.1",
+                     "--set", "study.k1=1.0", "--set", "sim.blowup_doublings=0",
+                     "--set", f"sim.blowup_threshold={q0 * (1.0 + 1e-9)!r}"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "lyapunov slope nan" in out and "(FAIL)" in out
 
     def test_simulate_single_path(self, tmp_path, capsys):
         out = tmp_path / "path.jsonl"

@@ -2,6 +2,8 @@
 persistence with digest guarding, idempotent aggregation, shard merging, and
 the rate-fit plumbing."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from ccflab.ensemble import (
     wilson_ci,
 )
 from ccflab.integrate import SimConfig, power_law_field
-from ccflab.noise import ExpDecayFn, GeneralH, LinearB, WienerSpec
+from ccflab.noise import ConstantFn, ExpDecayFn, GeneralH, LinearB, WienerSpec
 from ccflab.spectral import Field, SpectralGrid
 
 GRID = SpectralGrid(n_modes=64)
@@ -84,7 +86,17 @@ class TestDigest:
         # any change to the fields of SimConfig or of a noise model moves the
         # digest written into every ensemble header: update this on purpose
         cfg = small_cfg(noise=GeneralH(wiener=WienerSpec(n_components=2)))
-        assert config_digest(cfg) == "ec077f21a007c22d"
+        assert config_digest(cfg) == "0bff11076616e7c5"
+
+    def test_nested_types_hashed(self):
+        # same field values, different nested dataclass type: different digest
+        @dataclass(frozen=True)
+        class OtherFn:
+            value: float = 1.0
+
+        a = small_cfg(noise=GeneralH(q_fn=ConstantFn(1.0)))
+        b = small_cfg(noise=GeneralH(q_fn=OtherFn(1.0)))
+        assert config_digest(a) != config_digest(b)
 
 
 class TestPersistence:
@@ -154,6 +166,17 @@ class TestRateFit:
                for j in range(3, 11)]
         slope, _, _ = rate_fit(pts)
         assert abs(slope - (-1.3 / np.log(2) * np.log(2))) < 0.1
+
+
+class TestCoupledFamily:
+    def test_shared_wiener_draws(self):
+        # the reference width run against itself gaps by exactly 0.0 only if
+        # both runs take the same Wiener draws; another width gaps by > 0
+        task = ensemble._CoupledFamilyTask(small_cfg(), small_u0(), (0.1, 0.025),
+                                           eps_ref=0.025, k_threshold=1e6)
+        gap_other, gap_ref = task(9)
+        assert gap_ref == 0.0
+        assert gap_other > 0.0
 
 
 class TestConvergenceStudy:

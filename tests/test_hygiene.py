@@ -1,5 +1,6 @@
-"""Source hygiene: every name a ``ccflab`` module imports with ``from ... import``
-is used in that module or re-exported through its ``__all__``."""
+"""Source hygiene: every name a ``ccflab`` module imports, with ``import ...``
+or ``from ... import``, is used in that module or re-exported through its
+``__all__``."""
 
 import ast
 from pathlib import Path
@@ -17,6 +18,10 @@ def unused_imports(source: str) -> list[str]:
                 for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 and node.module != "__future__"
                 for alias in node.names]
+    # ``import a.b`` binds ``a``
+    imported += [alias.asname or alias.name.split(".")[0]
+                 for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     exported = set()
     for node in tree.body:
@@ -29,6 +34,9 @@ def unused_imports(source: str) -> list[str]:
 def test_detects_unused_import():
     assert unused_imports("from os import path, sep\nprint(sep)\n") == ["path"]
     assert unused_imports("from os import path\n__all__ = ['path']\n") == []
+    assert unused_imports("import os, struct\nimport numpy as np\n"
+                          "print(os.sep, np.pi)\n") == ["struct"]
+    assert unused_imports("import os.path\nos.getcwd()\n") == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])

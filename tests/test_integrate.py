@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from ccflab.integrate import (
-    PathRecord,
     SimConfig,
     blowup_bump,
-    coupled_mollified_pair,
     cutoff_chi,
     drift,
     em_step,
@@ -185,7 +183,7 @@ class TestSimulatePath:
     def test_transport_range_preserved(self):
         # pure transport: [min u, max u] invariant up to O(dt + spectral error)
         u0 = Field.from_function(GRID, lambda x: 0.3 * np.sin(x) + 0.1 * np.cos(2 * x))
-        cfg = zero_cfg(dt=5e-4, horizon=0.5, record_every=100, snapshot_every=1)
+        cfg = zero_cfg(dt=5e-4, horizon=0.5, record_every=100, keep_snapshots=True)
         rec = simulate_path(cfg, u0)
         assert rec.status == "completed"
         _, ufinal = rec.snapshots[-1]
@@ -225,24 +223,6 @@ class TestSimulatePath:
         assert rec.diagnostics["h_s"][-1] == pytest.approx(121.52130646992151, rel=1e-12)
         assert rec.diagnostics["sup_ux"][-1] == pytest.approx(3.733239827661896, rel=1e-12)
         assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.93661865702782, rel=1e-12)
-
-
-class TestCoupledPair:
-    def test_equal_eps_identical(self):
-        noise = LinearB(b_fn=ExpDecayFn(0.3, 1.0), b_star=0.1)
-        cfg = zero_cfg(horizon=0.02, noise=noise, seed=9)
-        rng = np.random.default_rng(8)
-        u0 = random_band_limited(GRID, 20, rng, rms=0.2)
-        r1, r2 = coupled_mollified_pair(cfg, 0.05, 0.05, u0)
-        assert np.array_equal(r1.diagnostics["h_s"], r2.diagnostics["h_s"])
-
-    def test_same_wiener_draws(self):
-        noise = LinearB(b_fn=ExpDecayFn(0.3, 1.0), b_star=0.1)
-        cfg = zero_cfg(horizon=0.02, noise=noise, seed=9)
-        rng = np.random.default_rng(8)
-        u0 = random_band_limited(GRID, 20, rng, rms=0.2)
-        r1, r2 = coupled_mollified_pair(cfg, 0.1, 0.025, u0)
-        assert np.array_equal(r1.wiener_increments, r2.wiener_increments)
 
 
 class TestLowFrequency:
@@ -320,14 +300,3 @@ class TestPathRecordIO:
         head = json.loads(lines[0])
         assert head["status"] == "completed"
         assert head["n_rows"] == len(lines) - 1
-
-    def test_snapshot_file_roundtrip(self, tmp_path):
-        cfg = zero_cfg(horizon=0.01, snapshot_every=1)
-        rec = simulate_path(cfg, Field.from_function(GRID, lambda x: 0.1 * np.sin(x)))
-        p = tmp_path / "snaps.bin"
-        rec.write_snapshots(str(p))
-        loaded = PathRecord.read_snapshots(str(p))
-        assert len(loaded) == len(rec.snapshots)
-        t0, c0 = loaded[0]
-        assert t0 == rec.snapshots[0][0]
-        assert np.array_equal(c0, rec.snapshots[0][1].coefficients)

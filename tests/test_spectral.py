@@ -13,7 +13,6 @@ from ccflab.spectral import (
     Field,
     SpectralGrid,
     SupportError,
-    antiderivative,
     argmax_refined,
     bessel,
     cotlar_residual,
@@ -213,11 +212,6 @@ class TestDerivative:
     def test_constant(self):
         f = Field.from_function(GRID, lambda x: 0 * x + 2.0)
         assert derivative(f).max_abs() < 1e-13
-
-    def test_antiderivative_roundtrip(self):
-        rng = np.random.default_rng(31)
-        f = random_band_limited(GRID, 60, rng)  # zero-mean by construction
-        assert np.allclose(derivative(antiderivative(f)).samples, f.samples, atol=1e-11)
 
 
 class TestCommutation:
