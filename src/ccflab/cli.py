@@ -292,15 +292,17 @@ def cmd_global(cfg: dict, args) -> int:
     spec = diagnostics.LyapunovSpec(k1=k1, k2=study["k2"], q_hat=q_hat, s=sim.s)
     records = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, n_paths,
                                  workers=int(study["workers"]))
-    n_blew = sum(1 for r in records if r.status == "blewup")
-    n_done = sum(1 for r in records if r.status == "completed")
+    n_done, n_blew, n_div = (sum(r.status == status for r in records)
+                             for status in ("completed", "blewup", "diverged"))
     # too few completed paths for the growth check is a failed study
     slope, growth_ok = diagnostics.lyapunov_growth_check(records, spec) \
         if n_done >= diagnostics.MIN_GROWTH_PATHS else (float("nan"), False)
-    print(f"blowups {n_blew}/{n_paths}; lyapunov slope {slope:.4f} vs K1={k1:.4f} "
-          f"({'pass' if growth_ok else 'FAIL'})")
-    write_csv(args.report, ["theta", "q", "paths", "blowups", "k1", "slope", "growth_ok"],
-              [[model.theta, cfg["noise"]["q"], n_paths, n_blew, k1, slope, growth_ok]])
+    print(f"paths {n_paths}: completed {n_done}, blewup {n_blew}, diverged {n_div}; "
+          f"lyapunov slope {slope:.4f} vs K1={k1:.4f} ({'pass' if growth_ok else 'FAIL'})")
+    write_csv(args.report, ["theta", "q", "paths", "blowups", "completed", "diverged",
+                            "k1", "slope", "growth_ok"],
+              [[model.theta, cfg["noise"]["q"], n_paths, n_blew, n_done, n_div, k1, slope,
+                growth_ok]])
     return 0 if (n_blew == 0 and growth_ok) else 2
 
 
@@ -379,9 +381,13 @@ def cmd_converge(cfg: dict, args) -> int:
     for row in out["table"]:
         print(f"eps={row['eps']:9.3g}  E sup gap^2 = {row['mean_sq_gap']:.6e} "
               f"(+-{row['sem']:.1e})")
-    print(f"slope {out['slope']:.3f} (expect >= 0.8)")
     write_csv(args.report, ["eps", "mean_sq_gap", "sem"],
               [[r["eps"], r["mean_sq_gap"], r["sem"]] for r in out["table"]])
+    if out["zero_gap_eps"]:
+        widths = ", ".join(f"{eps:g}" for eps in out["zero_gap_eps"])
+        print(f"FAIL: gap exactly 0 at eps = {widths}; no rate fit")
+        return 2
+    print(f"slope {out['slope']:.3f} (expect >= 0.8)")
     return 0 if out["slope"] >= 0.8 else 2
 
 

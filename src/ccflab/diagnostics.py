@@ -24,13 +24,11 @@ from .noise import StrongAlpha
 from .spectral import (
     Field,
     SpectralGrid,
-    dealiased_product,
-    derivative,
-    hilbert,
+    gradient_sups,
     random_band_limited,
     sobolev_inner,
     sobolev_norm,
-    sup_norms,
+    transport_product,
 )
 
 __all__ = [
@@ -64,7 +62,7 @@ class LyapunovSpec:
 
 def blowup_quantity(u: Field) -> float:
     """``|u_x|_inf + |H u_x|_inf``, the quantity whose explosion marks blow-up."""
-    _, sup_ux, sup_hux = sup_norms(u)
+    sup_ux, sup_hux, _ = gradient_sups(u)
     return sup_ux + sup_hux
 
 
@@ -75,8 +73,7 @@ def lyapunov_value(u: Field, s: float) -> float:
 
 def transport_pairing(u: Field, s_pair: float) -> float:
     """Inner product ``((Hu) u_x, u)_{H^{s_pair}}`` with a dealiased product."""
-    w = dealiased_product(hilbert(u), derivative(u))
-    return sobolev_inner(w, u, s_pair)
+    return sobolev_inner(transport_product(u), u, s_pair)
 
 
 def estimate_commutator_constant(samples: int, s: float,

@@ -312,6 +312,11 @@ def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
         table.append({"eps": eps, "mean_sq_gap": float(sups.mean()),
                       "sem": float(sups.std(ddof=1) / np.sqrt(num_paths))
                       if num_paths > 1 else 0.0})
-    slope, intercept, r2 = rate_fit([(row["eps"], row["mean_sq_gap"]) for row in table])
+    # a width that leaves every retained mode unchanged has a gap of exactly
+    # 0, which has no logarithm: report those widths instead of a fit
+    zero_gap_eps = [row["eps"] for row in table if row["mean_sq_gap"] == 0.0]
+    slope = intercept = r2 = float("nan")
+    if not zero_gap_eps:
+        slope, intercept, r2 = rate_fit([(row["eps"], row["mean_sq_gap"]) for row in table])
     return {"table": table, "slope": slope, "intercept": intercept, "r2": r2,
-            "eps_ref": eps_ref, "k_threshold": k_threshold}
+            "zero_gap_eps": zero_gap_eps, "eps_ref": eps_ref, "k_threshold": k_threshold}

@@ -14,6 +14,15 @@ the imaginary axis and leaves the strong order of the noise unchanged.  A
 step whose relative ``H^s`` increment exceeds ``ADAPT_REL_INCREMENT`` is
 split with a Brownian bridge, at most ``MAX_HALVINGS`` times.
 
+Transform budget: one ``drift`` evaluation is one stacked inverse FFT and one
+forward FFT (:func:`~ccflab.spectral.transport_product`), so an RK4 substep
+costs 8 FFT calls.  The noise adds 2 more for ``GeneralH``/``InstabilityH``
+(10 per ``em_step``), 1 for ``StrongAlpha`` and none for ``LinearB``.  After
+each accepted macro step :func:`~ccflab.spectral.gradient_sups` reads the
+monitored sups and the recorded ``max Lam u`` from one more call, so a
+``GeneralH`` path takes 11 calls per macro step, plus 10 for each further
+``em_step`` that adaptive halving takes.
+
 One path is one logical task: no shared mutable state, RNG derived from the
 config seed, bit-identical reruns for a fixed config.
 """
@@ -32,15 +41,14 @@ from .spectral import (
     SpectralGrid,
     argmax_refined,
     dealias,
-    dealiased_product,
-    derivative,
     evaluate_at,
     frac_laplacian,
+    gradient_sups,
     hilbert,
     mollify,
     sobolev_norm,
-    sup_norms,
     transition_bump,
+    transport_product,
 )
 
 __all__ = [
@@ -166,7 +174,7 @@ def drift(u: Field, cfg: SimConfig) -> Field:
         return Field.zeros(u.grid)
     eps = cfg.eps_mollify
     w = mollify(u, eps) if eps > 0.0 else u
-    term = dealiased_product(hilbert(w), derivative(w))
+    term = transport_product(w)
     if eps > 0.0:
         term = mollify(term, eps)
     return (-gate) * term
@@ -232,17 +240,18 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     snapshots: list[tuple[float, Field]] = []
     increments = np.zeros((n_steps, k))
 
-    _, q_ux, q_hux = sup_norms(u)
-    q0 = max(q_ux + q_hux, 1e-12)
-    if cfg.blowup_threshold <= q_ux + q_hux:
+    sups = gradient_sups(u)
+    q0 = max(sups[0] + sups[1], 1e-12)
+    if cfg.blowup_threshold <= sups[0] + sups[1]:
         raise ValueError("blowup_threshold must exceed the initial monitored quantity")
     doublings = 0
 
-    def record(t: float, f: Field, sup_fx: float, sup_hfx: float):
+    def record(t: float, f: Field, sups: tuple[float, float, float]):
+        """``sups`` is ``gradient_sups(f)``."""
+        sup_fx, sup_hfx, mlam = sups
         hs = sobolev_norm(f, cfg.s)
         hm1 = sobolev_norm(f, cfg.s - 1.0)
         hm32 = sobolev_norm(f, cfg.s - 1.5)
-        mlam = float(np.max(frac_laplacian(f, 1.0).samples))
         times.append(t)
         rows.append((hs, hm1, hm32, sup_fx, sup_hfx, mlam, np.log1p(hm1**2)))
 
@@ -252,7 +261,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         return PathRecord(np.array(times), diags, status, t_stop, snapshots,
                           increments[:taken])
 
-    record(0.0, u, q_ux, q_hux)
+    record(0.0, u, sups)
     if cfg.keep_snapshots:
         snapshots.append((0.0, u))
 
@@ -265,22 +274,23 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         t = (i + 1) * cfg.dt
 
         if u_next.diverged:
-            record(t, u, *sup_norms(u)[1:])
+            # the last finite state, with the sups taken when it was accepted
+            record(t, u, sups)
             return finalize("diverged", t, i + 1)
         u = u_next
 
-        _, q_ux, q_hux = sup_norms(u)
-        q = q_ux + q_hux
+        sups = gradient_sups(u)
+        q = sups[0] + sups[1]
         while q >= q0 * 2.0 ** (doublings + 1):
             doublings += 1
         if q >= cfg.blowup_threshold and doublings >= cfg.blowup_doublings:
-            record(t, u, q_ux, q_hux)
+            record(t, u, sups)
             if cfg.keep_snapshots:
                 snapshots.append((t, u))
             return finalize("blewup", t, i + 1)
 
         if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            record(t, u, q_ux, q_hux)
+            record(t, u, sups)
             if cfg.keep_snapshots:
                 snapshots.append((t, u))
 
@@ -326,7 +336,7 @@ def simulate_low_frequency(m: int, n: int, delta: float, horizon: float,
     u = low_frequency_initial(grid, m, n, delta) if initial is None else initial
 
     def rhs(f: Field) -> Field:
-        return -1.0 * dealiased_product(hilbert(f), derivative(f))
+        return -1.0 * transport_product(f)
 
     n_steps = int(round(horizon / dt))
     times = [0.0]

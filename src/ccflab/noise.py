@@ -18,10 +18,9 @@ from .spectral import (
     Field,
     apply_multiplier,
     dealias,
-    derivative,
-    hilbert,
+    gradient_sups,
+    multiplier_samples,
     sobolev_norm,
-    sup_norms,
 )
 
 __all__ = [
@@ -105,8 +104,7 @@ def sample_wiener_increments(n_components: int, dt: float, rng: np.random.Genera
 
 def helmholtz_inverse_dx(f: Field) -> Field:
     """Apply ``(1 - d_xx)^{-1} d_x``, the multiplier ``i xi / (1 + xi^2)``."""
-    xi = f.grid.wavenumbers
-    return apply_multiplier(f, 1j * xi / (1.0 + xi**2))
+    return apply_multiplier(f, f.grid.helmholtz_dx_symbol)
 
 
 def transport_gradient_powers(u: Field, k: int, n: int) -> Field:
@@ -117,11 +115,8 @@ def transport_gradient_powers(u: Field, k: int, n: int) -> Field:
     """
     if k < 1 or n < 1:
         raise ValueError("exponents must be >= 1")
-    ux = dealias(derivative(u))
-    hux = hilbert(ux)
-    vals = ux.samples**k + hux.samples**n
-    g = Field.from_samples(u.grid, vals)
-    return dealias(g)
+    ux, hux = multiplier_samples(dealias(u), u.grid.gradient_symbols)
+    return dealias(Field.from_samples(u.grid, ux**k + hux**n))
 
 
 def hilbert_schmidt_norm(components: list[Field], s: float) -> float:
@@ -184,7 +179,7 @@ class StrongAlpha:
 
     def components(self, t: float, u: Field) -> list[Field]:
         """``[q(t) (1 + |u_x|_inf + |H u_x|_inf)^theta u]``."""
-        _, sup_ux, sup_hux = sup_norms(u)
+        sup_ux, sup_hux, _ = gradient_sups(u)
         scale = self.q_fn(t) * (1.0 + sup_ux + sup_hux) ** self.theta
         return [scale * u]
 

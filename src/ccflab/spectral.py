@@ -15,6 +15,20 @@ Conventions:
   compactly supported data converges to the line-norm value under the
   unitary-per-length transform normalization.
 
+Multiplier symbols are built once per grid: :class:`SpectralGrid` caches
+``i xi``, ``i sgn(xi)`` and ``i xi / (1 + xi^2)`` together with two stacks,
+``transport_symbols = [i sgn(xi), i xi]`` (``Hw`` and ``w_x``) and
+``gradient_symbols = [i xi, (i xi)(i sgn(xi))]`` (``f_x`` and ``H f_x``).
+Every cached array is read-only, since each grid hands the same array to all
+callers.  :func:`multiplier_samples` applies a symbol stack and returns the
+samples of all rows from one ``ifft`` call along the last axis; stacked rows
+are bit-identical to separate 1-D transforms.  On top of it,
+:func:`transport_product` forms the dealiased ``(Hw) w_x`` from one inverse and
+one forward transform, and :func:`gradient_sups` reads ``sup|f_x|``,
+``sup|H f_x|`` and ``max Lam f = -min H f_x`` from one inverse transform.
+At small N the per-call overhead of a transform outweighs its arithmetic,
+so the number of calls, not their length, sets the cost of a time step.
+
 Fields are immutable after construction and all operations are pure, so
 concurrent evaluation is safe.
 """
@@ -41,10 +55,13 @@ __all__ = [
     "transition_bump",
     "dealias",
     "dealiased_product",
+    "transport_product",
+    "multiplier_samples",
     "pad_field",
     "sobolev_norm",
     "sobolev_inner",
     "sup_norms",
+    "gradient_sups",
     "evaluate_at",
     "argmax_refined",
     "cotlar_residual",
@@ -64,6 +81,12 @@ class SupportError(ValueError):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    # cached arrays are shared by every caller of a grid
+    a.setflags(write=False)
+    return a
 
 
 @dataclass(frozen=True)
@@ -95,7 +118,7 @@ class SpectralGrid:
 
     @cached_property
     def x(self) -> np.ndarray:
-        return np.arange(self.n_modes) * (self.period / self.n_modes)
+        return _read_only(np.arange(self.n_modes) * (self.period / self.n_modes))
 
     @cached_property
     def k_int(self) -> np.ndarray:
@@ -105,11 +128,11 @@ class SpectralGrid:
         k = np.arange(n)
         k[n // 2 + 1:] -= n
         k[n // 2] = n // 2
-        return k
+        return _read_only(k)
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
-        return 2.0 * np.pi * self.k_int / self.period
+        return _read_only(2.0 * np.pi * self.k_int / self.period)
 
     @cached_property
     def nyquist_index(self) -> int:
@@ -122,12 +145,43 @@ class SpectralGrid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        return np.abs(self.k_int) <= self.dealias_keep
+        return _read_only(np.abs(self.k_int) <= self.dealias_keep)
 
     @cached_property
     def sobolev_base(self) -> np.ndarray:
         """(1 + xi^2) per mode; powers of this build the H^s weights."""
-        return 1.0 + self.wavenumbers**2
+        return _read_only(1.0 + self.wavenumbers**2)
+
+    @cached_property
+    def derivative_symbol(self) -> np.ndarray:
+        """``i xi``."""
+        return _read_only(1j * self.wavenumbers)
+
+    @cached_property
+    def hilbert_symbol(self) -> np.ndarray:
+        """``i sgn(xi)``."""
+        return _read_only(1j * np.sign(self.wavenumbers))
+
+    @cached_property
+    def helmholtz_dx_symbol(self) -> np.ndarray:
+        """``i xi / (1 + xi^2)``, the symbol of ``(1 - d_xx)^{-1} d_x``."""
+        return _read_only(1j * self.wavenumbers / self.sobolev_base)
+
+    @cached_property
+    def transport_symbols(self) -> np.ndarray:
+        """Rows ``i sgn(xi)`` and ``i xi``: ``Hw`` and ``w_x``."""
+        return _read_only(np.stack([self.hilbert_symbol, self.derivative_symbol]))
+
+    @cached_property
+    def gradient_symbols(self) -> np.ndarray:
+        """Rows ``i xi`` and ``(i xi)(i sgn(xi))``: ``f_x`` and ``H f_x``."""
+        return _read_only(np.stack([self.derivative_symbol,
+                                    self.derivative_symbol * self.hilbert_symbol]))
+
+    def __reduce__(self):
+        # pickle the defining fields only: a worker process rebuilds the
+        # caches, read-only, instead of receiving writable copies
+        return SpectralGrid, (self.period, self.n_modes, self.dealias_fraction)
 
     def refine(self, factor: int) -> "SpectralGrid":
         """Same period, `factor` times more modes."""
@@ -236,12 +290,12 @@ def apply_multiplier(f: Field, values: np.ndarray) -> Field:
 
 def derivative(f: Field) -> Field:
     """Spectral derivative (multiplier ``i xi``); zero mode stays zero."""
-    return apply_multiplier(f, 1j * f.grid.wavenumbers)
+    return apply_multiplier(f, f.grid.derivative_symbol)
 
 
 def hilbert(f: Field) -> Field:
     """Hilbert transform, symbol ``+i sgn(xi)``; annihilates the zero mode."""
-    return apply_multiplier(f, 1j * np.sign(f.grid.wavenumbers))
+    return apply_multiplier(f, f.grid.hilbert_symbol)
 
 
 def frac_laplacian(f: Field, alpha: float) -> Field:
@@ -300,10 +354,33 @@ def dealiased_product(f: Field, g: Field) -> Field:
     the 2/3 rule).
     """
     f._check(g)
-    prod = f.samples * g.samples
-    c = np.fft.fft(prod) / f.grid.n_modes
-    c[~f.grid.dealias_mask] = 0.0
-    return Field(f.grid, c)
+    return _dealiased_from_samples(f.grid, f.samples * g.samples)
+
+
+def _dealiased_from_samples(grid: SpectralGrid, samples: np.ndarray) -> Field:
+    c = np.fft.fft(samples) / grid.n_modes
+    c[~grid.dealias_mask] = 0.0
+    return Field(grid, c)
+
+
+def multiplier_samples(f: Field, symbols: np.ndarray) -> np.ndarray:
+    """Samples of each multiplier row of ``symbols`` applied to ``f``.
+
+    One ``ifft`` along the last axis transforms every row; the coefficients
+    are formed as ``(c * symbol) * N``, the order a single multiplier and
+    :attr:`Field.samples` use, so each row is bit-identical to
+    ``apply_multiplier(f, row).samples``.
+    """
+    return np.fft.ifft((f.coefficients * symbols) * f.grid.n_modes, axis=-1).real
+
+
+def transport_product(w: Field) -> Field:
+    """Dealiased ``(H w) w_x``: one stacked inverse and one forward transform.
+
+    Bit-identical to ``dealiased_product(hilbert(w), derivative(w))``.
+    """
+    hw, wx = multiplier_samples(w, w.grid.transport_symbols)
+    return _dealiased_from_samples(w.grid, hw * wx)
 
 
 def pad_field(f: Field, factor: int = 2) -> Field:
@@ -326,7 +403,7 @@ def pad_field(f: Field, factor: int = 2) -> Field:
 def _sobolev_weights(grid: SpectralGrid, s: float) -> np.ndarray:
     # the power over the full mode set dominates the cost of norm evaluation
     # in hot loops; grids hash by their defining parameters
-    return grid.sobolev_base**s
+    return _read_only(grid.sobolev_base**s)
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -344,8 +421,19 @@ def sobolev_inner(f: Field, g: Field, s: float) -> float:
 
 def sup_norms(f: Field) -> tuple[float, float, float]:
     """Return ``(sup|f|, sup|f_x|, sup|H f_x|)``."""
-    fx = derivative(f)
-    return (f.max_abs(), fx.max_abs(), hilbert(fx).max_abs())
+    return (f.max_abs(), *gradient_sups(f)[:2])
+
+
+def gradient_sups(f: Field) -> tuple[float, float, float]:
+    """Return ``(sup|f_x|, sup|H f_x|, max Lam f)`` from one stacked transform.
+
+    ``Lam f = -H f_x``, so ``max Lam f = -min H f_x``; the values equal
+    ``derivative(f).max_abs()``, ``hilbert(derivative(f)).max_abs()`` and
+    ``max(frac_laplacian(f, 1).samples)`` bit for bit.
+    """
+    fx, hfx = multiplier_samples(f, f.grid.gradient_symbols)
+    # 0.0 - m rather than -m: a zero field gives +0.0, as the max of Lam f does
+    return float(np.max(np.abs(fx))), float(np.max(np.abs(hfx))), 0.0 - float(np.min(hfx))
 
 
 def evaluate_at(f: Field, x) -> np.ndarray | float:

@@ -1,5 +1,6 @@
 """CLI contract: config merge/overrides, exit codes, reproducible outputs."""
 
+import csv
 import json
 
 import pytest
@@ -132,6 +133,32 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 2
         assert "lyapunov slope nan" in out and "(FAIL)" in out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_global_reports_diverged_paths(self, tmp_path, capsys):
+        # strong noise at the default f0=10 on 64 modes: one of the 8 paths
+        # overflows at t=0.001, and the verdict line says so
+        rep = tmp_path / "global.csv"
+        code = main(["global", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.005",
+                     "--set", "study.q_hat=0.1", "--set", "study.k1=1.0",
+                     "--report", str(rep)])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "paths 8: completed 7, blewup 0, diverged 1; lyapunov slope nan" in out
+        (row,) = csv.DictReader(rep.read_text().splitlines())
+        assert (row["completed"], row["blowups"], row["diverged"]) == ("7", "0", "1")
+
+    def test_converge_zero_gap_fails(self, capsys):
+        # the two smallest widths leave every retained mode of a 64-mode grid
+        # unchanged, so their gap is exactly 0 and has no log-log rate
+        code = main(["converge", "--paths", "2", "--set", "grid.n_modes=64",
+                     "--set", "sim.horizon=0.05", "--set", "noise.family=linear",
+                     "--set", "sim.cutoff_radius=50.0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.count("E sup gap^2") == 4
+        assert "FAIL: gap exactly 0 at eps = 0.03125, 0.015625; no rate fit" in captured.out
+        assert captured.err == ""
 
     def test_simulate_single_path(self, tmp_path, capsys):
         out = tmp_path / "path.jsonl"

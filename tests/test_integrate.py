@@ -26,6 +26,7 @@ from ccflab.spectral import (
     argmax_refined,
     evaluate_at,
     frac_laplacian,
+    gradient_sups,
     random_band_limited,
     sobolev_norm,
     sup_norms,
@@ -153,6 +154,36 @@ class TestEmStep:
         assert errs[0] < 0.05
 
 
+class TestTransformBudget:
+    """FFT calls per operation: per-call overhead dominates at small N, so the
+    call count is the cost model of a step."""
+
+    @pytest.fixture
+    def fft_calls(self, monkeypatch):
+        calls = []
+        for name in ("fft", "ifft"):
+            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+                calls.append(_fn.__name__)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.fft, name, counted)
+        return calls
+
+    U = random_band_limited(GRID, 40, np.random.default_rng(8), rms=0.5)
+
+    def test_drift(self, fft_calls):
+        drift(self.U, zero_cfg())
+        assert fft_calls == ["ifft", "fft"]
+
+    def test_gradient_sups(self, fft_calls):
+        gradient_sups(self.U)
+        assert fft_calls == ["ifft"]
+
+    def test_general_h_em_step(self, fft_calls):
+        cfg = zero_cfg(noise=GeneralH(wiener=WienerSpec(n_components=8)))
+        em_step(self.U, 0.0, cfg, np.full(8, 1e-3))
+        assert len(fft_calls) == 10
+
+
 class TestSimulatePath:
     def test_zero_data_zero_noise(self):
         cfg = zero_cfg(horizon=0.02)
@@ -160,6 +191,8 @@ class TestSimulatePath:
         assert rec.status == "completed"
         for name in ("h_s", "sup_ux"):
             assert np.all(rec.diagnostics[name] == 0.0)
+        # recorded as 0.0, not -0.0
+        assert not np.any(np.signbit(rec.diagnostics["max_lam"]))
 
     def test_bit_identical_reruns(self):
         noise = LinearB(b_fn=ExpDecayFn(0.4, 1.0), b_star=0.2)
@@ -247,7 +280,7 @@ class TestLowFrequency:
         back = simulate_low_frequency(1, n, delta, horizon=T, n_modes=512, dt=2e-3,
                                       grid=grid)
         # manual reverse run from -u(T)
-        from ccflab.integrate import dealiased_product, derivative, hilbert
+        from ccflab.spectral import dealiased_product, derivative, hilbert
         u = -1.0 * u_T
         dt = 2e-3
 

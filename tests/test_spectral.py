@@ -5,6 +5,8 @@ Expected values are either evaluated by hand from the multiplier symbols
 quadrature/closed-form oracle and frozen here.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,12 @@ from ccflab.spectral import (
     argmax_refined,
     bessel,
     cotlar_residual,
+    dealias,
     dealiased_product,
     derivative,
     evaluate_at,
     frac_laplacian,
+    gradient_sups,
     hilbert,
     lambda_product_residual,
     lambda_shift_residual,
@@ -28,7 +32,10 @@ from ccflab.spectral import (
     sobolev_inner,
     sobolev_norm,
     sup_norms,
+    transport_product,
 )
+from ccflab import spectral
+from ccflab.noise import transport_gradient_powers
 
 GRID = SpectralGrid(period=2.0 * np.pi, n_modes=256)
 
@@ -56,6 +63,21 @@ class TestGrid:
             SpectralGrid(n_modes=100)
         with pytest.raises(ValueError):
             SpectralGrid(period=-1.0)
+
+    def test_cached_arrays_read_only(self):
+        # every caller of a grid shares these arrays, also after the grid
+        # is pickled to a worker process
+        names = ("x", "k_int", "wavenumbers", "dealias_mask", "sobolev_base",
+                 "derivative_symbol", "hilbert_symbol", "helmholtz_dx_symbol",
+                 "transport_symbols", "gradient_symbols")
+        g = SpectralGrid(n_modes=32)
+        cached = [getattr(g, name) for name in names]
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        for a in [*cached, *(getattr(copy, name) for name in names),
+                  spectral._sobolev_weights(g, 2.5)]:
+            with pytest.raises(ValueError):
+                a[..., 1] = 0
 
     def test_nyquist_always_zeroed(self):
         g = SpectralGrid(n_modes=16)
@@ -194,14 +216,64 @@ class TestNorms:
 
 
 class TestSupNorms:
+    # sup_norms is (sup|f|, sup|f_x|, sup|H f_x|); gradient_sups is
+    # (sup|f_x|, sup|H f_x|, max Lam f) and f.max_abs() is sup|f|
     def test_cos(self):
-        assert np.allclose(sup_norms(cos_field(GRID, 1)), (1.0, 1.0, 1.0), atol=1e-10)
+        f = cos_field(GRID, 1)
+        assert np.allclose(sup_norms(f), (1.0, 1.0, 1.0), atol=1e-10)
+        assert np.allclose((f.max_abs(), *gradient_sups(f)), (1.0, 1.0, 1.0, 1.0),
+                           atol=1e-10)
 
     def test_zero(self):
-        assert sup_norms(Field.zeros(GRID)) == (0.0, 0.0, 0.0)
+        f = Field.zeros(GRID)
+        assert sup_norms(f) == (0.0, 0.0, 0.0)
+        sups = (f.max_abs(), *gradient_sups(f))
+        assert sups == (0.0, 0.0, 0.0, 0.0)
+        # max Lam f is read as -min H f_x, which must not give -0.0
+        assert not np.any(np.signbit(sups))
 
     def test_two_sin_three(self):
-        assert np.allclose(sup_norms(sin_field(GRID, 3, 2.0)), (2.0, 6.0, 6.0), atol=1e-9)
+        f = sin_field(GRID, 3, 2.0)
+        assert np.allclose(sup_norms(f), (2.0, 6.0, 6.0), atol=1e-9)
+        assert np.allclose((f.max_abs(), *gradient_sups(f)), (2.0, 6.0, 6.0, 6.0),
+                           atol=1e-9)
+
+
+class TestStackedTransforms:
+    """The stacked transforms equal the one-multiplier compositions bit for bit."""
+
+    SIZES = [16, 64, 256, 1024, 2048]
+
+    @staticmethod
+    def fields(n):
+        grid = SpectralGrid(n_modes=n)
+        rng = np.random.default_rng(n)
+        # inside the dealias band and up to the last mode below Nyquist
+        return [random_band_limited(grid, m, rng, rms=rng.uniform(0.1, 3.0))
+                for m in (grid.dealias_keep, n // 2 - 1)]
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_transport_product(self, n):
+        for w in self.fields(n):
+            want = dealiased_product(hilbert(w), derivative(w))
+            assert np.array_equal(transport_product(w).coefficients, want.coefficients)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_gradient_sups(self, n):
+        for f in self.fields(n):
+            fx = derivative(f)
+            want = (fx.max_abs(), hilbert(fx).max_abs(),
+                    max(frac_laplacian(f, 1.0).samples))
+            assert np.array_equal(gradient_sups(f), want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_transport_gradient_powers(self, n):
+        k, m = 2, 1
+        for u in self.fields(n):
+            ux = dealias(derivative(u))
+            want = dealias(Field.from_samples(u.grid, ux.samples**k + hilbert(ux).samples**m))
+            got = transport_gradient_powers(u, k, m)
+            assert np.array_equal(got.coefficients, want.coefficients)
 
 
 class TestDerivative:
