@@ -118,8 +118,7 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
 def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = copy.deepcopy(DEFAULTS)
     if path is not None:
-        with open(path) as fh:
-            cfg = merge_config(cfg, json.load(fh))
+        cfg = merge_config(cfg, json.loads(Path(path).read_text()))
     return apply_overrides(cfg, overrides)
 
 
@@ -313,16 +312,19 @@ def cmd_girsanov(cfg: dict, args) -> int:
     rng = np.random.default_rng(int(cfg["sim"]["seed"]))
     u0 = power_law_field(grid, cfg["sim"]["s"], rng,
                          amplitude=study["amplitude"], max_mode=grid.dealias_keep // 4)
-    rows, residuals = [], []
+    rows, residuals, stopped = [], [], False
     for dt in study["dt_list"]:
         sim = replace(build_sim(cfg, grid=grid, noise=noise), dt=dt,
                       record_every=max(1, int(round(0.02 / dt))))
-        res = girsanov.girsanov_residual(sim, u0)
+        res, status = girsanov.girsanov_residual(sim, u0)
         residuals.append(res)
         rows.append([dt, res])
-        print(f"dt={dt:9.3g}  coupled residual {res:.6e}")
+        # a path that stopped before the horizon has no residual to refine
+        stopped |= status != "completed"
+        note = "" if status == "completed" else f"  (path {status})"
+        print(f"dt={dt:9.3g}  coupled residual {res:.6e}{note}")
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
-    ok = all(r > 1.0 for r in ratios)
+    ok = not stopped and all(r > 1.0 for r in ratios)
     write_csv(args.report, ["dt", "residual"], rows)
     print("refinement ratios:", ", ".join(f"{r:.2f}" for r in ratios))
     return 0 if ok else 2
@@ -362,10 +364,19 @@ def cmd_instability(cfg: dict, args) -> int:
         write_csv(args.out, ["t", "gap", "reference"],
                   [[t, g, r] for t, g, r in zip(sep["times"], sep["gap_curve"],
                                                 sep["reference"])])
-    j = int(np.argmin(np.abs(sep["times"] - np.pi / 2)))
-    sep_ok = sep["gap_curve"][j] >= 0.5 * sep["reference"][j]
-    print(f"separation at t=pi/2: gap {sep['gap_curve'][j]:.4f} vs "
-          f"reference {sep['reference'][j]:.4f} ({'pass' if sep_ok else 'FAIL'})")
+    for sign in (+1, -1):
+        for idx, status in enumerate(sep["status"][sign]):
+            if status != "completed":
+                print(f"separation path {idx} m={sign:+d}: {status} at "
+                      f"t={sep['t_stop'][sign][idx]:.4g}")
+    if sep["times"][-1] < np.pi / 2:
+        sep_ok = False
+        print(f"separation at t=pi/2: curve ends at t={sep['times'][-1]:.4g} (FAIL)")
+    else:
+        j = int(np.argmin(np.abs(sep["times"] - np.pi / 2)))
+        sep_ok = sep["gap_curve"][j] >= 0.5 * sep["reference"][j]
+        print(f"separation at t=pi/2: gap {sep['gap_curve'][j]:.4f} vs "
+              f"reference {sep['reference'][j]:.4f} ({'pass' if sep_ok else 'FAIL'})")
     return 0 if (slope <= target and sep_ok) else 2
 
 

@@ -2,7 +2,7 @@
 empirical transport-pairing constant, and the strong-noise drift condition.
 
 The Lyapunov functional is ``G(x) = log(1+x)`` applied to the squared
-H^{s-1} normramp; the drift condition certifies that the strong noise cancels
+H^{s-1} norm; the drift condition certifies that the strong noise cancels
 the transport growth at states with a large gradient quantity.  The pairing
 constant Q in
 

@@ -1,11 +1,10 @@
 """Monte Carlo orchestration, persistence and the mollifier-convergence study.
 
 Per-path seeds are ``seed_base XOR index``, so results are independent of the
-worker count and scheduling order; aggregation always happens after a
-deterministic sort by path index.  Summaries are recomputed from the per-path
-rows on load (idempotent aggregation), and every result carries a digest of
-its configuration so shards from different configurations cannot be merged
-silently.
+worker count and scheduling order; they come back in path-index order, and
+aggregating them is idempotent.  Every result carries a digest of its
+configuration, which :func:`persist` writes into the header of its JSON-lines
+file.
 """
 
 from __future__ import annotations
@@ -30,8 +29,6 @@ __all__ = [
     "recompute_summaries",
     "config_digest",
     "persist",
-    "load",
-    "merge",
     "rate_fit",
     "convergence_study",
     "wilson_ci",
@@ -67,16 +64,13 @@ class PathOutcome:
     status: str
     t_stop: float
     extremes: dict[str, float]
-    values: dict[str, float]
 
 
 @dataclass
 class EnsembleResult:
-    run_id: str
     config_digest: str
     per_path: list[PathOutcome]
     summaries: dict
-    rate_fits: dict | None = None
 
 
 def config_digest(cfg) -> str:
@@ -116,7 +110,6 @@ def recompute_summaries(per_path: list[PathOutcome]) -> dict:
         "blowup_fraction": (n_blew / n) if n else 0.0,
         "blowup_ci": [lo, hi],
         "extremes": {},
-        "values": {},
     }
     if n:
         keys = sorted({k for p in per_path for k in p.extremes})
@@ -125,11 +118,6 @@ def recompute_summaries(per_path: list[PathOutcome]) -> dict:
             summary["extremes"][k] = {"mean": float(vals.mean()),
                                       "var": float(vals.var(ddof=1)) if vals.size > 1 else 0.0,
                                       "max": float(vals.max())}
-        vkeys = sorted({k for p in per_path for k in p.values})
-        for k in vkeys:
-            vals = np.array([p.values[k] for p in per_path if k in p.values])
-            summary["values"][k] = {"mean": float(vals.mean()),
-                                    "var": float(vals.var(ddof=1)) if vals.size > 1 else 0.0}
     return summary
 
 
@@ -146,7 +134,7 @@ def wilson_ci(successes: int, trials: int, z: float = 1.959964) -> tuple[float, 
 
 def _outcome_from_record(index: int, seed: int, rec: PathRecord) -> PathOutcome:
     extremes = {k: float(np.max(v)) for k, v in rec.diagnostics.items()}
-    return PathOutcome(index, seed, rec.status, rec.t_stop, extremes, {})
+    return PathOutcome(index, seed, rec.status, rec.t_stop, extremes)
 
 
 @dataclass(frozen=True)
@@ -166,66 +154,21 @@ def run_ensemble(cfg: SimConfig, u0: Field, num_paths: int,
     records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers)
     per_path = [_outcome_from_record(i, path_seed(cfg.seed, i), r)
                 for i, r in enumerate(records)]
-    return EnsembleResult("ensemble", config_digest(cfg), per_path,
-                          recompute_summaries(per_path))
+    return EnsembleResult(config_digest(cfg), per_path, recompute_summaries(per_path))
 
 
 # -- persistence --------------------------------------------------------------------
 
 
 def persist(result: EnsembleResult, path: str):
-    """JSON-lines: one header row, one row per path."""
+    """JSON-lines: one header row, one row per path in index order."""
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "header", "run_id": result.run_id,
-                             "config_digest": result.config_digest,
-                             "n_paths": len(result.per_path),
-                             "rate_fits": result.rate_fits}) + "\n")
+        fh.write(json.dumps({"kind": "header", "config_digest": result.config_digest,
+                             "n_paths": len(result.per_path)}) + "\n")
         for p in result.per_path:
             fh.write(json.dumps({"kind": "path", "index": p.index, "seed": p.seed,
                                  "status": p.status, "t_stop": p.t_stop,
-                                 "extremes": p.extremes, "values": p.values}) + "\n")
-
-
-def load(path: str, expect_digest: str | None = None) -> EnsembleResult:
-    """Inverse of :func:`persist`; summaries are recomputed from the rows."""
-    header = None
-    per_path = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: corrupted row ({exc})") from None
-            if row.get("kind") == "header":
-                header = row
-            elif row.get("kind") == "path":
-                per_path.append(PathOutcome(row["index"], row["seed"], row["status"],
-                                            row["t_stop"], row["extremes"],
-                                            row.get("values", {})))
-            else:
-                raise ValueError(f"{path}:{lineno}: unknown row kind")
-    if header is None:
-        raise ValueError(f"{path}: missing header row")
-    if expect_digest is not None and header["config_digest"] != expect_digest:
-        raise ValueError(f"{path}: config digest mismatch "
-                         f"({header['config_digest']} != {expect_digest})")
-    per_path.sort(key=lambda p: p.index)
-    return EnsembleResult(header["run_id"], header["config_digest"], per_path,
-                          recompute_summaries(per_path), header.get("rate_fits"))
-
-
-def merge(results: list[EnsembleResult]) -> EnsembleResult:
-    """Append-merge shards of the same configuration."""
-    if not results:
-        raise ValueError("nothing to merge")
-    digest = results[0].config_digest
-    if any(r.config_digest != digest for r in results):
-        raise ValueError("cannot merge shards from different configurations")
-    rows = sorted((p for r in results for p in r.per_path), key=lambda p: p.index)
-    return EnsembleResult(results[0].run_id, digest, rows, recompute_summaries(rows))
+                                 "extremes": p.extremes}) + "\n")
 
 
 # -- rate fitting ---------------------------------------------------------------------

@@ -94,18 +94,21 @@ class CharacteristicTrack:
     flagged: bool               # track left the well-resolved region
 
 
-def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
-                   record_every: int = 1, track: bool = False):
+def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray, track: bool = False):
     """Integrate ``v_t + beta(t) (Hv) v_x = 0`` with the drift gate of ``cfg``.
 
     ``beta`` holds one value per step (frozen within the step, matching the
-    order of the noise coupling).  Returns ``(times, fields, track)``: the
-    fields sampled every ``record_every`` steps and, when ``track`` is set, a
+    order of the noise coupling) plus the value at the horizon; a shorter
+    ``beta`` is an error.  Returns ``(times, fields, track)``: the fields
+    sampled every ``cfg.record_every`` steps and, when ``track`` is set, a
     :class:`CharacteristicTrack` of the characteristic started at the argmax of
     ``u0``, integrated online with the same step size (``None`` otherwise).
     """
     dt = cfg.dt
-    n_steps = min(int(round(cfg.horizon / dt)), len(beta) - 1)
+    n_steps = int(round(cfg.horizon / dt))
+    if len(beta) < n_steps + 1:
+        raise ValueError(f"beta holds {len(beta)} values; {n_steps} steps need "
+                         f"{n_steps + 1}")
     v = u0
     times, fields = [0.0], [v]
     trk_t, trk_pos, trk_f, trk_beta, trk_vx = [], [], [], [], []
@@ -139,7 +142,7 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
             observe(t, v, phi, beta[i + 1])
             if trk_vx[-1] > 0.1 * max(derivative(v).max_abs(), 1e-300):
                 flagged = True
-        if (i + 1) % record_every == 0 or i == n_steps - 1:
+        if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
             times.append(t)
             fields.append(v)
 
@@ -151,10 +154,13 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray,
     return np.array(times), fields, track_obj
 
 
-def girsanov_residual(cfg: SimConfig, u0: Field) -> float:
+def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     """Coupled discrepancy between the linear-noise path and its transformed
     random-PDE twin: ``sup_t |u - beta v|_{H^{s-1}} / (1 + |u|_{H^{s-1}})``.
 
+    Returns ``(residual, status)`` with the status of the linear-noise path.
+    Only a ``completed`` path covers the horizon, so any other status gives a
+    ``nan`` residual instead of one scored on the prefix the path ran.
     Expected to shrink like ``dt^{1/2}`` under coupled refinement (the noise
     is the only first-order difference between the two discretizations).
     """
@@ -162,23 +168,17 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> float:
         raise ValueError("girsanov_residual needs a LinearB noise model")
     base = replace(cfg, adapt=False, keep_snapshots=True)
     rec = simulate_path(base, u0)
+    if rec.status != "completed":
+        return float("nan"), rec.status
     beta = beta_path(cfg.noise.b_fn, rec.wiener_increments, cfg.dt)
-    vcfg = replace(base, noise=ZeroNoise())
-    times_v, fields_v, _ = run_random_pde(vcfg, u0, beta,
-                                          record_every=cfg.record_every)
+    _, fields_v, _ = run_random_pde(replace(base, noise=ZeroNoise()), u0, beta)
     worst = 0.0
-    for j, (tv, v) in enumerate(zip(times_v, fields_v)):
-        i_step = int(round(tv / cfg.dt))
-        if i_step >= beta.shape[0] or j >= len(rec.snapshots):
-            break
-        tu, u = rec.snapshots[j]
-        if abs(tu - tv) > 1e-12:
-            continue
-        bu = beta[i_step]
+    for (tu, u), v in zip(rec.snapshots, fields_v):
+        bu = beta[int(round(tu / cfg.dt))]
         num = sobolev_norm(u - bu * v, cfg.s - 1.0)
         den = 1.0 + sobolev_norm(u, cfg.s - 1.0)
         worst = max(worst, num / den)
-    return worst
+    return worst, rec.status
 
 
 # -- the max-point identity -------------------------------------------------------

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import path_seed, rate_fit
+from .ensemble import path_seed
 from .integrate import LowFreqTrajectory, low_frequency_initial, plateau_bump, rk4, \
     simulate_low_frequency
 from .modulated import (
@@ -62,7 +62,6 @@ __all__ = [
     "error_functional_ensemble",
     "actual_vs_approx_gap",
     "separation_experiment",
-    "rate_fit",
 ]
 
 
@@ -395,8 +394,11 @@ def separation_experiment(p: InstabilityParams, horizon: float, dt: float,
                           seed: int = 0) -> dict:
     """Drift-apart of the two actual solutions with opposite packet rotation.
 
-    Returns the initial H^s gap, the ensemble-mean running-sup gap curve, and
-    the reference curve ``sqrt(2) |phi|_{L2} sup_{[0,t]} |sin t'|``.
+    Returns the initial H^s gap, the ensemble-mean running-sup gap curve, the
+    reference curve ``sqrt(2) |phi|_{L2} sup_{[0,t]} |sin t'|``, and per sign
+    ``m = +1, -1`` the list of path statuses and stop times.  A path that
+    exits or diverges is not padded: ``times``, ``gap_curve`` and
+    ``reference`` end at the last state of the shortest run.
     """
     p_plus = replace(p, m=1)
     p_minus = replace(p, m=-1)
@@ -405,26 +407,26 @@ def separation_experiment(p: InstabilityParams, horizon: float, dt: float,
     init_gap = modulated_norm(approx_solution_mod(p_minus, 0.0, low_m.fields[0])
                               - approx_solution_mod(p_plus, 0.0, low_p.fields[0]), p.s)
 
-    n_steps = len(low_p.times) - 1
-    curves = np.zeros((num_paths, n_steps + 1))
+    curves = []
+    status: dict[int, list[str]] = {+1: [], -1: []}
+    t_stop: dict[int, list[float]] = {+1: [], -1: []}
     for idx in range(num_paths):
         states: dict[int, list] = {+1: [], -1: []}
         for sign, pp, low in ((+1, p_plus, low_p), (-1, p_minus, low_m)):
             def keep(i, t, u, acc=states[sign]):
                 acc.append(u)
-            simulate_actual_mod(pp, noise, path_seed(seed, idx), horizon, dt,
-                                low=low, observer=keep)
-        m_steps = min(len(states[+1]), len(states[-1]))
-        running = 0.0
-        for i in range(m_steps):
-            gap = modulated_norm(states[-1][i] - states[+1][i], p.s)
-            running = max(running, gap)
-            curves[idx, i] = running
-        curves[idx, m_steps:] = running
+            out = simulate_actual_mod(pp, noise, path_seed(seed, idx), horizon, dt,
+                                      low=low, observer=keep)
+            status[sign].append(out["status"])
+            t_stop[sign].append(out["t_stop"])
+        gaps = [modulated_norm(um - up, p.s) for up, um in zip(states[+1], states[-1])]
+        curves.append(np.maximum.accumulate(gaps))
 
-    times = np.arange(n_steps + 1) * dt
+    n_kept = min(len(c) for c in curves)
+    times = np.arange(n_kept) * dt
     ref_amp = np.sqrt(2.0) * profile_l2_line(phi_profile)
     reference = ref_amp * np.maximum.accumulate(np.abs(np.sin(times)))
-    return {"times": times, "gap_curve": curves.mean(axis=0),
+    return {"times": times,
+            "gap_curve": np.mean([c[:n_kept] for c in curves], axis=0),
             "reference": reference, "initial_gap": init_gap,
-            "reference_amplitude": ref_amp}
+            "reference_amplitude": ref_amp, "status": status, "t_stop": t_stop}

@@ -44,7 +44,6 @@ __all__ = [
     "SpectralGrid",
     "Field",
     "BandwidthError",
-    "SupportError",
     "apply_multiplier",
     "derivative",
     "hilbert",
@@ -65,7 +64,6 @@ __all__ = [
     "evaluate_at",
     "argmax_refined",
     "cotlar_residual",
-    "lambda_product_residual",
     "lambda_shift_residual",
     "random_band_limited",
 ]
@@ -73,10 +71,6 @@ __all__ = [
 
 class BandwidthError(ValueError):
     """Input field carries spectral content beyond the admissible band."""
-
-
-class SupportError(ValueError):
-    """Input field has too much mass outside the required support window."""
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -489,32 +483,6 @@ def cotlar_residual(f: Field) -> float:
     rhs = hf.samples**2 - fp.samples**2
     resid = lhs.samples - (rhs - np.mean(rhs))
     return float(np.sqrt(np.mean(resid**2) * f.grid.period))
-
-
-def lambda_product_residual(f: Field, support_tol: float = 1e-10) -> float:
-    """L2 residual of ``Lam(x f) = x Lam f - H f`` with the centered coordinate.
-
-    The input must be effectively supported in the central half of the period
-    so that ``x*f`` periodizes cleanly.  Note that even then the residual does
-    not vanish to round-off: the sawtooth coordinate times the slowly decaying
-    nonlocal tails of ``Lam f`` leaves a defect of order ``|f|_L1 / period``,
-    which only decays polynomially as the window grows (see
-    :func:`lambda_shift_residual` for the grid-exact form of this identity).
-    """
-    s = np.abs(f.samples)
-    total = float(np.sum(s))
-    if total == 0.0:
-        return 0.0
-    xc = f.grid.x - 0.5 * f.grid.period
-    outside = float(np.sum(s[np.abs(xc) > 0.25 * f.grid.period]))
-    if outside > support_tol * total:
-        raise SupportError("field is not supported in the central half-period")
-    fp = pad_field(f, 2)
-    xcp = fp.grid.x - 0.5 * fp.grid.period
-    g = Field.from_samples(fp.grid, xcp * fp.samples)
-    lhs = frac_laplacian(g, 1.0).samples
-    rhs = xcp * frac_laplacian(fp, 1.0).samples - hilbert(fp).samples
-    return float(np.sqrt(np.mean((lhs - rhs) ** 2) * f.grid.period))
 
 
 def lambda_shift_residual(f: Field) -> float:

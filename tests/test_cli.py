@@ -2,9 +2,11 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import pytest
 
+from ccflab import instability
 from ccflab.cli import (
     apply_overrides,
     build_grid,
@@ -187,3 +189,28 @@ class TestExitCodes:
                      "--set", "study.amplitude=0.2"])
         assert code in (0, 2)  # ordering can be noisy at this tiny scale
         assert "refinement ratios" in capsys.readouterr().out
+
+    def test_girsanov_stopped_paths_fail(self, capsys):
+        # a threshold just above the initial monitored quantity stops every
+        # linear-noise path after one step: no residual is scored on that prefix
+        code = main(["girsanov", "--set", "grid.n_modes=128", "--set", "sim.horizon=0.2",
+                     "--set", "sim.blowup_doublings=0",
+                     "--set", "sim.blowup_threshold=1.3817"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert out.count("coupled residual nan  (path blewup)") == 3
+
+    def test_instability_stopped_separation_fails(self, monkeypatch, capsys):
+        # an exit radius below the packet norm stops both separation paths
+        # after one step: their statuses are printed and the curve, which is
+        # not padded, ends before pi/2
+        run = instability.separation_experiment
+        monkeypatch.setattr(instability, "separation_experiment",
+                            lambda p, **kw: run(replace(p, exit_radius=1e-300), **kw))
+        code = main(["instability", "--paths", "0", "--set", "study.n_list=[64,128]",
+                     "--set", "sim.dt=0.005", "--set", "study.separation_n=64"])
+        out = capsys.readouterr().out
+        assert code == 2
+        assert "separation path 0 m=+1: exited at t=0.005" in out
+        assert "separation path 0 m=-1: exited at t=0.005" in out
+        assert "curve ends at t=0 (FAIL)" in out

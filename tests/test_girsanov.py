@@ -81,17 +81,19 @@ class TestGirsanovResidual:
         cfg = self.cfg(b0=0.0)
         rng = np.random.default_rng(4)
         u0 = random_band_limited(cfg.grid, 20, rng, rms=0.3)
-        assert girsanov_residual(cfg, u0) < 1e-14
+        res, status = girsanov_residual(cfg, u0)
+        assert status == "completed"
+        assert res < 1e-14
 
     def test_zero_data(self):
         cfg = self.cfg()
-        assert girsanov_residual(cfg, Field.zeros(cfg.grid)) == 0.0
+        assert girsanov_residual(cfg, Field.zeros(cfg.grid)) == (0.0, "completed")
 
     def test_refinement_shrinks_residual(self):
         rng = np.random.default_rng(5)
         u0 = random_band_limited(SpectralGrid(n_modes=128), 15, rng, rms=0.4)
-        r_coarse = girsanov_residual(self.cfg(dt=4e-3), u0)
-        r_fine = girsanov_residual(self.cfg(dt=1e-3), u0)
+        r_coarse, _ = girsanov_residual(self.cfg(dt=4e-3), u0)
+        r_fine, _ = girsanov_residual(self.cfg(dt=1e-3), u0)
         assert r_fine < r_coarse
         assert r_coarse < 0.05
 
@@ -104,6 +106,12 @@ class TestCharacteristicTrack:
         assert trk.times.size == 11
         assert np.allclose(trk.positions, trk.positions[0])
         assert np.allclose(trk.f_values, 0.0, atol=1e-12)
+
+    def test_short_beta_rejected(self):
+        # 10 steps need beta at 11 step times
+        cfg = SimConfig(grid=GRID, s=3.1, dt=0.01, horizon=0.1, noise=ZeroNoise())
+        with pytest.raises(ValueError, match="beta holds 10 values"):
+            run_random_pde(cfg, Field.zeros(GRID), np.ones(10))
 
     def test_frozen_track(self):
         # frozen values: a change in the RK4 stage arithmetic shows here
@@ -124,9 +132,9 @@ class TestCharacteristicTrack:
         grid = SpectralGrid(n_modes=512)
         u0 = blowup_bump(grid, 2.0, width=1.0)
         cfg = SimConfig(grid=grid, s=3.1, dt=5e-4, horizon=0.2, noise=ZeroNoise(),
-                        seed=0, record_every=1)
+                        seed=0, record_every=40)
         beta = np.ones(int(round(cfg.horizon / cfg.dt)) + 1)
-        times, fields, trk = run_random_pde(cfg, u0, beta, record_every=40, track=True)
+        times, fields, trk = run_random_pde(cfg, u0, beta, track=True)
         assert not trk.flagged
         vx_max = max(derivative(f).max_abs() for f in fields)
         assert np.max(trk.vx_residual) <= 1e-3 * vx_max
@@ -140,9 +148,9 @@ class TestCharacteristicTrack:
         f0 = 10.0
         u0 = blowup_bump(grid, f0, width=1.0)
         cfg = SimConfig(grid=grid, s=3.1, dt=2e-4, horizon=0.12, noise=ZeroNoise(),
-                        seed=0)
+                        seed=0, record_every=600)
         beta = np.ones(int(round(cfg.horizon / cfg.dt)) + 1)
-        _, _, trk = run_random_pde(cfg, u0, beta, record_every=600, track=True)
+        _, _, trk = run_random_pde(cfg, u0, beta, track=True)
         worst, ok = riccati_check(trk, tol=0.05, f_max=60.0)
         assert ok, f"worst normalized defect {worst}"
         # integrated Riccati: 1/F(0) - 1/F(t) >= t/2 forces F to double by 0.1

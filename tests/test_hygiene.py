@@ -1,6 +1,7 @@
 """Source hygiene: every name a ``ccflab`` module imports, with ``import ...``
 or ``from ... import``, is used in that module or re-exported through its
-``__all__``."""
+``__all__``; and every ``__all__`` entry of a module other than the package's
+``__init__`` is defined in that module, so each public name has one home."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 import ccflab
 
 MODULES = sorted(Path(ccflab.__file__).parent.glob("*.py"))
+# the package's ``__init__`` re-exports names defined elsewhere by design
+HOME_MODULES = [p for p in MODULES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -23,12 +26,30 @@ def unused_imports(source: str) -> list[str]:
                  for node in ast.walk(tree) if isinstance(node, ast.Import)
                  for alias in node.names]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    exported = set()
+    exported = set(declared_all(tree))
+    return [name for name in imported if name not in used | exported]
+
+
+def declared_all(tree: ast.Module) -> list[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            exported = set(ast.literal_eval(node.value))
-    return [name for name in imported if name not in used | exported]
+            return list(ast.literal_eval(node.value))
+    return []
+
+
+def foreign_exports(source: str) -> list[str]:
+    """``__all__`` entries not bound by a top-level def, class or assignment."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+    return [name for name in declared_all(tree) if name not in defined]
 
 
 def test_detects_unused_import():
@@ -42,3 +63,16 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_detects_foreign_export():
+    assert foreign_exports("from os import sep\n__all__ = ['sep']\n") == ["sep"]
+    assert foreign_exports("import os\n__all__ = ['os']\n") == ["os"]
+    assert foreign_exports("def f(): pass\nclass C: pass\nX = 1\nY: int = 2\n"
+                           "__all__ = ['f', 'C', 'X', 'Y']\n") == []
+    assert foreign_exports("x = 1\n") == []
+
+
+@pytest.mark.parametrize("path", HOME_MODULES, ids=[p.name for p in HOME_MODULES])
+def test_exports_defined_here(path):
+    assert foreign_exports(path.read_text()) == []

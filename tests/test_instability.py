@@ -266,6 +266,18 @@ class TestStudies:
         t_idx = np.argmin(np.abs(out["times"] - np.pi / 2))
         assert out["gap_curve"][t_idx] > 0.5 * out["reference"][t_idx]
         assert out["initial_gap"] < out["reference_amplitude"]
+        assert out["status"] == {1: ["completed"], -1: ["completed"]}
+        assert out["t_stop"][1] == out["t_stop"][-1] == [pytest.approx(1.8)]
+        assert len(out["gap_curve"]) == len(out["times"]) == 361
+
+    def test_separation_stopped_paths_not_padded(self):
+        # both signs exit after one step: the curve ends at the last state
+        # the runs share instead of being padded to the horizon
+        p = InstabilityParams(m=1, n=64, exit_radius=1e-300, env_modes=256)
+        out = separation_experiment(p, horizon=1.8, dt=5e-3, noise=ZeroNoise())
+        assert out["status"] == {1: ["exited"], -1: ["exited"]}
+        assert out["t_stop"] == {1: [pytest.approx(5e-3)], -1: [pytest.approx(5e-3)]}
+        assert len(out["times"]) == len(out["gap_curve"]) == len(out["reference"]) == 1
 
     def test_frozen_actual_mod(self):
         # frozen values: a change in the RK4 stage arithmetic shows here
