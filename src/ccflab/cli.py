@@ -323,9 +323,15 @@ def cmd_girsanov(cfg: dict, args) -> int:
         stopped |= status != "completed"
         note = "" if status == "completed" else f"  (path {status})"
         print(f"dt={dt:9.3g}  coupled residual {res:.6e}{note}")
+    write_csv(args.report, ["dt", "residual"], rows)
+    # an exact 0 residual has no refinement ratio: report its step sizes
+    zero_dt = [dt for dt, res in zip(study["dt_list"], residuals) if res == 0.0]
+    if zero_dt:
+        print(f"FAIL: residual exactly 0 at dt = {', '.join(f'{dt:g}' for dt in zero_dt)}; "
+              "no refinement ratios")
+        return 2
     ratios = [residuals[i] / residuals[i + 1] for i in range(len(residuals) - 1)]
     ok = not stopped and all(r > 1.0 for r in ratios)
-    write_csv(args.report, ["dt", "residual"], rows)
     print("refinement ratios:", ", ".join(f"{r:.2f}" for r in ratios))
     return 0 if ok else 2
 
@@ -386,6 +392,10 @@ def cmd_converge(cfg: dict, args) -> int:
     noise = build_noise(cfg)
     sim = build_sim(cfg, grid=grid, noise=noise)
     n_paths = study_paths(cfg, args, 1)
+    if noise.n_components == 0 and n_paths > 1:
+        # without noise every path is the same path
+        print(f"noise is deterministic: 1 path run, not {n_paths}")
+        n_paths = 1
     out = ensemble.convergence_study(sim, list(study["eps_list"]), n_paths,
                                      eps_ref=study["eps_ref"],
                                      workers=int(study["workers"]))

@@ -40,11 +40,12 @@ from .modulated import (
     mod_helmholtz_inverse_dx,
     mod_hilbert,
     mod_product,
+    mod_transport_product,
     modulated_norm,
     packet,
 )
 from .noise import InstabilityH, ZeroNoise, instability_factor
-from .spectral import Field, SpectralGrid, hilbert
+from .spectral import Field, SpectralGrid, _read_only, hilbert
 
 __all__ = [
     "InstabilityParams",
@@ -146,6 +147,16 @@ class InstabilityParams:
         xc = self.env_grid.x - 0.5 * self.period
         return profile(xc / self.n**self.delta)
 
+    @cached_property
+    def phi_envelope(self) -> np.ndarray:
+        """``phi(x_c / n^delta)`` on the envelope grid (time independent)."""
+        return _read_only(self.scaled(phi_profile))
+
+    @cached_property
+    def phi_prime_envelope(self) -> np.ndarray:
+        """``phi'(x_c / n^delta)`` on the envelope grid (time independent)."""
+        return _read_only(self.scaled(phi_profile_prime))
+
 
 # -- building blocks -------------------------------------------------------------
 
@@ -169,7 +180,7 @@ def build_high_frequency_mod(p: InstabilityParams, t: float) -> ModulatedField:
     coordinate, matching :func:`build_high_frequency`)."""
     amp = float(p.n) ** (-0.5 * p.delta - p.s)
     phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
-    return packet(p.basis, amp * p.scaled(phi_profile), phase=phase)
+    return packet(p.basis, amp * p.phi_envelope, phase=phase)
 
 
 def build_low_initial(p: InstabilityParams, grid: SpectralGrid | None = None) -> Field:
@@ -223,9 +234,9 @@ def error_integrand_mod(p: InstabilityParams, t: float, ul_t: Field,
     hul_t = hilbert(ul_t)
     phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
     n = float(p.n)
-    sin_pk = packet(basis, n ** (1.0 - 0.5 * p.delta - p.s) * p.scaled(phi_profile),
+    sin_pk = packet(basis, n ** (1.0 - 0.5 * p.delta - p.s) * p.phi_envelope,
                     phase=-1j * phase)
-    cos_pk = packet(basis, n ** (-1.5 * p.delta - p.s) * p.scaled(phi_profile_prime),
+    cos_pk = packet(basis, n ** (-1.5 * p.delta - p.s) * p.phi_prime_envelope,
                     phase=phase)
     term1 = mod_product(carrier0(basis, hul0 - hul_t), sin_pk)
     term2 = mod_product(carrier0(basis, hul_t), cos_pk)
@@ -308,7 +319,7 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
 
 
 def _mod_rhs(u: ModulatedField) -> ModulatedField:
-    return -1.0 * mod_product(mod_hilbert(u), mod_derivative(u))
+    return -1.0 * mod_transport_product(u)
 
 
 def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,

@@ -21,25 +21,37 @@ Because each carrier band is disjoint (the envelope bandwidth stays below
 with ``w(xi) = (1+xi^2)^r``.  The represented object is the compactly
 supported packet on the line (the carrier need not be commensurate with the
 envelope period).
+
+Each field stores its envelopes as one ``(max_carrier + 1, N)`` coefficient
+array, so every transform is one stacked FFT along the last axis and each
+carrier basis caches its shifted multiplier symbols (read-only).  Transform
+budget: one ``ifft`` per :attr:`ModulatedField.phys`, 3 calls per
+:func:`mod_product` of two fields whose samples are not yet cached, and 2 per
+:func:`mod_transport_product`, the right-hand side of the transport step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .spectral import Field, SpectralGrid
+from .spectral import Field, SpectralGrid, _read_only
 
 __all__ = ["CarrierBasis", "ModulatedField", "modulated_norm", "apply_symbol",
-           "mod_product", "mod_derivative", "mod_hilbert", "mod_helmholtz_inverse_dx",
-           "to_dense_field", "packet", "carrier0"]
+           "mod_product", "mod_transport_product", "mod_derivative", "mod_hilbert",
+           "mod_helmholtz_inverse_dx", "to_dense_field", "packet", "carrier0"]
 
 
 @dataclass(frozen=True)
 class CarrierBasis:
-    """Envelope grid plus the fast carrier wavenumber."""
+    """Envelope grid plus the fast carrier wavenumber.
+
+    The symbol stacks have one row per carrier ``c = 0..max_carrier``,
+    evaluated at the shifted frequencies ``c n + xi``; they are built once
+    and shared read-only.
+    """
 
     grid: SpectralGrid
     carrier: float
@@ -55,53 +67,77 @@ class CarrierBasis:
             raise ValueError("envelope band overlaps neighbouring carrier bands; "
                              "increase the carrier or shrink the envelope grid")
 
+    @cached_property
+    def xi(self) -> np.ndarray:
+        """Shifted frequencies ``c n + xi``."""
+        c = np.arange(self.max_carrier + 1)[:, None]
+        return _read_only(c * self.carrier + self.grid.wavenumbers)
+
+    @cached_property
+    def derivative_symbol(self) -> np.ndarray:
+        """``i xi`` at the shifted frequencies."""
+        return _read_only(1j * self.xi)
+
+    @cached_property
+    def hilbert_symbol(self) -> np.ndarray:
+        """``i sgn(xi)`` at the shifted frequencies."""
+        return _read_only(1j * np.sign(self.xi))
+
+    @cached_property
+    def helmholtz_dx_symbol(self) -> np.ndarray:
+        """``i xi / (1 + xi^2)`` at the shifted frequencies."""
+        return _read_only(1j * self.xi / (1.0 + self.xi**2))
+
+    @cached_property
+    def transport_symbols(self) -> np.ndarray:
+        """``(2, max_carrier + 1, N)``: the Hilbert and derivative stacks."""
+        return _read_only(np.stack([self.hilbert_symbol, self.derivative_symbol]))
+
 
 class ModulatedField:
-    """Immutable stack of complex envelopes, one per carrier 0..max_carrier."""
+    """Immutable ``(max_carrier + 1, N)`` stack of complex envelope
+    coefficients, one row per carrier 0..max_carrier."""
 
     __slots__ = ("basis", "_coeffs", "_phys")
 
-    def __init__(self, basis: CarrierBasis, coeffs: list[np.ndarray], _phys=None):
+    def __init__(self, basis: CarrierBasis, coeffs: np.ndarray):
         self.basis = basis
         self._coeffs = coeffs
-        self._phys = _phys
+        self._phys = None
 
     @classmethod
     def zeros(cls, basis: CarrierBasis) -> "ModulatedField":
-        n = basis.grid.n_modes
-        return cls(basis, [np.zeros(n, dtype=np.complex128)
-                           for _ in range(basis.max_carrier + 1)])
+        return cls(basis, np.zeros((basis.max_carrier + 1, basis.grid.n_modes),
+                                   dtype=np.complex128))
 
     @property
-    def coeffs(self) -> list[np.ndarray]:
+    def coeffs(self) -> np.ndarray:
         return self._coeffs
 
     @property
-    def phys(self) -> list[np.ndarray]:
+    def phys(self) -> np.ndarray:
+        """Envelope samples, one row per carrier (one stacked ``ifft``)."""
         if self._phys is None:
-            n = self.basis.grid.n_modes
-            self._phys = [np.fft.ifft(c * n) for c in self._coeffs]
+            self._phys = np.fft.ifft(self._coeffs * self.basis.grid.n_modes, axis=-1)
         return self._phys
 
     @property
     def diverged(self) -> bool:
-        return not all(np.all(np.isfinite(c)) for c in self._coeffs)
+        return not np.all(np.isfinite(self._coeffs))
 
     def __add__(self, other: "ModulatedField") -> "ModulatedField":
-        return ModulatedField(self.basis, [a + b for a, b in
-                                           zip(self._coeffs, other._coeffs)])
+        return ModulatedField(self.basis, self._coeffs + other._coeffs)
 
     def __sub__(self, other: "ModulatedField") -> "ModulatedField":
-        return ModulatedField(self.basis, [a - b for a, b in
-                                           zip(self._coeffs, other._coeffs)])
+        return ModulatedField(self.basis, self._coeffs - other._coeffs)
 
     def __mul__(self, scalar: float) -> "ModulatedField":
-        return ModulatedField(self.basis, [c * scalar for c in self._coeffs])
+        return ModulatedField(self.basis, self._coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "ModulatedField":
-        return ModulatedField(self.basis, [-c for c in self._coeffs])
+        return ModulatedField(self.basis, -self._coeffs)
 
 
 def carrier0(basis: CarrierBasis, f: Field) -> ModulatedField:
@@ -109,7 +145,7 @@ def carrier0(basis: CarrierBasis, f: Field) -> ModulatedField:
     if f.grid != basis.grid:
         raise ValueError("field lives on the wrong envelope grid")
     mf = ModulatedField.zeros(basis)
-    mf.coeffs[0][:] = f.coefficients
+    mf.coeffs[0] = f.coefficients
     return mf
 
 
@@ -124,77 +160,80 @@ def packet(basis: CarrierBasis, envelope_samples: np.ndarray,
     mf = ModulatedField.zeros(basis)
     n = basis.grid.n_modes
     env = np.asarray(envelope_samples, dtype=np.complex128) * (0.5 * phase)
-    mf.coeffs[1][:] = np.fft.fft(env) / n
+    mf.coeffs[1] = np.fft.fft(env) / n
     return mf
 
 
-def _shifted_xi(basis: CarrierBasis, c: int) -> np.ndarray:
-    return c * basis.carrier + basis.grid.wavenumbers
-
-
-def apply_symbol(mf: ModulatedField, symbol) -> ModulatedField:
-    """Apply a Fourier multiplier ``symbol(xi_total)`` carrier by carrier."""
-    out = [symbol(_shifted_xi(mf.basis, c)) * mf.coeffs[c]
-           for c in range(mf.basis.max_carrier + 1)]
-    return ModulatedField(mf.basis, out)
+def apply_symbol(mf: ModulatedField, symbols: np.ndarray) -> ModulatedField:
+    """Apply a multiplier given as a stack of per-carrier symbol rows, such
+    as :attr:`CarrierBasis.hilbert_symbol`."""
+    return ModulatedField(mf.basis, symbols * mf.coeffs)
 
 
 def mod_derivative(mf: ModulatedField) -> ModulatedField:
-    return apply_symbol(mf, lambda xi: 1j * xi)
+    return apply_symbol(mf, mf.basis.derivative_symbol)
 
 
 def mod_hilbert(mf: ModulatedField) -> ModulatedField:
-    return apply_symbol(mf, lambda xi: 1j * np.sign(xi))
+    return apply_symbol(mf, mf.basis.hilbert_symbol)
 
 
 def mod_helmholtz_inverse_dx(mf: ModulatedField) -> ModulatedField:
-    return apply_symbol(mf, lambda xi: 1j * xi / (1.0 + xi**2))
+    return apply_symbol(mf, mf.basis.helmholtz_dx_symbol)
+
+
+def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray) -> ModulatedField:
+    """Carrier algebra of two sample stacks; one stacked forward transform."""
+    cmax = basis.max_carrier
+    grid = basis.grid
+    n = grid.n_modes
+    # carrier -c carries the conjugate envelope of carrier c
+    ca, cb = np.conj(pa), np.conj(pb)
+    acc = np.zeros((cmax + 1, n), dtype=np.complex128)
+    for cout in range(cmax + 1):
+        for c1 in range(cout - cmax, cmax + 1):
+            c2 = cout - c1
+            acc[cout] += (pa[c1] if c1 >= 0 else ca[-c1]) * (pb[c2] if c2 >= 0 else cb[-c2])
+    acc[0] = acc[0].real  # conjugate pairs cancel
+    c = np.fft.fft(acc, axis=-1) / n
+    c[:, ~grid.dealias_mask] = 0.0
+    return ModulatedField(basis, c)
 
 
 def mod_product(a: ModulatedField, b: ModulatedField) -> ModulatedField:
     """Pointwise product with carrier algebra; envelopes dealiased, harmonics
     beyond ``max_carrier`` dropped."""
-    basis = a.basis
-    if b.basis != basis:
+    if b.basis != a.basis:
         raise ValueError("operands live on different carrier bases")
-    cmax = basis.max_carrier
-    grid = basis.grid
-    n = grid.n_modes
-    pa, pb = a.phys, b.phys
+    return _carrier_product(a.basis, a.phys, b.phys)
 
-    def side(phys, c):
-        return phys[c] if c >= 0 else np.conj(phys[-c])
 
-    out = []
-    for cout in range(cmax + 1):
-        acc = np.zeros(n, dtype=np.complex128)
-        for c1 in range(-cmax, cmax + 1):
-            c2 = cout - c1
-            if abs(c2) > cmax:
-                continue
-            acc += side(pa, c1) * side(pb, c2)
-        if cout == 0:
-            acc = acc.real.astype(np.complex128)  # conjugate pairs cancel
-        c = np.fft.fft(acc) / n
-        c[~grid.dealias_mask] = 0.0
-        out.append(c)
-    return ModulatedField(basis, out)
+def mod_transport_product(u: ModulatedField) -> ModulatedField:
+    """Dealiased ``(H u) u_x``: one inverse transform of the Hilbert and
+    derivative stacks together, and one forward transform.
+
+    Bit-identical to ``mod_product(mod_hilbert(u), mod_derivative(u))``.
+    """
+    basis = u.basis
+    hu, ux = np.fft.ifft((basis.transport_symbols * u.coeffs) * basis.grid.n_modes,
+                         axis=-1)
+    return _carrier_product(basis, hu, ux)
 
 
 @lru_cache(maxsize=512)
-def _band_weights(basis: CarrierBasis, c: int, r: float) -> np.ndarray:
-    return (1.0 + _shifted_xi(basis, c) ** 2) ** r
+def _band_weights(basis: CarrierBasis, r: float) -> np.ndarray:
+    # the factor 2 of the two-sided carriers c >= 1 is folded in (exact)
+    w = (1.0 + basis.xi**2) ** r
+    w[1:] *= 2.0
+    return _read_only(w)
 
 
 def modulated_norm(mf: ModulatedField, r: float) -> float:
     """H^r norm via the disjoint carrier bands (see module docstring)."""
-    grid = mf.basis.grid
-    total = 0.0
-    for c in range(mf.basis.max_carrier + 1):
-        w = _band_weights(mf.basis, c, float(r))
-        contrib = float(np.sum(w * np.abs(mf.coeffs[c]) ** 2) * grid.period)
-        total += contrib if c == 0 else 2.0 * contrib
-    return float(np.sqrt(total))
+    w = _band_weights(mf.basis, float(r))
+    bands = np.sum(w * np.abs(mf.coeffs) ** 2, axis=-1) * mf.basis.grid.period
+    # add the bands in carrier order (cumsum is sequential by definition)
+    return float(np.sqrt(np.cumsum(bands)[-1]))
 
 
 def to_dense_field(mf: ModulatedField, dense: SpectralGrid) -> Field:
@@ -212,16 +251,11 @@ def to_dense_field(mf: ModulatedField, dense: SpectralGrid) -> Field:
     if dense.n_modes % grid.n_modes != 0:
         raise ValueError("dense grid must refine the envelope grid")
     n, m = grid.n_modes, dense.n_modes
-    x = dense.x
-    total = np.zeros(m)
-    for c in range(mf.basis.max_carrier + 1):
-        coeffs = mf.coeffs[c]
-        up = np.zeros(m, dtype=np.complex128)
-        up[: n // 2] = coeffs[: n // 2]
-        up[m - n // 2 + 1:] = coeffs[n // 2 + 1:]
-        env = np.fft.ifft(up * m)
-        if c == 0:
-            total += env.real
-        else:
-            total += 2.0 * (env * np.exp(1j * c * mf.basis.carrier * x)).real
-    return Field.from_samples(dense, total)
+    up = np.zeros((mf.basis.max_carrier + 1, m), dtype=np.complex128)
+    up[:, : n // 2] = mf.coeffs[:, : n // 2]
+    up[:, m - n // 2 + 1:] = mf.coeffs[:, n // 2 + 1:]
+    env = np.fft.ifft(up * m, axis=-1)
+    c = np.arange(mf.basis.max_carrier + 1)[:, None]
+    bands = (env * np.exp(1j * c * mf.basis.carrier * dense.x)).real
+    bands[1:] *= 2.0
+    return Field.from_samples(dense, bands.sum(axis=0))

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ccflab import instability
+from ccflab import ensemble, instability
 from ccflab.cli import (
     apply_overrides,
     build_grid,
@@ -162,6 +162,26 @@ class TestExitCodes:
         assert "FAIL: gap exactly 0 at eps = 0.03125, 0.015625; no rate fit" in captured.out
         assert captured.err == ""
 
+    def test_converge_deterministic_noise_runs_one_path(self, monkeypatch, capsys):
+        # without noise every path is identical: one path is run and said so
+        seen = []
+        study = ensemble.convergence_study
+
+        def record(sim, eps_list, num_paths, **kw):
+            seen.append(num_paths)
+            return study(sim, eps_list, num_paths, **kw)
+
+        monkeypatch.setattr(ensemble, "convergence_study", record)
+        code = main(["converge", "--paths", "2", "--set", "grid.n_modes=64",
+                     "--set", "sim.horizon=0.05"])
+        out = capsys.readouterr().out
+        assert seen == [1]
+        assert "noise is deterministic: 1 path run, not 2" in out
+        assert out.count("E sup gap^2") == 4
+        # the zero-gap rule still applies to the one path
+        assert code == 2
+        assert "FAIL: gap exactly 0 at eps = 0.03125, 0.015625; no rate fit" in out
+
     def test_simulate_single_path(self, tmp_path, capsys):
         out = tmp_path / "path.jsonl"
         code = main(["simulate", "--paths", "1", "--out", str(out),
@@ -199,6 +219,21 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert code == 2
         assert out.count("coupled residual nan  (path blewup)") == 3
+
+    def test_girsanov_zero_residual_fails(self, tmp_path, capsys):
+        # zero initial data stays zero on both sides of the coupling, so every
+        # residual is exactly 0 and has no refinement ratio
+        rep = tmp_path / "girsanov.csv"
+        code = main(["girsanov", "--set", "study.amplitude=0", "--set", "grid.n_modes=64",
+                     "--set", "sim.horizon=0.01", "--report", str(rep)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out.count("coupled residual 0.000000e+00") == 3
+        assert ("FAIL: residual exactly 0 at dt = 0.004, 0.001, 0.00025; "
+                "no refinement ratios") in captured.out
+        assert "refinement ratios:" not in captured.out
+        assert captured.err == ""
+        assert len(rep.read_text().splitlines()) == 4
 
     def test_instability_stopped_separation_fails(self, monkeypatch, capsys):
         # an exit radius below the packet norm stops both separation paths

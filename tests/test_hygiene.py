@@ -1,9 +1,12 @@
 """Source hygiene: every name a ``ccflab`` module imports, with ``import ...``
 or ``from ... import``, is used in that module or re-exported through its
-``__all__``; and every ``__all__`` entry of a module other than the package's
-``__init__`` is defined in that module, so each public name has one home."""
+``__all__``; every ``__all__`` entry of a module other than the package's
+``__init__`` is defined in that module, so each public name has one home; and
+every ``ccflab`` name the benchmark wraps by name still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,24 @@ def test_detects_foreign_export():
 @pytest.mark.parametrize("path", HOME_MODULES, ids=[p.name for p in HOME_MODULES])
 def test_exports_defined_here(path):
     assert foreign_exports(path.read_text()) == []
+
+
+def test_bench_names_resolve():
+    # perfbench/instrument.py looks its wrapped functions up with getattr, so a
+    # rename or deletion here would make every traced benchmark run raise
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
+    spec = importlib.util.spec_from_file_location("bench_instrument", path)
+    instrument = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(instrument)
+    labels = [f"{home}.{name}" for home, names in instrument.TRACED.items()
+              for name in names] + list(instrument.OBSERVERS)
+    missing = []
+    for label in labels:
+        home, name = label.split(".")
+        assert home in instrument.MODULES, label
+        if not hasattr(importlib.import_module(f"ccflab.{home}"), name):
+            missing.append(label)
+    noise = importlib.import_module("ccflab.noise")
+    missing += [f"noise.{cls}.components" for cls in instrument.NOISE_CLASSES
+                if "components" not in vars(getattr(noise, cls, object))]
+    assert missing == []

@@ -6,6 +6,7 @@ import pytest
 
 from ccflab.instability import (
     InstabilityParams,
+    _mod_rhs,
     actual_vs_approx_gap,
     approx_solution,
     approx_solution_mod,
@@ -29,8 +30,10 @@ from ccflab.modulated import (
     ModulatedField,
     carrier0,
     mod_derivative,
+    mod_helmholtz_inverse_dx,
     mod_hilbert,
     mod_product,
+    mod_transport_product,
     modulated_norm,
     packet,
     to_dense_field,
@@ -143,6 +146,149 @@ class TestModulatedAlgebra:
         assert modulated_norm(z, 2.0) == 0.0
         assert modulated_norm(mf + z, 2.0) == modulated_norm(mf, 2.0)
         assert modulated_norm(2.0 * mf, 2.0) == pytest.approx(2 * modulated_norm(mf, 2.0))
+
+
+def _ref_phys(basis, rows):
+    return [np.fft.ifft(c * basis.grid.n_modes) for c in rows]
+
+
+def _ref_symbol(basis, symbol, rows):
+    return [symbol(c * basis.carrier + basis.grid.wavenumbers) * rows[c]
+            for c in range(basis.max_carrier + 1)]
+
+
+def _ref_product(basis, pa, pb):
+    """Per-carrier product of two lists of envelope samples."""
+    cmax, grid = basis.max_carrier, basis.grid
+    n = grid.n_modes
+
+    def side(phys, c):
+        return phys[c] if c >= 0 else np.conj(phys[-c])
+
+    out = []
+    for cout in range(cmax + 1):
+        acc = np.zeros(n, dtype=np.complex128)
+        for c1 in range(-cmax, cmax + 1):
+            c2 = cout - c1
+            if abs(c2) > cmax:
+                continue
+            acc += side(pa, c1) * side(pb, c2)
+        if cout == 0:
+            acc = acc.real.astype(np.complex128)
+        c = np.fft.fft(acc) / n
+        c[~grid.dealias_mask] = 0.0
+        out.append(c)
+    return out
+
+
+def _ref_norm(basis, rows, r):
+    total = 0.0
+    for c in range(basis.max_carrier + 1):
+        w = (1.0 + (c * basis.carrier + basis.grid.wavenumbers) ** 2) ** r
+        contrib = float(np.sum(w * np.abs(rows[c]) ** 2) * basis.grid.period)
+        total += contrib if c == 0 else 2.0 * contrib
+    return float(np.sqrt(total))
+
+
+REF_SYMBOLS = {
+    mod_derivative: lambda xi: 1j * xi,
+    mod_hilbert: lambda xi: 1j * np.sign(xi),
+    mod_helmholtz_inverse_dx: lambda xi: 1j * xi / (1.0 + xi**2),
+}
+
+
+class TestStackedCarriers:
+    """The stacked carrier algebra against a per-carrier reference, bit for bit."""
+
+    @pytest.fixture(params=[(256, 64), (256, 1024), (1024, 64), (1024, 1024)],
+                    ids=lambda nn: f"env{nn[0]}-n{nn[1]}")
+    def fields(self, request):
+        env, n = request.param
+        p = InstabilityParams(m=1, n=n, env_modes=env)
+        basis = p.basis
+        rng = np.random.default_rng(env + n)
+
+        def draw():
+            shape = (basis.max_carrier + 1, env)
+            c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            return ModulatedField(basis, np.where(basis.grid.dealias_mask, 1e-3 * c, 0.0))
+
+        # a realistic packet plus low-frequency profile, and two random stacks
+        return basis, [approx_solution_mod(p, 0.3, build_low_initial(p)), draw(), draw()]
+
+    def test_phys(self, fields):
+        basis, fs = fields
+        for f in fs:
+            assert np.array_equal(f.phys, _ref_phys(basis, list(f.coeffs)))
+
+    def test_operators(self, fields):
+        basis, fs = fields
+        for op, symbol in REF_SYMBOLS.items():
+            for f in fs:
+                want = _ref_symbol(basis, symbol, list(f.coeffs))
+                assert np.array_equal(op(f).coeffs, want), op.__name__
+
+    def test_product(self, fields):
+        basis, fs = fields
+        for a, b in ((fs[0], fs[1]), (fs[1], fs[2]), (fs[2], fs[2])):
+            want = _ref_product(basis, _ref_phys(basis, list(a.coeffs)),
+                                _ref_phys(basis, list(b.coeffs)))
+            assert np.array_equal(mod_product(a, b).coeffs, want)
+
+    def test_transport_product(self, fields):
+        basis, fs = fields
+        for u in fs:
+            hu = _ref_symbol(basis, REF_SYMBOLS[mod_hilbert], list(u.coeffs))
+            ux = _ref_symbol(basis, REF_SYMBOLS[mod_derivative], list(u.coeffs))
+            want = _ref_product(basis, _ref_phys(basis, hu), _ref_phys(basis, ux))
+            assert np.array_equal(mod_transport_product(u).coeffs, want)
+
+    def test_norm(self, fields):
+        basis, fs = fields
+        for f in fs:
+            for r in (0.0, 1.6, 3.1, 4.6):
+                assert modulated_norm(f, r) == _ref_norm(basis, list(f.coeffs), r)
+
+    def test_cached_symbols_read_only(self, fields):
+        basis, _ = fields
+        for name in ("xi", "derivative_symbol", "hilbert_symbol", "helmholtz_dx_symbol",
+                     "transport_symbols"):
+            with pytest.raises(ValueError):
+                getattr(basis, name)[0, 0] = 0.0
+
+
+class TestCarrierTransformBudget:
+    """FFT calls per carrier operation: each is one stacked transform."""
+
+    P = InstabilityParams(m=1, n=64, env_modes=256)
+    LOW = low_trajectory(P, 0.015, 5e-3)
+
+    def fresh(self):
+        return approx_solution_mod(self.P, 0.1, self.LOW.fields[1])
+
+    def test_phys(self, fft_calls):
+        u = self.fresh()
+        fft_calls.clear()
+        assert u.phys is u.phys
+        assert fft_calls == ["ifft"]
+
+    def test_product(self, fft_calls):
+        a, b = self.fresh(), mod_derivative(self.fresh())
+        fft_calls.clear()
+        mod_product(a, b)
+        assert fft_calls == ["ifft", "ifft", "fft"]
+
+    def test_transport_rhs(self, fft_calls):
+        u = self.fresh()
+        fft_calls.clear()
+        _mod_rhs(u)
+        assert fft_calls == ["ifft", "fft"]
+
+    def test_simulate_actual_mod_step(self, fft_calls):
+        # one forward transform builds the packet, then 4 RK4 stages of 2
+        simulate_actual_mod(self.P, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3,
+                            low=self.LOW)
+        assert len(fft_calls) == 1 + 3 * 8
 
 
 class TestBuilders:

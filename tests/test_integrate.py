@@ -155,18 +155,7 @@ class TestEmStep:
 
 
 class TestTransformBudget:
-    """FFT calls per operation: per-call overhead dominates at small N, so the
-    call count is the cost model of a step."""
-
-    @pytest.fixture
-    def fft_calls(self, monkeypatch):
-        calls = []
-        for name in ("fft", "ifft"):
-            def counted(*args, _fn=getattr(np.fft, name), **kwargs):
-                calls.append(_fn.__name__)
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.fft, name, counted)
-        return calls
+    """FFT calls per operation (``fft_calls`` is in ``conftest.py``)."""
 
     U = random_band_limited(GRID, 40, np.random.default_rng(8), rms=0.5)
 
