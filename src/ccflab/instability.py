@@ -15,6 +15,12 @@ the weak-noise coefficient along the approximate solution.  Everything here
 runs in the carrier-envelope representation, whose step cost does not grow
 with ``n``; agreement with dense-grid evaluation is covered by the tests.
 
+Each study is one pass over time that keeps only running sums and sups: the
+defect functional forms ``E`` and the noise coefficient step by step along
+the low-frequency trajectory, the actual solutions start from ``u_l(0)``
+alone (no low-frequency solve), and the separation experiment keeps the
+``m = +1`` states of a path to difference the ``m = -1`` run against.
+
 Decay exponents, computed from ``(s, sigma0, delta)`` and asserted negative
 up front:
 
@@ -183,10 +189,9 @@ def build_high_frequency_mod(p: InstabilityParams, t: float) -> ModulatedField:
     return packet(p.basis, amp * p.phi_envelope, phase=phase)
 
 
-def build_low_initial(p: InstabilityParams, grid: SpectralGrid | None = None) -> Field:
-    if grid is None:
-        grid = p.env_grid
-    return low_frequency_initial(grid, p.m, p.n, p.delta)
+def build_low_initial(p: InstabilityParams) -> Field:
+    """Low-frequency datum ``u_l(0)`` on the envelope grid."""
+    return low_frequency_initial(p.env_grid, p.m, p.n, p.delta)
 
 
 def low_trajectory(p: InstabilityParams, horizon: float, dt: float) -> LowFreqTrajectory:
@@ -270,49 +275,40 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     """Monte Carlo estimate of ``E sup_t |int_0^t E dt' - int_0^t h dW|^2`` in
     ``H^{sigma0}``.
 
-    Both the drift integrand and the noise coefficient along the deterministic
-    approximate solution are precomputed once; each path only differs by its
-    scalar Brownian increments (left-point Euler accumulation).
+    One pass over the steps of the low-frequency trajectory: the drift
+    integrand and the noise coefficient along the deterministic approximate
+    solution are formed once per step and shared by every path, which only
+    differs by its scalar Brownian increments (left-point Euler accumulation,
+    drawn up front from the path's own stream).
     """
     low = low_trajectory(p, horizon, dt)
     hul0 = hilbert(low.fields[0])
     n_steps = len(low.times) - 1
-    e_fields = [error_integrand_mod(p, low.times[i], low.fields[i], hul0)
-                for i in range(n_steps)]
-    stochastic = not isinstance(noise, ZeroNoise)
-    h_fields = None
-    if stochastic:
-        h_fields = [eval_noise_mod(noise, low.times[i],
-                                   approx_solution_mod(p, low.times[i], low.fields[i]))
-                    for i in range(n_steps)]
-
     sigma0 = p.sigma0
-    # deterministic part: running integral of E
-    acc = ModulatedField.zeros(p.basis)
-    det_partials = [acc]
-    for ef in e_fields:
-        acc = acc + dt * ef
-        det_partials.append(acc)
-    det_sup_sq = max(modulated_norm(a, sigma0) ** 2 for a in det_partials)
-    if not stochastic or num_paths == 0:
+    paths = num_paths if not isinstance(noise, ZeroNoise) else 0
+    rngs = (np.random.default_rng(np.uint64(path_seed(seed, idx))) for idx in range(paths))
+    dws = [np.sqrt(dt) * rng.standard_normal(n_steps) for rng in rngs]
+    itos = [ModulatedField.zeros(p.basis)] * paths
+    sups = [0.0] * paths
+    partial = ModulatedField.zeros(p.basis)    # running integral of E
+    det_sup_sq = modulated_norm(partial, sigma0) ** 2
+    for i in range(n_steps):
+        t, ul_t = low.times[i], low.fields[i]
+        partial = partial + dt * error_integrand_mod(p, t, ul_t, hul0)
+        det_sup_sq = max(det_sup_sq, modulated_norm(partial, sigma0) ** 2)
+        if paths:
+            h = eval_noise_mod(noise, t, approx_solution_mod(p, t, ul_t))
+        for k in range(paths):
+            itos[k] = itos[k] + dws[k][i] * h
+            ee = partial - itos[k]
+            sups[k] = max(sups[k], modulated_norm(ee, sigma0) ** 2)
+    if not paths:
         return {"mean_sup_sq": det_sup_sq, "sem": 0.0, "det_sup_sq": det_sup_sq,
                 "num_paths": 0}
-
-    sups = []
-    for idx in range(num_paths):
-        rng = np.random.default_rng(np.uint64(path_seed(seed, idx)))
-        dw = np.sqrt(dt) * rng.standard_normal(n_steps)
-        ito = ModulatedField.zeros(p.basis)
-        worst = 0.0
-        for i in range(n_steps):
-            ito = ito + dw[i] * h_fields[i]
-            ee = det_partials[i + 1] - ito
-            worst = max(worst, modulated_norm(ee, sigma0) ** 2)
-        sups.append(worst)
     sups = np.array(sups)
-    sem = float(sups.std(ddof=1) / np.sqrt(num_paths)) if num_paths > 1 else 0.0
+    sem = float(sups.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
     return {"mean_sup_sq": float(sups.mean()), "sem": sem,
-            "det_sup_sq": det_sup_sq, "num_paths": num_paths}
+            "det_sup_sq": det_sup_sq, "num_paths": paths}
 
 
 # -- actual solutions and gaps ---------------------------------------------------------
@@ -323,27 +319,25 @@ def _mod_rhs(u: ModulatedField) -> ModulatedField:
 
 
 def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
-                        seed: int, horizon: float, dt: float,
-                        low: LowFreqTrajectory | None = None,
-                        observer=None) -> dict:
-    """One path of the stochastic equation from the approximate initial datum.
+                        seed: int, horizon: float, dt: float, observer=None) -> dict:
+    """One path of the stochastic equation from the approximate initial datum
+    ``u_h(0) + u_l(0)``, over ``round(horizon / dt)`` steps of size ``dt``.
 
-    Stops at the horizon or at the first exceedance of the exit radius in
-    H^s.  ``observer(i, t, u)`` is called after every step (and once at t=0)
-    for gap accumulation; the final state is returned together with the stop
-    time and status.
+    Only the low-frequency datum at t=0 enters, so no low-frequency
+    trajectory is solved.  Stops at the horizon or at the first exceedance of
+    the exit radius in H^s.  ``observer(i, t, u)`` is called after every step
+    (and once at t=0) for gap accumulation; the final state is returned
+    together with the stop time and status.
     """
-    if low is None:
-        low = low_trajectory(p, horizon, dt)
-    u = approx_solution_mod(p, 0.0, low.fields[0])
+    u = approx_solution_mod(p, 0.0, build_low_initial(p))
     rng = np.random.default_rng(np.uint64(seed))
     stochastic = not isinstance(noise, ZeroNoise)
-    n_steps = len(low.times) - 1
+    n_steps = int(round(horizon / dt))
     if observer is not None:
         observer(0, 0.0, u)
     status, t_stop = "completed", n_steps * dt
     for i in range(n_steps):
-        t = low.times[i]
+        t = i * dt
         unew = rk4(_mod_rhs, u, dt)
         if stochastic:
             h = eval_noise_mod(noise, t, u)
@@ -387,7 +381,7 @@ def actual_vs_approx_gap(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
             sup_s = max(sup_s, modulated_norm(gap, p.s))
 
         simulate_actual_mod(p, noise, path_seed(seed, idx), horizon, dt,
-                            low=low, observer=observe)
+                            observer=observe)
         per_path["sigma0_sq"].append(sup_lo)
         per_path["high_sq"].append(sup_hi)
         per_path["hs"].append(sup_s)
@@ -413,24 +407,26 @@ def separation_experiment(p: InstabilityParams, horizon: float, dt: float,
     """
     p_plus = replace(p, m=1)
     p_minus = replace(p, m=-1)
-    low_p = low_trajectory(p_plus, horizon, dt)
-    low_m = low_trajectory(p_minus, horizon, dt)
-    init_gap = modulated_norm(approx_solution_mod(p_minus, 0.0, low_m.fields[0])
-                              - approx_solution_mod(p_plus, 0.0, low_p.fields[0]), p.s)
+    u0 = {pp.m: approx_solution_mod(pp, 0.0, build_low_initial(pp))
+          for pp in (p_plus, p_minus)}
+    init_gap = modulated_norm(u0[-1] - u0[+1], p.s)
 
     curves = []
     status: dict[int, list[str]] = {+1: [], -1: []}
     t_stop: dict[int, list[float]] = {+1: [], -1: []}
     for idx in range(num_paths):
-        states: dict[int, list] = {+1: [], -1: []}
-        for sign, pp, low in ((+1, p_plus, low_p), (-1, p_minus, low_m)):
-            def keep(i, t, u, acc=states[sign]):
-                acc.append(u)
+        plus, gaps = [], []
+
+        def gap_to_plus(i, t, u):
+            if i < len(plus):
+                gaps.append(modulated_norm(u - plus[i], p.s))
+
+        for sign, pp, observe in ((+1, p_plus, lambda i, t, u: plus.append(u)),
+                                  (-1, p_minus, gap_to_plus)):
             out = simulate_actual_mod(pp, noise, path_seed(seed, idx), horizon, dt,
-                                      low=low, observer=keep)
+                                      observer=observe)
             status[sign].append(out["status"])
             t_stop[sign].append(out["t_stop"])
-        gaps = [modulated_norm(um - up, p.s) for up, um in zip(states[+1], states[-1])]
         curves.append(np.maximum.accumulate(gaps))
 
     n_kept = min(len(c) for c in curves)

@@ -307,7 +307,6 @@ class LowFreqTrajectory:
     grid: SpectralGrid
     times: np.ndarray
     fields: list[Field]
-    blewup: bool = False
 
 
 def low_frequency_initial(grid: SpectralGrid, m: int, n: int, delta: float) -> Field:
@@ -324,7 +323,8 @@ def simulate_low_frequency(m: int, n: int, delta: float, horizon: float,
     """Classical RK4 pseudospectral solve of ``u_t + (Hu) u_x = 0`` from the
     low-frequency initial profile, recorded at every step; period scales as
     ``16 n^delta`` so the bump never wraps.  ``initial`` overrides the
-    standard profile (test hook)."""
+    standard profile (test hook).  Raises ``ValueError`` naming the time of
+    the first non-finite step instead of returning a shortened trajectory."""
     if m not in (-1, 1):
         raise ValueError("m must be +1 or -1")
     if not 0.75 < delta < 1.0:
@@ -341,15 +341,13 @@ def simulate_low_frequency(m: int, n: int, delta: float, horizon: float,
     n_steps = int(round(horizon / dt))
     times = [0.0]
     fields = [u]
-    blewup = False
     for i in range(n_steps):
         u = rk4(rhs, u, dt)
         if u.diverged:
-            blewup = True
-            break
+            raise ValueError(f"low-frequency solve diverged at t={(i + 1) * dt:.6g}")
         times.append((i + 1) * dt)
         fields.append(u)
-    return LowFreqTrajectory(grid, np.array(times), fields, blewup)
+    return LowFreqTrajectory(grid, np.array(times), fields)
 
 
 # -- initial data factories -----------------------------------------------------------

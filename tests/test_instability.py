@@ -1,9 +1,12 @@
 """Carrier-representation checks, cross-validated against dense grids at small
 carrier wavenumbers, plus smoke runs of the defect/gap/separation studies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from ccflab import instability, integrate
 from ccflab.instability import (
     InstabilityParams,
     _mod_rhs,
@@ -285,10 +288,10 @@ class TestCarrierTransformBudget:
         assert fft_calls == ["ifft", "fft"]
 
     def test_simulate_actual_mod_step(self, fft_calls):
-        # one forward transform builds the packet, then 4 RK4 stages of 2
-        simulate_actual_mod(self.P, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3,
-                            low=self.LOW)
-        assert len(fft_calls) == 1 + 3 * 8
+        # two forward transforms build the low datum and the packet, then
+        # 4 RK4 stages of 2
+        simulate_actual_mod(self.P, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3)
+        assert len(fft_calls) == 2 + 3 * 8
 
 
 class TestBuilders:
@@ -399,9 +402,8 @@ class TestStudies:
     def test_same_rotation_zero_gap(self):
         p = params(n=64)
         noise = InstabilityH(sigma0=p.sigma0)
-        low = low_trajectory(p, 0.2, 5e-3)
-        r1 = simulate_actual_mod(p, noise, seed=9, horizon=0.2, dt=5e-3, low=low)
-        r2 = simulate_actual_mod(p, noise, seed=9, horizon=0.2, dt=5e-3, low=low)
+        r1 = simulate_actual_mod(p, noise, seed=9, horizon=0.2, dt=5e-3)
+        r2 = simulate_actual_mod(p, noise, seed=9, horizon=0.2, dt=5e-3)
         gap = modulated_norm(r1["state"] - r2["state"], p.s)
         assert gap == 0.0
 
@@ -440,11 +442,55 @@ class TestStudies:
     def test_exit_time_respected(self):
         # shrink the exit radius below the solution norm: path must stop at once
         p = InstabilityParams(m=1, n=64, exit_radius=1e-300)
-        low = low_trajectory(p, 0.1, 5e-3)
         # exit_radius must be positive but tiny triggers immediate exit
-        res = simulate_actual_mod(p, ZeroNoise(), seed=0, horizon=0.1, dt=5e-3, low=low)
+        res = simulate_actual_mod(p, ZeroNoise(), seed=0, horizon=0.1, dt=5e-3)
         assert res["status"] == "exited"
         assert res["t_stop"] == pytest.approx(5e-3)
+
+    def test_frozen_error_functional(self):
+        # frozen values: a change in the order of the running sums shows here
+        p = InstabilityParams(m=1, n=64, env_modes=256)
+        out = error_functional_ensemble(p, InstabilityH(sigma0=p.sigma0), 2,
+                                        horizon=0.3, dt=5e-3, seed=5)
+        assert out["mean_sup_sq"] == 2.3543629119584646e-10
+        assert out["det_sup_sq"] == 2.872377000285298e-14
+        assert out["sem"] == 1.838259798236617e-10
+        assert out["num_paths"] == 2
+
+    def test_error_functional_memory(self):
+        # the defect and the Ito sums are running values: the peak stays
+        # below 80 carrier stacks for an 80-step call (per-step lists of
+        # integrands, noise coefficients and partial sums would exceed it)
+        p = InstabilityParams(m=1, n=64, env_modes=256)
+        noise = InstabilityH(sigma0=p.sigma0)
+        error_functional_ensemble(p, noise, 2, horizon=0.01, dt=5e-3)  # warm caches
+        stack_bytes = (p.basis.max_carrier + 1) * p.env_modes * 16
+        tracemalloc.start()
+        try:
+            error_functional_ensemble(p, noise, 2, horizon=0.4, dt=5e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * stack_bytes
+
+    def test_actual_paths_solve_no_low_frequency(self, monkeypatch):
+        # the actual solutions read only u_l(0): no low-frequency trajectory
+        # is solved by simulate_actual_mod or the separation experiment
+        def forbidden(*args, **kwargs):
+            raise AssertionError("low-frequency solve")
+        monkeypatch.setattr(instability, "low_trajectory", forbidden)
+        monkeypatch.setattr(integrate, "simulate_low_frequency", forbidden)
+        monkeypatch.setattr(instability, "simulate_low_frequency", forbidden)
+        p = InstabilityParams(m=1, n=64, env_modes=256)
+        noise = InstabilityH(sigma0=p.sigma0)
+        res = simulate_actual_mod(p, noise, seed=9, horizon=0.02, dt=5e-3)
+        assert res["status"] == "completed" and res["t_stop"] == 0.02
+        sep = separation_experiment(p, horizon=0.5, dt=5e-3, noise=noise,
+                                    num_paths=2, seed=3)
+        assert len(sep["times"]) == len(sep["gap_curve"]) == 101
+        assert sep["gap_curve"][-1] == 0.8133318601736578
+        assert sep["initial_gap"] == 0.374339041785388
+        assert sep["status"] == {1: ["completed"] * 2, -1: ["completed"] * 2}
 
 
 class TestLowFrequencyDecay:

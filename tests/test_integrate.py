@@ -290,6 +290,16 @@ class TestLowFrequency:
         assert traj.fields[-1].samples.max() == pytest.approx(0.4940297471127496,
                                                               rel=1e-12)
 
+    def test_divergence_raises(self):
+        # a non-finite step is an error naming its time, not a silently
+        # shortened trajectory
+        grid = SpectralGrid(period=2.0 * np.pi, n_modes=64)
+        initial = Field.from_samples(grid, 100.0 * np.sin(grid.x))
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"diverged at t=0\.15"):
+            simulate_low_frequency(1, 32, 0.9, horizon=0.5, dt=0.05, grid=grid,
+                                   initial=initial)
+
     def test_delta_validation(self):
         with pytest.raises(ValueError):
             simulate_low_frequency(1, 32, 0.5, horizon=0.1)
