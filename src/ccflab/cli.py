@@ -10,6 +10,9 @@ Config key tree (defaults shown by ``--dump-config``):
                   sigma0, n_components, component_decay)
 * ``study.*``     per-subcommand knobs (paths, widths, carrier lists, ...)
 
+``sim.horizon`` is the horizon of every study; ``instability`` runs its
+separation experiment to at least 1.8 (past pi/2).
+
 Overrides: ``--set key.path=value`` with JSON-typed values, checked against
 the schema.  Every subcommand takes ``--config``, ``--seed`` and ``--set``,
 plus only those of ``--paths``, ``--out`` and ``--report`` that it reads.
@@ -70,7 +73,7 @@ DEFAULTS: dict = {
         "f0": 10.0, "width": 1.0, "threshold_k": 0.5, "mc_paths": 100000,
         "eps_list": [0.125, 0.0625, 0.03125, 0.015625], "eps_ref": None,
         "n_list": [64, 128, 256, 512, 1024], "delta": 0.9, "m": 1,
-        "dt_list": [4e-3, 1e-3, 2.5e-4], "horizon": None, "k1": None,
+        "dt_list": [4e-3, 1e-3, 2.5e-4], "k1": None,
         "k2": 0.5, "q_hat": None, "separation_n": 1024, "amplitude": 1.0,
     },
 }
@@ -307,6 +310,8 @@ def cmd_global(cfg: dict, args) -> int:
 
 def cmd_girsanov(cfg: dict, args) -> int:
     study = cfg["study"]
+    if len(set(study["dt_list"])) < 2:
+        raise ValueError("need at least two distinct step sizes in study.dt_list")
     grid = build_grid(cfg)
     noise = build_noise(cfg, "linear")
     rng = np.random.default_rng(int(cfg["sim"]["seed"]))
@@ -339,8 +344,7 @@ def cmd_girsanov(cfg: dict, args) -> int:
 def cmd_instability(cfg: dict, args) -> int:
     study = cfg["study"]
     noise = build_noise(cfg, "instability")
-    horizon = study["horizon"] if study["horizon"] is not None else 1.0
-    dt = cfg["sim"]["dt"]
+    horizon, dt = cfg["sim"]["horizon"], cfg["sim"]["dt"]
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
     seed = int(cfg["sim"]["seed"])
     # one parameter set, re-used at every carrier n (the decay exponents and

@@ -16,10 +16,10 @@ runs in the carrier-envelope representation, whose step cost does not grow
 with ``n``; agreement with dense-grid evaluation is covered by the tests.
 
 Each study is one pass over time that keeps only running sums and sups: the
-defect functional forms ``E`` and the noise coefficient step by step along
-the low-frequency trajectory, the actual solutions start from ``u_l(0)``
-alone (no low-frequency solve), and the separation experiment keeps the
-``m = +1`` states of a path to difference the ``m = -1`` run against.
+defect functional steps ``u_l`` (from :func:`build_low_initial`) in the same
+loop that forms ``E`` and the noise coefficient, the actual solutions start
+from ``u_l(0)`` alone (no low-frequency solve), and the separation experiment
+keeps the ``m = +1`` states of a path to difference the ``m = -1`` run against.
 
 Decay exponents, computed from ``(s, sigma0, delta)`` and asserted negative
 up front:
@@ -30,14 +30,14 @@ up front:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .ensemble import path_seed
-from .integrate import LowFreqTrajectory, low_frequency_initial, plateau_bump, rk4, \
-    simulate_low_frequency
+from .integrate import plateau_bump, rk4, simulate_low_frequency
 from .modulated import (
     CarrierBasis,
     ModulatedField,
@@ -189,15 +189,19 @@ def build_high_frequency_mod(p: InstabilityParams, t: float) -> ModulatedField:
     return packet(p.basis, amp * p.phi_envelope, phase=phase)
 
 
-def build_low_initial(p: InstabilityParams) -> Field:
-    """Low-frequency datum ``u_l(0)`` on the envelope grid."""
-    return low_frequency_initial(p.env_grid, p.m, p.n, p.delta)
+def build_low_initial(p: InstabilityParams, grid: SpectralGrid) -> Field:
+    """Low-frequency datum ``u_l(0) = -H(m n^{-1} phitilde(x_c/n^delta))`` on
+    ``grid`` (the envelope grid, or a dense grid of the same period)."""
+    xc = grid.x - 0.5 * grid.period
+    g = Field.from_samples(grid, (p.m / p.n) * phi_tilde_profile(xc / p.n**p.delta))
+    return -1.0 * hilbert(g)
 
 
-def low_trajectory(p: InstabilityParams, horizon: float, dt: float) -> LowFreqTrajectory:
-    """Deterministic low-frequency trajectory sampled on the step grid."""
-    return simulate_low_frequency(p.m, p.n, p.delta, horizon, dt=dt,
-                                  grid=p.env_grid)
+def low_trajectory(p: InstabilityParams, horizon: float,
+                   dt: float) -> Iterator[tuple[float, Field]]:
+    """Stream of ``(t, u_l(t))`` on the envelope grid, one per step from
+    ``t = 0``; each RK4 step runs when its state is read."""
+    return simulate_low_frequency(build_low_initial(p, p.env_grid), horizon, dt)
 
 
 def approx_solution(p: InstabilityParams, t: float, ul_t: Field,
@@ -275,15 +279,13 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     """Monte Carlo estimate of ``E sup_t |int_0^t E dt' - int_0^t h dW|^2`` in
     ``H^{sigma0}``.
 
-    One pass over the steps of the low-frequency trajectory: the drift
-    integrand and the noise coefficient along the deterministic approximate
-    solution are formed once per step and shared by every path, which only
-    differs by its scalar Brownian increments (left-point Euler accumulation,
-    drawn up front from the path's own stream).
+    One pass over the steps, stepping the low-frequency profile alongside:
+    the drift integrand and the noise coefficient along the deterministic
+    approximate solution are formed once per step and shared by every path,
+    which only differs by its scalar Brownian increments (left-point Euler
+    accumulation, drawn up front from the path's own stream).
     """
-    low = low_trajectory(p, horizon, dt)
-    hul0 = hilbert(low.fields[0])
-    n_steps = len(low.times) - 1
+    n_steps = int(round(horizon / dt))
     sigma0 = p.sigma0
     paths = num_paths if not isinstance(noise, ZeroNoise) else 0
     rngs = (np.random.default_rng(np.uint64(path_seed(seed, idx))) for idx in range(paths))
@@ -292,8 +294,10 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     sups = [0.0] * paths
     partial = ModulatedField.zeros(p.basis)    # running integral of E
     det_sup_sq = modulated_norm(partial, sigma0) ** 2
-    for i in range(n_steps):
-        t, ul_t = low.times[i], low.fields[i]
+    # zip stops at the range before asking the stream for the horizon state
+    for i, (t, ul_t) in zip(range(n_steps), low_trajectory(p, horizon, dt)):
+        if i == 0:
+            hul0 = hilbert(ul_t)
         partial = partial + dt * error_integrand_mod(p, t, ul_t, hul0)
         det_sup_sq = max(det_sup_sq, modulated_norm(partial, sigma0) ** 2)
         if paths:
@@ -329,7 +333,7 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
     (and once at t=0) for gap accumulation; the final state is returned
     together with the stop time and status.
     """
-    u = approx_solution_mod(p, 0.0, build_low_initial(p))
+    u = approx_solution_mod(p, 0.0, build_low_initial(p, p.env_grid))
     rng = np.random.default_rng(np.uint64(seed))
     stochastic = not isinstance(noise, ZeroNoise)
     n_steps = int(round(horizon / dt))
@@ -365,8 +369,7 @@ def actual_vs_approx_gap(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
     inequality check (the H^s mean is bounded by the fourth-root product of
     the two squared means).
     """
-    low = low_trajectory(p, horizon, dt)
-    approx = [approx_solution_mod(p, t, f) for t, f in zip(low.times, low.fields)]
+    approx = [approx_solution_mod(p, t, f) for t, f in low_trajectory(p, horizon, dt)]
     hi_index = 2.0 * p.s - p.sigma0
     per_path = {"sigma0_sq": [], "high_sq": [], "hs": []}
 
@@ -407,7 +410,7 @@ def separation_experiment(p: InstabilityParams, horizon: float, dt: float,
     """
     p_plus = replace(p, m=1)
     p_minus = replace(p, m=-1)
-    u0 = {pp.m: approx_solution_mod(pp, 0.0, build_low_initial(pp))
+    u0 = {pp.m: approx_solution_mod(pp, 0.0, build_low_initial(pp, pp.env_grid))
           for pp in (p_plus, p_minus)}
     init_gap = modulated_norm(u0[-1] - u0[+1], p.s)
 

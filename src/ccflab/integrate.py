@@ -25,12 +25,16 @@ monitored sups and the recorded ``max Lam u`` from one more call, so a
 
 One path is one logical task: no shared mutable state, RNG derived from the
 config seed, bit-identical reruns for a fixed config.
+
+:func:`simulate_low_frequency` is the deterministic ``u_t + (Hu) u_x = 0``
+alone: an RK4 stream from a datum the caller builds.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +48,6 @@ from .spectral import (
     evaluate_at,
     frac_laplacian,
     gradient_sups,
-    hilbert,
     mollify,
     sobolev_norm,
     transition_bump,
@@ -54,7 +57,6 @@ from .spectral import (
 __all__ = [
     "SimConfig",
     "PathRecord",
-    "LowFreqTrajectory",
     "cutoff_chi",
     "rk4",
     "drift",
@@ -300,54 +302,25 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
 # -- deterministic low-frequency solver --------------------------------------------
 
 
-@dataclass
-class LowFreqTrajectory:
-    """Sampled deterministic trajectory of the transported low-frequency profile."""
+def simulate_low_frequency(u0: Field, horizon: float,
+                           dt: float) -> Iterator[tuple[float, Field]]:
+    """Classical RK4 pseudospectral solve of ``u_t + (Hu) u_x = 0`` on
+    ``u0.grid``, over ``round(horizon / dt)`` steps of size ``dt``.
 
-    grid: SpectralGrid
-    times: np.ndarray
-    fields: list[Field]
-
-
-def low_frequency_initial(grid: SpectralGrid, m: int, n: int, delta: float) -> Field:
-    """``-H(m n^{-1} phitilde(x_c/n^delta))`` on the centered coordinate."""
-    xc = grid.x - 0.5 * grid.period
-    g = Field.from_samples(grid, (m / n) * plateau_bump(xc / n**delta, 2.0, 4.0))
-    return -1.0 * hilbert(g)
-
-
-def simulate_low_frequency(m: int, n: int, delta: float, horizon: float,
-                           n_modes: int = 1024, dt: float = 2.0e-3,
-                           grid: SpectralGrid | None = None,
-                           initial: Field | None = None) -> LowFreqTrajectory:
-    """Classical RK4 pseudospectral solve of ``u_t + (Hu) u_x = 0`` from the
-    low-frequency initial profile, recorded at every step; period scales as
-    ``16 n^delta`` so the bump never wraps.  ``initial`` overrides the
-    standard profile (test hook).  Raises ``ValueError`` naming the time of
-    the first non-finite step instead of returning a shortened trajectory."""
-    if m not in (-1, 1):
-        raise ValueError("m must be +1 or -1")
-    if not 0.75 < delta < 1.0:
-        raise ValueError("delta must lie in (3/4, 1)")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if grid is None:
-        grid = SpectralGrid(period=16.0 * float(n) ** delta, n_modes=n_modes)
-    u = low_frequency_initial(grid, m, n, delta) if initial is None else initial
-
+    Yields ``(t, u)`` at ``t = 0`` and after each step; a step is only taken
+    when the next state is asked for.  Raises ``ValueError`` naming the time
+    of the first non-finite step.
+    """
     def rhs(f: Field) -> Field:
         return -1.0 * transport_product(f)
 
-    n_steps = int(round(horizon / dt))
-    times = [0.0]
-    fields = [u]
-    for i in range(n_steps):
+    u = u0
+    yield 0.0, u
+    for i in range(int(round(horizon / dt))):
         u = rk4(rhs, u, dt)
         if u.diverged:
             raise ValueError(f"low-frequency solve diverged at t={(i + 1) * dt:.6g}")
-        times.append((i + 1) * dt)
-        fields.append(u)
-    return LowFreqTrajectory(grid, np.array(times), fields)
+        yield (i + 1) * dt, u
 
 
 # -- initial data factories -----------------------------------------------------------

@@ -210,6 +210,16 @@ class TestExitCodes:
         assert code in (0, 2)  # ordering can be noisy at this tiny scale
         assert "refinement ratios" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dt_list", ["[0.001]", "[0.001,0.001]"])
+    def test_girsanov_one_step_size_is_a_usage_error(self, dt_list, capsys):
+        # one step size has no refinement ratio to check
+        code = main(["girsanov", "--set", f"study.dt_list={dt_list}",
+                     "--set", "grid.n_modes=64", "--set", "sim.horizon=0.05"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "two distinct step sizes" in captured.err
+        assert "coupled residual" not in captured.out
+
     def test_girsanov_stopped_paths_fail(self, capsys):
         # a threshold just above the initial monitored quantity stops every
         # linear-noise path after one step: no residual is scored on that prefix
@@ -234,6 +244,21 @@ class TestExitCodes:
         assert "refinement ratios:" not in captured.out
         assert captured.err == ""
         assert len(rep.read_text().splitlines()) == 4
+
+    def test_instability_reads_sim_horizon(self, monkeypatch, capsys):
+        # sim.horizon is the defect horizon; there is no study.horizon
+        seen = []
+
+        def record(p, noise, num_paths, horizon, dt, seed=0):
+            seen.append(horizon)
+            raise ValueError("horizon recorded")
+
+        monkeypatch.setattr(instability, "error_functional_ensemble", record)
+        assert main(["instability", "--paths", "0", "--set", "sim.horizon=0.3"]) == 3
+        assert seen == [0.3]
+        assert "horizon recorded" in capsys.readouterr().err
+        assert main(["instability", "--set", "study.horizon=0.3"]) == 3
+        assert "unknown config key: study.horizon" in capsys.readouterr().err
 
     def test_instability_stopped_separation_fails(self, monkeypatch, capsys):
         # an exit radius below the packet norm stops both separation paths

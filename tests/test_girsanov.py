@@ -113,6 +113,16 @@ class TestCharacteristicTrack:
         with pytest.raises(ValueError, match="beta holds 10 values"):
             run_random_pde(cfg, Field.zeros(GRID), np.ones(10))
 
+    @pytest.mark.parametrize("track", [False, True])
+    def test_divergence_raises(self, track):
+        # a non-finite step is an error naming its time, not a shortened
+        # (times, fields) that the residual would be scored on
+        grid = SpectralGrid(n_modes=64)
+        cfg = SimConfig(grid=grid, s=3.1, dt=0.01, horizon=0.5, noise=ZeroNoise())
+        with np.errstate(all="ignore"), \
+                pytest.raises(ValueError, match=r"random PDE diverged at t=0\.02"):
+            run_random_pde(cfg, blowup_bump(grid, 2.0), np.full(51, 1e6), track=track)
+
     def test_frozen_track(self):
         # frozen values: a change in the RK4 stage arithmetic shows here
         grid = SpectralGrid(n_modes=128)

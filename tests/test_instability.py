@@ -27,7 +27,6 @@ from ccflab.instability import (
     separation_experiment,
     simulate_actual_mod,
 )
-from ccflab.integrate import low_frequency_initial
 from ccflab.modulated import (
     CarrierBasis,
     ModulatedField,
@@ -113,9 +112,9 @@ class TestModulatedAlgebra:
     def test_dense_agreement_norms(self):
         p = params()
         dense = dense_grid_for(p)
-        ul = build_low_initial(p)
+        ul = build_low_initial(p, p.env_grid)
         mf = approx_solution_mod(p, 0.0, ul)
-        dense_field = approx_solution(p, 0.0, low_frequency_initial(dense, p.m, p.n, p.delta), dense)
+        dense_field = approx_solution(p, 0.0, build_low_initial(p, dense), dense)
         for r in (0.0, 1.6, 3.1):
             a = modulated_norm(mf, r)
             b = sobolev_norm(dense_field, r)
@@ -124,7 +123,7 @@ class TestModulatedAlgebra:
     def test_dense_agreement_product(self):
         p = params()
         dense = dense_grid_for(p)
-        ul = build_low_initial(p)
+        ul = build_low_initial(p, p.env_grid)
         mf = approx_solution_mod(p, 0.1, ul)
         sq_mod = mod_product(mf, mf)
         f = to_dense_field(mf, dense)
@@ -217,7 +216,8 @@ class TestStackedCarriers:
             return ModulatedField(basis, np.where(basis.grid.dealias_mask, 1e-3 * c, 0.0))
 
         # a realistic packet plus low-frequency profile, and two random stacks
-        return basis, [approx_solution_mod(p, 0.3, build_low_initial(p)), draw(), draw()]
+        packet_and_low = approx_solution_mod(p, 0.3, build_low_initial(p, p.env_grid))
+        return basis, [packet_and_low, draw(), draw()]
 
     def test_phys(self, fields):
         basis, fs = fields
@@ -264,10 +264,10 @@ class TestCarrierTransformBudget:
     """FFT calls per carrier operation: each is one stacked transform."""
 
     P = InstabilityParams(m=1, n=64, env_modes=256)
-    LOW = low_trajectory(P, 0.015, 5e-3)
+    _, UL1 = list(low_trajectory(P, 0.015, 5e-3))[1]
 
     def fresh(self):
-        return approx_solution_mod(self.P, 0.1, self.LOW.fields[1])
+        return approx_solution_mod(self.P, 0.1, self.UL1)
 
     def test_phys(self, fft_calls):
         u = self.fresh()
@@ -311,10 +311,17 @@ class TestBuilders:
 
     def test_low_initial_zero_mean_and_sign(self):
         p = params()
-        ul_p = build_low_initial(p)
-        ul_m = build_low_initial(params(m=-1))
+        ul_p = build_low_initial(p, p.env_grid)
+        ul_m = build_low_initial(params(m=-1), p.env_grid)
         assert abs(ul_p.coefficients[0]) < 1e-15
         assert np.allclose(ul_p.samples, -ul_m.samples, atol=1e-15)
+
+    def test_m_flip_flips_initial_sign(self):
+        # on a grid other than the envelope grid too
+        grid = SpectralGrid(period=params().period, n_modes=256)
+        plus = build_low_initial(params(m=1), grid)
+        minus = build_low_initial(params(m=-1), grid)
+        assert np.allclose(plus.samples, -minus.samples, atol=1e-14)
 
     def test_packet_time_amplitude_bound(self):
         # |u_h(t) - u_h(0)| <= amp * |t| pointwise (mean value on the cosine)
@@ -342,13 +349,13 @@ class TestErrorIntegrand:
     def test_dense_agreement_at_t0(self):
         p = params()
         dense = dense_grid_for(p)
-        ul_env = build_low_initial(p)
+        ul_env = build_low_initial(p, p.env_grid)
         hul0 = hilbert(ul_env)
         e_mod = error_integrand_mod(p, 0.0, ul_env, hul0)
         got = to_dense_field(e_mod, dense)
 
         # dense reference: term1 vanishes at t=0; term2 + term3 built directly
-        ul = low_frequency_initial(dense, p.m, p.n, p.delta)
+        ul = build_low_initial(p, dense)
         hul = hilbert(ul)
         xc = dense.x - 0.5 * p.period
         nf = float(p.n)
@@ -369,7 +376,7 @@ class TestErrorIntegrand:
 
     def test_first_term_vanishes_at_t0(self):
         p = params()
-        ul_env = build_low_initial(p)
+        ul_env = build_low_initial(p, p.env_grid)
         hul0 = hilbert(ul_env)
         e0 = error_integrand_mod(p, 0.0, ul_env, hul0)
         # carrier-1 content at t=0 comes only from the cos packet and term3;
@@ -458,20 +465,40 @@ class TestStudies:
         assert out["num_paths"] == 2
 
     def test_error_functional_memory(self):
-        # the defect and the Ito sums are running values: the peak stays
-        # below 80 carrier stacks for an 80-step call (per-step lists of
-        # integrands, noise coefficients and partial sums would exceed it)
+        # the defect, the Ito sums and the low-frequency profile are running
+        # values: the peak stays below 80 carrier stacks for an 80-step and a
+        # 320-step call alike (per-step lists of integrands, noise
+        # coefficients, partial sums or low-frequency fields would exceed it)
         p = InstabilityParams(m=1, n=64, env_modes=256)
         noise = InstabilityH(sigma0=p.sigma0)
         error_functional_ensemble(p, noise, 2, horizon=0.01, dt=5e-3)  # warm caches
         stack_bytes = (p.basis.max_carrier + 1) * p.env_modes * 16
-        tracemalloc.start()
-        try:
-            error_functional_ensemble(p, noise, 2, horizon=0.4, dt=5e-3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 80 * stack_bytes
+        for horizon in (0.4, 1.6):
+            tracemalloc.start()
+            try:
+                error_functional_ensemble(p, noise, 2, horizon=horizon, dt=5e-3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 80 * stack_bytes, horizon
+
+    def test_error_functional_skips_horizon_state(self, monkeypatch):
+        # the defect reads u_l at the left point of each of its 10 steps, so
+        # the stream yields t = 0 and 9 RK4 states; the state at the horizon
+        # is never solved for
+        read = []
+        stream = instability.low_trajectory
+
+        def counted(*args):
+            for t, u in stream(*args):
+                read.append(t)
+                yield t, u
+
+        monkeypatch.setattr(instability, "low_trajectory", counted)
+        p = InstabilityParams(m=1, n=64, env_modes=256)
+        error_functional_ensemble(p, InstabilityH(sigma0=p.sigma0), 2, horizon=0.05,
+                                  dt=5e-3)
+        assert read == [i * 5e-3 for i in range(10)]
 
     def test_actual_paths_solve_no_low_frequency(self, monkeypatch):
         # the actual solutions read only u_l(0): no low-frequency trajectory
@@ -498,16 +525,16 @@ class TestLowFrequencyDecay:
         pts = []
         for k in (6, 7, 8, 9):
             p = params(n=2**k)
-            pts.append((float(2**k), sobolev_norm(build_low_initial(p), p.s)))
+            pts.append((float(2**k), sobolev_norm(build_low_initial(p, p.env_grid), p.s)))
         from ccflab.ensemble import rate_fit
         slope, _, _ = rate_fit(pts)
         assert abs(slope - (0.45 - 1.0)) < 0.05
 
     def test_trajectory_stays_bounded(self):
         p = params(n=64)
-        low = low_trajectory(p, 1.0, 5e-3)
-        n0 = sobolev_norm(low.fields[0], p.s)
-        assert max(sobolev_norm(f, p.s) for f in low.fields) <= 2.0 * n0
+        norms = [sobolev_norm(f, p.s) for _, f in low_trajectory(p, 1.0, 5e-3)]
+        assert len(norms) == 201
+        assert max(norms) <= 2.0 * norms[0]
 
     def test_l2_profile_oracle(self):
         # plateau bump: integral of phi^2 is 2 + 2 * int_0^1 transition^2

@@ -13,12 +13,12 @@ from ccflab.integrate import (
     cutoff_chi,
     drift,
     em_step,
-    low_frequency_initial,
     power_law_field,
     rk4,
     simulate_low_frequency,
     simulate_path,
 )
+from ccflab.instability import InstabilityParams, build_low_initial
 from ccflab.noise import ExpDecayFn, GeneralH, LinearB, WienerSpec, ZeroNoise
 from ccflab.spectral import (
     Field,
@@ -247,48 +247,44 @@ class TestSimulatePath:
         assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.93661865702782, rel=1e-12)
 
 
+def low_datum(n: int, n_modes: int) -> Field:
+    """The instability lab's ``m = +1`` low-frequency datum at carrier ``n``."""
+    p = InstabilityParams(m=1, n=n)
+    return build_low_initial(p, SpectralGrid(period=p.period, n_modes=n_modes))
+
+
 class TestLowFrequency:
     def test_zero_initial_stays_zero(self):
         grid = SpectralGrid(period=16.0 * 64**0.9, n_modes=256)
-        traj = simulate_low_frequency(1, 64, 0.9, horizon=0.05, dt=1e-2,
-                                      grid=grid, initial=Field.zeros(grid))
-        assert all(f.max_abs() == 0.0 for f in traj.fields)
-
-    def test_m_flip_flips_initial_sign(self):
-        t1 = simulate_low_frequency(1, 32, 0.9, horizon=2e-2, n_modes=256, dt=1e-2)
-        t2 = simulate_low_frequency(-1, 32, 0.9, horizon=2e-2, n_modes=256, dt=1e-2)
-        assert np.allclose(t1.fields[0].samples, -t2.fields[0].samples, atol=1e-14)
+        steps = list(simulate_low_frequency(Field.zeros(grid), horizon=0.05, dt=1e-2))
+        assert len(steps) == 6
+        assert all(f.max_abs() == 0.0 for _, f in steps)
 
     def test_time_reversal(self):
         # v0 = -u(T) integrated forward by T returns to -u(0): the equation is
         # invariant under (t, u) -> (-t, -u).
-        n, delta, T = 32, 0.9, 0.5
-        fwd = simulate_low_frequency(1, n, delta, horizon=T, n_modes=512, dt=2e-3)
-        u_T = fwd.fields[-1]
-        grid = fwd.grid
-        back = simulate_low_frequency(1, n, delta, horizon=T, n_modes=512, dt=2e-3,
-                                      grid=grid)
+        T, dt = 0.5, 2e-3
+        u0 = low_datum(32, 512)
+        fwd = list(simulate_low_frequency(u0, horizon=T, dt=dt))
+        assert fwd[-1][0] == pytest.approx(T)
         # manual reverse run from -u(T)
         from ccflab.spectral import dealiased_product, derivative, hilbert
-        u = -1.0 * u_T
-        dt = 2e-3
+        u = -1.0 * fwd[-1][1]
 
         def rhs(f):
             return -1.0 * dealiased_product(hilbert(f), derivative(f))
 
         for _ in range(int(T / dt)):
             u = rk4(rhs, u, dt)
-        assert np.allclose(u.samples, -fwd.fields[0].samples, atol=1e-8)
-        assert back.times[-1] == pytest.approx(T)
+        assert np.allclose(u.samples, -u0.samples, atol=1e-8)
 
     def test_frozen_values(self):
         # frozen values: a change in the RK4 stage arithmetic shows here
-        traj = simulate_low_frequency(1, 2, 0.9, 0.2, n_modes=64, dt=2e-2)
-        assert len(traj.times) == 11
-        assert sobolev_norm(traj.fields[-1], 3.1) == pytest.approx(3.1993670441614426,
-                                                                   rel=1e-12)
-        assert traj.fields[-1].samples.max() == pytest.approx(0.4940297471127496,
-                                                              rel=1e-12)
+        steps = list(simulate_low_frequency(low_datum(2, 64), 0.2, dt=2e-2))
+        assert len(steps) == 11
+        last = steps[-1][1]
+        assert sobolev_norm(last, 3.1) == pytest.approx(3.1993670441614426, rel=1e-12)
+        assert last.samples.max() == pytest.approx(0.4940297471127496, rel=1e-12)
 
     def test_divergence_raises(self):
         # a non-finite step is an error naming its time, not a silently
@@ -297,14 +293,16 @@ class TestLowFrequency:
         initial = Field.from_samples(grid, 100.0 * np.sin(grid.x))
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=r"diverged at t=0\.15"):
-            simulate_low_frequency(1, 32, 0.9, horizon=0.5, dt=0.05, grid=grid,
-                                   initial=initial)
+            list(simulate_low_frequency(initial, horizon=0.5, dt=0.05))
 
-    def test_delta_validation(self):
-        with pytest.raises(ValueError):
-            simulate_low_frequency(1, 32, 0.5, horizon=0.1)
-        with pytest.raises(ValueError):
-            simulate_low_frequency(2, 32, 0.9, horizon=0.1)
+    def test_steps_run_on_demand(self, fft_calls):
+        # the stream takes an RK4 step (8 FFT calls) only when its state is read
+        stream = simulate_low_frequency(low_datum(2, 64), 0.2, dt=2e-2)
+        fft_calls.clear()
+        next(stream)
+        assert fft_calls == []
+        next(stream)
+        assert len(fft_calls) == 8
 
 
 class TestInitialData:
