@@ -110,8 +110,10 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
         except json.JSONDecodeError:
             value = raw
         old = node[leaf]
-        if old is not None and value is not None and not isinstance(value, type(old)) \
-                and not (isinstance(old, float) and isinstance(value, int)):
+        # bool is an int subclass: only a bool default takes a bool
+        if (isinstance(value, bool) and not isinstance(old, bool)) or (
+                old is not None and value is not None and not isinstance(value, type(old))
+                and not (isinstance(old, float) and isinstance(value, int))):
             raise TypeError(f"override {key}: expected {type(old).__name__}, "
                             f"got {type(value).__name__}")
         node[leaf] = float(value) if isinstance(old, float) and value is not None else value
@@ -256,12 +258,10 @@ def cmd_blowup(cfg: dict, args) -> int:
     grid = build_grid(cfg)
     noise = build_noise(cfg, "linear")
     b_fn, k_thr = noise.b_fn, study["threshold_k"]
-    spec = girsanov.GirsanovSpec(b_fn=b_fn, b_star=noise.b_star,
-                                 threshold_k=k_thr, horizon=cfg["sim"]["horizon"])
     u0 = blowup_bump(grid, study["f0"], width=study["width"])
     sim = build_sim(cfg, grid=grid, noise=noise)
     n_paths = study_paths(cfg, args, 0)   # 0: Monte Carlo bound only
-    res = girsanov.blowup_ensemble(sim, spec, u0, n_paths,
+    res = girsanov.blowup_ensemble(sim, k_thr, u0, n_paths,
                                    mc_paths=int(study["mc_paths"]),
                                    workers=int(study["workers"]))
     b = res.bound
@@ -279,7 +279,7 @@ def cmd_blowup(cfg: dict, args) -> int:
 def cmd_global(cfg: dict, args) -> int:
     study = cfg["study"]
     grid = build_grid(cfg)
-    model = build_noise(cfg, "strong").validate(horizon=cfg["sim"]["horizon"])
+    model = build_noise(cfg, "strong")
     sim = build_sim(cfg, grid=grid, noise=model)
     u0 = blowup_bump(grid, study["f0"], width=study["width"])
     n_paths = study_paths(cfg, args, diagnostics.MIN_GROWTH_PATHS)
@@ -287,6 +287,7 @@ def cmd_global(cfg: dict, args) -> int:
     if q_hat is None:
         q_hat = diagnostics.estimate_commutator_constant(
             1000, sim.s, np.random.default_rng(sim.seed))
+    model.validate(q_hat=q_hat)
     k1 = study["k1"]
     if k1 is None:
         k1 = diagnostics.fit_k1_from_sweep(model, sim.s, q_hat, study["k2"],

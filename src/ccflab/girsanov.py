@@ -11,6 +11,8 @@ blow-up once ``F(0)`` beats the noise level.  The scalar first-passage bound
 ``P{ exp(int_0^t b dW) > K for all t }`` is evaluated by Monte Carlo in
 variance space (the law of the stochastic integral depends on ``b`` only
 through its cumulative variance) next to the reflection-principle closed form.
+For ``b = b0 exp(-lam t)`` the total variance is ``b0^2 / (2 lam)`` exactly, so
+the Monte Carlo runs on that interval and takes no horizon.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "GirsanovSpec",
     "CharacteristicTrack",
     "beta_path",
     "girsanov_residual",
@@ -46,22 +47,6 @@ __all__ = [
     "blowup_probability_bound",
     "blowup_ensemble",
 ]
-
-
-@dataclass(frozen=True)
-class GirsanovSpec:
-    """Parameters of the linear-noise blow-up experiment."""
-
-    b_fn: ExpDecayFn
-    b_star: float
-    threshold_k: float
-    horizon: float
-
-    def __post_init__(self):
-        if not 0.0 < self.threshold_k < 1.0:
-            raise ValueError("threshold K must lie in (0, 1)")
-        if self.b_star <= 0.0 or self.horizon <= 0.0:
-            raise ValueError("b_star and horizon must be positive")
 
 
 def beta_path(b_fn, increments: np.ndarray, dt: float) -> np.ndarray:
@@ -169,9 +154,15 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     ``nan`` residual instead of one scored on the prefix the path ran.
     Expected to shrink like ``dt^{1/2}`` under coupled refinement (the noise
     is the only first-order difference between the two discretizations).
+    A finite ``cutoff_radius`` is an error: the cut-off equation gates the
+    drift on ``|u| = |beta v|`` and the noise as well, so ``v`` does not solve
+    the twin's equation.
     """
     if not isinstance(cfg.noise, LinearB):
         raise ValueError("girsanov_residual needs a LinearB noise model")
+    if cfg.cutoff_radius is not None and np.isfinite(cfg.cutoff_radius):
+        raise ValueError("girsanov_residual needs no finite cutoff_radius: the "
+                         "random-PDE twin does not solve the cut-off equation")
     base = replace(cfg, adapt=False, keep_snapshots=True)
     rec = simulate_path(base, u0)
     if rec.status != "completed":
@@ -273,44 +264,25 @@ def first_passage_oracle(b0: float, lam: float, K: float) -> float:
     return float(1.0 - 2.0 * ndtr(np.log(K) / sigma))
 
 
-def _effective_variance(b_fn, horizon0: float) -> float:
-    """Cumulative variance ``int_0^T b^2`` with T grown until the next octave
-    contributes < 1e-9 of the total; raises when no such T exists (then the
-    all-time event has probability 0 by Brownian recurrence)."""
-
-    def chunk(t0, t1):
-        ts = np.linspace(t0, t1, 2048)
-        return float(np.trapezoid(np.asarray([b_fn(t) ** 2 for t in ts]), ts))
-
-    t_end = max(horizon0, 1.0)
-    total = chunk(0.0, t_end)
-    if total <= 0.0:
-        return 0.0
-    for _ in range(24):
-        tail = chunk(t_end, 2.0 * t_end)
-        if tail <= 1e-9 * total:
-            return total
-        total += tail
-        t_end *= 2.0
-    raise ValueError("b(t) is not effectively square-integrable on [0, inf); "
-                     "the all-time event would have probability 0 "
-                     "(Brownian recurrence)")
+def _check_threshold(threshold_k: float):
+    if not 0.0 < threshold_k < 1.0:
+        raise ValueError("threshold K must lie in (0, 1)")
 
 
-def blowup_probability_bound(spec: GirsanovSpec, num_paths: int,
+def blowup_probability_bound(b_fn: ExpDecayFn, threshold_k: float, num_paths: int,
                              rng: np.random.Generator,
                              monitor_points: int = 16384,
                              block: int = 64) -> dict:
-    """Monte Carlo estimate of ``P{ int_0^t b dW > ln K for all t }``.
+    """Monte Carlo estimate of ``P{ int_0^t b dW > ln K for all t }`` for
+    ``b = b0 exp(-lam t)``.
 
     The law of the integral depends on ``b`` only through its cumulative
     variance, so paths are simulated in variance space on a uniform monitoring
-    grid covering all but ``e^{-2 lam T}`` of the total variance; the
-    remaining tail enters through the Gaussian tail factor.  Alongside the
-    grid frequency (which over-counts survival between monitoring points,
-    Wilson interval attached) an unbiased bridge-corrected estimate is
-    returned: each increment is weighted by the exact Brownian-bridge
-    non-crossing probability.
+    grid of the exact total-variance interval ``[0, b0^2 / (2 lam)]``; no
+    horizon enters.  Alongside the grid frequency (which over-counts survival
+    between monitoring points, Wilson interval attached) an unbiased
+    bridge-corrected estimate is returned: each increment is weighted by the
+    exact Brownian-bridge non-crossing probability.
 
     Paths are streamed ``block`` at a time through two reused
     ``(block, monitor_points)`` buffers, so memory is
@@ -322,21 +294,14 @@ def blowup_probability_bound(spec: GirsanovSpec, num_paths: int,
     if num_paths < 1 or monitor_points < 1 or block < 1:
         raise ValueError(f"num_paths, monitor_points and block must be >= 1, got "
                          f"{num_paths}, {monitor_points}, {block}")
-    b_fn = spec.b_fn
-    sigma2_main = _effective_variance(b_fn, spec.horizon)
-    a = float(np.log(spec.threshold_k))   # < 0
-    if sigma2_main <= 0.0:
+    _check_threshold(threshold_k)
+    if b_fn.amplitude == 0.0:
         # b identically zero: the integral is 0 > ln K surely
         return {"estimate": 1.0, "ci_lo": 1.0, "ci_hi": 1.0, "corrected": 1.0,
                 "oracle": 1.0, "num_paths": num_paths, "monitor_points": 0}
-    if isinstance(b_fn, ExpDecayFn):
-        sigma2_total = b_fn.amplitude**2 / (2.0 * b_fn.rate)
-        oracle = first_passage_oracle(b_fn.amplitude, b_fn.rate, spec.threshold_k)
-    else:
-        sigma2_total = sigma2_main
-        oracle = None
-    d_tau = sigma2_main / monitor_points
-    sigma_tail2 = max(sigma2_total - sigma2_main, 0.0)
+    oracle = first_passage_oracle(b_fn.amplitude, b_fn.rate, threshold_k)
+    d_tau = b_fn.amplitude**2 / (2.0 * b_fn.rate) / monitor_points
+    a = float(np.log(threshold_k))   # < 0
 
     rows = min(block, num_paths)
     w_buf = np.empty((rows, monitor_points))
@@ -364,12 +329,7 @@ def blowup_probability_bound(spec: GirsanovSpec, num_paths: int,
             np.expm1(q, out=q)
         np.negative(q, out=q)
         np.clip(q, 0.0, 1.0, out=q)
-        weights = np.where(alive, np.prod(q, axis=1), 0.0)
-        if sigma_tail2 > 0.0:
-            tail_keep = np.clip(2.0 * ndtr(w[:, -1] / np.sqrt(sigma_tail2)) - 1.0,
-                                0.0, 1.0)
-            weights = weights * np.where(alive, tail_keep, 0.0)
-        corrected_sum += float(np.sum(weights))
+        corrected_sum += float(np.sum(np.where(alive, np.prod(q, axis=1), 0.0)))
         done += m
 
     est = surv_count / num_paths
@@ -398,23 +358,26 @@ class BlowupEnsembleResult:
     passed: bool
 
 
-def blowup_ensemble(cfg: SimConfig, spec: GirsanovSpec, u0: Field,
+def blowup_ensemble(cfg: SimConfig, threshold_k: float, u0: Field,
                     num_paths: int, mc_paths: int = 100_000,
                     workers: int = 1) -> BlowupEnsembleResult:
-    """Fraction of linear-noise paths flagged as blown up, versus the scalar
-    Monte Carlo lower bound.  Initial data must satisfy the max-point gradient
-    condition ``Lam u0(argmax u0) > b_star / K``."""
+    """Fraction of paths under the ``LinearB`` noise of ``cfg`` flagged as
+    blown up, versus the scalar Monte Carlo lower bound.  Initial data must
+    satisfy the max-point gradient condition ``Lam u0(argmax u0) > b_star / K``."""
+    if not isinstance(cfg.noise, LinearB):
+        raise ValueError("blowup_ensemble needs a LinearB noise model")
+    _check_threshold(threshold_k)
+    noise = cfg.noise.validate()
     x0 = argmax_refined(u0)
     lam0 = evaluate_at(frac_laplacian(u0, 1.0), x0)
-    if not lam0 > spec.b_star / spec.threshold_k:
+    if not lam0 > noise.b_star / threshold_k:
         raise ValueError(f"initial datum violates the blow-up condition: "
                          f"Lam u0(x0) = {lam0:.4g} <= b*/K = "
-                         f"{spec.b_star / spec.threshold_k:.4g}")
-    noise = LinearB(b_fn=spec.b_fn, b_star=spec.b_star).validate(cfg.horizon)
-    base = replace(cfg, noise=noise)
-    bound = blowup_probability_bound(spec, mc_paths, np.random.default_rng(cfg.seed))
+                         f"{noise.b_star / threshold_k:.4g}")
+    bound = blowup_probability_bound(noise.b_fn, threshold_k, mc_paths,
+                                     np.random.default_rng(cfg.seed))
 
-    records = run_paths(SimTask(base, u0), base.seed, num_paths, workers=workers)
+    records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers=workers)
     n_blew = sum(1 for r in records if r.status == "blewup")
     n_bad = sum(1 for r in records if r.status == "diverged")
     frac = n_blew / num_paths if num_paths else 0.0

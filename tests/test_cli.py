@@ -43,6 +43,14 @@ class TestConfig:
         with pytest.raises(TypeError):
             apply_overrides(load_config(None, []), ["sim.dt=\"fast\""])
 
+    @pytest.mark.parametrize("pair", ["sim.dt=true", "study.paths=true",
+                                      "study.q_hat=false"])
+    def test_override_bool_needs_bool_default(self, pair):
+        # bool is an int subclass: a float, int or None default takes no bool
+        with pytest.raises(TypeError, match="got bool"):
+            load_config(None, [pair])
+        assert load_config(None, ["sim.adapt=false"])["sim"]["adapt"] is False
+
     def test_noise_families(self):
         for fam, typ in (("zero", ZeroNoise), ("general", GeneralH),
                          ("strong", StrongAlpha), ("linear", LinearB)):
@@ -69,6 +77,12 @@ class TestExitCodes:
     def test_blowup_without_mc_paths_is_a_usage_error(self, capsys):
         assert main(["blowup", "--paths", "0", "--set", "study.mc_paths=0"]) == 3
         assert "num_paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", ["0", "1.0"])
+    def test_blowup_threshold_outside_unit_interval_is_a_usage_error(self, k, capsys):
+        assert main(["blowup", "--paths", "0", "--set", "study.mc_paths=64",
+                     "--set", f"study.threshold_k={k}"]) == 3
+        assert "threshold K must lie in (0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["simulate", "--paths", "0"],
@@ -150,6 +164,16 @@ class TestExitCodes:
         (row,) = csv.DictReader(rep.read_text().splitlines())
         assert (row["completed"], row["blowups"], row["diverged"]) == ("7", "0", "1")
 
+    def test_global_theta_half_reads_q_hat(self, capsys):
+        # theta = 1/2 is admissible when q^2 > 2 Q_hat, with Q_hat from study.q_hat
+        argv = ["global", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.005",
+                "--set", "noise.theta=0.5", "--set", "study.q_hat=0.1",
+                "--set", "study.k1=1.0"]
+        assert main(argv + ["--set", "noise.q=3.0"]) != 3
+        assert "lyapunov slope" in capsys.readouterr().out
+        assert main(argv + ["--set", "noise.q=0.3"]) == 3
+        assert "needs inf q^2 > 2*Q_hat = 0.2, got 0.09" in capsys.readouterr().err
+
     def test_converge_zero_gap_fails(self, capsys):
         # the two smallest widths leave every retained mode of a 64-mode grid
         # unchanged, so their gap is exactly 0 and has no log-log rate
@@ -218,6 +242,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert "two distinct step sizes" in captured.err
+        assert "coupled residual" not in captured.out
+
+    def test_girsanov_cutoff_is_a_usage_error(self, capsys):
+        # the random-PDE twin does not solve the cut-off equation
+        code = main(["girsanov", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.05",
+                     "--set", "sim.cutoff_radius=1.5"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "cutoff_radius" in captured.err
         assert "coupled residual" not in captured.out
 
     def test_girsanov_stopped_paths_fail(self, capsys):

@@ -11,7 +11,6 @@ import pytest
 
 from ccflab.girsanov import (
     CharacteristicTrack,
-    GirsanovSpec,
     beta_path,
     blowup_ensemble,
     blowup_probability_bound,
@@ -214,28 +213,22 @@ class TestFirstPassage:
         assert first_passage_oracle(1.0, 1.0, 1e-12) > 0.999999
 
     def test_mc_matches_oracle(self):
-        spec = GirsanovSpec(b_fn=ExpDecayFn(1.0, 1.0), b_star=1.05,
-                            threshold_k=0.5, horizon=10.0)
-        out = blowup_probability_bound(spec, 20_000, np.random.default_rng(7),
-                                       monitor_points=4096)
+        out = blowup_probability_bound(ExpDecayFn(1.0, 1.0), 0.5, 20_000,
+                                       np.random.default_rng(7), monitor_points=4096)
         ci_half = 0.5 * (out["ci_hi"] - out["ci_lo"])
         assert abs(out["estimate"] - out["oracle"]) <= 2.0 * ci_half + 0.01
         # the bridge-corrected estimator removes the monitoring bias
         assert abs(out["corrected"] - out["oracle"]) <= 2.5 * ci_half
 
     def test_rejects_constant_b(self):
-        spec = GirsanovSpec(b_fn=ExpDecayFn(0.5, 0.0), b_star=0.3,
-                            threshold_k=0.5, horizon=5.0)
         with pytest.raises(ValueError):
-            blowup_probability_bound(spec, 100, np.random.default_rng(0))
+            blowup_probability_bound(ExpDecayFn(0.5, 0.0), 0.5, 100,
+                                     np.random.default_rng(0))
 
-    @staticmethod
-    def linear_spec():
-        return GirsanovSpec(b_fn=ExpDecayFn(0.5, 1.0), b_star=0.2625,
-                            threshold_k=0.5, horizon=1.0)
+    B_FN = ExpDecayFn(0.5, 1.0)
 
     def test_block_invariance(self):
-        runs = [blowup_probability_bound(self.linear_spec(), 333, np.random.default_rng(3),
+        runs = [blowup_probability_bound(self.B_FN, 0.5, 333, np.random.default_rng(3),
                                          monitor_points=2048, block=block)
                 for block in (1, 7, 64, 333)]
         for out in runs[1:]:
@@ -244,20 +237,31 @@ class TestFirstPassage:
             assert out["corrected"] == pytest.approx(runs[0]["corrected"], rel=1e-12, abs=0)
 
     def test_frozen_values(self):
-        # values of the one-array computation that the streamed blocks must keep
-        out = blowup_probability_bound(self.linear_spec(), 512, np.random.default_rng(0))
+        # values of the one-array computation that the streamed blocks must keep;
+        # the monitoring grid spans the exact variance b0^2/(2 lam) = 0.125
+        out = blowup_probability_bound(self.B_FN, 0.5, 512, np.random.default_rng(0))
         assert out["estimate"] == 0.94921875
         assert out["ci_lo"] == 0.926634038608981
         assert out["ci_hi"] == 0.9651128190352277
-        assert out["corrected"] == pytest.approx(0.9484347074322856, rel=1e-12)
+        assert out["corrected"] == pytest.approx(0.9484347404089752, rel=1e-12)
         assert out["oracle"] == pytest.approx(0.9500645237714559, rel=1e-14)
         assert out["monitor_points"] == 16384
+
+    def test_one_monitor_point_is_the_bridge_formula(self):
+        # one increment over the whole variance sigma^2 = b0^2/(2 lam): a path
+        # ending at w > ln K survives with 1 - exp(-2 (-ln K)(w - ln K) / sigma^2)
+        out = blowup_probability_bound(self.B_FN, 0.5, 1000, np.random.default_rng(5),
+                                       monitor_points=1)
+        sigma2, a = 0.5**2 / 2.0, np.log(0.5)
+        w = np.sqrt(sigma2) * np.random.default_rng(5).standard_normal(1000)
+        keep = np.where(w > a, -np.expm1(2.0 * a * (w - a) / sigma2), 0.0)
+        assert out["corrected"] == pytest.approx(keep.mean(), rel=1e-12, abs=0)
 
     def test_memory_independent_of_paths(self):
         # a single (512, 16384) float64 block would be 64 MiB per temporary
         tracemalloc.start()
         try:
-            blowup_probability_bound(self.linear_spec(), 512, np.random.default_rng(0))
+            blowup_probability_bound(self.B_FN, 0.5, 512, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,28 +273,25 @@ class TestFirstPassage:
     def test_rejects_empty_sizes(self, kwargs):
         args = dict(num_paths=10, monitor_points=64, block=4) | kwargs
         with pytest.raises(ValueError, match=">= 1"):
-            blowup_probability_bound(self.linear_spec(), rng=np.random.default_rng(0),
-                                     **args)
+            blowup_probability_bound(self.B_FN, 0.5, rng=np.random.default_rng(0), **args)
 
 
 class TestBlowupEnsemble:
-    def spec(self):
-        return GirsanovSpec(b_fn=ExpDecayFn(0.25, 1.0), b_star=0.0625 * 1.05,
-                            threshold_k=0.5, horizon=1.0)
+    NOISE = LinearB(b_fn=ExpDecayFn(0.25, 1.0), b_star=0.0625 * 1.05)
 
     def test_rejects_small_gradient(self):
         grid = SpectralGrid(n_modes=256)
         u0 = blowup_bump(grid, 0.01, width=1.0)  # way below b*/K = 0.125
-        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.5, seed=0)
-        with pytest.raises(ValueError):
-            blowup_ensemble(cfg, self.spec(), u0, num_paths=1, mc_paths=100)
+        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.5, seed=0, noise=self.NOISE)
+        with pytest.raises(ValueError, match="blow-up condition"):
+            blowup_ensemble(cfg, 0.5, u0, num_paths=1, mc_paths=100)
 
     def test_zero_paths_no_crash(self):
         grid = SpectralGrid(n_modes=256)
         u0 = blowup_bump(grid, 1.0, width=1.0)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.5, seed=0,
-                        blowup_threshold=50.0)
-        res = blowup_ensemble(cfg, self.spec(), u0, num_paths=0, mc_paths=1000)
+                        blowup_threshold=50.0, noise=self.NOISE)
+        res = blowup_ensemble(cfg, 0.5, u0, num_paths=0, mc_paths=1000)
         assert res.n_paths == 0 and res.passed
 
     def test_paths_match_direct_runs_and_workers(self):
@@ -300,14 +301,13 @@ class TestBlowupEnsemble:
         # seed 4, one is flagged at t = 0.004 and one completes
         _, q_ux, q_hux = sup_norms(u0)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.05, seed=4,
-                        blowup_threshold=1.01 * (q_ux + q_hux), blowup_doublings=0)
-        spec = self.spec()
-        res1 = blowup_ensemble(cfg, spec, u0, num_paths=2, mc_paths=100, workers=1)
-        res2 = blowup_ensemble(cfg, spec, u0, num_paths=2, mc_paths=100, workers=2)
+                        blowup_threshold=1.01 * (q_ux + q_hux), blowup_doublings=0,
+                        noise=self.NOISE)
+        res1 = blowup_ensemble(cfg, 0.5, u0, num_paths=2, mc_paths=100, workers=1)
+        res2 = blowup_ensemble(cfg, 0.5, u0, num_paths=2, mc_paths=100, workers=2)
         assert (res2.n_blewup, res2.n_unresolved, res2.fraction) == \
             (res1.n_blewup, res1.n_unresolved, res1.fraction)
-        base = replace(cfg, noise=LinearB(b_fn=spec.b_fn, b_star=spec.b_star))
-        statuses = [simulate_path(replace(base, seed=path_seed(cfg.seed, i)), u0).status
+        statuses = [simulate_path(replace(cfg, seed=path_seed(cfg.seed, i)), u0).status
                     for i in range(2)]
         assert res1.n_blewup == statuses.count("blewup")
         assert res1.n_unresolved == statuses.count("diverged")

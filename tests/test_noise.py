@@ -147,6 +147,8 @@ class TestLinearB:
         LinearB(b_fn=ExpDecayFn(0.5, 1.0), b_star=0.26).validate()
         with pytest.raises(ValueError):
             LinearB(b_fn=ExpDecayFn(1.0, 1.0), b_star=0.9).validate()  # b(0)^2 = 1
+        with pytest.raises(ValueError):
+            LinearB(b_fn=ExpDecayFn(0.5, -0.1), b_star=0.26).validate()  # b grows
 
 
 class TestInstabilityH:
