@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, ensemble, girsanov, instability
-from .integrate import SimConfig, blowup_bump, power_law_field, simulate_path
+from .integrate import SimConfig, blowup_bump, power_law_field
 from .noise import (
     ConstantFn,
     ExpDecayFn,
@@ -44,6 +44,7 @@ from .noise import (
     StrongAlpha,
     WienerSpec,
     ZeroNoise,
+    stream,
 )
 from .spectral import (
     SpectralGrid,
@@ -109,15 +110,25 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        old = node[leaf]
-        # bool is an int subclass: only a bool default takes a bool
-        if (isinstance(value, bool) and not isinstance(old, bool)) or (
-                old is not None and value is not None and not isinstance(value, type(old))
-                and not (isinstance(old, float) and isinstance(value, int))):
-            raise TypeError(f"override {key}: expected {type(old).__name__}, "
-                            f"got {type(value).__name__}")
-        node[leaf] = float(value) if isinstance(old, float) and value is not None else value
+        node[leaf] = _typed(key, node[leaf], value)
     return cfg
+
+
+def _typed(key: str, old, value):
+    """``value`` checked against the type of the default ``old``: an int is
+    taken for a float (and converted), and a list is checked item by item
+    against the type of its default's items."""
+    if isinstance(old, list) and old and isinstance(value, list):
+        if None in value:
+            raise TypeError(f"override {key}: null list item")
+        return [_typed(key, old[0], v) for v in value]
+    # bool is an int subclass: only a bool default takes a bool
+    if (isinstance(value, bool) and not isinstance(old, bool)) or (
+            old is not None and value is not None and not isinstance(value, type(old))
+            and not (isinstance(old, float) and isinstance(value, int))):
+        raise TypeError(f"override {key}: expected {type(old).__name__}, "
+                        f"got {type(value).__name__}")
+    return float(value) if isinstance(old, float) and value is not None else value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -194,7 +205,7 @@ def cmd_identities(cfg: dict, args) -> int:
     tol = cfg["study"]["tolerance"]
     n_fields = int(cfg["study"]["fields"])
     grid = build_grid(cfg)
-    rng = np.random.default_rng(int(cfg["sim"]["seed"]))
+    rng = stream(int(cfg["sim"]["seed"]))
     rows, failed = [], False
     worst = {"cotlar": 0.0, "coordinate_commutation": 0.0, "double_hilbert": 0.0,
              "gradient_symbol": 0.0}
@@ -234,11 +245,11 @@ def cmd_identities(cfg: dict, args) -> int:
 
 def cmd_simulate(cfg: dict, args) -> int:
     sim = build_sim(cfg)
-    rng = np.random.default_rng(sim.seed)
-    u0 = power_law_field(sim.grid, sim.s, rng, amplitude=cfg["study"]["amplitude"])
+    u0 = power_law_field(sim.grid, sim.s, stream(sim.seed),
+                         amplitude=cfg["study"]["amplitude"])
     n_paths = study_paths(cfg, args, 1)
     if n_paths == 1:
-        rec = simulate_path(sim, u0)
+        (rec,) = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, 1)
         print(f"status={rec.status} t_stop={rec.t_stop:.6g} "
               f"final |u|_Hs={rec.diagnostics['h_s'][-1]:.6g}")
         if args.out:
@@ -285,13 +296,13 @@ def cmd_global(cfg: dict, args) -> int:
     n_paths = study_paths(cfg, args, diagnostics.MIN_GROWTH_PATHS)
     q_hat = study["q_hat"]
     if q_hat is None:
-        q_hat = diagnostics.estimate_commutator_constant(
-            1000, sim.s, np.random.default_rng(sim.seed))
+        q_hat = diagnostics.estimate_commutator_constant(1000, sim.s,
+                                                         stream(sim.seed, 2, 0))
     model.validate(q_hat=q_hat)
     k1 = study["k1"]
     if k1 is None:
         k1 = diagnostics.fit_k1_from_sweep(model, sim.s, q_hat, study["k2"],
-                                           np.random.default_rng(sim.seed + 1))
+                                           stream(sim.seed, 2, 1))
     spec = diagnostics.LyapunovSpec(k1=k1, k2=study["k2"], q_hat=q_hat, s=sim.s)
     records = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, n_paths,
                                  workers=int(study["workers"]))
@@ -315,8 +326,7 @@ def cmd_girsanov(cfg: dict, args) -> int:
         raise ValueError("need at least two distinct step sizes in study.dt_list")
     grid = build_grid(cfg)
     noise = build_noise(cfg, "linear")
-    rng = np.random.default_rng(int(cfg["sim"]["seed"]))
-    u0 = power_law_field(grid, cfg["sim"]["s"], rng,
+    u0 = power_law_field(grid, cfg["sim"]["s"], stream(int(cfg["sim"]["seed"])),
                          amplitude=study["amplitude"], max_mode=grid.dealias_keep // 4)
     rows, residuals, stopped = [], [], False
     for dt in study["dt_list"]:

@@ -1,6 +1,7 @@
 """Monte Carlo orchestration, persistence and the mollifier-convergence study.
 
-Per-path seeds are ``seed_base XOR index``, so results are independent of the
+Path i of study seed ``seed_base`` runs on :func:`~ccflab.noise.path_seed`
+``(seed_base, i)``, computed in the parent, so results are independent of the
 worker count and scheduling order; they come back in path-index order, and
 aggregating them is idempotent.  Every result carries a digest of its
 configuration, which :func:`persist` writes into the header of its JSON-lines
@@ -17,12 +18,12 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 
 from .integrate import PathRecord, SimConfig, power_law_field, simulate_path
+from .noise import path_seed, stream
 from .spectral import Field, sobolev_norm
 
 __all__ = [
     "PathOutcome",
     "EnsembleResult",
-    "path_seed",
     "run_paths",
     "SimTask",
     "run_ensemble",
@@ -33,11 +34,6 @@ __all__ = [
     "convergence_study",
     "wilson_ci",
 ]
-
-
-def path_seed(seed_base: int, index: int) -> int:
-    """Deterministic per-path seed: ``seed_base XOR index``."""
-    return int(np.uint64(seed_base) ^ np.uint64(index))
 
 
 def run_paths(task, seed_base: int, num_paths: int, workers: int = 1) -> list:
@@ -150,7 +146,8 @@ class SimTask:
 
 def run_ensemble(cfg: SimConfig, u0: Field, num_paths: int,
                  workers: int = 1) -> EnsembleResult:
-    """Independent paths from shared initial data, seeds ``cfg.seed XOR index``."""
+    """Independent paths from shared initial data, path i on
+    ``path_seed(cfg.seed, i)``."""
     records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers)
     per_path = [_outcome_from_record(i, path_seed(cfg.seed, i), r)
                 for i, r in enumerate(records)]
@@ -242,8 +239,7 @@ def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
     if eps_ref is None:
         eps_ref = eps_sorted[-1] / 4.0
     if u0 is None:
-        u0 = power_law_field(cfg.grid, cfg.s, np.random.default_rng(cfg.seed),
-                             amplitude=1.0)
+        u0 = power_law_field(cfg.grid, cfg.s, stream(cfg.seed), amplitude=1.0)
     if k_threshold is None:
         k_threshold = 50.0 * sobolev_norm(u0, cfg.s)
 

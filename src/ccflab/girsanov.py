@@ -24,7 +24,7 @@ from scipy.special import ndtr
 
 from .ensemble import SimTask, run_paths, wilson_ci
 from .integrate import SimConfig, drift, rk4, simulate_path
-from .noise import ExpDecayFn, LinearB, ZeroNoise
+from .noise import ExpDecayFn, LinearB, ZeroNoise, path_seed, stream
 from .spectral import (
     Field,
     argmax_refined,
@@ -149,6 +149,8 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     """Coupled discrepancy between the linear-noise path and its transformed
     random-PDE twin: ``sup_t |u - beta v|_{H^{s-1}} / (1 + |u|_{H^{s-1}})``.
 
+    The linear-noise path is path 0 of the study seed ``cfg.seed``, so every
+    step size of a refinement runs on the same path seed.
     Returns ``(residual, status)`` with the status of the linear-noise path.
     Only a ``completed`` path covers the horizon, so any other status gives a
     ``nan`` residual instead of one scored on the prefix the path ran.
@@ -163,7 +165,7 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     if cfg.cutoff_radius is not None and np.isfinite(cfg.cutoff_radius):
         raise ValueError("girsanov_residual needs no finite cutoff_radius: the "
                          "random-PDE twin does not solve the cut-off equation")
-    base = replace(cfg, adapt=False, keep_snapshots=True)
+    base = replace(cfg, seed=path_seed(cfg.seed, 0), adapt=False, keep_snapshots=True)
     rec = simulate_path(base, u0)
     if rec.status != "completed":
         return float("nan"), rec.status
@@ -260,7 +262,7 @@ def first_passage_oracle(b0: float, lam: float, K: float) -> float:
     ``1 - 2 Phi(ln K / sigma)``."""
     if lam <= 0.0:
         raise ValueError("decay rate must be positive for a square-integrable b")
-    sigma = b0 / np.sqrt(2.0 * lam)
+    sigma = abs(b0) / np.sqrt(2.0 * lam)
     return float(1.0 - 2.0 * ndtr(np.log(K) / sigma))
 
 
@@ -363,7 +365,9 @@ def blowup_ensemble(cfg: SimConfig, threshold_k: float, u0: Field,
                     workers: int = 1) -> BlowupEnsembleResult:
     """Fraction of paths under the ``LinearB`` noise of ``cfg`` flagged as
     blown up, versus the scalar Monte Carlo lower bound.  Initial data must
-    satisfy the max-point gradient condition ``Lam u0(argmax u0) > b_star / K``."""
+    satisfy the max-point gradient condition ``Lam u0(argmax u0) > b_star / K``.
+    The Monte Carlo draws from the stream ``(1,)`` of the study seed
+    ``cfg.seed``, path i runs on ``path_seed(cfg.seed, i)``."""
     if not isinstance(cfg.noise, LinearB):
         raise ValueError("blowup_ensemble needs a LinearB noise model")
     _check_threshold(threshold_k)
@@ -375,7 +379,7 @@ def blowup_ensemble(cfg: SimConfig, threshold_k: float, u0: Field,
                          f"Lam u0(x0) = {lam0:.4g} <= b*/K = "
                          f"{noise.b_star / threshold_k:.4g}")
     bound = blowup_probability_bound(noise.b_fn, threshold_k, mc_paths,
-                                     np.random.default_rng(cfg.seed))
+                                     stream(cfg.seed, 1))
 
     records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers=workers)
     n_blew = sum(1 for r in records if r.status == "blewup")

@@ -36,7 +36,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .ensemble import path_seed
 from .integrate import plateau_bump, rk4, simulate_low_frequency
 from .modulated import (
     CarrierBasis,
@@ -50,7 +49,7 @@ from .modulated import (
     modulated_norm,
     packet,
 )
-from .noise import InstabilityH, ZeroNoise, instability_factor
+from .noise import InstabilityH, ZeroNoise, instability_factor, path_seed, stream
 from .spectral import Field, SpectralGrid, _read_only, hilbert
 
 __all__ = [
@@ -283,12 +282,13 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     the drift integrand and the noise coefficient along the deterministic
     approximate solution are formed once per step and shared by every path,
     which only differs by its scalar Brownian increments (left-point Euler
-    accumulation, drawn up front from the path's own stream).
+    accumulation, drawn up front from the increment stream of the path's
+    seed, as :func:`simulate_actual_mod` draws them).
     """
     n_steps = int(round(horizon / dt))
     sigma0 = p.sigma0
     paths = num_paths if not isinstance(noise, ZeroNoise) else 0
-    rngs = (np.random.default_rng(np.uint64(path_seed(seed, idx))) for idx in range(paths))
+    rngs = (stream(path_seed(seed, idx), 0) for idx in range(paths))
     dws = [np.sqrt(dt) * rng.standard_normal(n_steps) for rng in rngs]
     itos = [ModulatedField.zeros(p.basis)] * paths
     sups = [0.0] * paths
@@ -327,6 +327,7 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
     """One path of the stochastic equation from the approximate initial datum
     ``u_h(0) + u_l(0)``, over ``round(horizon / dt)`` steps of size ``dt``.
 
+    ``seed`` is a path seed; its stream ``(0,)`` drives the increments.
     Only the low-frequency datum at t=0 enters, so no low-frequency
     trajectory is solved.  Stops at the horizon or at the first exceedance of
     the exit radius in H^s.  ``observer(i, t, u)`` is called after every step
@@ -334,7 +335,7 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
     together with the stop time and status.
     """
     u = approx_solution_mod(p, 0.0, build_low_initial(p, p.env_grid))
-    rng = np.random.default_rng(np.uint64(seed))
+    rng = stream(seed, 0)
     stochastic = not isinstance(noise, ZeroNoise)
     n_steps = int(round(horizon / dt))
     if observer is not None:

@@ -23,8 +23,11 @@ monitored sups and the recorded ``max Lam u`` from one more call, so a
 ``GeneralH`` path takes 11 calls per macro step, plus 10 for each further
 ``em_step`` that adaptive halving takes.
 
-One path is one logical task: no shared mutable state, RNG derived from the
-config seed, bit-identical reruns for a fixed config.
+One path is one logical task: no shared mutable state, bit-identical reruns
+for a fixed config.  ``cfg.seed`` is a path seed: the macro increments come
+from its stream ``(0,)`` and the bridge points of halving from ``(1,)``
+(:func:`~ccflab.noise.stream`), so the increments a path records do not
+depend on how often it halves.
 
 :func:`simulate_low_frequency` is the deterministic ``u_t + (Hu) u_x = 0``
 alone: an RK4 stream from a datum the caller builds.
@@ -39,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseModel, ZeroNoise, sample_wiener_increments
+from .noise import NoiseModel, ZeroNoise, sample_wiener_increments, stream
 from .spectral import (
     Field,
     SpectralGrid,
@@ -109,6 +112,8 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0.0 or self.horizon <= 0.0:
             raise ValueError("dt and horizon must be positive")
+        if not np.isfinite(self.horizon / self.dt):
+            raise ValueError(f"horizon / dt must be finite, got {self.horizon / self.dt}")
         if self.s <= 3.0:
             raise ValueError("Sobolev index must exceed 3 for these runs")
         if not 0.0 <= self.eps_mollify < 1.0:
@@ -204,7 +209,7 @@ MAX_HALVINGS = 12
 
 
 def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: np.ndarray,
-                   rng: np.random.Generator, depth: int) -> Field:
+                   bridge: np.random.Generator, depth: int) -> Field:
     unew = em_step(u, t, cfg, dw, dt)
     if not cfg.adapt or depth >= MAX_HALVINGS:
         return unew
@@ -214,13 +219,13 @@ def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: np.ndarray
         return unew
     # split the increment with a Brownian bridge and recurse on both halves
     k = dw.shape[0]
-    z = rng.standard_normal(k) if k else np.zeros(0)
+    z = bridge.standard_normal(k) if k else np.zeros(0)
     dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * z
     dw2 = dw - dw1
-    mid = _adaptive_step(u, t, cfg, 0.5 * dt, dw1, rng, depth + 1)
+    mid = _adaptive_step(u, t, cfg, 0.5 * dt, dw1, bridge, depth + 1)
     if mid.diverged:
         return mid
-    return _adaptive_step(mid, t + 0.5 * dt, cfg, 0.5 * dt, dw2, rng, depth + 1)
+    return _adaptive_step(mid, t + 0.5 * dt, cfg, 0.5 * dt, dw2, bridge, depth + 1)
 
 
 def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
@@ -233,7 +238,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial field lives on the wrong grid")
-    rng = np.random.default_rng(np.uint64(cfg.seed))
+    wiener, bridge = stream(cfg.seed, 0), stream(cfg.seed, 1)
     n_steps = int(round(cfg.horizon / cfg.dt))
     k = cfg.noise.n_components
 
@@ -269,10 +274,10 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
 
     t = 0.0
     for i in range(n_steps):
-        dw = sample_wiener_increments(k, cfg.dt, rng) if k else np.zeros(0)
+        dw = sample_wiener_increments(k, cfg.dt, wiener) if k else np.zeros(0)
         if k:
             increments[i] = dw
-        u_next = _adaptive_step(u, t, cfg, cfg.dt, dw, rng, 0)
+        u_next = _adaptive_step(u, t, cfg, cfg.dt, dw, bridge, 0)
         t = (i + 1) * cfg.dt
 
         if u_next.diverged:

@@ -4,8 +4,19 @@ Each model maps ``(t, u)`` to the list of diffusion-coefficient fields, one per
 Brownian component.  The cylindrical driver is truncated to K scalar Brownian
 motions with component weights ``c_j = j^{-a}`` (square-summable tail); the
 single-driver families carry exactly one component.  Models are immutable and
-evaluation is pure; the RNG for increments is owned by the caller, one stream
-per path.
+evaluation is pure.
+
+Seeding rule: every random stream of the lab is :func:`stream`, the child
+``key`` of ``SeedSequence(seed)``, so streams with different keys are
+independent by construction (keyed streams as in Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11).  The keys are
+
+* on a study seed: ``()`` the data (initial fields, identity samples),
+  ``(1,)`` the scalar Monte Carlo, ``(2, j)`` the sweeps of ``global``
+  (``q_hat`` j=0, ``k1`` j=1), and ``(0, i)`` the seed of path i
+  (:func:`path_seed`);
+* on a path seed: ``(0,)`` the Wiener increments, ``(1,)`` the bridge points
+  of adaptive halving.
 """
 
 from __future__ import annotations
@@ -35,6 +46,8 @@ __all__ = [
     "InstabilityH",
     "helmholtz_inverse_dx",
     "transport_gradient_powers",
+    "stream",
+    "path_seed",
     "sample_wiener_increments",
     "hilbert_schmidt_norm",
 ]
@@ -89,6 +102,20 @@ class WienerSpec:
     def coefficients(self) -> np.ndarray:
         j = np.arange(1, self.n_components + 1, dtype=np.float64)
         return j ** (-self.component_decay)
+
+
+def stream(seed: int, *key: int) -> np.random.Generator:
+    """The random stream ``key`` of ``seed``: child ``key`` of
+    ``SeedSequence(seed)``.  The empty key gives the generator NumPy seeds
+    from the bare integer ``seed``."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+def path_seed(seed: int, index: int) -> int:
+    """64-bit seed of path ``index`` of study seed ``seed``, drawn from the
+    stream ``(0, index)``, so no path runs on a stream of its study seed and
+    two ``(seed, index)`` pairs share a path seed only by a 64-bit chance."""
+    return stream(seed, 0, index).bit_generator.random_raw()
 
 
 def sample_wiener_increments(n_components: int, dt: float, rng: np.random.Generator) -> np.ndarray:

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ccflab import ensemble, instability
+from ccflab import ensemble, girsanov, instability
 from ccflab.cli import (
     apply_overrides,
     build_grid,
@@ -16,8 +16,8 @@ from ccflab.cli import (
     main,
 )
 from ccflab.diagnostics import blowup_quantity
-from ccflab.integrate import blowup_bump
-from ccflab.noise import GeneralH, LinearB, StrongAlpha, ZeroNoise
+from ccflab.integrate import DIAGNOSTIC_NAMES, blowup_bump
+from ccflab.noise import GeneralH, LinearB, StrongAlpha, ZeroNoise, path_seed
 
 
 class TestConfig:
@@ -50,6 +50,21 @@ class TestConfig:
         with pytest.raises(TypeError, match="got bool"):
             load_config(None, [pair])
         assert load_config(None, ["sim.adapt=false"])["sim"]["adapt"] is False
+
+    @pytest.mark.parametrize("pair, message", [
+        ("study.dt_list=[true,0.01]", "expected float, got bool"),
+        ("study.n_list=[64.5,128]", "expected int, got float"),
+        ("study.n_list=[64,[128]]", "expected int, got list"),
+        ("study.eps_list=[null,0.5]", "null list item"),
+    ])
+    def test_override_list_items_type_checked(self, pair, message):
+        with pytest.raises(TypeError, match=message):
+            load_config(None, [pair])
+
+    def test_override_list_takes_int_for_float(self):
+        cfg = load_config(None, ["study.eps_list=[1,0.5]"])
+        assert cfg["study"]["eps_list"] == [1.0, 0.5]
+        assert all(type(eps) is float for eps in cfg["study"]["eps_list"])
 
     def test_noise_families(self):
         for fam, typ in (("zero", ZeroNoise), ("general", GeneralH),
@@ -97,6 +112,26 @@ class TestExitCodes:
     def test_paths_below_minimum_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 3
         assert "paths must be >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["girsanov", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.05",
+         "--set", "study.dt_list=[true,0.01]"],
+        ["instability", "--paths", "0", "--set", "sim.horizon=0.01",
+         "--set", "study.n_list=[64.5,128]"],
+    ], ids=["girsanov-bool-dt", "instability-float-n"])
+    def test_list_item_of_wrong_type_is_a_usage_error(self, argv, monkeypatch, capsys):
+        # rejected with the config, before any study work
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study work started")
+        monkeypatch.setattr(girsanov, "girsanov_residual", forbidden)
+        monkeypatch.setattr(instability, "error_functional_ensemble", forbidden)
+        assert main(argv) == 3
+        assert "error: override study." in capsys.readouterr().err
+
+    def test_non_finite_step_count_is_a_usage_error(self, capsys):
+        assert main(["simulate", "--paths", "1", "--set", "sim.horizon=1e308",
+                     "--set", "sim.dt=1e-10"]) == 3
+        assert "horizon / dt must be finite" in capsys.readouterr().err
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 3
@@ -216,6 +251,22 @@ class TestExitCodes:
         assert "status=completed" in capsys.readouterr().out
         lines = out.read_text().strip().split("\n")
         assert json.loads(lines[0])["kind"] == "header"
+
+    def test_simulate_single_path_is_path_0(self, tmp_path):
+        # one path is path 0 of the ensemble, which runs on its own path seed
+        single, ens = tmp_path / "single.jsonl", tmp_path / "ens.jsonl"
+        argv = ["simulate", "--seed", "7", "--set", "sim.horizon=0.01",
+                "--set", "grid.n_modes=64", "--set", "noise.family=linear",
+                "--set", "study.amplitude=0.1", "--set", "sim.record_every=2"]
+        assert main(argv + ["--paths", "1", "--out", str(single)]) == 0
+        assert main(argv + ["--paths", "2", "--out", str(ens)]) == 0
+        head, *rows = [json.loads(line) for line in single.read_text().splitlines()]
+        path0 = json.loads(ens.read_text().splitlines()[1])
+        assert path0["index"] == 0
+        assert path0["seed"] == path_seed(7, 0) != 7
+        assert (path0["status"], path0["t_stop"]) == (head["status"], head["t_stop"])
+        assert path0["extremes"] == {name: max(row["v"][j + 1] for row in rows)
+                                     for j, name in enumerate(DIAGNOSTIC_NAMES)}
 
     def test_simulate_ensemble_reproducible(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -10,17 +10,26 @@ import pytest
 
 from ccflab import ensemble
 from ccflab.ensemble import (
+    SimTask,
     config_digest,
     convergence_study,
-    path_seed,
     persist,
     rate_fit,
     recompute_summaries,
     run_ensemble,
+    run_paths,
     wilson_ci,
 )
 from ccflab.integrate import SimConfig, power_law_field
-from ccflab.noise import ConstantFn, ExpDecayFn, GeneralH, LinearB, WienerSpec
+from ccflab.noise import (
+    ConstantFn,
+    ExpDecayFn,
+    GeneralH,
+    LinearB,
+    WienerSpec,
+    path_seed,
+    stream,
+)
 from ccflab.spectral import Field, SpectralGrid
 
 GRID = SpectralGrid(n_modes=64)
@@ -40,10 +49,30 @@ def small_u0():
 
 
 class TestSeeding:
-    def test_xor_seeds(self):
-        assert path_seed(0, 5) == 5
-        assert path_seed(12, 0) == 12
-        assert path_seed(2**63, 1) == 2**63 + 1
+    def test_path_seeds_injective(self):
+        # no two (study seed, path) pairs share a seed, and no path runs on a
+        # study seed
+        seeds = {path_seed(s, i) for s in range(64) for i in range(64)}
+        assert len(seeds) == 64 * 64
+        assert seeds.isdisjoint(range(64))
+        assert all(0 <= s < 2**64 for s in seeds | {path_seed(2**63, 1)})
+
+    def test_study_streams_differ_from_path_0(self):
+        # data and Monte Carlo streams of a study seed are not the increment
+        # stream of its path 0, which is stream (0,) of that path's seed
+        cfg = small_cfg()
+        (rec,) = run_paths(SimTask(cfg, small_u0()), cfg.seed, 1)
+        dw = rec.wiener_increments[:, 0]
+        scale = np.sqrt(cfg.dt)
+        assert np.array_equal(
+            dw, scale * stream(path_seed(cfg.seed, 0), 0).standard_normal(dw.size))
+        for key in ((), (1,), (2, 0), (2, 1)):
+            assert not np.allclose(dw, scale * stream(cfg.seed, *key).standard_normal(dw.size))
+
+    def test_data_stream_is_the_bare_seed(self):
+        # initial fields and identity samples stay what they were
+        assert np.array_equal(stream(5).standard_normal(8),
+                              np.random.default_rng(5).standard_normal(8))
 
     def test_worker_count_invariance(self):
         cfg, u0 = small_cfg(), small_u0()

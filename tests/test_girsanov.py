@@ -20,9 +20,8 @@ from ccflab.girsanov import (
     riccati_check,
     run_random_pde,
 )
-from ccflab.ensemble import path_seed
 from ccflab.integrate import SimConfig, blowup_bump, simulate_path
-from ccflab.noise import ExpDecayFn, LinearB, ZeroNoise
+from ccflab.noise import ExpDecayFn, LinearB, ZeroNoise, path_seed
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -209,6 +208,15 @@ class TestFirstPassage:
         # sigma^2 = 1/2, ln(0.5)/sigma = -0.980258; 1 - 2 Phi = 0.6730413
         assert first_passage_oracle(1.0, 1.0, 0.5) == pytest.approx(0.6730413, abs=5e-6)
 
+    def test_oracle_even_in_b0(self):
+        # the law of int b dW depends on b only through b^2
+        want = first_passage_oracle(0.5, 1.0, 0.5)
+        assert first_passage_oracle(-0.5, 1.0, 0.5) == want > 0.9
+        for b0 in (0.5, -0.5):
+            out = blowup_probability_bound(ExpDecayFn(b0, 1.0), 0.5, 64,
+                                           np.random.default_rng(0), monitor_points=64)
+            assert out["oracle"] == want
+
     def test_oracle_k_to_zero(self):
         assert first_passage_oracle(1.0, 1.0, 1e-12) > 0.999999
 
@@ -298,9 +306,9 @@ class TestBlowupEnsemble:
         grid = SpectralGrid(n_modes=64)
         u0 = blowup_bump(grid, 1.0, width=1.0)
         # a threshold just above the initial quantity: of the two paths at
-        # seed 4, one is flagged at t = 0.004 and one completes
+        # seed 1, path 0 completes and path 1 is flagged at t = 0.002
         _, q_ux, q_hux = sup_norms(u0)
-        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.05, seed=4,
+        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.05, seed=1,
                         blowup_threshold=1.01 * (q_ux + q_hux), blowup_doublings=0,
                         noise=self.NOISE)
         res1 = blowup_ensemble(cfg, 0.5, u0, num_paths=2, mc_paths=100, workers=1)
@@ -312,4 +320,4 @@ class TestBlowupEnsemble:
         assert res1.n_blewup == statuses.count("blewup")
         assert res1.n_unresolved == statuses.count("diverged")
         assert res1.fraction == statuses.count("blewup") / 2
-        assert statuses == ["blewup", "completed"]
+        assert statuses == ["completed", "blewup"]

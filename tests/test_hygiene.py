@@ -1,8 +1,9 @@
 """Source hygiene: every name a ``ccflab`` module imports, with ``import ...``
 or ``from ... import``, is used in that module or re-exported through its
 ``__all__``; every ``__all__`` entry of a module other than the package's
-``__init__`` is defined in that module, so each public name has one home; and
-every ``ccflab`` name the benchmark wraps by name still exists."""
+``__init__`` is defined in that module, so each public name has one home;
+every ``ccflab`` name the benchmark wraps by name still exists; and the only
+random generator is built by ``noise.stream``."""
 
 import ast
 import importlib
@@ -79,6 +80,31 @@ def test_detects_foreign_export():
 @pytest.mark.parametrize("path", HOME_MODULES, ids=[p.name for p in HOME_MODULES])
 def test_exports_defined_here(path):
     assert foreign_exports(path.read_text()) == []
+
+
+def generator_sites(source: str) -> list[str]:
+    """Sorted names of the top-level functions that call ``default_rng``, one
+    entry per call (``<module>`` for a call outside any function)."""
+    tree = ast.parse(source)
+    owner = {}
+    for top in tree.body:
+        for node in ast.walk(top):
+            owner[node] = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+    return sorted(owner[node] for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "default_rng" in {
+                      getattr(node.func, "attr", None), getattr(node.func, "id", None)})
+
+
+def test_detects_generator_sites():
+    assert generator_sites("import numpy as np\ndef f(s):\n"
+                           "    return np.random.default_rng(s)\n"
+                           "g = default_rng(0)\n") == ["<module>", "f"]
+
+
+def test_one_generator_site():
+    # every random stream is a keyed child of SeedSequence(seed): one rule
+    sites = {path.name: generator_sites(path.read_text()) for path in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {"noise.py": ["stream"]}
 
 
 def test_bench_names_resolve():

@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from ccflab import integrate
 from ccflab.integrate import (
     SimConfig,
     blowup_bump,
@@ -68,6 +69,12 @@ class TestSimConfig:
     @pytest.mark.parametrize("radius", [None, np.inf, 2.0])
     def test_accepts_cutoff_radius(self, radius):
         assert zero_cfg(cutoff_radius=radius).cutoff_radius == radius
+
+    @pytest.mark.parametrize("horizon, dt", [(1e308, 1e-10), (np.inf, 1e-3),
+                                             (1.0, np.nan)])
+    def test_rejects_non_finite_step_count(self, horizon, dt):
+        with pytest.raises(ValueError, match="horizon / dt must be finite"):
+            zero_cfg(horizon=horizon, dt=dt)
 
 
 class TestRk4:
@@ -194,6 +201,24 @@ class TestSimulatePath:
             assert np.array_equal(r1.diagnostics[k], r2.diagnostics[k])
         assert np.array_equal(r1.wiener_increments, r2.wiener_increments)
 
+    def test_increments_independent_of_halving(self, monkeypatch):
+        # bridge points have their own stream: halving leaves the recorded
+        # macro increments as they are
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return em_step(*args, **kwargs)
+
+        monkeypatch.setattr(integrate, "em_step", counted)
+        noise = LinearB(b_fn=ExpDecayFn(0.5, 1.0), b_star=1.05 * 0.25)
+        u0 = blowup_bump(GRID, 10.0)
+        on = simulate_path(zero_cfg(horizon=0.1, noise=noise, seed=5), u0)
+        assert len(calls) > 100    # some of the 100 macro steps were halved
+        off = simulate_path(zero_cfg(horizon=0.1, noise=noise, seed=5, adapt=False), u0)
+        assert on.status == off.status == "completed"
+        assert np.array_equal(on.wiener_increments, off.wiener_increments)
+
     def test_cutoff_inert_when_huge(self):
         rng = np.random.default_rng(6)
         u0 = random_band_limited(GRID, 20, rng, rms=0.2)
@@ -242,9 +267,9 @@ class TestSimulatePath:
         rec = simulate_path(cfg, u0)
         assert rec.status == "completed"
         assert rec.wiener_increments.shape == (20, 4)
-        assert rec.diagnostics["h_s"][-1] == pytest.approx(121.52130646992151, rel=1e-12)
-        assert rec.diagnostics["sup_ux"][-1] == pytest.approx(3.733239827661896, rel=1e-12)
-        assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.93661865702782, rel=1e-12)
+        assert rec.diagnostics["h_s"][-1] == pytest.approx(91.45487669434817, rel=1e-12)
+        assert rec.diagnostics["sup_ux"][-1] == pytest.approx(2.861368203327438, rel=1e-12)
+        assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.3697684248322983, rel=1e-12)
 
 
 def low_datum(n: int, n_modes: int) -> Field:
