@@ -35,17 +35,7 @@ import numpy as np
 
 from . import diagnostics, ensemble, girsanov, instability
 from .integrate import SimConfig, blowup_bump, power_law_field
-from .noise import (
-    ConstantFn,
-    ExpDecayFn,
-    GeneralH,
-    InstabilityH,
-    LinearB,
-    StrongAlpha,
-    WienerSpec,
-    ZeroNoise,
-    stream,
-)
+from .noise import GeneralH, InstabilityH, LinearB, StrongAlpha, ZeroNoise, stream
 from .spectral import (
     SpectralGrid,
     cotlar_residual,
@@ -98,11 +88,11 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
             raise ValueError(f"override must look like key.path=value: {pair!r}")
         key, raw = pair.split("=", 1)
         parts = key.split(".")
-        node = cfg
+        node, default = cfg, DEFAULTS
         for part in parts[:-1]:
             if part not in node or not isinstance(node[part], dict):
                 raise KeyError(f"unknown config path: {key}")
-            node = node[part]
+            node, default = node[part], default[part]
         leaf = parts[-1]
         if leaf not in node:
             raise KeyError(f"unknown config key: {key}")
@@ -110,25 +100,30 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node[leaf] = _typed(key, node[leaf], value)
+        node[leaf] = _typed(key, default[leaf], value)
     return cfg
 
 
 def _typed(key: str, old, value):
     """``value`` checked against the type of the default ``old``: an int is
-    taken for a float (and converted), and a list is checked item by item
-    against the type of its default's items."""
+    taken for a float (and converted), ``null`` only where the default is
+    ``null``, and a list is checked item by item against the type of its
+    default's items."""
     if isinstance(old, list) and old and isinstance(value, list):
         if None in value:
             raise TypeError(f"override {key}: null list item")
         return [_typed(key, old[0], v) for v in value]
+    if value is None:
+        if old is not None:
+            raise TypeError(f"override {key}: expected {type(old).__name__}, got null")
+        return None
     # bool is an int subclass: only a bool default takes a bool
     if (isinstance(value, bool) and not isinstance(old, bool)) or (
-            old is not None and value is not None and not isinstance(value, type(old))
+            old is not None and not isinstance(value, type(old))
             and not (isinstance(old, float) and isinstance(value, int))):
         raise TypeError(f"override {key}: expected {type(old).__name__}, "
                         f"got {type(value).__name__}")
-    return float(value) if isinstance(old, float) and value is not None else value
+    return float(value) if isinstance(old, float) else value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
@@ -152,17 +147,17 @@ def build_noise(cfg: dict, family: str | None = None):
     if family == "zero":
         return ZeroNoise()
     if family == "general":
-        return GeneralH(q_fn=ConstantFn(n["q"]), exponent_k=int(n["k_exp"]),
-                        exponent_n=int(n["n_exp"]),
-                        wiener=WienerSpec(int(n["n_components"]), n["component_decay"]))
+        return GeneralH(q=n["q"], exponent_k=int(n["k_exp"]), exponent_n=int(n["n_exp"]),
+                        n_components=int(n["n_components"]),
+                        component_decay=n["component_decay"])
     if family == "strong":
-        return StrongAlpha(q_fn=ConstantFn(n["q"]), theta=n["theta"])
+        return StrongAlpha(q=n["q"], theta=n["theta"])
     if family == "linear":
         b_star = n["b_star"] if n["b_star"] is not None else 1.05 * n["b0"] ** 2
-        return LinearB(b_fn=ExpDecayFn(n["b0"], n["lam"]), b_star=b_star)
+        return LinearB(b0=n["b0"], lam=n["lam"], b_star=b_star)
     if family == "instability":
-        return InstabilityH(q_fn=ConstantFn(n["q"]), exponent_k=int(n["k_exp"]),
-                            exponent_n=int(n["n_exp"]), sigma0=n["sigma0"])
+        return InstabilityH(q=n["q"], exponent_k=int(n["k_exp"]), exponent_n=int(n["n_exp"]),
+                            sigma0=n["sigma0"])
     raise ValueError(f"unknown noise family {family!r}")
 
 
@@ -268,7 +263,7 @@ def cmd_blowup(cfg: dict, args) -> int:
     study = cfg["study"]
     grid = build_grid(cfg)
     noise = build_noise(cfg, "linear")
-    b_fn, k_thr = noise.b_fn, study["threshold_k"]
+    k_thr = study["threshold_k"]
     u0 = blowup_bump(grid, study["f0"], width=study["width"])
     sim = build_sim(cfg, grid=grid, noise=noise)
     n_paths = study_paths(cfg, args, 0)   # 0: Monte Carlo bound only
@@ -282,7 +277,7 @@ def cmd_blowup(cfg: dict, args) -> int:
     write_csv(args.report,
               ["b0", "lambda", "K", "bound_mc", "bound_oracle", "spde_fraction",
                "ci_lo", "ci_hi"],
-              [[b_fn.amplitude, b_fn.rate, k_thr, b["estimate"], b["oracle"],
+              [[noise.b0, noise.lam, k_thr, b["estimate"], b["oracle"],
                 res.fraction, b["ci_lo"], b["ci_hi"]]])
     return 0 if res.passed else 2
 
@@ -315,7 +310,7 @@ def cmd_global(cfg: dict, args) -> int:
           f"lyapunov slope {slope:.4f} vs K1={k1:.4f} ({'pass' if growth_ok else 'FAIL'})")
     write_csv(args.report, ["theta", "q", "paths", "blowups", "completed", "diverged",
                             "k1", "slope", "growth_ok"],
-              [[model.theta, cfg["noise"]["q"], n_paths, n_blew, n_done, n_div, k1, slope,
+              [[model.theta, model.q, n_paths, n_blew, n_done, n_div, k1, slope,
                 growth_ok]])
     return 0 if (n_blew == 0 and growth_ok) else 2
 
@@ -355,15 +350,16 @@ def cmd_girsanov(cfg: dict, args) -> int:
 def cmd_instability(cfg: dict, args) -> int:
     study = cfg["study"]
     noise = build_noise(cfg, "instability")
-    horizon, dt = cfg["sim"]["horizon"], cfg["sim"]["dt"]
+    # the SimConfig checks on horizon and dt, before any work
+    sim = build_sim(cfg, noise=noise)
+    horizon, dt, seed = sim.horizon, sim.dt, sim.seed
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
-    seed = int(cfg["sim"]["seed"])
     # one parameter set, re-used at every carrier n (the decay exponents and
     # the separation experiment do not depend on n or m)
     sep_p = instability.InstabilityParams(m=int(study["m"]),
                                           n=int(study["separation_n"]),
-                                          delta=study["delta"], s=cfg["sim"]["s"],
-                                          sigma0=cfg["noise"]["sigma0"])
+                                          delta=study["delta"], s=sim.s,
+                                          sigma0=noise.sigma0)
     rows = []
     points = []
     for n in study["n_list"]:

@@ -17,14 +17,14 @@ the Monte Carlo runs on that interval and takes no horizon.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr
 
 from .ensemble import SimTask, run_paths, wilson_ci
 from .integrate import SimConfig, drift, rk4, simulate_path
-from .noise import ExpDecayFn, LinearB, ZeroNoise, path_seed, stream
+from .noise import LinearB, ZeroNoise, exp_decay, path_seed, stream
 from .spectral import (
     Field,
     argmax_refined,
@@ -49,17 +49,17 @@ __all__ = [
 ]
 
 
-def beta_path(b_fn, increments: np.ndarray, dt: float) -> np.ndarray:
-    """Exponential martingale on the step grid.
+def beta_path(b0: float, lam: float, increments: np.ndarray, dt: float) -> np.ndarray:
+    """Exponential martingale of ``b = b0 exp(-lam t)`` on the step grid.
 
     Left-point Ito sum for ``int b dW`` and trapezoid for ``int b^2/2``;
     ``beta[0] = 1`` and ``beta[i]`` is the value at ``t_i = i dt``.
     """
     n = increments.shape[0]
     ts = np.arange(n) * dt
-    b = np.asarray([b_fn(t) for t in ts])
+    b = np.asarray([exp_decay(b0, lam, t) for t in ts])
     ito = np.concatenate([[0.0], np.cumsum(b * increments[:, 0])])
-    b2 = np.asarray([b_fn(t) ** 2 for t in np.arange(n + 1) * dt])
+    b2 = np.asarray([exp_decay(b0, lam, t) ** 2 for t in np.arange(n + 1) * dt])
     quad = np.concatenate([[0.0], np.cumsum(0.5 * (b2[:-1] + b2[1:]) * dt / 2.0)])
     return np.exp(ito - quad)
 
@@ -169,7 +169,7 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     rec = simulate_path(base, u0)
     if rec.status != "completed":
         return float("nan"), rec.status
-    beta = beta_path(cfg.noise.b_fn, rec.wiener_increments, cfg.dt)
+    beta = beta_path(cfg.noise.b0, cfg.noise.lam, rec.wiener_increments, cfg.dt)
     _, fields_v, _ = run_random_pde(replace(base, noise=ZeroNoise()), u0, beta)
     worst = 0.0
     for (tu, u), v in zip(rec.snapshots, fields_v):
@@ -259,11 +259,11 @@ def first_passage_oracle(b0: float, lam: float, K: float) -> float:
     """Closed form for ``P{ int_0^t b dW > ln K for all t }`` with
     ``b = b0 exp(-lam t)``: time-change to Brownian motion run to the total
     variance ``sigma^2 = b0^2/(2 lam)`` and apply the reflection principle,
-    ``1 - 2 Phi(ln K / sigma)``."""
+    ``1 - 2 Phi(ln K / sigma) = -erf(ln K / (sigma sqrt 2))``."""
     if lam <= 0.0:
         raise ValueError("decay rate must be positive for a square-integrable b")
-    sigma = abs(b0) / np.sqrt(2.0 * lam)
-    return float(1.0 - 2.0 * ndtr(np.log(K) / sigma))
+    sigma = abs(b0) / math.sqrt(2.0 * lam)
+    return -math.erf(math.log(K) / (sigma * math.sqrt(2.0)))
 
 
 def _check_threshold(threshold_k: float):
@@ -271,7 +271,7 @@ def _check_threshold(threshold_k: float):
         raise ValueError("threshold K must lie in (0, 1)")
 
 
-def blowup_probability_bound(b_fn: ExpDecayFn, threshold_k: float, num_paths: int,
+def blowup_probability_bound(b0: float, lam: float, threshold_k: float, num_paths: int,
                              rng: np.random.Generator,
                              monitor_points: int = 16384,
                              block: int = 64) -> dict:
@@ -297,12 +297,12 @@ def blowup_probability_bound(b_fn: ExpDecayFn, threshold_k: float, num_paths: in
         raise ValueError(f"num_paths, monitor_points and block must be >= 1, got "
                          f"{num_paths}, {monitor_points}, {block}")
     _check_threshold(threshold_k)
-    if b_fn.amplitude == 0.0:
+    if b0 == 0.0:
         # b identically zero: the integral is 0 > ln K surely
         return {"estimate": 1.0, "ci_lo": 1.0, "ci_hi": 1.0, "corrected": 1.0,
                 "oracle": 1.0, "num_paths": num_paths, "monitor_points": 0}
-    oracle = first_passage_oracle(b_fn.amplitude, b_fn.rate, threshold_k)
-    d_tau = b_fn.amplitude**2 / (2.0 * b_fn.rate) / monitor_points
+    oracle = first_passage_oracle(b0, lam, threshold_k)
+    d_tau = b0**2 / (2.0 * lam) / monitor_points
     a = float(np.log(threshold_k))   # < 0
 
     rows = min(block, num_paths)
@@ -378,7 +378,7 @@ def blowup_ensemble(cfg: SimConfig, threshold_k: float, u0: Field,
         raise ValueError(f"initial datum violates the blow-up condition: "
                          f"Lam u0(x0) = {lam0:.4g} <= b*/K = "
                          f"{noise.b_star / threshold_k:.4g}")
-    bound = blowup_probability_bound(noise.b_fn, threshold_k, mc_paths,
+    bound = blowup_probability_bound(noise.b0, noise.lam, threshold_k, mc_paths,
                                      stream(cfg.seed, 1))
 
     records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers=workers)

@@ -263,7 +263,7 @@ def _mod_power(mf: ModulatedField, k: int) -> ModulatedField:
 
 def eval_noise_mod(model: InstabilityH, t: float, u: ModulatedField) -> ModulatedField:
     """Weak-noise coefficient evaluated in the carrier representation."""
-    factor = model.q_fn(t) * instability_factor(modulated_norm(u, model.sigma0))
+    factor = model.q * instability_factor(modulated_norm(u, model.sigma0))
     if factor == 0.0:
         return ModulatedField.zeros(u.basis)
     ux = mod_derivative(u)

@@ -21,7 +21,7 @@ random numbers: as easy as 1, 2, 3", SC'11).  The keys are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -36,14 +36,12 @@ from .spectral import (
 )
 
 __all__ = [
-    "ConstantFn",
-    "ExpDecayFn",
-    "WienerSpec",
     "ZeroNoise",
     "GeneralH",
     "StrongAlpha",
     "LinearB",
     "InstabilityH",
+    "exp_decay",
     "helmholtz_inverse_dx",
     "transport_gradient_powers",
     "stream",
@@ -51,57 +49,6 @@ __all__ = [
     "sample_wiener_increments",
     "hilbert_schmidt_norm",
 ]
-
-
-# -- picklable scalar time functions ------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantFn:
-    """Constant scalar function of time."""
-
-    value: float = 1.0
-
-    def __call__(self, t: float) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class ExpDecayFn:
-    """``amplitude * exp(-rate * t)``."""
-
-    amplitude: float = 1.0
-    rate: float = 1.0
-
-    def __call__(self, t: float) -> float:
-        return self.amplitude * np.exp(-self.rate * t)
-
-
-# -- Wiener truncation ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WienerSpec:
-    """Truncation of the cylindrical Wiener process to K scalar drivers.
-
-    ``component_decay`` is the exponent a in the weights ``c_j = j^{-a}``;
-    any a >= 0 keeps the squared weights summable for the truncated sum, and
-    the default a=2 gives a comfortably small tail.
-    """
-
-    n_components: int = 8
-    component_decay: float = 2.0
-
-    def __post_init__(self):
-        if self.n_components < 1:
-            raise ValueError("need at least one Wiener component")
-        if self.component_decay < 0.0:
-            raise ValueError("component_decay must be nonnegative")
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        j = np.arange(1, self.n_components + 1, dtype=np.float64)
-        return j ** (-self.component_decay)
 
 
 def stream(seed: int, *key: int) -> np.random.Generator:
@@ -152,6 +99,11 @@ def hilbert_schmidt_norm(components: list[Field], s: float) -> float:
     return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in components)))
 
 
+def exp_decay(b0: float, lam: float, t: float) -> float:
+    """The linear-noise coefficient ``b(t) = b0 exp(-lam t)``."""
+    return b0 * np.exp(-lam * t)
+
+
 def instability_factor(norm_sigma0: float) -> float:
     """``exp(-1/r)`` continuously extended by 0 at r = 0."""
     if norm_sigma0 <= 0.0:
@@ -174,41 +126,50 @@ class ZeroNoise:
 
 @dataclass(frozen=True)
 class GeneralH:
-    """Cylindrical family ``c_j q(t) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``."""
+    """Cylindrical family ``c_j q (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``,
+    driven by ``n_components`` Brownian motions with weights
+    ``c_j = j^{-component_decay}``."""
 
-    q_fn: ConstantFn = field(default_factory=ConstantFn)
+    q: float = 1.0
     exponent_k: int = 1
     exponent_n: int = 1
-    wiener: WienerSpec = field(default_factory=WienerSpec)
+    n_components: int = 8
+    component_decay: float = 2.0
 
     def __post_init__(self):
         if self.exponent_k < 1 or self.exponent_n < 1:
             raise ValueError("exponents must be >= 1")
+        if self.n_components < 1:
+            raise ValueError("need at least one Wiener component")
+        if self.component_decay < 0.0:
+            raise ValueError("component_decay must be nonnegative")
 
     @property
-    def n_components(self) -> int:
-        return self.wiener.n_components
+    def weights(self) -> np.ndarray:
+        """``c_j``, j = 1..K; the default decay 2 gives a comfortably small tail."""
+        j = np.arange(1, self.n_components + 1, dtype=np.float64)
+        return j ** (-self.component_decay)
 
     def components(self, t: float, u: Field) -> list[Field]:
-        """``c_j q(t) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``, j = 1..K."""
+        """``c_j q (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``, j = 1..K."""
         base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,
                                                               self.exponent_n))
-        base = self.q_fn(t) * base
-        return [c * base for c in self.wiener.coefficients]
+        base = self.q * base
+        return [c * base for c in self.weights]
 
 
 @dataclass(frozen=True)
 class StrongAlpha:
-    """Fast-growing 1-D noise ``q(t)(1 + |u_x|_inf + |H u_x|_inf)^theta u``."""
+    """Fast-growing 1-D noise ``q (1 + |u_x|_inf + |H u_x|_inf)^theta u``."""
 
-    q_fn: ConstantFn = field(default_factory=ConstantFn)
+    q: float = 1.0
     theta: float = 1.0
     n_components: ClassVar[int] = 1
 
     def components(self, t: float, u: Field) -> list[Field]:
-        """``[q(t) (1 + |u_x|_inf + |H u_x|_inf)^theta u]``."""
+        """``[q (1 + |u_x|_inf + |H u_x|_inf)^theta u]``."""
         sup_ux, sup_hux, _ = gradient_sups(u)
-        scale = self.q_fn(t) * (1.0 + sup_ux + sup_hux) ** self.theta
+        scale = self.q * (1.0 + sup_ux + sup_hux) ** self.theta
         return [scale * u]
 
     def validate(self, q_hat: float | None = None):
@@ -219,9 +180,9 @@ class StrongAlpha:
         branch needs an empirical estimate ``q_hat`` of Q and is a heuristic
         check, not a proof.  ``q`` is constant, so its infimum is its value.
         """
-        q2 = self.q_fn.value ** 2
+        q2 = self.q ** 2
         if not q2 > 0.0:
-            raise ValueError("q(t)^2 must be bounded away from zero")
+            raise ValueError("q^2 must be bounded away from zero")
         if self.theta > 0.5:
             return self
         if self.theta == 0.5:
@@ -237,9 +198,11 @@ class StrongAlpha:
 
 @dataclass(frozen=True)
 class LinearB:
-    """Linear noise ``b(t) u`` with ``b^2`` bounded by ``b_star``."""
+    """Linear noise ``b(t) u`` with ``b(t) = b0 exp(-lam t)`` and ``b^2``
+    bounded by ``b_star``."""
 
-    b_fn: ExpDecayFn = field(default_factory=ExpDecayFn)
+    b0: float = 1.0
+    lam: float = 1.0
     b_star: float = 1.0
     n_components: ClassVar[int] = 1
 
@@ -249,16 +212,15 @@ class LinearB:
 
     def components(self, t: float, u: Field) -> list[Field]:
         """``[b(t) u]``."""
-        return [self.b_fn(t) * u]
+        return [exp_decay(self.b0, self.lam, t) * u]
 
     def validate(self):
         """Check ``0 <= b(t)`` and ``b(t)^2 < b_star`` for all ``t >= 0``: with
         ``b = b0 exp(-lam t)`` the sup of ``b^2`` is ``b0^2`` for ``lam >= 0``
         and unbounded for ``lam < 0``, ``b0 > 0``."""
-        b0, lam = self.b_fn.amplitude, self.b_fn.rate
-        if b0 < 0.0:
+        if self.b0 < 0.0:
             raise ValueError("b(t) must be nonnegative")
-        if b0**2 >= self.b_star or (lam < 0.0 and b0 > 0.0):
+        if self.b0**2 >= self.b_star or (self.lam < 0.0 and self.b0 > 0.0):
             raise ValueError("b(t)^2 must stay below b_star for all t >= 0")
         return self
 
@@ -267,7 +229,7 @@ class LinearB:
 class InstabilityH:
     """Weak 1-D noise with the vanishing factor ``exp(-1/|u|_{H^sigma0})``."""
 
-    q_fn: ConstantFn = field(default_factory=ConstantFn)
+    q: float = 1.0
     exponent_k: int = 1
     exponent_n: int = 1
     sigma0: float = 1.6
@@ -280,8 +242,8 @@ class InstabilityH:
             raise ValueError("exponents must be >= 1")
 
     def components(self, t: float, u: Field) -> list[Field]:
-        """``[q(t) exp(-1/|u|_{H^sigma0}) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]]``."""
-        factor = self.q_fn(t) * instability_factor(sobolev_norm(u, self.sigma0))
+        """``[q exp(-1/|u|_{H^sigma0}) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]]``."""
+        factor = self.q * instability_factor(sobolev_norm(u, self.sigma0))
         if factor == 0.0:
             return [Field.zeros(u.grid)]
         base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,

@@ -51,6 +51,15 @@ class TestConfig:
             load_config(None, [pair])
         assert load_config(None, ["sim.adapt=false"])["sim"]["adapt"] is False
 
+    @pytest.mark.parametrize("pair", ["sim.dt=null", "study.delta=null",
+                                      "study.paths=null", "noise.family=null"])
+    def test_override_null_needs_null_default(self, pair):
+        key = pair.split("=")[0]
+        with pytest.raises(TypeError, match=rf"override {key}: expected \w+, got null"):
+            load_config(None, [pair])
+        cfg = load_config(None, ["sim.cutoff_radius=2.0", "sim.cutoff_radius=null"])
+        assert cfg["sim"]["cutoff_radius"] is None
+
     @pytest.mark.parametrize("pair, message", [
         ("study.dt_list=[true,0.01]", "expected float, got bool"),
         ("study.n_list=[64.5,128]", "expected int, got float"),
@@ -127,6 +136,25 @@ class TestExitCodes:
         monkeypatch.setattr(instability, "error_functional_ensemble", forbidden)
         assert main(argv) == 3
         assert "error: override study." in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--paths", "1", "--set", "sim.dt=null"], "override sim.dt"),
+        (["instability", "--set", "study.delta=null"], "override study.delta"),
+        (["instability", "--set", "sim.dt=0"], "dt and horizon must be positive"),
+        (["instability", "--set", "sim.dt=-0.002"], "dt and horizon must be positive"),
+        (["instability", "--set", "sim.horizon=1e308", "--set", "sim.dt=1e-10"],
+         "horizon / dt must be finite"),
+    ], ids=["simulate-null-dt", "instability-null-delta", "instability-zero-dt",
+            "instability-negative-dt", "instability-overflow"])
+    def test_bad_step_or_null_is_a_usage_error(self, argv, message, monkeypatch, capsys):
+        # rejected with the config, before any study work
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study work started")
+        for name in ("error_functional_ensemble", "separation_experiment"):
+            monkeypatch.setattr(instability, name, forbidden)
+        monkeypatch.setattr(ensemble, "run_paths", forbidden)
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
 
     def test_non_finite_step_count_is_a_usage_error(self, capsys):
         assert main(["simulate", "--paths", "1", "--set", "sim.horizon=1e308",

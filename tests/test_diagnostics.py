@@ -16,7 +16,7 @@ from ccflab.diagnostics import (
     transport_pairing,
 )
 from ccflab.integrate import SimConfig, simulate_path
-from ccflab.noise import ConstantFn, StrongAlpha, ZeroNoise
+from ccflab.noise import StrongAlpha, ZeroNoise
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -115,13 +115,13 @@ class TestDriftCondition:
         return LyapunovSpec(k1=k1, k2=k2, q_hat=0.5, s=3.1)
 
     def test_zero_field_gives_minus_k1(self):
-        model = StrongAlpha(q_fn=ConstantFn(1.0), theta=1.0)
+        model = StrongAlpha(q=1.0, theta=1.0)
         r = lyapunov_drift_residual(Field.zeros(GRID), 0.0, model, self.spec(k1=2.5))
         assert r == pytest.approx(-2.5, abs=1e-12)
 
     def test_negative_for_large_gradient_states(self):
         # theta = 1, q = 1: the noise quadratic dominates once bq is large
-        model = StrongAlpha(q_fn=ConstantFn(1.0), theta=1.0)
+        model = StrongAlpha(q=1.0, theta=1.0)
         spec = self.spec(k1=3.0, k2=0.5)
         rng = np.random.default_rng(8)
         for _ in range(25):
@@ -130,7 +130,7 @@ class TestDriftCondition:
             assert lyapunov_drift_residual(u, 0.0, model, spec) <= 0.0
 
     def test_monotone_in_k2(self):
-        model = StrongAlpha(q_fn=ConstantFn(1.0), theta=1.0)
+        model = StrongAlpha(q=1.0, theta=1.0)
         rng = np.random.default_rng(9)
         u = random_band_limited(GRID, 40, rng, rms=2.0)
         r_small = lyapunov_drift_residual(u, 0.0, model, self.spec(k2=0.1))
@@ -138,7 +138,7 @@ class TestDriftCondition:
         assert r_big > r_small
 
     def test_fitted_k1_certifies_fresh_states(self):
-        model = StrongAlpha(q_fn=ConstantFn(1.0), theta=1.0)
+        model = StrongAlpha(q=1.0, theta=1.0)
         k1 = fit_k1_from_sweep(model, 3.1, q_hat=0.5, k2=0.5,
                                rng=np.random.default_rng(10), samples=300)
         spec = LyapunovSpec(k1=1.2 * k1, k2=0.5, q_hat=0.5, s=3.1)

@@ -21,22 +21,14 @@ from ccflab.ensemble import (
     wilson_ci,
 )
 from ccflab.integrate import SimConfig, power_law_field
-from ccflab.noise import (
-    ConstantFn,
-    ExpDecayFn,
-    GeneralH,
-    LinearB,
-    WienerSpec,
-    path_seed,
-    stream,
-)
+from ccflab.noise import GeneralH, LinearB, StrongAlpha, path_seed, stream
 from ccflab.spectral import Field, SpectralGrid
 
 GRID = SpectralGrid(n_modes=64)
 
 
 def small_cfg(**kw):
-    noise = LinearB(b_fn=ExpDecayFn(0.4, 1.0), b_star=0.2)
+    noise = LinearB(b0=0.4, lam=1.0, b_star=0.2)
     base = dict(grid=GRID, s=3.1, dt=1e-3, horizon=0.02, noise=noise, seed=11,
                 record_every=5)
     base.update(kw)
@@ -100,7 +92,7 @@ class TestResult:
         a = config_digest(small_cfg())
         b = config_digest(small_cfg(seed=12))
         assert a != b
-        c = config_digest(small_cfg(noise=GeneralH(wiener=WienerSpec(n_components=2))))
+        c = config_digest(small_cfg(noise=GeneralH(n_components=2)))
         assert c not in (a, b)
 
     def test_aggregation_idempotent(self):
@@ -113,17 +105,18 @@ class TestDigest:
     def test_frozen_digest(self):
         # any change to the fields of SimConfig or of a noise model moves the
         # digest written into every ensemble header: update this on purpose
-        cfg = small_cfg(noise=GeneralH(wiener=WienerSpec(n_components=2)))
-        assert config_digest(cfg) == "0bff11076616e7c5"
+        cfg = small_cfg(noise=GeneralH(n_components=2))
+        assert config_digest(cfg) == "f07ea60d31eade46"
 
     def test_nested_types_hashed(self):
         # same field values, different nested dataclass type: different digest
         @dataclass(frozen=True)
-        class OtherFn:
-            value: float = 1.0
+        class OtherAlpha:
+            q: float = 1.0
+            theta: float = 1.0
 
-        a = small_cfg(noise=GeneralH(q_fn=ConstantFn(1.0)))
-        b = small_cfg(noise=GeneralH(q_fn=OtherFn(1.0)))
+        a = small_cfg(noise=StrongAlpha(q=1.0, theta=1.0))
+        b = small_cfg(noise=OtherAlpha(q=1.0, theta=1.0))
         assert config_digest(a) != config_digest(b)
 
 
@@ -193,7 +186,7 @@ class TestConvergenceStudy:
     def test_smoke_run_positive_slope(self):
         # tiny smoke version: gaps must grow with eps
         grid = SpectralGrid(n_modes=128)
-        noise = LinearB(b_fn=ExpDecayFn(0.3, 1.0), b_star=0.1)
+        noise = LinearB(b0=0.3, lam=1.0, b_star=0.1)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.1, noise=noise,
                         seed=7, record_every=10, cutoff_radius=50.0)
         out = convergence_study(cfg, [1 / 4, 1 / 8, 1 / 16], num_paths=3)

@@ -21,7 +21,7 @@ from ccflab.girsanov import (
     run_random_pde,
 )
 from ccflab.integrate import SimConfig, blowup_bump, simulate_path
-from ccflab.noise import ExpDecayFn, LinearB, ZeroNoise, path_seed
+from ccflab.noise import LinearB, ZeroNoise, path_seed
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -38,14 +38,14 @@ GRID = SpectralGrid(n_modes=256)
 class TestBetaPath:
     def test_b_zero_is_one(self):
         inc = np.random.default_rng(0).normal(size=(50, 1)) * 0.1
-        beta = beta_path(ExpDecayFn(0.0, 1.0), inc, 0.01)
+        beta = beta_path(0.0, 1.0, inc, 0.01)
         assert np.all(beta == 1.0)
 
     def test_constant_b_closed_form(self):
         b0, dt = 0.7, 1e-3
         rng = np.random.default_rng(1)
         inc = np.sqrt(dt) * rng.standard_normal((200, 1))
-        beta = beta_path(ExpDecayFn(b0, 0.0), inc, dt)
+        beta = beta_path(b0, 0.0, inc, dt)
         w = np.concatenate([[0.0], np.cumsum(inc[:, 0])])
         t = np.arange(201) * dt
         want = np.exp(b0 * w - 0.5 * b0**2 * t)
@@ -58,7 +58,7 @@ class TestBetaPath:
         finals = []
         for _ in range(4000):
             inc = np.sqrt(dt) * rng.standard_normal((n, 1))
-            finals.append(beta_path(ExpDecayFn(b0, lam), inc, dt)[-1])
+            finals.append(beta_path(b0, lam, inc, dt)[-1])
         finals = np.array(finals)
         sem = finals.std(ddof=1) / np.sqrt(len(finals))
         assert abs(finals.mean() - 1.0) < 4.0 * sem
@@ -66,12 +66,12 @@ class TestBetaPath:
     def test_positive(self):
         rng = np.random.default_rng(3)
         inc = np.sqrt(0.01) * rng.standard_normal((500, 1))
-        assert np.all(beta_path(ExpDecayFn(1.0, 0.5), inc, 0.01) > 0.0)
+        assert np.all(beta_path(1.0, 0.5, inc, 0.01) > 0.0)
 
 
 class TestGirsanovResidual:
     def cfg(self, dt=1e-3, b0=0.5, horizon=0.2, n_modes=128):
-        noise = LinearB(b_fn=ExpDecayFn(b0, 1.0), b_star=max(b0**2 * 1.1, 1e-6))
+        noise = LinearB(b0=b0, lam=1.0, b_star=max(b0**2 * 1.1, 1e-6))
         return SimConfig(grid=SpectralGrid(n_modes=n_modes), s=3.1, dt=dt,
                          horizon=horizon, noise=noise, seed=42, record_every=10)
 
@@ -127,7 +127,7 @@ class TestCharacteristicTrack:
         u0 = blowup_bump(grid, 2.0, width=1.0)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, noise=ZeroNoise())
         inc = np.sqrt(cfg.dt) * np.random.default_rng(4).standard_normal((20, 1))
-        beta = beta_path(ExpDecayFn(0.5, 1.0), inc, cfg.dt)
+        beta = beta_path(0.5, 1.0, inc, cfg.dt)
         _, fields, trk = run_random_pde(cfg, u0, beta, track=True)
         assert trk.times.size == 21
         assert trk.positions[-1] == pytest.approx(3.8014613905613364, rel=1e-12)
@@ -213,15 +213,26 @@ class TestFirstPassage:
         want = first_passage_oracle(0.5, 1.0, 0.5)
         assert first_passage_oracle(-0.5, 1.0, 0.5) == want > 0.9
         for b0 in (0.5, -0.5):
-            out = blowup_probability_bound(ExpDecayFn(b0, 1.0), 0.5, 64,
+            out = blowup_probability_bound(b0, 1.0, 0.5, 64,
                                            np.random.default_rng(0), monitor_points=64)
             assert out["oracle"] == want
+
+    @pytest.mark.parametrize("b0, lam, k, want", [
+        (0.5, 1.0, 0.5, 0.9500645237714559),
+        (1.0, 1.0, 0.5, 0.673041289742525),
+        (1.0, 0.5, 0.3, 0.7713999099016969),
+        (2.0, 3.0, 0.9, 0.10267380515301716),
+    ])
+    def test_oracle_matches_normal_cdf_form(self, b0, lam, k, want):
+        # ``want`` recorded from 1 - 2 Phi(ln K / sigma) with a library normal
+        # CDF; the erf form agrees to a few ulps
+        assert abs(first_passage_oracle(b0, lam, k) - want) <= 1e-15
 
     def test_oracle_k_to_zero(self):
         assert first_passage_oracle(1.0, 1.0, 1e-12) > 0.999999
 
     def test_mc_matches_oracle(self):
-        out = blowup_probability_bound(ExpDecayFn(1.0, 1.0), 0.5, 20_000,
+        out = blowup_probability_bound(1.0, 1.0, 0.5, 20_000,
                                        np.random.default_rng(7), monitor_points=4096)
         ci_half = 0.5 * (out["ci_hi"] - out["ci_lo"])
         assert abs(out["estimate"] - out["oracle"]) <= 2.0 * ci_half + 0.01
@@ -230,13 +241,11 @@ class TestFirstPassage:
 
     def test_rejects_constant_b(self):
         with pytest.raises(ValueError):
-            blowup_probability_bound(ExpDecayFn(0.5, 0.0), 0.5, 100,
+            blowup_probability_bound(0.5, 0.0, 0.5, 100,
                                      np.random.default_rng(0))
 
-    B_FN = ExpDecayFn(0.5, 1.0)
-
     def test_block_invariance(self):
-        runs = [blowup_probability_bound(self.B_FN, 0.5, 333, np.random.default_rng(3),
+        runs = [blowup_probability_bound(0.5, 1.0, 0.5, 333, np.random.default_rng(3),
                                          monitor_points=2048, block=block)
                 for block in (1, 7, 64, 333)]
         for out in runs[1:]:
@@ -247,7 +256,7 @@ class TestFirstPassage:
     def test_frozen_values(self):
         # values of the one-array computation that the streamed blocks must keep;
         # the monitoring grid spans the exact variance b0^2/(2 lam) = 0.125
-        out = blowup_probability_bound(self.B_FN, 0.5, 512, np.random.default_rng(0))
+        out = blowup_probability_bound(0.5, 1.0, 0.5, 512, np.random.default_rng(0))
         assert out["estimate"] == 0.94921875
         assert out["ci_lo"] == 0.926634038608981
         assert out["ci_hi"] == 0.9651128190352277
@@ -258,7 +267,7 @@ class TestFirstPassage:
     def test_one_monitor_point_is_the_bridge_formula(self):
         # one increment over the whole variance sigma^2 = b0^2/(2 lam): a path
         # ending at w > ln K survives with 1 - exp(-2 (-ln K)(w - ln K) / sigma^2)
-        out = blowup_probability_bound(self.B_FN, 0.5, 1000, np.random.default_rng(5),
+        out = blowup_probability_bound(0.5, 1.0, 0.5, 1000, np.random.default_rng(5),
                                        monitor_points=1)
         sigma2, a = 0.5**2 / 2.0, np.log(0.5)
         w = np.sqrt(sigma2) * np.random.default_rng(5).standard_normal(1000)
@@ -269,7 +278,7 @@ class TestFirstPassage:
         # a single (512, 16384) float64 block would be 64 MiB per temporary
         tracemalloc.start()
         try:
-            blowup_probability_bound(self.B_FN, 0.5, 512, np.random.default_rng(0))
+            blowup_probability_bound(0.5, 1.0, 0.5, 512, np.random.default_rng(0))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,11 +290,11 @@ class TestFirstPassage:
     def test_rejects_empty_sizes(self, kwargs):
         args = dict(num_paths=10, monitor_points=64, block=4) | kwargs
         with pytest.raises(ValueError, match=">= 1"):
-            blowup_probability_bound(self.B_FN, 0.5, rng=np.random.default_rng(0), **args)
+            blowup_probability_bound(0.5, 1.0, 0.5, rng=np.random.default_rng(0), **args)
 
 
 class TestBlowupEnsemble:
-    NOISE = LinearB(b_fn=ExpDecayFn(0.25, 1.0), b_star=0.0625 * 1.05)
+    NOISE = LinearB(b0=0.25, lam=1.0, b_star=0.0625 * 1.05)
 
     def test_rejects_small_gradient(self):
         grid = SpectralGrid(n_modes=256)

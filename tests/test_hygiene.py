@@ -2,12 +2,16 @@
 or ``from ... import``, is used in that module or re-exported through its
 ``__all__``; every ``__all__`` entry of a module other than the package's
 ``__init__`` is defined in that module, so each public name has one home;
-every ``ccflab`` name the benchmark wraps by name still exists; and the only
-random generator is built by ``noise.stream``."""
+every ``ccflab`` name the benchmark wraps by name still exists; the only
+random generator is built by ``noise.stream``; and importing the CLI loads
+no scipy."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -126,3 +130,17 @@ def test_bench_names_resolve():
     missing += [f"noise.{cls}.components" for cls in instrument.NOISE_CLASSES
                 if "components" not in vars(getattr(noise, cls, object))]
     assert missing == []
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only dependency; scipy would cost about half the import
+    # time of every CLI run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ccflab.__file__).resolve().parents[1])]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, ccflab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"

@@ -20,7 +20,7 @@ from ccflab.integrate import (
     simulate_path,
 )
 from ccflab.instability import InstabilityParams, build_low_initial
-from ccflab.noise import ExpDecayFn, GeneralH, LinearB, WienerSpec, ZeroNoise
+from ccflab.noise import GeneralH, LinearB, ZeroNoise
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -141,7 +141,7 @@ class TestEmStep:
         # geometric Brownian motion; EM tracks the closed form at strong
         # order 1/2.
         b0, lam = 0.8, 1.0
-        noise = LinearB(b_fn=ExpDecayFn(b0, lam), b_star=b0**2 * 1.05)
+        noise = LinearB(b0=b0, lam=lam, b_star=b0**2 * 1.05)
         u0 = Field.from_function(GRID, lambda x: 0.0 * x + 1.0)
         errs = []
         for dt in (1e-3, 1e-3 / 16.0):
@@ -175,7 +175,7 @@ class TestTransformBudget:
         assert fft_calls == ["ifft"]
 
     def test_general_h_em_step(self, fft_calls):
-        cfg = zero_cfg(noise=GeneralH(wiener=WienerSpec(n_components=8)))
+        cfg = zero_cfg(noise=GeneralH(n_components=8))
         em_step(self.U, 0.0, cfg, np.full(8, 1e-3))
         assert len(fft_calls) == 10
 
@@ -191,7 +191,7 @@ class TestSimulatePath:
         assert not np.any(np.signbit(rec.diagnostics["max_lam"]))
 
     def test_bit_identical_reruns(self):
-        noise = LinearB(b_fn=ExpDecayFn(0.4, 1.0), b_star=0.2)
+        noise = LinearB(b0=0.4, lam=1.0, b_star=0.2)
         cfg = zero_cfg(horizon=0.03, noise=noise, seed=123)
         rng = np.random.default_rng(5)
         u0 = random_band_limited(GRID, 20, rng, rms=0.3)
@@ -211,7 +211,7 @@ class TestSimulatePath:
             return em_step(*args, **kwargs)
 
         monkeypatch.setattr(integrate, "em_step", counted)
-        noise = LinearB(b_fn=ExpDecayFn(0.5, 1.0), b_star=1.05 * 0.25)
+        noise = LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25)
         u0 = blowup_bump(GRID, 10.0)
         on = simulate_path(zero_cfg(horizon=0.1, noise=noise, seed=5), u0)
         assert len(calls) > 100    # some of the 100 macro steps were halved
@@ -262,7 +262,7 @@ class TestSimulatePath:
         grid = SpectralGrid(n_modes=64)
         u0 = random_band_limited(grid, 8, np.random.default_rng(2), rms=0.5)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, seed=3,
-                        noise=GeneralH(wiener=WienerSpec(n_components=4)),
+                        noise=GeneralH(n_components=4),
                         cutoff_radius=sobolev_norm(u0, 1.6) / 1.5)
         rec = simulate_path(cfg, u0)
         assert rec.status == "completed"

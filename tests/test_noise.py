@@ -5,13 +5,10 @@ import numpy as np
 import pytest
 
 from ccflab.noise import (
-    ConstantFn,
-    ExpDecayFn,
     GeneralH,
     InstabilityH,
     LinearB,
     StrongAlpha,
-    WienerSpec,
     ZeroNoise,
     helmholtz_inverse_dx,
     hilbert_schmidt_norm,
@@ -46,8 +43,13 @@ class TestHelmholtzInverseDx:
 
 class TestGeneralH:
     def model(self, K=1, k=1, n=1):
-        return GeneralH(q_fn=ConstantFn(1.0), exponent_k=k, exponent_n=n,
-                        wiener=WienerSpec(n_components=K))
+        return GeneralH(q=1.0, exponent_k=k, exponent_n=n, n_components=K)
+
+    @pytest.mark.parametrize("kwargs", [dict(n_components=0), dict(component_decay=-0.5),
+                                        dict(exponent_k=0)])
+    def test_rejects_bad_parameters(self, kwargs):
+        with pytest.raises(ValueError):
+            GeneralH(**kwargs)
 
     def test_zero_input(self):
         comps = self.model(K=4).components(0.3, Field.zeros(GRID))
@@ -64,7 +66,7 @@ class TestGeneralH:
     def test_component_scaling(self):
         m = self.model(K=3)
         comps = m.components(0.0, cosx())
-        c = m.wiener.coefficients
+        c = m.weights
         assert np.allclose(comps[1].samples, (c[1] / c[0]) * comps[0].samples, atol=1e-13)
 
     def test_growth_envelope_linear_case(self):
@@ -72,7 +74,7 @@ class TestGeneralH:
         # (multiplier bound |xi(i xi - |xi|)/(1+xi^2)| <= sqrt(2)).
         rng = np.random.default_rng(2)
         m = self.model(K=8)
-        csum = np.sqrt(np.sum(m.wiener.coefficients ** 2))
+        csum = np.sqrt(np.sum(m.weights ** 2))
         s = 3.1
         for _ in range(20):
             u = random_band_limited(GRID, 80, rng, rms=rng.uniform(0.1, 5.0))
@@ -83,7 +85,7 @@ class TestGeneralH:
         # statistical check of the local Lipschitz property at k = n = 2
         rng = np.random.default_rng(3)
         grid = SpectralGrid(n_modes=64)
-        m = GeneralH(exponent_k=2, exponent_n=2, wiener=WienerSpec(n_components=4))
+        m = GeneralH(exponent_k=2, exponent_n=2, n_components=4)
         s = 3.1
         ratios = []
         for _ in range(1000):
@@ -106,7 +108,7 @@ class TestStrongAlpha:
         assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
 
     def test_cos_three_cos(self):
-        m = StrongAlpha(q_fn=ConstantFn(1.0), theta=1.0)
+        m = StrongAlpha(q=1.0, theta=1.0)
         got = m.components(0.0, cosx())[0]
         assert np.allclose(got.samples, 3.0 * np.cos(GRID.x), atol=1e-9)
 
@@ -125,30 +127,30 @@ class TestStrongAlpha:
         with pytest.raises(ValueError):
             StrongAlpha(theta=0.5).validate()  # needs q_hat
         with pytest.raises(ValueError):
-            StrongAlpha(theta=0.5, q_fn=ConstantFn(1.0)).validate(q_hat=1.0)
-        StrongAlpha(theta=0.5, q_fn=ConstantFn(2.0)).validate(q_hat=1.0)  # q^2=4 > 2
+            StrongAlpha(theta=0.5, q=1.0).validate(q_hat=1.0)
+        StrongAlpha(theta=0.5, q=2.0).validate(q_hat=1.0)  # q^2=4 > 2
 
 
 class TestLinearB:
     def test_zero_field(self):
-        m = LinearB(b_fn=ExpDecayFn(0.5, 1.0), b_star=0.3)
+        m = LinearB(b0=0.5, lam=1.0, b_star=0.3)
         assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
 
     def test_b_zero(self):
-        m = LinearB(b_fn=ExpDecayFn(0.0, 1.0), b_star=0.3)
+        m = LinearB(b0=0.0, lam=1.0, b_star=0.3)
         assert m.components(1.2, cosx())[0].max_abs() == 0.0
 
     def test_identity_at_t0(self):
-        m = LinearB(b_fn=ExpDecayFn(1.0, 1.0), b_star=1.1)
+        m = LinearB(b0=1.0, lam=1.0, b_star=1.1)
         u = cosx(0.7)
         assert np.allclose(m.components(0.0, u)[0].samples, u.samples)
 
     def test_validation(self):
-        LinearB(b_fn=ExpDecayFn(0.5, 1.0), b_star=0.26).validate()
+        LinearB(b0=0.5, lam=1.0, b_star=0.26).validate()
         with pytest.raises(ValueError):
-            LinearB(b_fn=ExpDecayFn(1.0, 1.0), b_star=0.9).validate()  # b(0)^2 = 1
+            LinearB(b0=1.0, lam=1.0, b_star=0.9).validate()  # b(0)^2 = 1
         with pytest.raises(ValueError):
-            LinearB(b_fn=ExpDecayFn(0.5, -0.1), b_star=0.26).validate()  # b grows
+            LinearB(b0=0.5, lam=-0.1, b_star=0.26).validate()  # b grows
 
 
 class TestInstabilityH:
@@ -216,9 +218,9 @@ class TestHermitian:
         rng = np.random.default_rng(7)
         u = random_band_limited(GRID, 50, rng)
         models = [
-            GeneralH(wiener=WienerSpec(n_components=3)),
+            GeneralH(n_components=3),
             StrongAlpha(theta=1.0),
-            LinearB(b_fn=ExpDecayFn(0.4, 1.0), b_star=0.2),
+            LinearB(b0=0.4, lam=1.0, b_star=0.2),
             InstabilityH(sigma0=1.6),
         ]
         n = GRID.n_modes
