@@ -104,26 +104,26 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
     return cfg
 
 
-def _typed(key: str, old, value):
-    """``value`` checked against the type of the default ``old``: an int is
+def _typed(key: str, default, value):
+    """``value`` checked against the type of its schema ``default``: an int is
     taken for a float (and converted), ``null`` only where the default is
     ``null``, and a list is checked item by item against the type of its
     default's items."""
-    if isinstance(old, list) and old and isinstance(value, list):
+    if isinstance(default, list) and default and isinstance(value, list):
         if None in value:
             raise TypeError(f"override {key}: null list item")
-        return [_typed(key, old[0], v) for v in value]
+        return [_typed(key, default[0], v) for v in value]
     if value is None:
-        if old is not None:
-            raise TypeError(f"override {key}: expected {type(old).__name__}, got null")
+        if default is not None:
+            raise TypeError(f"override {key}: expected {type(default).__name__}, got null")
         return None
     # bool is an int subclass: only a bool default takes a bool
-    if (isinstance(value, bool) and not isinstance(old, bool)) or (
-            old is not None and not isinstance(value, type(old))
-            and not (isinstance(old, float) and isinstance(value, int))):
-        raise TypeError(f"override {key}: expected {type(old).__name__}, "
+    if (isinstance(value, bool) and not isinstance(default, bool)) or (
+            default is not None and not isinstance(value, type(default))
+            and not (isinstance(default, float) and isinstance(value, int))):
+        raise TypeError(f"override {key}: expected {type(default).__name__}, "
                         f"got {type(value).__name__}")
-    return float(value) if isinstance(old, float) else value
+    return float(value) if isinstance(default, float) else value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
