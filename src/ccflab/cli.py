@@ -13,9 +13,11 @@ Config key tree (defaults shown by ``--dump-config``):
 ``sim.horizon`` is the horizon of every study; ``instability`` runs its
 separation experiment to at least 1.8 (past pi/2).
 
-Overrides: ``--set key.path=value`` with JSON-typed values, checked against
-the schema.  Every subcommand takes ``--config``, ``--seed`` and ``--set``,
-plus only those of ``--paths``, ``--out`` and ``--report`` that it reads.
+Overrides: ``--set key.path=value`` with JSON-typed values.  Every leaf, from
+``--config`` or ``--set``, is checked against the type of its default, and a
+``null`` default stands for an optional number.  Every subcommand takes
+``--config``, ``--seed`` and ``--set``, plus only those of ``--paths``,
+``--out`` and ``--report`` that it reads.
 Every subcommand is deterministic given (config, seed) and rewrites its
 outputs byte-identically.  Exit codes: 0 pass, 2 acceptance failure, 3 usage
 or runtime error.
@@ -70,15 +72,21 @@ DEFAULTS: dict = {
 }
 
 
-def merge_config(base: dict, override: dict) -> dict:
+def merge_config(base: dict, override, schema: dict = DEFAULTS, prefix: str = "") -> dict:
+    """``base`` with the leaves of ``override`` laid over it, each checked by
+    :func:`_typed` against its ``schema`` default."""
+    if not isinstance(override, dict):
+        raise TypeError(f"config {prefix.rstrip('.') or 'file'}: expected a section, "
+                        f"got {type(override).__name__}")
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if key not in out:
-            raise KeyError(f"unknown config section or key: {key}")
-        if isinstance(out[key], dict) and isinstance(val, dict):
-            out[key] = merge_config(out[key], val)
+        name = prefix + key
+        if key not in schema:
+            raise KeyError(f"unknown config key: {name}")
+        if isinstance(schema[key], dict):
+            out[key] = merge_config(out[key], val, schema[key], name + ".")
         else:
-            out[key] = val
+            out[key] = _typed(name, schema[key], val)
     return out
 
 
@@ -87,27 +95,24 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
         if "=" not in pair:
             raise ValueError(f"override must look like key.path=value: {pair!r}")
         key, raw = pair.split("=", 1)
-        parts = key.split(".")
-        node, default = cfg, DEFAULTS
-        for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                raise KeyError(f"unknown config path: {key}")
-            node, default = node[part], default[part]
-        leaf = parts[-1]
-        if leaf not in node:
-            raise KeyError(f"unknown config key: {key}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node[leaf] = _typed(key, default[leaf], value)
+        if isinstance(value, dict):
+            raise TypeError(f"override {key}: expected a value, got a section; "
+                            "set its keys one by one")
+        for part in reversed(key.split(".")):
+            value = {part: value}
+        cfg = merge_config(cfg, value)
     return cfg
 
 
 def _typed(key: str, default, value):
     """``value`` checked against the type of its schema ``default``: an int is
     taken for a float (and converted), ``null`` only where the default is
-    ``null``, and a list is checked item by item against the type of its
+    ``null``, a ``null`` default takes a number (every one is an optional
+    float), and a list is checked item by item against the type of its
     default's items."""
     if isinstance(default, list) and default and isinstance(value, list):
         if None in value:
@@ -117,9 +122,11 @@ def _typed(key: str, default, value):
         if default is not None:
             raise TypeError(f"override {key}: expected {type(default).__name__}, got null")
         return None
+    if default is None:
+        default = 0.0
     # bool is an int subclass: only a bool default takes a bool
     if (isinstance(value, bool) and not isinstance(default, bool)) or (
-            default is not None and not isinstance(value, type(default))
+            not isinstance(value, type(default))
             and not (isinstance(default, float) and isinstance(value, int))):
         raise TypeError(f"override {key}: expected {type(default).__name__}, "
                         f"got {type(value).__name__}")
@@ -135,7 +142,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 def build_grid(cfg: dict) -> SpectralGrid:
     g = cfg["grid"]
-    return SpectralGrid(period=g["period"], n_modes=int(g["n_modes"]),
+    return SpectralGrid(period=g["period"], n_modes=g["n_modes"],
                         dealias_fraction=g["dealias_fraction"])
 
 
@@ -147,8 +154,8 @@ def build_noise(cfg: dict, family: str | None = None):
     if family == "zero":
         return ZeroNoise()
     if family == "general":
-        return GeneralH(q=n["q"], exponent_k=int(n["k_exp"]), exponent_n=int(n["n_exp"]),
-                        n_components=int(n["n_components"]),
+        return GeneralH(q=n["q"], exponent_k=n["k_exp"], exponent_n=n["n_exp"],
+                        n_components=n["n_components"],
                         component_decay=n["component_decay"])
     if family == "strong":
         return StrongAlpha(q=n["q"], theta=n["theta"])
@@ -156,7 +163,7 @@ def build_noise(cfg: dict, family: str | None = None):
         b_star = n["b_star"] if n["b_star"] is not None else 1.05 * n["b0"] ** 2
         return LinearB(b0=n["b0"], lam=n["lam"], b_star=b_star)
     if family == "instability":
-        return InstabilityH(q=n["q"], exponent_k=int(n["k_exp"]), exponent_n=int(n["n_exp"]),
+        return InstabilityH(q=n["q"], exponent_k=n["k_exp"], exponent_n=n["n_exp"],
                             sigma0=n["sigma0"])
     raise ValueError(f"unknown noise family {family!r}")
 
@@ -167,17 +174,17 @@ def build_sim(cfg: dict, grid=None, noise=None) -> SimConfig:
         grid=grid if grid is not None else build_grid(cfg),
         s=s["s"], dt=s["dt"], horizon=s["horizon"],
         noise=noise if noise is not None else build_noise(cfg),
-        seed=int(s["seed"]), eps_mollify=s["eps_mollify"],
+        seed=s["seed"], eps_mollify=s["eps_mollify"],
         cutoff_radius=s["cutoff_radius"], blowup_threshold=s["blowup_threshold"],
-        blowup_doublings=int(s["blowup_doublings"]),
-        record_every=int(s["record_every"]), adapt=bool(s["adapt"]),
+        blowup_doublings=s["blowup_doublings"],
+        record_every=s["record_every"], adapt=s["adapt"],
     )
 
 
 def study_paths(cfg: dict, args, minimum: int) -> int:
     """``--paths`` if given, else ``study.paths``; fewer than ``minimum`` is a
     usage error."""
-    n = int(args.paths if args.paths is not None else cfg["study"]["paths"])
+    n = args.paths if args.paths is not None else cfg["study"]["paths"]
     if n < minimum:
         raise ValueError(f"paths must be >= {minimum}, got {n}")
     return n
@@ -198,9 +205,9 @@ def write_csv(path: str | None, header: list[str], rows: list[list]):
 
 def cmd_identities(cfg: dict, args) -> int:
     tol = cfg["study"]["tolerance"]
-    n_fields = int(cfg["study"]["fields"])
+    n_fields = cfg["study"]["fields"]
     grid = build_grid(cfg)
-    rng = stream(int(cfg["sim"]["seed"]))
+    rng = stream(cfg["sim"]["seed"])
     rows, failed = [], False
     worst = {"cotlar": 0.0, "coordinate_commutation": 0.0, "double_hilbert": 0.0,
              "gradient_symbol": 0.0}
@@ -252,7 +259,7 @@ def cmd_simulate(cfg: dict, args) -> int:
                 rec.to_jsonl(fh)
         return 0
     result = ensemble.run_ensemble(sim, u0, n_paths,
-                                   workers=int(cfg["study"]["workers"]))
+                                   workers=cfg["study"]["workers"])
     print(json.dumps(result.summaries, indent=2, sort_keys=True))
     if args.out:
         ensemble.persist(result, args.out)
@@ -268,8 +275,8 @@ def cmd_blowup(cfg: dict, args) -> int:
     sim = build_sim(cfg, grid=grid, noise=noise)
     n_paths = study_paths(cfg, args, 0)   # 0: Monte Carlo bound only
     res = girsanov.blowup_ensemble(sim, k_thr, u0, n_paths,
-                                   mc_paths=int(study["mc_paths"]),
-                                   workers=int(study["workers"]))
+                                   mc_paths=study["mc_paths"],
+                                   workers=study["workers"])
     b = res.bound
     print(f"blowup fraction {res.fraction:.4f} ({res.n_blewup}/{res.n_paths}), "
           f"bound {b['estimate']:.4f} [{b['ci_lo']:.4f}, {b['ci_hi']:.4f}], "
@@ -300,7 +307,7 @@ def cmd_global(cfg: dict, args) -> int:
                                            stream(sim.seed, 2, 1))
     spec = diagnostics.LyapunovSpec(k1=k1, k2=study["k2"], q_hat=q_hat, s=sim.s)
     records = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, n_paths,
-                                 workers=int(study["workers"]))
+                                 workers=study["workers"])
     n_done, n_blew, n_div = (sum(r.status == status for r in records)
                              for status in ("completed", "blewup", "diverged"))
     # too few completed paths for the growth check is a failed study
@@ -321,7 +328,7 @@ def cmd_girsanov(cfg: dict, args) -> int:
         raise ValueError("need at least two distinct step sizes in study.dt_list")
     grid = build_grid(cfg)
     noise = build_noise(cfg, "linear")
-    u0 = power_law_field(grid, cfg["sim"]["s"], stream(int(cfg["sim"]["seed"])),
+    u0 = power_law_field(grid, cfg["sim"]["s"], stream(cfg["sim"]["seed"]),
                          amplitude=study["amplitude"], max_mode=grid.dealias_keep // 4)
     rows, residuals, stopped = [], [], False
     for dt in study["dt_list"]:
@@ -356,14 +363,14 @@ def cmd_instability(cfg: dict, args) -> int:
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
     # one parameter set, re-used at every carrier n (the decay exponents and
     # the separation experiment do not depend on n or m)
-    sep_p = instability.InstabilityParams(m=int(study["m"]),
-                                          n=int(study["separation_n"]),
+    sep_p = instability.InstabilityParams(m=study["m"],
+                                          n=study["separation_n"],
                                           delta=study["delta"], s=sim.s,
                                           sigma0=noise.sigma0)
     rows = []
     points = []
     for n in study["n_list"]:
-        p = replace(sep_p, n=int(n))
+        p = replace(sep_p, n=n)
         out = instability.error_functional_ensemble(p, noise, n_paths, horizon,
                                                     dt, seed=seed)
         points.append((float(n), out["mean_sup_sq"]))
@@ -403,13 +410,13 @@ def cmd_converge(cfg: dict, args) -> int:
     noise = build_noise(cfg)
     sim = build_sim(cfg, grid=grid, noise=noise)
     n_paths = study_paths(cfg, args, 1)
-    if noise.n_components == 0 and n_paths > 1:
+    if isinstance(noise, ZeroNoise) and n_paths > 1:
         # without noise every path is the same path
         print(f"noise is deterministic: 1 path run, not {n_paths}")
         n_paths = 1
     out = ensemble.convergence_study(sim, list(study["eps_list"]), n_paths,
                                      eps_ref=study["eps_ref"],
-                                     workers=int(study["workers"]))
+                                     workers=study["workers"])
     for row in out["table"]:
         print(f"eps={row['eps']:9.3g}  E sup gap^2 = {row['mean_sq_gap']:.6e} "
               f"(+-{row['sem']:.1e})")

@@ -106,7 +106,7 @@ def _drift_condition_sides(u: Field, t: float, model: StrongAlpha,
     g = np.log1p(y2)
     gp = 1.0 / (1.0 + y2)
     gpp = -1.0 / (1.0 + y2) ** 2
-    (alpha,) = model.components(t, u)
+    alpha = model.components(t, u)
     pairing = abs(sobolev_inner(alpha, u, spec.s - 1.0))
     m_t = 2.0 * spec.q_hat * blowup_quantity(u) * y2 + sobolev_norm(alpha, spec.s - 1.0) ** 2
     lhs = gp * m_t + 2.0 * gpp * pairing**2

@@ -52,13 +52,14 @@ __all__ = [
 def beta_path(b0: float, lam: float, increments: np.ndarray, dt: float) -> np.ndarray:
     """Exponential martingale of ``b = b0 exp(-lam t)`` on the step grid.
 
-    Left-point Ito sum for ``int b dW`` and trapezoid for ``int b^2/2``;
-    ``beta[0] = 1`` and ``beta[i]`` is the value at ``t_i = i dt``.
+    ``increments`` holds one Brownian increment per step.  Left-point Ito sum
+    for ``int b dW`` and trapezoid for ``int b^2/2``; ``beta[0] = 1`` and
+    ``beta[i]`` is the value at ``t_i = i dt``.
     """
     n = increments.shape[0]
     ts = np.arange(n) * dt
     b = np.asarray([exp_decay(b0, lam, t) for t in ts])
-    ito = np.concatenate([[0.0], np.cumsum(b * increments[:, 0])])
+    ito = np.concatenate([[0.0], np.cumsum(b * increments)])
     b2 = np.asarray([exp_decay(b0, lam, t) ** 2 for t in np.arange(n + 1) * dt])
     quad = np.concatenate([[0.0], np.cumsum(0.5 * (b2[:-1] + b2[1:]) * dt / 2.0)])
     return np.exp(ito - quad)

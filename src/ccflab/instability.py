@@ -49,7 +49,7 @@ from .modulated import (
     modulated_norm,
     packet,
 )
-from .noise import InstabilityH, ZeroNoise, instability_factor, path_seed, stream
+from .noise import InstabilityH, ZeroNoise, instability_factor, path_seed, wiener_increments
 from .spectral import Field, SpectralGrid, _read_only, hilbert
 
 __all__ = [
@@ -282,14 +282,13 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     the drift integrand and the noise coefficient along the deterministic
     approximate solution are formed once per step and shared by every path,
     which only differs by its scalar Brownian increments (left-point Euler
-    accumulation, drawn up front from the increment stream of the path's
+    accumulation, :func:`~ccflab.noise.wiener_increments` of the path's
     seed, as :func:`simulate_actual_mod` draws them).
     """
     n_steps = int(round(horizon / dt))
     sigma0 = p.sigma0
     paths = num_paths if not isinstance(noise, ZeroNoise) else 0
-    rngs = (stream(path_seed(seed, idx), 0) for idx in range(paths))
-    dws = [np.sqrt(dt) * rng.standard_normal(n_steps) for rng in rngs]
+    dws = [wiener_increments(path_seed(seed, idx), dt, n_steps) for idx in range(paths)]
     itos = [ModulatedField.zeros(p.basis)] * paths
     sups = [0.0] * paths
     partial = ModulatedField.zeros(p.basis)    # running integral of E
@@ -327,7 +326,8 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
     """One path of the stochastic equation from the approximate initial datum
     ``u_h(0) + u_l(0)``, over ``round(horizon / dt)`` steps of size ``dt``.
 
-    ``seed`` is a path seed; its stream ``(0,)`` drives the increments.
+    ``seed`` is a path seed; its :func:`~ccflab.noise.wiener_increments`
+    drive the steps.
     Only the low-frequency datum at t=0 enters, so no low-frequency
     trajectory is solved.  Stops at the horizon or at the first exceedance of
     the exit radius in H^s.  ``observer(i, t, u)`` is called after every step
@@ -335,9 +335,9 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
     together with the stop time and status.
     """
     u = approx_solution_mod(p, 0.0, build_low_initial(p, p.env_grid))
-    rng = stream(seed, 0)
     stochastic = not isinstance(noise, ZeroNoise)
     n_steps = int(round(horizon / dt))
+    dws = wiener_increments(seed, dt, n_steps) if stochastic else None
     if observer is not None:
         observer(0, 0.0, u)
     status, t_stop = "completed", n_steps * dt
@@ -345,9 +345,7 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
         t = i * dt
         unew = rk4(_mod_rhs, u, dt)
         if stochastic:
-            h = eval_noise_mod(noise, t, u)
-            dw = float(np.sqrt(dt) * rng.standard_normal())
-            unew = unew + dw * h
+            unew = unew + float(dws[i]) * eval_noise_mod(noise, t, u)
         u = unew
         if u.diverged:
             status, t_stop = "diverged", (i + 1) * dt

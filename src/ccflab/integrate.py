@@ -4,8 +4,8 @@ The drift is the gated, mollified transport term
 
     -chi_R(|u|_{H^{s-3/2}}) J_eps[(H J_eps u) d_x J_eps u],
 
-the diffusion is the selected noise family times the same gate, driven by K
-scalar Brownian increments.  The noise enters in Euler-Maruyama fashion
+the diffusion is the selected noise family times the same gate, driven by one
+scalar Brownian increment per step.  The noise enters in Euler-Maruyama fashion
 (strong order 1/2) on top of a classical fourth-order Runge-Kutta drift
 substep.  Forward Euler on a spectral advection operator would amplify the
 highest retained modes at rate ~ (c k_max)^2 dt/2 per unit time, which wrecks
@@ -24,10 +24,10 @@ monitored sups and the recorded ``max Lam u`` from one more call, so a
 ``em_step`` that adaptive halving takes.
 
 One path is one logical task: no shared mutable state, bit-identical reruns
-for a fixed config.  ``cfg.seed`` is a path seed: the macro increments come
-from its stream ``(0,)`` and the bridge points of halving from ``(1,)``
-(:func:`~ccflab.noise.stream`), so the increments a path records do not
-depend on how often it halves.
+for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
+:func:`~ccflab.noise.wiener_increments` of it, drawn up front, and the bridge
+points of halving come from its stream ``(1,)`` (:func:`~ccflab.noise.stream`),
+so the increments a path records do not depend on how often it halves.
 
 :func:`simulate_low_frequency` is the deterministic ``u_t + (Hu) u_x = 0``
 alone: an RK4 stream from a datum the caller builds.
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .noise import NoiseModel, ZeroNoise, sample_wiener_increments, stream
+from .noise import NoiseModel, ZeroNoise, stream, wiener_increments
 from .spectral import (
     Field,
     SpectralGrid,
@@ -137,7 +137,7 @@ class PathRecord:
     status: str                    # "completed" | "blewup" | "diverged"
     t_stop: float
     snapshots: list[tuple[float, Field]]
-    wiener_increments: np.ndarray  # one row of K increments per macro step taken
+    wiener_increments: np.ndarray  # one Brownian increment per macro step taken
 
     def to_jsonl(self, stream: io.TextIOBase):
         """One JSON row per recorded step, preceded by a header row."""
@@ -187,19 +187,16 @@ def drift(u: Field, cfg: SimConfig) -> Field:
     return (-gate) * term
 
 
-def em_step(u: Field, t: float, cfg: SimConfig, dw: np.ndarray,
+def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
             dt: float | None = None) -> Field:
-    """One step: drift substep plus gated noise increments."""
+    """One step: drift substep plus the gated noise increment ``h dw``."""
     dt = cfg.dt if dt is None else dt
     unew = rk4(lambda f: drift(f, cfg), u, dt)
-    comps = cfg.noise.components(t, u)
-    if comps:
+    h = cfg.noise.components(t, u)
+    if h is not None:
         gate = _gate(u, cfg)
         if gate != 0.0:
-            acc = unew.coefficients.copy()
-            for c, w in zip(comps, dw):
-                acc += (gate * w) * c.coefficients
-            unew = Field(u.grid, acc)
+            unew = unew + (gate * dw) * h
     return unew
 
 
@@ -208,7 +205,7 @@ ADAPT_REL_INCREMENT = 0.10
 MAX_HALVINGS = 12
 
 
-def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: np.ndarray,
+def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: float,
                    bridge: np.random.Generator, depth: int) -> Field:
     unew = em_step(u, t, cfg, dw, dt)
     if not cfg.adapt or depth >= MAX_HALVINGS:
@@ -218,9 +215,7 @@ def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: np.ndarray
     if inc <= ADAPT_REL_INCREMENT * max(base, 1e-12):
         return unew
     # split the increment with a Brownian bridge and recurse on both halves
-    k = dw.shape[0]
-    z = bridge.standard_normal(k) if k else np.zeros(0)
-    dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * z
+    dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * bridge.standard_normal()
     dw2 = dw - dw1
     mid = _adaptive_step(u, t, cfg, 0.5 * dt, dw1, bridge, depth + 1)
     if mid.diverged:
@@ -238,14 +233,13 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial field lives on the wrong grid")
-    wiener, bridge = stream(cfg.seed, 0), stream(cfg.seed, 1)
     n_steps = int(round(cfg.horizon / cfg.dt))
-    k = cfg.noise.n_components
+    increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
+    bridge = stream(cfg.seed, 1)
 
     u = dealias(u0)
     times, rows = [], []
     snapshots: list[tuple[float, Field]] = []
-    increments = np.zeros((n_steps, k))
 
     sups = gradient_sups(u)
     q0 = max(sups[0] + sups[1], 1e-12)
@@ -273,10 +267,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         snapshots.append((0.0, u))
 
     t = 0.0
-    for i in range(n_steps):
-        dw = sample_wiener_increments(k, cfg.dt, wiener) if k else np.zeros(0)
-        if k:
-            increments[i] = dw
+    for i, dw in enumerate(increments):
         u_next = _adaptive_step(u, t, cfg, cfg.dt, dw, bridge, 0)
         t = (i + 1) * cfg.dt
 

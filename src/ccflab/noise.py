@@ -1,10 +1,11 @@
-"""Concrete noise coefficient families and the truncated Wiener driver.
+"""Concrete noise coefficient families and the Wiener driver.
 
-Each model maps ``(t, u)`` to the list of diffusion-coefficient fields, one per
-Brownian component.  The cylindrical driver is truncated to K scalar Brownian
-motions with component weights ``c_j = j^{-a}`` (square-summable tail); the
-single-driver families carry exactly one component.  Models are immutable and
-evaluation is pure.
+Each model maps ``(t, u)`` to its diffusion-coefficient field ``h(t, u)``,
+driven by one scalar Brownian motion per path (``None`` for the deterministic
+equation).  A truncated cylindrical sum ``sum_j c_j g(u) dW_j`` whose
+components are all multiples of one field ``g`` equals ``|c|_2 g dB`` in law,
+so the general family is that one field.  Models are immutable and evaluation
+is pure.
 
 Seeding rule: every random stream of the lab is :func:`stream`, the child
 ``key`` of ``SeedSequence(seed)``, so streams with different keys are
@@ -15,14 +16,14 @@ random numbers: as easy as 1, 2, 3", SC'11).  The keys are
   ``(1,)`` the scalar Monte Carlo, ``(2, j)`` the sweeps of ``global``
   (``q_hat`` j=0, ``k1`` j=1), and ``(0, i)`` the seed of path i
   (:func:`path_seed`);
-* on a path seed: ``(0,)`` the Wiener increments, ``(1,)`` the bridge points
-  of adaptive halving.
+* on a path seed: ``(0,)`` the Wiener increments (:func:`wiener_increments`),
+  ``(1,)`` the bridge points of adaptive halving.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -46,8 +47,7 @@ __all__ = [
     "transport_gradient_powers",
     "stream",
     "path_seed",
-    "sample_wiener_increments",
-    "hilbert_schmidt_norm",
+    "wiener_increments",
 ]
 
 
@@ -65,13 +65,13 @@ def path_seed(seed: int, index: int) -> int:
     return stream(seed, 0, index).bit_generator.random_raw()
 
 
-def sample_wiener_increments(n_components: int, dt: float, rng: np.random.Generator) -> np.ndarray:
-    """Gaussian increments ``sqrt(dt) * N(0,1)``, one per component."""
+def wiener_increments(seed: int, dt: float, n: int) -> np.ndarray:
+    """The first ``n`` Brownian increments ``sqrt(dt) N(0,1)`` of path seed
+    ``seed``, from its stream ``(0,)``: one draw per step, so a prefix of a
+    longer draw is the shorter draw."""
     if dt < 0.0:
         raise ValueError("dt must be nonnegative")
-    if dt == 0.0:
-        return np.zeros(n_components)
-    return np.sqrt(dt) * rng.standard_normal(n_components)
+    return np.sqrt(dt) * stream(seed, 0).standard_normal(n)
 
 
 # -- shared building blocks ------------------------------------------------------
@@ -94,11 +94,6 @@ def transport_gradient_powers(u: Field, k: int, n: int) -> Field:
     return dealias(Field.from_samples(u.grid, ux**k + hux**n))
 
 
-def hilbert_schmidt_norm(components: list[Field], s: float) -> float:
-    """Hilbert-Schmidt norm of the coefficient: root sum of squared H^s norms."""
-    return float(np.sqrt(sum(sobolev_norm(c, s) ** 2 for c in components)))
-
-
 def exp_decay(b0: float, lam: float, t: float) -> float:
     """The linear-noise coefficient ``b(t) = b0 exp(-lam t)``."""
     return b0 * np.exp(-lam * t)
@@ -118,17 +113,16 @@ def instability_factor(norm_sigma0: float) -> float:
 class ZeroNoise:
     """Deterministic equation: no diffusion term."""
 
-    n_components: ClassVar[int] = 0
-
-    def components(self, t: float, u: Field) -> list[Field]:
-        return []
+    def components(self, t: float, u: Field) -> None:
+        return None
 
 
 @dataclass(frozen=True)
 class GeneralH:
-    """Cylindrical family ``c_j q (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``,
-    driven by ``n_components`` Brownian motions with weights
-    ``c_j = j^{-component_decay}``."""
+    """Cylindrical family ``sum_j c_j q (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n] dW_j``
+    over ``n_components`` Brownian motions with weights
+    ``c_j = j^{-component_decay}``; in law one Brownian motion of amplitude
+    ``|c|_2``."""
 
     q: float = 1.0
     exponent_k: int = 1
@@ -145,17 +139,17 @@ class GeneralH:
             raise ValueError("component_decay must be nonnegative")
 
     @property
-    def weights(self) -> np.ndarray:
-        """``c_j``, j = 1..K; the default decay 2 gives a comfortably small tail."""
-        j = np.arange(1, self.n_components + 1, dtype=np.float64)
-        return j ** (-self.component_decay)
+    def amplitude(self) -> float:
+        """``|c|_2 = sqrt(sum_{j<=K} j^{-2a})``: exactly 1 at K = 1, and below
+        ``pi^2 / sqrt(90) = 1.0404...`` at the default decay 2."""
+        return math.sqrt(sum(j ** (-2.0 * self.component_decay)
+                             for j in range(1, self.n_components + 1)))
 
-    def components(self, t: float, u: Field) -> list[Field]:
-        """``c_j q (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``, j = 1..K."""
+    def components(self, t: float, u: Field) -> Field:
+        """``q |c|_2 (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``."""
         base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,
                                                               self.exponent_n))
-        base = self.q * base
-        return [c * base for c in self.weights]
+        return (self.q * self.amplitude) * base
 
 
 @dataclass(frozen=True)
@@ -164,13 +158,12 @@ class StrongAlpha:
 
     q: float = 1.0
     theta: float = 1.0
-    n_components: ClassVar[int] = 1
 
-    def components(self, t: float, u: Field) -> list[Field]:
-        """``[q (1 + |u_x|_inf + |H u_x|_inf)^theta u]``."""
+    def components(self, t: float, u: Field) -> Field:
+        """``q (1 + |u_x|_inf + |H u_x|_inf)^theta u``."""
         sup_ux, sup_hux, _ = gradient_sups(u)
         scale = self.q * (1.0 + sup_ux + sup_hux) ** self.theta
-        return [scale * u]
+        return scale * u
 
     def validate(self, q_hat: float | None = None):
         """Check the admissible-coefficient condition.
@@ -204,15 +197,14 @@ class LinearB:
     b0: float = 1.0
     lam: float = 1.0
     b_star: float = 1.0
-    n_components: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.b_star <= 0.0:
             raise ValueError("b_star must be positive")
 
-    def components(self, t: float, u: Field) -> list[Field]:
-        """``[b(t) u]``."""
-        return [exp_decay(self.b0, self.lam, t) * u]
+    def components(self, t: float, u: Field) -> Field:
+        """``b(t) u``."""
+        return exp_decay(self.b0, self.lam, t) * u
 
     def validate(self):
         """Check ``0 <= b(t)`` and ``b(t)^2 < b_star`` for all ``t >= 0``: with
@@ -233,7 +225,6 @@ class InstabilityH:
     exponent_k: int = 1
     exponent_n: int = 1
     sigma0: float = 1.6
-    n_components: ClassVar[int] = 1
 
     def __post_init__(self):
         if not 1.5 < self.sigma0 < 1.75:
@@ -241,14 +232,14 @@ class InstabilityH:
         if self.exponent_k < 1 or self.exponent_n < 1:
             raise ValueError("exponents must be >= 1")
 
-    def components(self, t: float, u: Field) -> list[Field]:
-        """``[q exp(-1/|u|_{H^sigma0}) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]]``."""
+    def components(self, t: float, u: Field) -> Field:
+        """``q exp(-1/|u|_{H^sigma0}) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``."""
         factor = self.q * instability_factor(sobolev_norm(u, self.sigma0))
         if factor == 0.0:
-            return [Field.zeros(u.grid)]
+            return Field.zeros(u.grid)
         base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,
                                                               self.exponent_n))
-        return [factor * base]
+        return factor * base
 
 
 NoiseModel = ZeroNoise | GeneralH | StrongAlpha | LinearB | InstabilityH

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ccflab import ensemble, girsanov, instability
+from ccflab import cli, ensemble, girsanov, instability
 from ccflab.cli import (
     apply_overrides,
     build_grid,
@@ -87,6 +87,42 @@ class TestConfig:
         cfg = load_config(str(p), [])
         assert cfg["sim"]["dt"] == 0.002
 
+    @pytest.mark.parametrize("tree, message", [
+        ({"sim": {"adapt": "false"}}, "override sim.adapt: expected bool, got str"),
+        ({"sim": {"record_every": 10.9}},
+         "override sim.record_every: expected int, got float"),
+        ({"study": {"workers": 1.5}}, "override study.workers: expected int, got float"),
+        ({"study": {"q_hat": "abc"}}, "override study.q_hat: expected float, got str"),
+        ({"sim": 3}, "config sim: expected a section, got int"),
+        ([], "config file: expected a section, got list"),
+    ], ids=["bool-as-str", "float-for-int", "float-workers", "str-for-null", "leaf-section",
+            "list-file"])
+    def test_config_file_leaves_type_checked(self, tree, message, tmp_path):
+        # a config file's leaves take the same schema check as --set
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(tree))
+        with pytest.raises(TypeError, match=message):
+            load_config(str(p), [])
+
+    def test_config_file_converts_like_set(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sim": {"dt": 1, "cutoff_radius": 2},
+                                 "study": {"eps_list": [1, 0.5], "k1": None}}))
+        cfg = load_config(str(p), [])
+        assert type(cfg["sim"]["dt"]) is float and cfg["sim"]["cutoff_radius"] == 2.0
+        assert all(type(eps) is float for eps in cfg["study"]["eps_list"])
+        assert cfg["study"]["k1"] is None
+
+    @pytest.mark.parametrize("key", ["sim.cutoff_radius", "noise.b_star", "study.eps_ref",
+                                     "study.k1", "study.q_hat"])
+    def test_null_default_takes_a_number_or_null(self, key):
+        for raw in ("abc", '"big"', "[0.01]"):
+            with pytest.raises(TypeError, match=rf"override {key}: expected float, got"):
+                load_config(None, [f"{key}={raw}"])
+        section, leaf = key.split(".")
+        assert load_config(None, [f"{key}=2"])[section][leaf] == 2.0
+        assert load_config(None, [f"{key}=2", f"{key}=null"])[section][leaf] is None
+
     def test_unknown_section_rejected(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"nonsense": {}}))
@@ -155,6 +191,30 @@ class TestExitCodes:
         monkeypatch.setattr(ensemble, "run_paths", forbidden)
         assert main(argv) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--paths", "1", "--set",
+          'noise={"family": "general", "n_components": 2.5}'], "override noise: "),
+        (["simulate", "--set", 'sim={"dt": 0.01}'], "override sim: "),
+        (["global", "--set", "study.q_hat=abc"], "override study.q_hat: "),
+        (["simulate", "--set", 'sim.cutoff_radius="big"'], "override sim.cutoff_radius: "),
+        (["converge", "--set", "study.eps_ref=[0.01]"], "override study.eps_ref: "),
+    ], ids=["section-noise", "section-sim", "q_hat-str", "cutoff-str", "eps_ref-list"])
+    def test_bad_leaf_is_a_usage_error_before_any_work(self, argv, message, monkeypatch,
+                                                        capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study work started")
+        monkeypatch.setitem(cli.COMMANDS, argv[0], (forbidden, cli.COMMANDS[argv[0]][1]))
+        assert main(argv) == 3
+        out = capsys.readouterr()
+        assert message in out.err and out.out == ""
+
+    def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"sim": {"adapt": "false", "record_every": 10.9},
+                                 "study": {"workers": 1.5}}))
+        assert main(["simulate", "--paths", "1", "--config", str(p)]) == 3
+        assert "override sim.adapt: expected bool, got str" in capsys.readouterr().err
 
     def test_non_finite_step_count_is_a_usage_error(self, capsys):
         assert main(["simulate", "--paths", "1", "--set", "sim.horizon=1e308",

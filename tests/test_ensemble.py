@@ -54,7 +54,7 @@ class TestSeeding:
         # stream of its path 0, which is stream (0,) of that path's seed
         cfg = small_cfg()
         (rec,) = run_paths(SimTask(cfg, small_u0()), cfg.seed, 1)
-        dw = rec.wiener_increments[:, 0]
+        dw = rec.wiener_increments
         scale = np.sqrt(cfg.dt)
         assert np.array_equal(
             dw, scale * stream(path_seed(cfg.seed, 0), 0).standard_normal(dw.size))

@@ -37,16 +37,16 @@ GRID = SpectralGrid(n_modes=256)
 
 class TestBetaPath:
     def test_b_zero_is_one(self):
-        inc = np.random.default_rng(0).normal(size=(50, 1)) * 0.1
+        inc = np.random.default_rng(0).normal(size=50) * 0.1
         beta = beta_path(0.0, 1.0, inc, 0.01)
         assert np.all(beta == 1.0)
 
     def test_constant_b_closed_form(self):
         b0, dt = 0.7, 1e-3
         rng = np.random.default_rng(1)
-        inc = np.sqrt(dt) * rng.standard_normal((200, 1))
+        inc = np.sqrt(dt) * rng.standard_normal(200)
         beta = beta_path(b0, 0.0, inc, dt)
-        w = np.concatenate([[0.0], np.cumsum(inc[:, 0])])
+        w = np.concatenate([[0.0], np.cumsum(inc)])
         t = np.arange(201) * dt
         want = np.exp(b0 * w - 0.5 * b0**2 * t)
         assert np.allclose(beta, want, rtol=1e-12)
@@ -57,7 +57,7 @@ class TestBetaPath:
         rng = np.random.default_rng(2)
         finals = []
         for _ in range(4000):
-            inc = np.sqrt(dt) * rng.standard_normal((n, 1))
+            inc = np.sqrt(dt) * rng.standard_normal(n)
             finals.append(beta_path(b0, lam, inc, dt)[-1])
         finals = np.array(finals)
         sem = finals.std(ddof=1) / np.sqrt(len(finals))
@@ -65,7 +65,7 @@ class TestBetaPath:
 
     def test_positive(self):
         rng = np.random.default_rng(3)
-        inc = np.sqrt(0.01) * rng.standard_normal((500, 1))
+        inc = np.sqrt(0.01) * rng.standard_normal(500)
         assert np.all(beta_path(1.0, 0.5, inc, 0.01) > 0.0)
 
 
@@ -126,7 +126,7 @@ class TestCharacteristicTrack:
         grid = SpectralGrid(n_modes=128)
         u0 = blowup_bump(grid, 2.0, width=1.0)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, noise=ZeroNoise())
-        inc = np.sqrt(cfg.dt) * np.random.default_rng(4).standard_normal((20, 1))
+        inc = np.sqrt(cfg.dt) * np.random.default_rng(4).standard_normal(20)
         beta = beta_path(0.5, 1.0, inc, cfg.dt)
         _, fields, trk = run_random_pde(cfg, u0, beta, track=True)
         assert trk.times.size == 21

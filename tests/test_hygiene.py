@@ -3,8 +3,9 @@ or ``from ... import``, is used in that module or re-exported through its
 ``__all__``; every ``__all__`` entry of a module other than the package's
 ``__init__`` is defined in that module, so each public name has one home;
 every ``ccflab`` name the benchmark wraps by name still exists; the only
-random generator is built by ``noise.stream``; and importing the CLI loads
-no scipy."""
+random generator is built by ``noise.stream``, and the only path Wiener
+stream ``stream(seed, 0)`` is drawn by ``noise.wiener_increments``; and
+importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -86,29 +87,55 @@ def test_exports_defined_here(path):
     assert foreign_exports(path.read_text()) == []
 
 
-def generator_sites(source: str) -> list[str]:
-    """Sorted names of the top-level functions that call ``default_rng``, one
-    entry per call (``<module>`` for a call outside any function)."""
+def call_sites(source: str, name: str, args: tuple | None = None) -> list[str]:
+    """Sorted names of the top-level functions that call ``name`` (as a bare
+    name or an attribute), one entry per call (``<module>`` for a call outside
+    any function).  With ``args``, only calls with exactly that many
+    positional arguments whose constant ones (the non-``None`` entries) match
+    count."""
     tree = ast.parse(source)
     owner = {}
     for top in tree.body:
         for node in ast.walk(top):
             owner[node] = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+
+    def matches(call: ast.Call) -> bool:
+        if name not in {getattr(call.func, "attr", None), getattr(call.func, "id", None)}:
+            return False
+        if args is None:
+            return True
+        return len(call.args) == len(args) and all(
+            want is None or (isinstance(got, ast.Constant) and got.value == want)
+            for got, want in zip(call.args, args))
+
     return sorted(owner[node] for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and "default_rng" in {
-                      getattr(node.func, "attr", None), getattr(node.func, "id", None)})
+                  if isinstance(node, ast.Call) and matches(node))
 
 
 def test_detects_generator_sites():
-    assert generator_sites("import numpy as np\ndef f(s):\n"
-                           "    return np.random.default_rng(s)\n"
-                           "g = default_rng(0)\n") == ["<module>", "f"]
+    assert call_sites("import numpy as np\ndef f(s):\n"
+                      "    return np.random.default_rng(s)\n"
+                      "g = default_rng(0)\n", "default_rng") == ["<module>", "f"]
 
 
 def test_one_generator_site():
     # every random stream is a keyed child of SeedSequence(seed): one rule
-    sites = {path.name: generator_sites(path.read_text()) for path in MODULES}
+    sites = {path.name: call_sites(path.read_text(), "default_rng") for path in MODULES}
     assert {name: s for name, s in sites.items() if s} == {"noise.py": ["stream"]}
+
+
+def test_detects_wiener_stream_sites():
+    source = ("def f(s):\n    return stream(s, 0)\n"
+              "def g(s, i):\n    return stream(s, 0, i), stream(s, 1), stream(s)\n"
+              "h = noise.stream(3, 0)\n")
+    assert call_sites(source, "stream", (None, 0)) == ["<module>", "f"]
+
+
+def test_one_wiener_stream_site():
+    # a path's Brownian increments have one rule: noise.wiener_increments
+    sites = {path.name: call_sites(path.read_text(), "stream", (None, 0))
+             for path in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {"noise.py": ["wiener_increments"]}
 
 
 def test_bench_names_resolve():

@@ -20,7 +20,7 @@ from ccflab.integrate import (
     simulate_path,
 )
 from ccflab.instability import InstabilityParams, build_low_initial
-from ccflab.noise import GeneralH, LinearB, ZeroNoise
+from ccflab.noise import GeneralH, LinearB, ZeroNoise, wiener_increments
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -132,7 +132,7 @@ class TestEmStep:
         cfg = zero_cfg()
         u = Field.zeros(GRID)
         for _ in range(5):
-            u = em_step(u, 0.0, cfg, np.zeros(0))
+            u = em_step(u, 0.0, cfg, 0.0)
         assert u.max_abs() == 0.0
 
     def test_geometric_brownian_oracle(self):
@@ -151,7 +151,7 @@ class TestEmStep:
             rec = simulate_path(cfg, u0)
             ts = np.arange(rec.wiener_increments.shape[0]) * dt
             bvals = b0 * np.exp(-lam * ts)
-            ito = np.cumsum(bvals * rec.wiener_increments[:, 0])
+            ito = np.cumsum(bvals * rec.wiener_increments)
             quad = np.cumsum(bvals**2) * dt / 2.0
             exact_T = float(np.exp(ito[-1] - quad[-1]))
             got_T = rec.diagnostics["h_s"][-1] / sobolev_norm(u0, 3.1)
@@ -176,7 +176,7 @@ class TestTransformBudget:
 
     def test_general_h_em_step(self, fft_calls):
         cfg = zero_cfg(noise=GeneralH(n_components=8))
-        em_step(self.U, 0.0, cfg, np.full(8, 1e-3))
+        em_step(self.U, 0.0, cfg, 1e-3)
         assert len(fft_calls) == 10
 
 
@@ -218,6 +218,17 @@ class TestSimulatePath:
         off = simulate_path(zero_cfg(horizon=0.1, noise=noise, seed=5, adapt=False), u0)
         assert on.status == off.status == "completed"
         assert np.array_equal(on.wiener_increments, off.wiener_increments)
+
+    def test_increments_are_the_path_seeds_draw(self):
+        # a path that stops early records the prefix of its seed's increments
+        noise = LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25)
+        cfg = zero_cfg(horizon=0.2, noise=noise, seed=5, blowup_threshold=30.0,
+                       blowup_doublings=1)
+        rec = simulate_path(cfg, blowup_bump(GRID, 10.0))
+        taken = rec.wiener_increments.shape[0]
+        assert rec.status == "blewup" and taken < 200
+        assert np.array_equal(rec.wiener_increments,
+                              wiener_increments(cfg.seed, cfg.dt, 200)[:taken])
 
     def test_cutoff_inert_when_huge(self):
         rng = np.random.default_rng(6)
@@ -266,10 +277,10 @@ class TestSimulatePath:
                         cutoff_radius=sobolev_norm(u0, 1.6) / 1.5)
         rec = simulate_path(cfg, u0)
         assert rec.status == "completed"
-        assert rec.wiener_increments.shape == (20, 4)
-        assert rec.diagnostics["h_s"][-1] == pytest.approx(91.45487669434817, rel=1e-12)
-        assert rec.diagnostics["sup_ux"][-1] == pytest.approx(2.861368203327438, rel=1e-12)
-        assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.3697684248322983, rel=1e-12)
+        assert rec.wiener_increments.shape == (20,)
+        assert rec.diagnostics["h_s"][-1] == pytest.approx(95.39678920212046, rel=1e-12)
+        assert rec.diagnostics["sup_ux"][-1] == pytest.approx(2.9726146137587635, rel=1e-12)
+        assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.436232719983604, rel=1e-12)
 
 
 def low_datum(n: int, n_modes: int) -> Field:

@@ -11,8 +11,7 @@ from ccflab.noise import (
     StrongAlpha,
     ZeroNoise,
     helmholtz_inverse_dx,
-    hilbert_schmidt_norm,
-    sample_wiener_increments,
+    wiener_increments,
 )
 from ccflab.spectral import Field, SpectralGrid, random_band_limited, sobolev_norm
 
@@ -52,33 +51,38 @@ class TestGeneralH:
             GeneralH(**kwargs)
 
     def test_zero_input(self):
-        comps = self.model(K=4).components(0.3, Field.zeros(GRID))
-        assert len(comps) == 4
-        assert all(c.max_abs() == 0.0 for c in comps)
+        assert self.model(K=4).components(0.3, Field.zeros(GRID)).max_abs() == 0.0
 
     def test_two_mode_hand_value(self):
         # u = cos x: u_x + H u_x = -sin x - cos x, then the Helmholtz-inverse
         # derivative gives (-cos x + sin x)/2 (multiplier i xi/(1+xi^2) at k=1).
-        comps = self.model().components(0.0, cosx())
+        h = self.model().components(0.0, cosx())
         want = 0.5 * (-np.cos(GRID.x) + np.sin(GRID.x))
-        assert np.allclose(comps[0].samples, want, atol=1e-12)
+        assert np.allclose(h.samples, want, atol=1e-12)
 
     def test_component_scaling(self):
-        m = self.model(K=3)
-        comps = m.components(0.0, cosx())
-        c = m.weights
-        assert np.allclose(comps[1].samples, (c[1] / c[0]) * comps[0].samples, atol=1e-13)
+        # K components on K Brownian motions are one of amplitude |c|_2
+        u = random_band_limited(GRID, 40, np.random.default_rng(0))
+        one = self.model(K=1)
+        assert one.amplitude == 1.0
+        for K in (3, 8):
+            m = self.model(K=K)
+            norm = np.sqrt(np.sum(np.arange(1.0, K + 1) ** (-2.0 * m.component_decay)))
+            assert m.amplitude == pytest.approx(norm, rel=1e-14)
+            got = m.components(0.0, u).coefficients
+            want = m.amplitude * one.components(0.0, u).coefficients
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_growth_envelope_linear_case(self):
-        # k = n = 1: |h|_HS <= sqrt(2) * q * sqrt(sum c_j^2) * |u|_{H^s}
+        # k = n = 1: |h|_{H^s} <= sqrt(2) * q * |c|_2 * |u|_{H^s}
         # (multiplier bound |xi(i xi - |xi|)/(1+xi^2)| <= sqrt(2)).
         rng = np.random.default_rng(2)
         m = self.model(K=8)
-        csum = np.sqrt(np.sum(m.weights ** 2))
+        csum = m.amplitude
         s = 3.1
         for _ in range(20):
             u = random_band_limited(GRID, 80, rng, rms=rng.uniform(0.1, 5.0))
-            hs = hilbert_schmidt_norm(m.components(0.0, u), s)
+            hs = sobolev_norm(m.components(0.0, u), s)
             assert hs <= np.sqrt(2.0) * csum * sobolev_norm(u, s) * (1.0 + 1e-10)
 
     def test_lipschitz_ratio_bounded(self):
@@ -96,7 +100,7 @@ class TestGeneralH:
                 continue
             hu = m.components(0.0, u)
             hv = m.components(0.0, v)
-            diff = np.sqrt(sum(sobolev_norm(a - b, s) ** 2 for a, b in zip(hu, hv)))
+            diff = sobolev_norm(hu - hv, s)
             nmax = max(sobolev_norm(u, s), sobolev_norm(v, s), 1.0)
             ratios.append(diff / du / nmax)
         assert np.max(ratios) < 50.0  # measured ~over the sample; N-local constant
@@ -105,18 +109,18 @@ class TestGeneralH:
 class TestStrongAlpha:
     def test_zero(self):
         m = StrongAlpha(theta=1.0)
-        assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
+        assert m.components(0.0, Field.zeros(GRID)).max_abs() == 0.0
 
     def test_cos_three_cos(self):
         m = StrongAlpha(q=1.0, theta=1.0)
-        got = m.components(0.0, cosx())[0]
+        got = m.components(0.0, cosx())
         assert np.allclose(got.samples, 3.0 * np.cos(GRID.x), atol=1e-9)
 
     def test_collinear(self):
         rng = np.random.default_rng(4)
         u = random_band_limited(GRID, 40, rng)
         m = StrongAlpha(theta=0.7)
-        out = m.components(0.0, u)[0]
+        out = m.components(0.0, u)
         lam = out.samples[10] / u.samples[10]
         assert np.allclose(out.samples, lam * u.samples, atol=1e-10)
 
@@ -134,16 +138,16 @@ class TestStrongAlpha:
 class TestLinearB:
     def test_zero_field(self):
         m = LinearB(b0=0.5, lam=1.0, b_star=0.3)
-        assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
+        assert m.components(0.0, Field.zeros(GRID)).max_abs() == 0.0
 
     def test_b_zero(self):
         m = LinearB(b0=0.0, lam=1.0, b_star=0.3)
-        assert m.components(1.2, cosx())[0].max_abs() == 0.0
+        assert m.components(1.2, cosx()).max_abs() == 0.0
 
     def test_identity_at_t0(self):
         m = LinearB(b0=1.0, lam=1.0, b_star=1.1)
         u = cosx(0.7)
-        assert np.allclose(m.components(0.0, u)[0].samples, u.samples)
+        assert np.allclose(m.components(0.0, u).samples, u.samples)
 
     def test_validation(self):
         LinearB(b0=0.5, lam=1.0, b_star=0.26).validate()
@@ -162,7 +166,7 @@ class TestInstabilityH:
 
     def test_zero_extension(self):
         m = InstabilityH(sigma0=1.6)
-        assert m.components(0.0, Field.zeros(GRID))[0].max_abs() == 0.0
+        assert m.components(0.0, Field.zeros(GRID)).max_abs() == 0.0
 
     def test_factor_monotone(self):
         m = InstabilityH(sigma0=1.6)
@@ -171,7 +175,7 @@ class TestInstabilityH:
         norms = []
         for amp in (0.5, 1.0, 2.0):
             u = amp * base
-            out = m.components(0.0, u)[0]
+            out = m.components(0.0, u)
             # scalar factor exp(-1/|u|) against the linear part: normalize out
             norms.append(sobolev_norm(out, m.sigma0) / amp)
         assert norms[0] < norms[1] < norms[2]
@@ -183,7 +187,7 @@ class TestInstabilityH:
         rng = np.random.default_rng(6)
         for _ in range(20):
             u = random_band_limited(GRID, 60, rng, rms=rng.uniform(0.1, 3.0))
-            out = m.components(0.0, u)[0]
+            out = m.components(0.0, u)
             r = sobolev_norm(u, m.sigma0)
             bound = np.sqrt(2.0) * np.exp(-1.0 / r) * sobolev_norm(u, m.sigma0 + 0.0)
             # the Helmholtz-inverse derivative loses one derivative; use H^{sigma0}
@@ -193,24 +197,24 @@ class TestInstabilityH:
 
 class TestWienerIncrements:
     def test_dt_zero(self):
-        rng = np.random.default_rng(0)
-        assert np.all(sample_wiener_increments(5, 0.0, rng) == 0.0)
+        assert np.all(wiener_increments(0, 0.0, 5) == 0.0)
+        with pytest.raises(ValueError):
+            wiener_increments(0, -0.1, 5)
 
     def test_moments(self):
-        rng = np.random.default_rng(1234)
         dt = 0.01
         n = 1_000_000
-        draws = np.sqrt(dt) * rng.standard_normal(n)
-        # same generator contract as sample_wiener_increments, bulk-sampled
+        draws = wiener_increments(1234, dt, n)
         se = np.sqrt(dt / n)
         assert abs(draws.mean()) < 4.0 * se
         assert abs(draws.var() - dt) < 0.01 * dt
 
     def test_shape_and_determinism(self):
-        a = sample_wiener_increments(3, 0.1, np.random.default_rng(9))
-        b = sample_wiener_increments(3, 0.1, np.random.default_rng(9))
+        a = wiener_increments(9, 0.1, 3)
         assert a.shape == (3,)
-        assert np.array_equal(a, b)
+        assert np.array_equal(a, wiener_increments(9, 0.1, 3))
+        # one draw per step: a shorter draw is a prefix of a longer one
+        assert np.array_equal(a, wiener_increments(9, 0.1, 50)[:3])
 
 
 class TestHermitian:
@@ -226,9 +230,8 @@ class TestHermitian:
         n = GRID.n_modes
         idx = np.arange(1, n)
         for m in models:
-            for comp in m.components(0.1, u):
-                c = comp.coefficients
-                assert np.allclose(c[idx], np.conj(c[n - idx]), atol=1e-13)
+            c = m.components(0.1, u).coefficients
+            assert np.allclose(c[idx], np.conj(c[n - idx]), atol=1e-13)
 
     def test_zero_noise(self):
-        assert ZeroNoise().components(0.0, cosx()) == []
+        assert ZeroNoise().components(0.0, cosx()) is None
