@@ -4,7 +4,7 @@ Config key tree (defaults shown by ``--dump-config``):
 
 * ``grid.*``      period, n_modes, dealias_fraction
 * ``sim.*``       s, dt, horizon, eps_mollify, cutoff_radius, blowup_threshold,
-                  blowup_doublings, record_every, adapt, seed
+                  record_every, adapt, seed
 * ``noise.*``     family (zero | general | strong | linear | instability) and
                   its parameters (q, theta, b0, lam, b_star, k_exp, n_exp,
                   sigma0, n_components, component_decay)
@@ -53,7 +53,7 @@ DEFAULTS: dict = {
     "grid": {"period": 2.0 * np.pi, "n_modes": 256, "dealias_fraction": 2.0 / 3.0},
     "sim": {
         "s": 3.1, "dt": 1e-3, "horizon": 1.0, "eps_mollify": 0.0,
-        "cutoff_radius": None, "blowup_threshold": 1e3, "blowup_doublings": 3,
+        "cutoff_radius": None, "blowup_threshold": 1e3,
         "record_every": 10, "adapt": True, "seed": 0,
     },
     "noise": {
@@ -176,7 +176,6 @@ def build_sim(cfg: dict, grid=None, noise=None) -> SimConfig:
         noise=noise if noise is not None else build_noise(cfg),
         seed=s["seed"], eps_mollify=s["eps_mollify"],
         cutoff_radius=s["cutoff_radius"], blowup_threshold=s["blowup_threshold"],
-        blowup_doublings=s["blowup_doublings"],
         record_every=s["record_every"], adapt=s["adapt"],
     )
 

@@ -12,7 +12,9 @@ blow-up once ``F(0)`` beats the noise level.  The scalar first-passage bound
 variance space (the law of the stochastic integral depends on ``b`` only
 through its cumulative variance) next to the reflection-principle closed form.
 For ``b = b0 exp(-lam t)`` the total variance is ``b0^2 / (2 lam)`` exactly, so
-the Monte Carlo runs on that interval and takes no horizon.
+the Monte Carlo runs on that interval and takes no horizon; it samples the
+first-passage event exactly from each increment's end values and the
+minimum of the Brownian bridge between them.
 """
 
 from __future__ import annotations
@@ -274,25 +276,31 @@ def _check_threshold(threshold_k: float):
 
 def blowup_probability_bound(b0: float, lam: float, threshold_k: float, num_paths: int,
                              rng: np.random.Generator,
-                             monitor_points: int = 16384,
+                             monitor_points: int = 1,
                              block: int = 64) -> dict:
     """Monte Carlo estimate of ``P{ int_0^t b dW > ln K for all t }`` for
     ``b = b0 exp(-lam t)``.
 
     The law of the integral depends on ``b`` only through its cumulative
-    variance, so paths are simulated in variance space on a uniform monitoring
-    grid of the exact total-variance interval ``[0, b0^2 / (2 lam)]``; no
-    horizon enters.  Alongside the grid frequency (which over-counts survival
-    between monitoring points, Wilson interval attached) an unbiased
-    bridge-corrected estimate is returned: each increment is weighted by the
-    exact Brownian-bridge non-crossing probability.
+    variance, so each path is a Brownian motion ``w`` in variance time on the
+    exact interval ``[0, b0^2 / (2 lam)]``; no horizon enters.  It takes
+    ``monitor_points`` increments of variance ``d_tau``, and between grid
+    values ``w_prev`` and ``w`` the bridge minimum is drawn exactly as
+    ``(w_prev + w - sqrt((w - w_prev)^2 + 2 d_tau E)) / 2`` with ``E ~ Exp(1)``
+    (Glasserman, *Monte Carlo Methods in Financial Engineering*, 2003, 6.4).
+    With ``x = w_prev - ln K > 0`` and ``y = w - ln K`` that minimum lies
+    above ``ln K`` exactly when ``rate = 2 x y / d_tau`` exceeds ``E``, so
+    ``estimate`` is the frequency of the first-passage event itself (Wilson
+    interval attached) and every ``monitor_points >= 1`` samples the same law.
+    ``corrected`` averages that event's probability given the grid values,
+    ``prod (1 - exp(-rate))`` over the increments (0 once ``w <= ln K``).
 
-    Paths are streamed ``block`` at a time through two reused
-    ``(block, monitor_points)`` buffers, so memory is
-    O(``block * monitor_points``) whatever ``num_paths`` is.  The draws are
-    consumed in path order and every reduction is per path, so ``estimate``
-    does not depend on ``block``; ``corrected`` only changes in the order its
-    per-path weights are summed.
+    Each block of ``block`` paths is one ``(block, 3, monitor_points)``
+    normal draw (row 0 the increments, ``E = (z1^2 + z2^2) / 2`` from rows 1
+    and 2), so memory is O(``block * monitor_points``) whatever ``num_paths``
+    is.  The draws are consumed in path order, so ``estimate`` does not depend
+    on ``block``; ``corrected`` only changes in the order its per-path
+    weights are summed.
     """
     if num_paths < 1 or monitor_points < 1 or block < 1:
         raise ValueError(f"num_paths, monitor_points and block must be >= 1, got "
@@ -304,36 +312,21 @@ def blowup_probability_bound(b0: float, lam: float, threshold_k: float, num_path
                 "oracle": 1.0, "num_paths": num_paths, "monitor_points": 0}
     oracle = first_passage_oracle(b0, lam, threshold_k)
     d_tau = b0**2 / (2.0 * lam) / monitor_points
-    a = float(np.log(threshold_k))   # < 0
+    a = math.log(threshold_k)   # < 0
 
-    rows = min(block, num_paths)
-    w_buf = np.empty((rows, monitor_points))
-    q_buf = np.empty((rows, monitor_points))
     surv_count = 0
     corrected_sum = 0.0
-    done = 0
-    while done < num_paths:
-        m = min(rows, num_paths - done)
-        w, q = w_buf[:m], q_buf[:m]
-        rng.standard_normal(out=w)
-        w *= np.sqrt(d_tau)
-        np.cumsum(w, axis=1, out=w)
-        alive = w.min(axis=1) > a
-        surv_count += int(np.count_nonzero(alive))
-        w -= a                  # from here on w holds w - a
-        # bridge correction: P{min of bridge > a} per increment is
-        # 1 - exp(-2 (w_prev - a)(w - a) / d_tau), with w_prev = 0 at column 0;
-        # scaling by -2 after the product is exact, so no factor changes
-        np.multiply(w[:, :-1], w[:, 1:], out=q[:, 1:])
-        np.multiply(w[:, 0], -a, out=q[:, 0])
-        q *= -2.0
-        q /= d_tau
+    for start in range(0, num_paths, block):
+        z = rng.standard_normal((min(block, num_paths - start), 3, monitor_points))
+        y = math.sqrt(d_tau) * np.cumsum(z[:, 0], axis=1) - a
+        x = np.concatenate((np.full((len(y), 1), -a), y[:, :-1]), axis=1)
+        rate = 2.0 * x * y / d_tau
+        # rate > E > 0 at every increment forces y > 0 from x = -a > 0 onwards
+        survived = np.all(rate > 0.5 * (z[:, 1] ** 2 + z[:, 2] ** 2), axis=1)
+        surv_count += int(np.count_nonzero(survived))
         with np.errstate(over="ignore"):
-            np.expm1(q, out=q)
-        np.negative(q, out=q)
-        np.clip(q, 0.0, 1.0, out=q)
-        corrected_sum += float(np.sum(np.where(alive, np.prod(q, axis=1), 0.0)))
-        done += m
+            keep = np.maximum(-np.expm1(-rate), 0.0)
+        corrected_sum += float(np.sum(np.prod(keep, axis=1)))
 
     est = surv_count / num_paths
     lo, hi = wilson_ci(surv_count, num_paths)

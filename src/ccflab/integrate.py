@@ -104,7 +104,6 @@ class SimConfig:
     eps_mollify: float = 0.0
     cutoff_radius: float | None = None
     blowup_threshold: float = 1.0e3
-    blowup_doublings: int = 3
     record_every: int = 1
     keep_snapshots: bool = False
     adapt: bool = True
@@ -223,12 +222,14 @@ def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: float,
     return _adaptive_step(mid, t + 0.5 * dt, cfg, 0.5 * dt, dw2, bridge, depth + 1)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     """Integrate one path to the horizon, blow-up detection or divergence.
 
-    Blow-up is flagged when the monitored quantity ``|u_x|_inf + |H u_x|_inf``
-    first crosses ``blowup_threshold``, provided it has doubled at least
-    ``blowup_doublings`` times since the start (transient growth guard).
+    Blow-up is flagged at the first macro step where the monitored quantity
+    ``|u_x|_inf + |H u_x|_inf`` reaches ``blowup_threshold``, which must exceed
+    its initial value.  Stepping runs with numpy's floating-point warnings
+    off: a path that overflows is reported by its ``diverged`` status.
     Deterministic given the config: bit-identical on reruns.
     """
     if u0.grid != cfg.grid:
@@ -242,10 +243,8 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     snapshots: list[tuple[float, Field]] = []
 
     sups = gradient_sups(u)
-    q0 = max(sups[0] + sups[1], 1e-12)
     if cfg.blowup_threshold <= sups[0] + sups[1]:
         raise ValueError("blowup_threshold must exceed the initial monitored quantity")
-    doublings = 0
 
     def record(t: float, f: Field, sups: tuple[float, float, float]):
         """``sups`` is ``gradient_sups(f)``."""
@@ -278,10 +277,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         u = u_next
 
         sups = gradient_sups(u)
-        q = sups[0] + sups[1]
-        while q >= q0 * 2.0 ** (doublings + 1):
-            doublings += 1
-        if q >= cfg.blowup_threshold and doublings >= cfg.blowup_doublings:
+        if sups[0] + sups[1] >= cfg.blowup_threshold:
             record(t, u, sups)
             if cfg.keep_snapshots:
                 snapshots.append((t, u))

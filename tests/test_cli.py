@@ -267,13 +267,12 @@ class TestExitCodes:
         q0 = blowup_quantity(blowup_bump(grid, 1.0))
         code = main(["global", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.005",
                      "--set", "study.f0=1.0", "--set", "study.q_hat=0.1",
-                     "--set", "study.k1=1.0", "--set", "sim.blowup_doublings=0",
+                     "--set", "study.k1=1.0",
                      "--set", f"sim.blowup_threshold={q0 * (1.0 + 1e-9)!r}"])
         out = capsys.readouterr().out
         assert code == 2
         assert "lyapunov slope nan" in out and "(FAIL)" in out
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_global_reports_diverged_paths(self, tmp_path, capsys):
         # strong noise at the default f0=10 on 64 modes: one of the 8 paths
         # overflows at t=0.001, and the verdict line says so
@@ -396,7 +395,6 @@ class TestExitCodes:
         # a threshold just above the initial monitored quantity stops every
         # linear-noise path after one step: no residual is scored on that prefix
         code = main(["girsanov", "--set", "grid.n_modes=128", "--set", "sim.horizon=0.2",
-                     "--set", "sim.blowup_doublings=0",
                      "--set", "sim.blowup_threshold=1.3817"])
         out = capsys.readouterr().out
         assert code == 2

@@ -2,7 +2,8 @@
 or ``from ... import``, is used in that module or re-exported through its
 ``__all__``; every ``__all__`` entry of a module other than the package's
 ``__init__`` is defined in that module, so each public name has one home;
-every ``ccflab`` name the benchmark wraps by name still exists; the only
+every ``ccflab`` name the benchmark wraps by name still exists, and every
+argument its observers read is a parameter of the function they wrap; the only
 random generator is built by ``noise.stream``, and the only path Wiener
 stream ``stream(seed, 0)`` is drawn by ``noise.wiener_increments``; and
 importing the CLI loads no scipy."""
@@ -10,6 +11,7 @@ importing the CLI loads no scipy."""
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -138,13 +140,27 @@ def test_one_wiener_stream_site():
     assert {name: s for name, s in sites.items() if s} == {"noise.py": ["wiener_increments"]}
 
 
-def test_bench_names_resolve():
-    # perfbench/instrument.py looks its wrapped functions up with getattr, so a
-    # rename or deletion here would make every traced benchmark run raise
+def bench_instrument():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "instrument.py"
     spec = importlib.util.spec_from_file_location("bench_instrument", path)
     instrument = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(instrument)
+    return instrument
+
+
+def subscript_keys(source: str, name: str) -> list[str]:
+    """Sorted constant string keys of the subscripts ``name["..."]``."""
+    return sorted(node.slice.value for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Subscript)
+                  and isinstance(node.value, ast.Name) and node.value.id == name
+                  and isinstance(node.slice, ast.Constant)
+                  and isinstance(node.slice.value, str))
+
+
+def test_bench_names_resolve():
+    # perfbench/instrument.py looks its wrapped functions up with getattr, so a
+    # rename or deletion here would make every traced benchmark run raise
+    instrument = bench_instrument()
     labels = [f"{home}.{name}" for home, names in instrument.TRACED.items()
               for name in names] + list(instrument.OBSERVERS)
     missing = []
@@ -157,6 +173,29 @@ def test_bench_names_resolve():
     missing += [f"noise.{cls}.components" for cls in instrument.NOISE_CLASSES
                 if "components" not in vars(getattr(noise, cls, object))]
     assert missing == []
+
+
+def test_detects_subscript_keys():
+    source = ('def f(args, out):\n    n = int(args["n"]) + args["m"]\n'
+              '    return out["x"], args[0], other["y"]\n')
+    assert subscript_keys(source, "args") == ["m", "n"]
+
+
+def test_bench_observers_read_parameters():
+    # an observer reads the bound arguments of the function it wraps by name,
+    # so dropping or renaming one of those parameters would make every
+    # benchmark run of that study raise
+    instrument = bench_instrument()
+    unknown = []
+    for label, observer in instrument.OBSERVERS.items():
+        home, name = label.split(".")
+        params = inspect.signature(getattr(importlib.import_module(f"ccflab.{home}"),
+                                           name)).parameters
+        args = next(iter(inspect.signature(observer).parameters))
+        unknown += [f"{label}: {key}"
+                    for key in subscript_keys(inspect.getsource(observer), args)
+                    if key not in params]
+    assert unknown == []
 
 
 def test_cli_import_loads_no_scipy():

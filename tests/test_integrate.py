@@ -222,8 +222,7 @@ class TestSimulatePath:
     def test_increments_are_the_path_seeds_draw(self):
         # a path that stops early records the prefix of its seed's increments
         noise = LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25)
-        cfg = zero_cfg(horizon=0.2, noise=noise, seed=5, blowup_threshold=30.0,
-                       blowup_doublings=1)
+        cfg = zero_cfg(horizon=0.2, noise=noise, seed=5, blowup_threshold=30.0)
         rec = simulate_path(cfg, blowup_bump(GRID, 10.0))
         taken = rec.wiener_increments.shape[0]
         assert rec.status == "blewup" and taken < 200
