@@ -21,6 +21,13 @@ loop that forms ``E`` and the noise coefficient, the actual solutions start
 from ``u_l(0)`` alone (no low-frequency solve), and the separation experiment
 keeps the ``m = +1`` states of a path to difference the ``m = -1`` run against.
 
+Transform budget of one defect step: the integrand's carrier rows are in
+closed form (:func:`error_integrand_mod`, one stacked inverse and one forward
+transform; generic carrier products took 21 calls), the noise coefficient
+along the approximate solution builds its packet with one forward transform
+(plus 3 per power above 1 of its exponents), and the low-frequency RK4 step
+takes 8.  That is 11 FFT calls per step with noise, shared by every path.
+
 Decay exponents, computed from ``(s, sigma0, delta)`` and asserted negative
 up front:
 
@@ -41,6 +48,7 @@ from .modulated import (
     CarrierBasis,
     ModulatedField,
     carrier0,
+    carrier_norms,
     mod_derivative,
     mod_helmholtz_inverse_dx,
     mod_hilbert,
@@ -125,8 +133,6 @@ class InstabilityParams:
             raise ValueError("sigma0 must lie in (3/2, 7/4)")
         if self.rate_error >= 0.0 or self.rate_gap_hs >= 0.0:
             raise ValueError("decay exponents must be negative")
-        if self.period < 8.0 * self.n**self.delta:
-            raise ValueError("period must cover the rescaled bumps with padding")
 
     @property
     def period(self) -> float:
@@ -161,6 +167,43 @@ class InstabilityParams:
     def phi_prime_envelope(self) -> np.ndarray:
         """``phi'(x_c / n^delta)`` on the envelope grid (time independent)."""
         return _read_only(self.scaled(phi_profile_prime))
+
+    # Unit-phase carrier-1 samples of the defect's packets: each packet is one
+    # of these times ``phase = exp(-i(m t + n L/2))`` (time independent).
+
+    @cached_property
+    def sin_samples(self) -> np.ndarray:
+        """``S``: the first term's ``sin`` packet, ``-i/2 n^{1-d/2-s} phi``."""
+        amp = float(self.n) ** (1.0 - 0.5 * self.delta - self.s)
+        return _read_only(amp * self.phi_envelope * -0.5j)
+
+    @cached_property
+    def cos_samples(self) -> np.ndarray:
+        """``C``: the second term's ``cos`` packet, ``1/2 n^{-3d/2-s} phi'``."""
+        amp = float(self.n) ** (-1.5 * self.delta - self.s)
+        return _read_only(amp * self.phi_prime_envelope * 0.5)
+
+    def _unit_packet(self) -> ModulatedField:
+        return packet(self.basis, float(self.n) ** (-0.5 * self.delta - self.s)
+                      * self.phi_envelope)
+
+    @cached_property
+    def hilbert_samples(self) -> np.ndarray:
+        """``H``: ``mod_hilbert`` of the packet ``u_h``."""
+        return _read_only(mod_hilbert(self._unit_packet()).phys[1])
+
+    @cached_property
+    def square_rows(self) -> np.ndarray:
+        """Carrier rows 0 and 2 of ``(H u_h) d_x u_h``, transformed and
+        dealiased: ``2 Re(conj(H) D)`` and ``H D``, with ``D`` the samples of
+        ``mod_derivative`` of the packet."""
+        h = self.hilbert_samples
+        d = mod_derivative(self._unit_packet()).phys[1]
+        grid = self.env_grid
+        rows = np.fft.fft(np.stack([2.0 * (np.conj(h) * d).real, h * d]),
+                          axis=-1) / grid.n_modes
+        rows[:, ~grid.dealias_mask] = 0.0
+        return _read_only(rows)
 
 
 # -- building blocks -------------------------------------------------------------
@@ -237,21 +280,35 @@ def packet_norm_ratio(profile, n: int, r: float, delta: float) -> float:
 
 def error_integrand_mod(p: InstabilityParams, t: float, ul_t: Field,
                         hul0: Field) -> ModulatedField:
-    """The three-term defect integrand at time ``t`` (see module docstring)."""
-    basis = p.basis
-    hul_t = hilbert(ul_t)
+    """The three-term defect integrand at time ``t`` (see module docstring).
+
+    Every packet in it is a constant envelope times one phase
+    ``exp(-i(m t + n L/2))`` and every carrier operator is linear, so its
+    carrier rows have a closed form in the unit-phase samples cached on ``p``:
+    row 0 is term 3's time-independent ``2 Re(conj(H) D)``, row 2 is
+    ``phase^2 H D``, and row 1 is ``phase`` times the dealiased transform of
+    ``(Hu_l(0) - Hu_l(t)) S + Hu_l(t) C + H d_x u_l(t)``.  One stacked inverse
+    transform (of ``u_l(t)`` under ``[i sgn xi, i xi]``, and of
+    ``hul0 - Hu_l(t)``) and one forward transform.
+    """
+    grid = p.env_grid
+    if ul_t.grid != grid or hul0.grid != grid:
+        raise ValueError("low-frequency fields must live on the envelope grid")
+    n_modes = grid.n_modes
+    rows = np.empty((3, n_modes), dtype=np.complex128)
+    rows[:2] = grid.transport_symbols * ul_t.coefficients
+    # difference the Hilbert transforms before sampling: they nearly cancel
+    rows[2] = hul0.coefficients - rows[0]
+    hul_t, ul_x, hul_drop = np.fft.ifft(rows * n_modes, axis=-1)
+    row1 = np.fft.fft(hul_drop * p.sin_samples + hul_t * p.cos_samples
+                      + p.hilbert_samples * ul_x) / n_modes
+    row1[~grid.dealias_mask] = 0.0
     phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
-    n = float(p.n)
-    sin_pk = packet(basis, n ** (1.0 - 0.5 * p.delta - p.s) * p.phi_envelope,
-                    phase=-1j * phase)
-    cos_pk = packet(basis, n ** (-1.5 * p.delta - p.s) * p.phi_prime_envelope,
-                    phase=phase)
-    term1 = mod_product(carrier0(basis, hul0 - hul_t), sin_pk)
-    term2 = mod_product(carrier0(basis, hul_t), cos_pk)
-    uh = build_high_frequency_mod(p, t)
-    grad = mod_derivative(carrier0(basis, ul_t) + uh)
-    term3 = mod_product(mod_hilbert(uh), grad)
-    return term1 + term2 + term3
+    out = ModulatedField.zeros(p.basis)
+    out.coeffs[0] = p.square_rows[0]
+    out.coeffs[1] = phase * row1
+    out.coeffs[2] = (phase * phase) * p.square_rows[1]
+    return out
 
 
 def _mod_power(mf: ModulatedField, k: int) -> ModulatedField:
@@ -283,14 +340,17 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     approximate solution are formed once per step and shared by every path,
     which only differs by its scalar Brownian increments (left-point Euler
     accumulation, :func:`~ccflab.noise.wiener_increments` of the path's
-    seed, as :func:`simulate_actual_mod` draws them).
+    seed, as :func:`simulate_actual_mod` draws them).  The paths' Ito sums
+    are one ``(num_paths, max_carrier + 1, N)`` array, and each step takes
+    their ``H^{sigma0}`` norms in one batched :func:`~ccflab.modulated.carrier_norms`.
     """
     n_steps = int(round(horizon / dt))
     sigma0 = p.sigma0
     paths = num_paths if not isinstance(noise, ZeroNoise) else 0
-    dws = [wiener_increments(path_seed(seed, idx), dt, n_steps) for idx in range(paths)]
-    itos = [ModulatedField.zeros(p.basis)] * paths
-    sups = [0.0] * paths
+    dws = np.array([wiener_increments(path_seed(seed, idx), dt, n_steps)
+                    for idx in range(paths)])
+    itos = np.zeros((paths, p.basis.max_carrier + 1, p.env_modes), dtype=np.complex128)
+    sups = np.zeros(paths)
     partial = ModulatedField.zeros(p.basis)    # running integral of E
     det_sup_sq = modulated_norm(partial, sigma0) ** 2
     # zip stops at the range before asking the stream for the horizon state
@@ -301,14 +361,12 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
         det_sup_sq = max(det_sup_sq, modulated_norm(partial, sigma0) ** 2)
         if paths:
             h = eval_noise_mod(noise, t, approx_solution_mod(p, t, ul_t))
-        for k in range(paths):
-            itos[k] = itos[k] + dws[k][i] * h
-            ee = partial - itos[k]
-            sups[k] = max(sups[k], modulated_norm(ee, sigma0) ** 2)
+            itos += dws[:, i, None, None] * h.coeffs
+            sups = np.maximum(sups, carrier_norms(p.basis, partial.coeffs - itos,
+                                                  sigma0) ** 2)
     if not paths:
         return {"mean_sup_sq": det_sup_sq, "sem": 0.0, "det_sup_sq": det_sup_sq,
                 "num_paths": 0}
-    sups = np.array(sups)
     sem = float(sups.std(ddof=1) / np.sqrt(paths)) if paths > 1 else 0.0
     return {"mean_sup_sq": float(sups.mean()), "sem": sem,
             "det_sup_sq": det_sup_sq, "num_paths": paths}

@@ -28,6 +28,9 @@ carrier basis caches its shifted multiplier symbols (read-only).  Transform
 budget: one ``ifft`` per :attr:`ModulatedField.phys`, 3 calls per
 :func:`mod_product` of two fields whose samples are not yet cached, and 2 per
 :func:`mod_transport_product`, the right-hand side of the transport step.
+Norms take none; :func:`carrier_norms` reduces a batch of stacks at once.
+The defect integrand of :mod:`ccflab.instability` makes no generic product:
+its carrier rows are in closed form, at 2 calls.
 """
 
 from __future__ import annotations
@@ -39,9 +42,10 @@ import numpy as np
 
 from .spectral import Field, SpectralGrid, _read_only
 
-__all__ = ["CarrierBasis", "ModulatedField", "modulated_norm", "apply_symbol",
-           "mod_product", "mod_transport_product", "mod_derivative", "mod_hilbert",
-           "mod_helmholtz_inverse_dx", "to_dense_field", "packet", "carrier0"]
+__all__ = ["CarrierBasis", "ModulatedField", "modulated_norm", "carrier_norms",
+           "apply_symbol", "mod_product", "mod_transport_product", "mod_derivative",
+           "mod_hilbert", "mod_helmholtz_inverse_dx", "to_dense_field", "packet",
+           "carrier0"]
 
 
 @dataclass(frozen=True)
@@ -228,12 +232,18 @@ def _band_weights(basis: CarrierBasis, r: float) -> np.ndarray:
     return _read_only(w)
 
 
+def carrier_norms(basis: CarrierBasis, coeffs: np.ndarray, r: float) -> np.ndarray:
+    """H^r norms of a batch of coefficient stacks of shape
+    ``(..., max_carrier + 1, N)``, via the disjoint carrier bands."""
+    w = _band_weights(basis, float(r))
+    bands = np.sum(w * np.abs(coeffs) ** 2, axis=-1) * basis.grid.period
+    # add the bands in carrier order (cumsum is sequential by definition)
+    return np.sqrt(np.cumsum(bands, axis=-1)[..., -1])
+
+
 def modulated_norm(mf: ModulatedField, r: float) -> float:
     """H^r norm via the disjoint carrier bands (see module docstring)."""
-    w = _band_weights(mf.basis, float(r))
-    bands = np.sum(w * np.abs(mf.coeffs) ** 2, axis=-1) * mf.basis.grid.period
-    # add the bands in carrier order (cumsum is sequential by definition)
-    return float(np.sqrt(np.cumsum(bands)[-1]))
+    return float(carrier_norms(mf.basis, mf.coeffs, r))
 
 
 def to_dense_field(mf: ModulatedField, dense: SpectralGrid) -> Field:

@@ -1,10 +1,13 @@
 """Carrier-representation checks, cross-validated against dense grids at small
 carrier wavenumbers, plus smoke runs of the defect/gap/separation studies."""
 
+import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccflab import instability, integrate
 from ccflab.instability import (
@@ -18,6 +21,7 @@ from ccflab.instability import (
     build_low_initial,
     error_functional_ensemble,
     error_integrand_mod,
+    eval_noise_mod,
     low_trajectory,
     packet_norm_ratio,
     phi_profile,
@@ -75,6 +79,13 @@ class TestParams:
         with pytest.raises(ValueError):
             InstabilityParams(m=1, n=32, sigma0=1.9)
 
+    def test_cached_carrier_rows_read_only(self):
+        p = params()
+        for name in ("phi_envelope", "phi_prime_envelope", "sin_samples",
+                     "cos_samples", "hilbert_samples", "square_rows"):
+            with pytest.raises(ValueError):
+                getattr(p, name).flat[0] = 0.0
+
     def test_profiles(self):
         assert phi_profile(np.array([0.5]))[0] == 1.0
         assert phi_profile(np.array([2.5]))[0] == 0.0
@@ -131,6 +142,17 @@ class TestModulatedAlgebra:
         got = to_dense_field(sq_mod, dense)
         rel = np.max(np.abs(got.samples - sq_dense.samples)) / sq_dense.max_abs()
         assert rel < 1e-5
+
+    @pytest.mark.parametrize("k, n", [(1, 1), (2, 1), (1, 2)])
+    def test_dense_agreement_noise(self, k, n):
+        p = params()
+        dense = dense_grid_for(p)
+        model = InstabilityH(exponent_k=k, exponent_n=n, sigma0=p.sigma0)
+        u = approx_solution_mod(p, 0.1, build_low_initial(p, p.env_grid))
+        got = to_dense_field(eval_noise_mod(model, 0.1, u), dense)
+        want = model.components(0.1, to_dense_field(u, dense))
+        rel = np.max(np.abs(got.samples - want.samples)) / want.max_abs()
+        assert rel < 1e-6
 
     def test_operators_shift_symbols(self):
         p = params()
@@ -287,6 +309,15 @@ class TestCarrierTransformBudget:
         _mod_rhs(u)
         assert fft_calls == ["ifft", "fft"]
 
+    def test_error_integrand(self, fft_calls):
+        # one stacked inverse transform of the low-frequency rows, one forward
+        # transform of carrier row 1; rows 0 and 2 are cached on the params
+        hul0 = hilbert(self.UL1)
+        error_integrand_mod(self.P, 0.1, self.UL1, hul0)
+        fft_calls.clear()
+        error_integrand_mod(self.P, 0.1, self.UL1, hul0)
+        assert fft_calls == ["ifft", "fft"]
+
     def test_simulate_actual_mod_step(self, fft_calls):
         # two forward transforms build the low datum and the packet, then
         # 4 RK4 stages of 2
@@ -345,7 +376,59 @@ class TestPacketNormRatio:
         assert abs(packet_norm_ratio(gauss, 2**12, 1.6, 0.9) - 1.0) < 0.05
 
 
+def reference_integrand_terms(p, t, ul_t, hul0):
+    """The defect integrand's three terms as generic carrier products of the
+    packets built at time ``t``: the composition that ``error_integrand_mod``
+    puts in closed form."""
+    basis = p.basis
+    hul_t = hilbert(ul_t)
+    phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
+    n = float(p.n)
+    sin_pk = packet(basis, n ** (1.0 - 0.5 * p.delta - p.s) * p.phi_envelope,
+                    phase=-1j * phase)
+    cos_pk = packet(basis, n ** (-1.5 * p.delta - p.s) * p.phi_prime_envelope,
+                    phase=phase)
+    term1 = mod_product(carrier0(basis, hul0 - hul_t), sin_pk)
+    term2 = mod_product(carrier0(basis, hul_t), cos_pk)
+    uh = build_high_frequency_mod(p, t)
+    grad = mod_derivative(carrier0(basis, ul_t) + uh)
+    term3 = mod_product(mod_hilbert(uh), grad)
+    return term1, term2, term3
+
+
+# relative H^sigma0 distance allowed between the kernel and the reference
+ORACLE_REL = 1e-10
+
+
+def oracle_distance(p, got, want):
+    return modulated_norm(got - want, p.sigma0) / modulated_norm(want, p.sigma0)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_case(n, env, m):
+    p = InstabilityParams(m=m, n=n, env_modes=env)
+    ul0 = build_low_initial(p, p.env_grid)
+    return p, ul0, hilbert(ul0)
+
+
 class TestErrorIntegrand:
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(t=st.floats(0.0, 1.8), n=st.sampled_from([64, 256, 1024]),
+           env=st.sampled_from([256, 1024]), m=st.sampled_from([1, -1]),
+           shift=st.floats(-1.0, 1.0), scale=st.floats(0.5, 1.5))
+    def test_kernel_matches_reference(self, t, n, env, m, shift, scale):
+        # u_l(t): the datum translated by up to n^delta and rescaled, so that
+        # Hu_l(0) - Hu_l(t) and all three terms are non-zero
+        p, ul0, hul0 = oracle_case(n, env, m)
+        grid = p.env_grid
+        ul_t = Field.from_coefficients(
+            grid, scale * ul0.coefficients
+            * np.exp(-1j * grid.wavenumbers * shift * n**p.delta))
+        term1, term2, term3 = reference_integrand_terms(p, t, ul_t, hul0)
+        want = term1 + term2 + term3
+        got = error_integrand_mod(p, t, ul_t, hul0)
+        assert oracle_distance(p, got, want) < ORACLE_REL
+
     def test_dense_agreement_at_t0(self):
         p = params()
         dense = dense_grid_for(p)
@@ -375,14 +458,21 @@ class TestErrorIntegrand:
         assert rel_norm < 1e-6
 
     def test_first_term_vanishes_at_t0(self):
+        # at t = 0 the sin term's factor Hu_l(0) - Hu_l(t) is zero, so the
+        # integrand is the reference's term2 + term3
         p = params()
         ul_env = build_low_initial(p, p.env_grid)
         hul0 = hilbert(ul_env)
         e0 = error_integrand_mod(p, 0.0, ul_env, hul0)
-        # carrier-1 content at t=0 comes only from the cos packet and term3;
-        # check the defect is bounded by those parts by zeroing them out
-        sin_only = error_integrand_mod(p, 0.0, ul_env, hilbert(ul_env))
-        assert modulated_norm(e0 - sin_only, p.sigma0) == 0.0
+        term1, term2, term3 = reference_integrand_terms(p, 0.0, ul_env, hul0)
+        assert modulated_norm(term1, p.sigma0) == 0.0
+        assert oracle_distance(p, e0, term2 + term3) < ORACLE_REL
+        # control: hul0 from another datum (the m = -1 profile) switches the
+        # sin term on, which lives on carrier row 1 alone
+        other = hilbert(build_low_initial(params(m=-1), p.env_grid))
+        e_other = error_integrand_mod(p, 0.0, ul_env, other)
+        assert np.array_equal(e_other.coeffs[[0, 2]], e0.coeffs[[0, 2]])
+        assert oracle_distance(p, e_other, e0) > 1.0
 
 
 class TestStudies:
