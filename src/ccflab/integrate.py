@@ -14,14 +14,21 @@ the imaginary axis and leaves the strong order of the noise unchanged.  A
 step whose relative ``H^s`` increment exceeds ``ADAPT_REL_INCREMENT`` is
 split with a Brownian bridge, at most ``MAX_HALVINGS`` times.
 
-Transform budget: one ``drift`` evaluation is one stacked inverse FFT and one
-forward FFT (:func:`~ccflab.spectral.transport_product`), so an RK4 substep
-costs 8 FFT calls.  The noise adds 2 more for ``GeneralH``/``InstabilityH``
-(10 per ``em_step``), 1 for ``StrongAlpha`` and none for ``LinearB``.  After
-each accepted macro step :func:`~ccflab.spectral.gradient_sups` reads the
-monitored sups and the recorded ``max Lam u`` from one more call, so a
-``GeneralH`` path takes 11 calls per macro step, plus 10 for each further
-``em_step`` that adaptive halving takes.
+All stepping runs through one right-hand side on coefficient arrays,
+``-gate J[(H J c) (J c)_x]``: one stacked inverse FFT and one forward FFT per
+evaluation.  It backs :func:`drift`, the RK4 stages of :func:`em_step` and
+:func:`simulate_low_frequency`.
+
+Transform budget: a step reads everything it needs of its start state ``u``
+from one :class:`StepStart`, which takes one stacked inverse FFT of ``u``:
+the monitored sups and the recorded ``max Lam u``, the gradient samples of
+the noise and the samples of the first RK4 stage.  The first stage then
+takes one forward FFT, which a ``GeneralH``/``InstabilityH`` noise shares
+with its own; ``StrongAlpha`` and ``LinearB`` add none.  So a macro step
+takes 8 FFT calls: the start (1), the noise with stage 1 (1) and stages 2-4
+(6); with a mollifier the noise's forward FFT is its own (9).  A halving
+retry starts from the same state and its :class:`StepStart`, so it pays
+stages 2-4 only (6 calls); the second half starts from a new state (8).
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -48,13 +55,15 @@ from .spectral import (
     SpectralGrid,
     argmax_refined,
     dealias,
+    dealiased_coefficients,
     evaluate_at,
+    fill_step_rows,
     frac_laplacian,
     gradient_sups,
-    mollify,
+    inverse_samples,
+    mollifier_values,
     sobolev_norm,
     transition_bump,
-    transport_product,
 )
 
 __all__ = [
@@ -63,6 +72,7 @@ __all__ = [
     "cutoff_chi",
     "rk4",
     "drift",
+    "StepStart",
     "em_step",
     "simulate_path",
     "simulate_low_frequency",
@@ -152,51 +162,142 @@ class PathRecord:
 # -- drift and stepping ----------------------------------------------------------
 
 
-def rk4(rhs, y, dt: float):
+def rk4(rhs, y, dt: float, k1=None):
     """One classical fourth-order Runge-Kutta step of ``y' = rhs(y)``.
 
-    ``y`` may be a float, a :class:`Field` or a ``ModulatedField``: anything
-    closed under addition and scaling by a float.
+    ``y`` may be a float, a coefficient array, a :class:`Field` or a
+    ``ModulatedField``: anything closed under addition and scaling by a float.
+    ``k1`` is ``rhs(y)`` when the caller already has it.
     """
-    k1 = rhs(y)
+    k1 = rhs(y) if k1 is None else k1
     k2 = rhs(y + (0.5 * dt) * k1)
     k3 = rhs(y + (0.5 * dt) * k2)
     k4 = rhs(y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _gate(u: Field, cfg: SimConfig) -> float:
-    """Cut-off factor ``chi_R(|u|_{H^{s-3/2}})``; 1 without taking the norm
-    when no radius is set."""
+def _gate(c: np.ndarray, cfg: SimConfig) -> float:
+    """Cut-off factor ``chi_R(|u|_{H^{s-3/2}})`` of the coefficients ``c``;
+    1 without taking the norm when no radius is set."""
     if cfg.cutoff_radius is None or np.isposinf(cfg.cutoff_radius):
         return 1.0
-    return cutoff_chi(sobolev_norm(u, cfg.s - 1.5), cfg.cutoff_radius)
+    return cutoff_chi(sobolev_norm(Field(cfg.grid, c), cfg.s - 1.5), cfg.cutoff_radius)
+
+
+def _mollifier(cfg: SimConfig) -> np.ndarray | None:
+    """Per-mode values of ``J_eps``, ``None`` for the identity."""
+    return mollifier_values(cfg.grid, cfg.eps_mollify) if cfg.eps_mollify > 0.0 else None
+
+
+def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float = 1.0,
+                   mollifier: np.ndarray | None = None, product=None) -> np.ndarray:
+    """``-gate J[(H J c) (J c)_x]``, dealiased, for the coefficients ``c``.
+
+    ``J`` multiplies by ``mollifier`` (the identity for ``None``).
+    ``product`` is the dealiased ``(H J c) (J c)_x`` when the caller has it;
+    otherwise one stacked inverse and one forward FFT form it.  No FFT when
+    the gate is closed.
+    """
+    if gate == 0.0:
+        return np.zeros_like(c)
+    if product is None:
+        w = c if mollifier is None else c * mollifier
+        hw, wx = inverse_samples(grid, w * grid.transport_symbols)
+        product = dealiased_coefficients(grid, hw * wx)
+    if mollifier is not None:
+        product = product * mollifier
+    return product * (-gate)
 
 
 def drift(u: Field, cfg: SimConfig) -> Field:
     """Negated gated transport term, ready to be added to the state."""
-    gate = _gate(u, cfg)
-    if gate == 0.0:
-        return Field.zeros(u.grid)
-    eps = cfg.eps_mollify
-    w = mollify(u, eps) if eps > 0.0 else u
-    term = transport_product(w)
-    if eps > 0.0:
-        term = mollify(term, eps)
-    return (-gate) * term
+    c = u.coefficients
+    return Field(u.grid, _transport_rhs(c, cfg.grid, _gate(c, cfg), _mollifier(cfg)))
+
+
+_PENDING = object()
+
+
+class StepStart:
+    """What every step from the state ``u`` at time ``t`` needs of ``u``.
+
+    One stacked inverse FFT (:func:`~ccflab.spectral.fill_step_rows`) gives
+    the step rows of ``u``, from which the sups and the noise read their
+    gradient samples, and of ``w = J u``, from which the first RK4 stage
+    reads ``(Hw) w_x``; without a mollifier ``w`` is ``u``, and a noise that
+    transforms forward forms that product in the same call
+    (:func:`~ccflab.spectral.dealiased_with_transport`).  The sups, the first
+    stage ``k1``, the noise coefficient and the ``H^s`` norm are each formed
+    once, when first asked for, and then shared by every attempt that starts
+    from ``u``.
+    """
+
+    __slots__ = ("u", "t", "cfg", "gate", "mollifier", "w", "_sups", "_k1",
+                 "_noise", "_h_s")
+
+    def __init__(self, u: Field, t: float, cfg: SimConfig):
+        self.u, self.t, self.cfg = u, t, cfg
+        self.gate = _gate(u.coefficients, cfg)
+        self.mollifier = _mollifier(cfg)
+        if self.mollifier is None:
+            self.w = u
+            fill_step_rows(u)
+        else:
+            self.w = Field(u.grid, u.coefficients * self.mollifier)
+            fill_step_rows(u, self.w)
+        self._sups = self._k1 = self._h_s = None
+        self._noise = _PENDING
+
+    @property
+    def sups(self) -> tuple[float, float, float]:
+        """``gradient_sups(u)``."""
+        if self._sups is None:
+            self._sups = gradient_sups(self.u)
+        return self._sups
+
+    @property
+    def k1(self) -> np.ndarray:
+        """The first RK4 stage, the coefficients of ``drift(u, cfg)``."""
+        if self._k1 is None:
+            product = None if self.gate == 0.0 else self.w.transport_coefficients
+            self._k1 = _transport_rhs(self.u.coefficients, self.u.grid, self.gate,
+                                      self.mollifier, product)
+        return self._k1
+
+    @property
+    def noise(self) -> np.ndarray | None:
+        """Coefficients of ``h(t, u)``; ``None`` when no noise enters, with no
+        noise model or a closed gate."""
+        if self._noise is _PENDING:
+            h = None if self.gate == 0.0 else self.cfg.noise.components(self.t, self.u)
+            self._noise = None if h is None else h.coefficients
+        return self._noise
+
+    @property
+    def h_s(self) -> float:
+        """``|u|_{H^s}``."""
+        if self._h_s is None:
+            self._h_s = sobolev_norm(self.u, self.cfg.s)
+        return self._h_s
 
 
 def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
-            dt: float | None = None) -> Field:
-    """One step: drift substep plus the gated noise increment ``h dw``."""
+            dt: float | None = None, start: StepStart | None = None) -> Field:
+    """One step: drift substep plus the gated noise increment ``h dw``.
+
+    ``start`` is the :class:`StepStart` of ``(u, t)`` when the caller keeps
+    one; a step from a start an earlier step used pays for RK4 stages 2-4
+    only.
+    """
     dt = cfg.dt if dt is None else dt
-    unew = rk4(lambda f: drift(f, cfg), u, dt)
-    h = cfg.noise.components(t, u)
+    start = StepStart(u, t, cfg) if start is None else start
+    grid, mollifier = u.grid, start.mollifier
+    h = start.noise    # before k1: the noise's forward FFT can carry k1's
+    c = rk4(lambda y: _transport_rhs(y, grid, _gate(y, cfg), mollifier),
+            u.coefficients, dt, start.k1)
     if h is not None:
-        gate = _gate(u, cfg)
-        if gate != 0.0:
-            unew = unew + (gate * dw) * h
-    return unew
+        c = c + h * float(start.gate * dw)
+    return Field(grid, c)
 
 
 # adaptive halving: at most 2**MAX_HALVINGS = 4096 sub-steps per macro step
@@ -204,22 +305,25 @@ ADAPT_REL_INCREMENT = 0.10
 MAX_HALVINGS = 12
 
 
-def _adaptive_step(u: Field, t: float, cfg: SimConfig, dt: float, dw: float,
+def _adaptive_step(start: StepStart, cfg: SimConfig, dt: float, dw: float,
                    bridge: np.random.Generator, depth: int) -> Field:
-    unew = em_step(u, t, cfg, dw, dt)
+    u, t = start.u, start.t
+    unew = em_step(u, t, cfg, dw, dt, start)
     if not cfg.adapt or depth >= MAX_HALVINGS:
         return unew
-    base = sobolev_norm(u, cfg.s)
+    base = start.h_s
     inc = sobolev_norm(unew - u, cfg.s) if not unew.diverged else np.inf
     if inc <= ADAPT_REL_INCREMENT * max(base, 1e-12):
         return unew
-    # split the increment with a Brownian bridge and recurse on both halves
+    # split the increment with a Brownian bridge and recurse on both halves;
+    # the first half starts from the same state, so it reuses ``start``
     dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * bridge.standard_normal()
     dw2 = dw - dw1
-    mid = _adaptive_step(u, t, cfg, 0.5 * dt, dw1, bridge, depth + 1)
+    mid = _adaptive_step(start, cfg, 0.5 * dt, dw1, bridge, depth + 1)
     if mid.diverged:
         return mid
-    return _adaptive_step(mid, t + 0.5 * dt, cfg, 0.5 * dt, dw2, bridge, depth + 1)
+    return _adaptive_step(StepStart(mid, t + 0.5 * dt, cfg), cfg, 0.5 * dt, dw2,
+                          bridge, depth + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -238,22 +342,28 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
     bridge = stream(cfg.seed, 1)
 
-    u = dealias(u0)
+    # each accepted state gets one StepStart: its sups, and the start of the
+    # next macro step
+    start = StepStart(dealias(u0), 0.0, cfg)
     times, rows = [], []
     snapshots: list[tuple[float, Field]] = []
 
-    sups = gradient_sups(u)
+    sups = start.sups
     if cfg.blowup_threshold <= sups[0] + sups[1]:
         raise ValueError("blowup_threshold must exceed the initial monitored quantity")
 
-    def record(t: float, f: Field, sups: tuple[float, float, float]):
-        """``sups`` is ``gradient_sups(f)``."""
-        sup_fx, sup_hfx, mlam = sups
-        hs = sobolev_norm(f, cfg.s)
+    def record(t: float, state: StepStart):
+        f = state.u
+        sup_fx, sup_hfx, mlam = state.sups
         hm1 = sobolev_norm(f, cfg.s - 1.0)
         hm32 = sobolev_norm(f, cfg.s - 1.5)
         times.append(t)
-        rows.append((hs, hm1, hm32, sup_fx, sup_hfx, mlam, np.log1p(hm1**2)))
+        rows.append((state.h_s, hm1, hm32, sup_fx, sup_hfx, mlam, np.log1p(hm1**2)))
+
+    def snapshot(t: float, f: Field):
+        if cfg.keep_snapshots:
+            # a bare field: the step caches of ``f`` hold several times its size
+            snapshots.append((t, Field(f.grid, f.coefficients)))
 
     def finalize(status: str, t_stop: float, taken: int) -> PathRecord:
         diags = {name: np.array([r[i] for r in rows])
@@ -261,32 +371,29 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         return PathRecord(np.array(times), diags, status, t_stop, snapshots,
                           increments[:taken])
 
-    record(0.0, u, sups)
-    if cfg.keep_snapshots:
-        snapshots.append((0.0, u))
+    record(0.0, start)
+    snapshot(0.0, start.u)
 
     t = 0.0
     for i, dw in enumerate(increments):
-        u_next = _adaptive_step(u, t, cfg, cfg.dt, dw, bridge, 0)
+        u_next = _adaptive_step(start, cfg, cfg.dt, dw, bridge, 0)
         t = (i + 1) * cfg.dt
 
         if u_next.diverged:
             # the last finite state, with the sups taken when it was accepted
-            record(t, u, sups)
+            record(t, start)
             return finalize("diverged", t, i + 1)
-        u = u_next
+        start = StepStart(u_next, t, cfg)
 
-        sups = gradient_sups(u)
+        sups = start.sups
         if sups[0] + sups[1] >= cfg.blowup_threshold:
-            record(t, u, sups)
-            if cfg.keep_snapshots:
-                snapshots.append((t, u))
+            record(t, start)
+            snapshot(t, u_next)
             return finalize("blewup", t, i + 1)
 
         if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            record(t, u, sups)
-            if cfg.keep_snapshots:
-                snapshots.append((t, u))
+            record(t, start)
+            snapshot(t, u_next)
 
     return finalize("completed", t, n_steps)
 
@@ -303,13 +410,12 @@ def simulate_low_frequency(u0: Field, horizon: float,
     when the next state is asked for.  Raises ``ValueError`` naming the time
     of the first non-finite step.
     """
-    def rhs(f: Field) -> Field:
-        return -1.0 * transport_product(f)
-
-    u = u0
-    yield 0.0, u
+    grid = u0.grid
+    c = u0.coefficients
+    yield 0.0, u0
     for i in range(int(round(horizon / dt))):
-        u = rk4(rhs, u, dt)
+        c = rk4(lambda f: _transport_rhs(f, grid), c, dt)
+        u = Field(grid, c)
         if u.diverged:
             raise ValueError(f"low-frequency solve diverged at t={(i + 1) * dt:.6g}")
         yield (i + 1) * dt, u

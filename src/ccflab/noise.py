@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,8 +32,9 @@ from .spectral import (
     Field,
     apply_multiplier,
     dealias,
+    dealiased_with_transport,
     gradient_sups,
-    multiplier_samples,
+    is_dealiased,
     sobolev_norm,
 )
 
@@ -87,11 +89,15 @@ def transport_gradient_powers(u: Field, k: int, n: int) -> Field:
 
     Exponents 1 and 2 are alias-free under the 2/3 rule; higher powers fold a
     small aliased tail back into the band, so keep k, n <= 2 in production runs.
+    A ``u`` inside the band is its own dealiased part, so its cached
+    ``gradient_samples`` serve, and the one forward transform here also forms
+    its transport product (:func:`~ccflab.spectral.dealiased_with_transport`).
     """
     if k < 1 or n < 1:
         raise ValueError("exponents must be >= 1")
-    ux, hux = multiplier_samples(dealias(u), u.grid.gradient_symbols)
-    return dealias(Field.from_samples(u.grid, ux**k + hux**n))
+    v = u if is_dealiased(u) else dealias(u)
+    ux, hux = v.gradient_samples
+    return Field(u.grid, dealiased_with_transport(v, ux**k + hux**n))
 
 
 def exp_decay(b0: float, lam: float, t: float) -> float:
@@ -138,10 +144,11 @@ class GeneralH:
         if self.component_decay < 0.0:
             raise ValueError("component_decay must be nonnegative")
 
-    @property
+    @cached_property
     def amplitude(self) -> float:
         """``|c|_2 = sqrt(sum_{j<=K} j^{-2a})``: exactly 1 at K = 1, and below
-        ``pi^2 / sqrt(90) = 1.0404...`` at the default decay 2."""
+        ``pi^2 / sqrt(90) = 1.0404...`` at the default decay 2.  Summed once
+        per instance."""
         return math.sqrt(sum(j ** (-2.0 * self.component_decay)
                              for j in range(1, self.n_components + 1)))
 

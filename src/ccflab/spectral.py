@@ -16,18 +16,26 @@ Conventions:
   unitary-per-length transform normalization.
 
 Multiplier symbols are built once per grid: :class:`SpectralGrid` caches
-``i xi``, ``i sgn(xi)`` and ``i xi / (1 + xi^2)`` together with two stacks,
-``transport_symbols = [i sgn(xi), i xi]`` (``Hw`` and ``w_x``) and
-``gradient_symbols = [i xi, (i xi)(i sgn(xi))]`` (``f_x`` and ``H f_x``).
+``i xi``, ``i sgn(xi)`` and ``i xi / (1 + xi^2)`` together with the stack
+``step_symbols = [i sgn(xi), i xi, (i xi)(i sgn(xi))]`` (``Hf``, ``f_x`` and
+``H f_x``) and its view ``transport_symbols`` (rows 0-1, ``Hw`` and ``w_x``).
 Every cached array is read-only, since each grid hands the same array to all
-callers.  :func:`multiplier_samples` applies a symbol stack and returns the
-samples of all rows from one ``ifft`` call along the last axis; stacked rows
-are bit-identical to separate 1-D transforms.  On top of it,
-:func:`transport_product` forms the dealiased ``(Hw) w_x`` from one inverse and
-one forward transform, and :func:`gradient_sups` reads ``sup|f_x|``,
-``sup|H f_x|`` and ``max Lam f = -min H f_x`` from one inverse transform.
-At small N the per-call overhead of a transform outweighs its arithmetic,
-so the number of calls, not their length, sets the cost of a time step.
+callers.  :func:`inverse_samples` is the one inverse-transform rule: the
+samples of every row of a coefficient stack from one ``ifft`` call along the
+last axis; stacked rows are bit-identical to separate 1-D transforms, and so
+are stacked forward transforms.
+
+A field computes what a time step reads of it once, when first asked for:
+``step_rows``, the samples of ``Hf``, ``f_x`` and ``H f_x`` from one inverse
+transform (:func:`fill_step_rows` fills several fields from one call), and
+``transport_coefficients``, the dealiased ``(Hf) f_x`` from one forward
+transform of the first two rows.  :func:`transport_product` and
+:func:`gradient_sups` (``sup|f_x|``, ``sup|H f_x|``, ``max Lam f = -min H f_x``)
+read these caches, and :func:`dealiased_with_transport` lets a forward
+transform of a pointwise function of the rows carry the transport product
+along in the same call.  At small N the per-call overhead of a transform
+outweighs its arithmetic, so the number of calls, not their length, sets the
+cost of a time step.
 
 Fields are immutable after construction and all operations are pure, so
 concurrent evaluation is safe.
@@ -51,11 +59,16 @@ __all__ = [
     "bessel",
     "mollify",
     "mollifier_symbol",
+    "mollifier_values",
     "transition_bump",
     "dealias",
+    "is_dealiased",
+    "dealiased_coefficients",
     "dealiased_product",
     "transport_product",
-    "multiplier_samples",
+    "inverse_samples",
+    "fill_step_rows",
+    "dealiased_with_transport",
     "pad_field",
     "sobolev_norm",
     "sobolev_inner",
@@ -142,6 +155,11 @@ class SpectralGrid:
         return _read_only(np.abs(self.k_int) <= self.dealias_keep)
 
     @cached_property
+    def aliased_modes(self) -> slice:
+        """The FFT-order slots outside the dealias band, one contiguous run."""
+        return slice(self.dealias_keep + 1, self.n_modes - self.dealias_keep)
+
+    @cached_property
     def sobolev_base(self) -> np.ndarray:
         """(1 + xi^2) per mode; powers of this build the H^s weights."""
         return _read_only(1.0 + self.wavenumbers**2)
@@ -162,15 +180,16 @@ class SpectralGrid:
         return _read_only(1j * self.wavenumbers / self.sobolev_base)
 
     @cached_property
-    def transport_symbols(self) -> np.ndarray:
-        """Rows ``i sgn(xi)`` and ``i xi``: ``Hw`` and ``w_x``."""
-        return _read_only(np.stack([self.hilbert_symbol, self.derivative_symbol]))
+    def step_symbols(self) -> np.ndarray:
+        """Rows ``i sgn(xi)``, ``i xi`` and ``(i xi)(i sgn(xi))``: ``Hf``,
+        ``f_x`` and ``H f_x``, all a time step needs of its start state."""
+        return _read_only(np.stack([self.hilbert_symbol, self.derivative_symbol,
+                                    self.derivative_symbol * self.hilbert_symbol]))
 
     @cached_property
-    def gradient_symbols(self) -> np.ndarray:
-        """Rows ``i xi`` and ``(i xi)(i sgn(xi))``: ``f_x`` and ``H f_x``."""
-        return _read_only(np.stack([self.derivative_symbol,
-                                    self.derivative_symbol * self.hilbert_symbol]))
+    def transport_symbols(self) -> np.ndarray:
+        """Rows ``i sgn(xi)`` and ``i xi``: ``Hw`` and ``w_x``."""
+        return self.step_symbols[:2]
 
     def __reduce__(self):
         # pickle the defining fields only: a worker process rebuilds the
@@ -187,15 +206,19 @@ class Field:
 
     Coefficients are Hermitian-symmetric (the function is real valued) and the
     Nyquist mode is held at zero.  Construct through :meth:`from_samples`,
-    :meth:`from_coefficients` or :meth:`from_function`.
+    :meth:`from_coefficients` or :meth:`from_function`.  The samples, the
+    step rows and the transport product are computed once, when first asked
+    for.
     """
 
-    __slots__ = ("grid", "_coeffs", "_samples")
+    __slots__ = ("grid", "_coeffs", "_samples", "_rows", "_transport")
 
     def __init__(self, grid: SpectralGrid, coeffs: np.ndarray, _samples=None):
         self.grid = grid
         self._coeffs = coeffs
         self._samples = _samples
+        self._rows = None
+        self._transport = None
 
     # -- constructors -------------------------------------------------------
 
@@ -238,12 +261,33 @@ class Field:
     @property
     def samples(self) -> np.ndarray:
         if self._samples is None:
-            self._samples = np.fft.ifft(self._coeffs * self.grid.n_modes).real
+            self._samples = inverse_samples(self.grid, self._coeffs)
         return self._samples
 
     @property
+    def step_rows(self) -> np.ndarray:
+        """Samples of ``Hf``, ``f_x`` and ``H f_x``, the rows of
+        ``grid.step_symbols`` (read-only)."""
+        if self._rows is None:
+            fill_step_rows(self)
+        return self._rows
+
+    @property
+    def gradient_samples(self) -> np.ndarray:
+        """Samples of ``f_x`` and ``H f_x`` (rows 1-2 of :attr:`step_rows`)."""
+        return self.step_rows[1:]
+
+    @property
+    def transport_coefficients(self) -> np.ndarray:
+        """Coefficients of the dealiased ``(Hf) f_x`` (read-only)."""
+        if self._transport is None:
+            hf, fx = self.step_rows[:2]
+            self._transport = _read_only(dealiased_coefficients(self.grid, hf * fx))
+        return self._transport
+
+    @property
     def diverged(self) -> bool:
-        return not np.all(np.isfinite(self._coeffs))
+        return not np.isfinite(self._coeffs).all()
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.samples)))
@@ -330,7 +374,13 @@ def mollify(f: Field, eps: float) -> Field:
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return f.copy()
-    return apply_multiplier(f, mollifier_symbol(eps * f.grid.wavenumbers))
+    return apply_multiplier(f, mollifier_values(f.grid, eps))
+
+
+@lru_cache(maxsize=64)
+def mollifier_values(grid: SpectralGrid, eps: float) -> np.ndarray:
+    """Per-mode values of the mollifier at width ``eps > 0`` (read-only)."""
+    return _read_only(mollifier_symbol(eps * grid.wavenumbers))
 
 
 # -- products and dealiasing --------------------------------------------------
@@ -341,6 +391,12 @@ def dealias(f: Field) -> Field:
     return Field(f.grid, np.where(f.grid.dealias_mask, f.coefficients, 0.0))
 
 
+def is_dealiased(f: Field) -> bool:
+    """Whether every mode of ``f`` outside the dealias band is zero, so that
+    ``dealias(f)`` has the coefficients of ``f`` (up to the sign of zeros)."""
+    return not f.coefficients[f.grid.aliased_modes].any()
+
+
 def dealiased_product(f: Field, g: Field) -> Field:
     """Pointwise product, masked back into the dealias band.
 
@@ -348,33 +404,62 @@ def dealiased_product(f: Field, g: Field) -> Field:
     the 2/3 rule).
     """
     f._check(g)
-    return _dealiased_from_samples(f.grid, f.samples * g.samples)
+    return Field(f.grid, dealiased_coefficients(f.grid, f.samples * g.samples))
 
 
-def _dealiased_from_samples(grid: SpectralGrid, samples: np.ndarray) -> Field:
-    c = np.fft.fft(samples) / grid.n_modes
-    c[~grid.dealias_mask] = 0.0
-    return Field(grid, c)
+def dealiased_coefficients(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+    """Coefficients of ``samples`` masked into the dealias band: one forward
+    transform along the last axis."""
+    c = np.fft.fft(samples)
+    c /= grid.n_modes
+    c[..., grid.aliased_modes] = 0.0
+    return c
 
 
-def multiplier_samples(f: Field, symbols: np.ndarray) -> np.ndarray:
-    """Samples of each multiplier row of ``symbols`` applied to ``f``.
+def inverse_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Samples of every row of the coefficient stack ``coeffs``: one ``ifft``
+    along the last axis, without its ``1/N``.  N is a power of two, so this
+    equals ``ifft(coeffs * N)`` bit for bit wherever no value is subnormal,
+    and saves a pass over the stack."""
+    return np.fft.ifft(coeffs, axis=-1, norm="forward").real
 
-    One ``ifft`` along the last axis transforms every row; the coefficients
-    are formed as ``(c * symbol) * N``, the order a single multiplier and
-    :attr:`Field.samples` use, so each row is bit-identical to
-    ``apply_multiplier(f, row).samples``.
-    """
-    return np.fft.ifft((f.coefficients * symbols) * f.grid.n_modes, axis=-1).real
+
+def fill_step_rows(*fields: Field) -> None:
+    """Fill :attr:`Field.step_rows` of every field (all on one grid) that has
+    none from one stacked inverse transform.  The rows are formed as
+    ``c * symbol``, the order a single multiplier uses, so each is
+    bit-identical to ``apply_multiplier(f, symbol).samples``."""
+    todo = [f for f in fields if f._rows is None]
+    if not todo:
+        return
+    symbols = todo[0].grid.step_symbols
+    coeffs = np.concatenate([f.coefficients * symbols for f in todo]) if len(todo) > 1 \
+        else todo[0].coefficients * symbols
+    rows = inverse_samples(todo[0].grid, coeffs)
+    for i, f in enumerate(todo):
+        f._rows = _read_only(rows[3 * i:3 * i + 3])
+
+
+def dealiased_with_transport(f: Field, samples: np.ndarray) -> np.ndarray:
+    """:func:`dealiased_coefficients` of ``samples``.  When ``f`` has its step
+    rows but not yet its transport product, the product's forward transform
+    is stacked into the same call and cached on ``f``, so a time step pays
+    one forward transform for its noise and its first stage together."""
+    if f._rows is None or f._transport is not None:
+        return dealiased_coefficients(f.grid, samples)
+    hf, fx = f._rows[:2]
+    both = dealiased_coefficients(f.grid, np.stack([samples, hf * fx]))
+    f._transport = _read_only(both[1])
+    return both[0]
 
 
 def transport_product(w: Field) -> Field:
-    """Dealiased ``(H w) w_x``: one stacked inverse and one forward transform.
+    """Dealiased ``(H w) w_x``: one stacked inverse and one forward transform,
+    both cached on ``w``.
 
     Bit-identical to ``dealiased_product(hilbert(w), derivative(w))``.
     """
-    hw, wx = multiplier_samples(w, w.grid.transport_symbols)
-    return _dealiased_from_samples(w.grid, hw * wx)
+    return Field(w.grid, w.transport_coefficients)
 
 
 def pad_field(f: Field, factor: int = 2) -> Field:
@@ -403,7 +488,7 @@ def _sobolev_weights(grid: SpectralGrid, s: float) -> np.ndarray:
 def sobolev_norm(f: Field, s: float) -> float:
     """Discrete Parseval H^s norm (see module docstring for normalization)."""
     w = _sobolev_weights(f.grid, float(s))
-    return float(np.sqrt(np.sum(w * np.abs(f.coefficients) ** 2) * f.grid.period))
+    return float(np.sqrt((w * np.abs(f.coefficients) ** 2).sum() * f.grid.period))
 
 
 def sobolev_inner(f: Field, g: Field, s: float) -> float:
@@ -423,11 +508,12 @@ def gradient_sups(f: Field) -> tuple[float, float, float]:
 
     ``Lam f = -H f_x``, so ``max Lam f = -min H f_x``; the values equal
     ``derivative(f).max_abs()``, ``hilbert(derivative(f)).max_abs()`` and
-    ``max(frac_laplacian(f, 1).samples)`` bit for bit.
+    ``max(frac_laplacian(f, 1).samples)`` bit for bit.  The transform is
+    ``f.step_rows``, so a field whose rows a step filled costs none.
     """
-    fx, hfx = multiplier_samples(f, f.grid.gradient_symbols)
+    fx, hfx = f.gradient_samples
     # 0.0 - m rather than -m: a zero field gives +0.0, as the max of Lam f does
-    return float(np.max(np.abs(fx))), float(np.max(np.abs(hfx))), 0.0 - float(np.min(hfx))
+    return float(np.abs(fx).max()), float(np.abs(hfx).max()), 0.0 - float(hfx.min())
 
 
 def evaluate_at(f: Field, x) -> np.ndarray | float:

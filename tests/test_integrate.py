@@ -1,6 +1,8 @@
 """Integrator checks: gate profile, hand-computed drift values, the scalar
-geometric-Brownian oracle for the linear-noise степping, determinism/coupling
-contracts, and a fast deterministic blow-up smoke run."""
+geometric-Brownian oracle for the linear-noise stepping, the one-operator-at-a-
+time reference step and path the shared-transform stepper must equal bit for
+bit, FFT budgets, determinism/coupling contracts, and a fast deterministic
+blow-up smoke run."""
 
 import io
 
@@ -9,7 +11,10 @@ import pytest
 
 from ccflab import integrate
 from ccflab.integrate import (
+    ADAPT_REL_INCREMENT,
+    MAX_HALVINGS,
     SimConfig,
+    StepStart,
     blowup_bump,
     cutoff_chi,
     drift,
@@ -20,14 +25,27 @@ from ccflab.integrate import (
     simulate_path,
 )
 from ccflab.instability import InstabilityParams, build_low_initial
-from ccflab.noise import GeneralH, LinearB, ZeroNoise, wiener_increments
+from ccflab.noise import (
+    GeneralH,
+    InstabilityH,
+    LinearB,
+    StrongAlpha,
+    ZeroNoise,
+    stream,
+    wiener_increments,
+)
 from ccflab.spectral import (
     Field,
     SpectralGrid,
     argmax_refined,
+    dealias,
+    dealiased_product,
+    derivative,
     evaluate_at,
     frac_laplacian,
     gradient_sups,
+    hilbert,
+    mollify,
     random_band_limited,
     sobolev_norm,
     sup_norms,
@@ -40,6 +58,98 @@ def zero_cfg(**kw):
     base = dict(grid=GRID, s=3.1, dt=1e-3, horizon=0.05, noise=ZeroNoise(), seed=1)
     base.update(kw)
     return SimConfig(**base)
+
+
+# -- reference stepper: one operator at a time, on Fields --------------------------
+
+
+def reference_gate(u: Field, cfg: SimConfig) -> float:
+    return cutoff_chi(sobolev_norm(u, cfg.s - 1.5), cfg.cutoff_radius)
+
+
+def reference_drift(u: Field, cfg: SimConfig) -> Field:
+    gate = reference_gate(u, cfg)
+    if gate == 0.0:
+        return Field.zeros(u.grid)
+    eps = cfg.eps_mollify
+    w = mollify(u, eps) if eps > 0.0 else u
+    term = dealiased_product(hilbert(w), derivative(w))
+    if eps > 0.0:
+        term = mollify(term, eps)
+    return (-gate) * term
+
+
+def reference_em_step(u: Field, t: float, cfg: SimConfig, dw: float,
+                      dt: float | None = None) -> Field:
+    """RK4 of the drift plus the gated noise ``components(t, u) dw``, each
+    operator applied on its own; ``u`` is copied first, so no transform a
+    stepper cached on it is read."""
+    dt = cfg.dt if dt is None else dt
+    u = u.copy()
+    unew = rk4(lambda f: reference_drift(f, cfg), u, dt)
+    h = cfg.noise.components(t, u)
+    if h is not None:
+        gate = reference_gate(u, cfg)
+        if gate != 0.0:
+            unew = unew + (gate * dw) * h
+    return unew
+
+
+def reference_sups(f: Field) -> tuple[float, float, float]:
+    fx = derivative(f)
+    return fx.max_abs(), hilbert(fx).max_abs(), 0.0 - float(np.min(hilbert(fx).samples))
+
+
+def reference_path(cfg: SimConfig, u0: Field) -> dict:
+    """``simulate_path`` as a plain loop over :func:`reference_em_step`."""
+    n_steps = int(round(cfg.horizon / cfg.dt))
+    increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
+    bridge = stream(cfg.seed, 1)
+
+    def step(u, t, dt, dw, depth):
+        unew = reference_em_step(u, t, cfg, dw, dt)
+        if not cfg.adapt or depth >= MAX_HALVINGS:
+            return unew
+        base = sobolev_norm(u, cfg.s)
+        inc = sobolev_norm(unew - u, cfg.s) if not unew.diverged else np.inf
+        if inc <= ADAPT_REL_INCREMENT * max(base, 1e-12):
+            return unew
+        dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * bridge.standard_normal()
+        mid = step(u, t, 0.5 * dt, dw1, depth + 1)
+        if mid.diverged:
+            return mid
+        return step(mid, t + 0.5 * dt, 0.5 * dt, dw - dw1, depth + 1)
+
+    times, rows = [], []
+
+    def record(t, f):
+        hm1 = sobolev_norm(f, cfg.s - 1.0)
+        times.append(t)
+        rows.append((sobolev_norm(f, cfg.s), hm1, sobolev_norm(f, cfg.s - 1.5),
+                     *reference_sups(f), np.log1p(hm1**2)))
+
+    def result(status, t, taken):
+        return {"times": np.array(times), "rows": np.array(rows), "status": status,
+                "t_stop": t, "increments": increments[:taken]}
+
+    u = dealias(u0)
+    record(0.0, u)
+    t = 0.0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i, dw in enumerate(increments):
+            unew = step(u, t, cfg.dt, dw, 0)
+            t = (i + 1) * cfg.dt
+            if unew.diverged:
+                record(t, u)
+                return result("diverged", t, i + 1)
+            u = unew
+            sup_ux, sup_hux, _ = reference_sups(u)
+            if sup_ux + sup_hux >= cfg.blowup_threshold:
+                record(t, u)
+                return result("blewup", t, i + 1)
+            if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
+                record(t, u)
+    return result("completed", t, n_steps)
 
 
 class TestCutoffChi:
@@ -161,6 +271,72 @@ class TestEmStep:
         assert errs[0] < 0.05
 
 
+class TestReferenceStep:
+    """``em_step`` equals the one-operator-at-a-time reference bit for bit."""
+
+    NOISES = [
+        ZeroNoise(),
+        GeneralH(n_components=1, exponent_k=1, exponent_n=1),
+        GeneralH(n_components=1, exponent_k=2, exponent_n=2),
+        GeneralH(n_components=8, exponent_k=1, exponent_n=1),
+        GeneralH(n_components=8, exponent_k=2, exponent_n=2),
+        StrongAlpha(q=0.5, theta=1.0),
+        LinearB(b0=0.4, lam=1.0, b_star=0.2),
+        InstabilityH(q=2.0, exponent_k=2, exponent_n=1, sigma0=1.6),
+    ]
+
+    @staticmethod
+    def states():
+        # inside the dealias band, and up to the last mode below Nyquist
+        rng = np.random.default_rng(31)
+        return [random_band_limited(GRID, m, rng, rms=0.5)
+                for m in (GRID.dealias_keep, GRID.n_modes // 2 - 1)]
+
+    @pytest.mark.parametrize("noise", NOISES, ids=repr)
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_equals_reference(self, noise, eps, gated):
+        for u in self.states():
+            radius = sobolev_norm(u, 1.6) / 1.5 if gated else None
+            cfg = zero_cfg(noise=noise, eps_mollify=eps, cutoff_radius=radius)
+            if gated:
+                assert 0.0 < reference_gate(u, cfg) < 1.0
+            for dt in (1e-3, 2.5e-4):
+                want = reference_em_step(u, 0.3, cfg, 0.02, dt)
+                got = em_step(u.copy(), 0.3, cfg, 0.02, dt)
+                assert np.array_equal(got.coefficients, want.coefficients)
+                # a retry from a kept start, as halving takes it
+                start = StepStart(u.copy(), 0.3, cfg)
+                em_step(start.u, 0.3, cfg, -0.01, 2.0 * dt, start)
+                got = em_step(start.u, 0.3, cfg, 0.02, dt, start)
+                assert np.array_equal(got.coefficients, want.coefficients)
+
+    def test_drift_equals_reference(self):
+        for u in self.states():
+            for cfg in (zero_cfg(), zero_cfg(eps_mollify=0.05,
+                                             cutoff_radius=sobolev_norm(u, 1.6) / 1.5)):
+                want = reference_drift(u, cfg).coefficients
+                assert np.array_equal(drift(u, cfg).coefficients, want)
+
+    def test_start_sups_equal_reference(self):
+        for u in self.states():
+            start = StepStart(u.copy(), 0.0, zero_cfg(eps_mollify=0.05))
+            assert start.sups == reference_sups(u)
+
+    def test_path_with_halving_equals_reference(self):
+        noise = LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25)
+        cfg = zero_cfg(horizon=0.1, noise=noise, seed=5, record_every=3)
+        u0 = blowup_bump(GRID, 10.0)
+        want = reference_path(cfg, u0)
+        rec = simulate_path(cfg, u0)
+        assert rec.status == want["status"]
+        assert rec.t_stop == want["t_stop"]
+        assert np.array_equal(rec.wiener_increments, want["increments"])
+        assert np.array_equal(rec.times, want["times"])
+        for j, name in enumerate(integrate.DIAGNOSTIC_NAMES):
+            assert np.array_equal(rec.diagnostics[name], want["rows"][:, j]), name
+
+
 class TestTransformBudget:
     """FFT calls per operation (``fft_calls`` is in ``conftest.py``)."""
 
@@ -171,13 +347,53 @@ class TestTransformBudget:
         assert fft_calls == ["ifft", "fft"]
 
     def test_gradient_sups(self, fft_calls):
-        gradient_sups(self.U)
+        gradient_sups(self.U.copy())
         assert fft_calls == ["ifft"]
 
     def test_general_h_em_step(self, fft_calls):
+        # the start transform (1), the noise with stage 1 (1), stages 2-4 (6)
         cfg = zero_cfg(noise=GeneralH(n_components=8))
-        em_step(self.U, 0.0, cfg, 1e-3)
-        assert len(fft_calls) == 10
+        em_step(self.U.copy(), 0.0, cfg, 1e-3)
+        assert len(fft_calls) == 8
+
+    def test_general_h_em_step_mollified(self, fft_calls):
+        # stage 1 transforms J u forward on its own
+        cfg = zero_cfg(noise=GeneralH(n_components=8), eps_mollify=0.05)
+        em_step(self.U.copy(), 0.0, cfg, 1e-3)
+        assert len(fft_calls) == 9
+
+    @pytest.mark.parametrize("noise, per_step", [(GeneralH(n_components=8), 8),
+                                                 (LinearB(b0=0.4, lam=1.0, b_star=0.2), 8),
+                                                 (ZeroNoise(), 8)])
+    def test_simulate_path_per_macro_step(self, fft_calls, noise, per_step):
+        # one start transform for the initial state, then per macro step the
+        # step's transforms and the next state's start transform
+        cfg = zero_cfg(noise=noise, horizon=0.02, adapt=False)
+        rec = simulate_path(cfg, self.U)
+        assert rec.status == "completed" and rec.wiener_increments.shape == (20,)
+        assert len(fft_calls) == 1 + 20 * per_step
+
+    def test_halving_retry_reuses_start(self, fft_calls, monkeypatch):
+        # every em_step that starts from a state an earlier attempt started
+        # from pays for RK4 stages 2-4 only
+        counts, starts = [], {}     # starts kept alive, so ids stay unique
+
+        def counted(u, t, cfg, dw, dt=None, start=None):
+            seen = id(start) in starts
+            starts[id(start)] = start
+            before = len(fft_calls)
+            out = em_step(u, t, cfg, dw, dt, start)
+            counts.append((seen, len(fft_calls) - before))
+            return out
+
+        monkeypatch.setattr(integrate, "em_step", counted)
+        noise = GeneralH(n_components=8, q=4.0)
+        cfg = zero_cfg(horizon=0.05, noise=noise, seed=5)
+        simulate_path(cfg, blowup_bump(GRID, 10.0))
+        retries = [n for seen, n in counts if seen]
+        firsts = [n for seen, n in counts if not seen]
+        assert retries and set(retries) == {6}
+        assert set(firsts) == {7}    # the noise with stage 1, and stages 2-4
 
 
 class TestSimulatePath:
@@ -246,6 +462,14 @@ class TestSimulatePath:
         _, ufinal = rec.snapshots[-1]
         assert abs(ufinal.samples.max() - u0.samples.max()) < 5e-4
         assert abs(ufinal.samples.min() - u0.samples.min()) < 5e-4
+
+    def test_snapshots_are_bare_fields(self):
+        # a kept state does not keep the transforms its step cached on it
+        u0 = Field.from_function(GRID, lambda x: 0.3 * np.sin(x))
+        rec = simulate_path(zero_cfg(horizon=0.01, keep_snapshots=True,
+                                     noise=GeneralH(n_components=2)), u0)
+        assert len(rec.snapshots) == 11
+        assert all(f._rows is None and f._transport is None for _, f in rec.snapshots)
 
     def test_deterministic_blowup_smoke(self):
         # resolution-consistent threshold: the resolvable gradient quantity

@@ -1,6 +1,8 @@
 """Noise-family checks: hand-computed two-mode values, moment sanity for the
 Wiener increments, and the statistical growth/Lipschitz envelopes."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,9 @@ class TestGeneralH:
             m = self.model(K=K)
             norm = np.sqrt(np.sum(np.arange(1.0, K + 1) ** (-2.0 * m.component_decay)))
             assert m.amplitude == pytest.approx(norm, rel=1e-14)
+            # summed once per instance, by the same rule as before
+            assert vars(m)["amplitude"] == math.sqrt(
+                sum(j ** (-2.0 * m.component_decay) for j in range(1, K + 1)))
             got = m.components(0.0, u).coefficients
             want = m.amplitude * one.components(0.0, u).coefficients
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

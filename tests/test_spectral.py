@@ -16,15 +16,21 @@ from ccflab.spectral import (
     SpectralGrid,
     argmax_refined,
     bessel,
+    apply_multiplier,
     cotlar_residual,
     dealias,
     dealiased_product,
+    dealiased_with_transport,
     derivative,
     evaluate_at,
+    fill_step_rows,
     frac_laplacian,
     gradient_sups,
     hilbert,
+    is_dealiased,
     lambda_shift_residual,
+    mollifier_symbol,
+    mollifier_values,
     mollify,
     random_band_limited,
     sobolev_inner,
@@ -67,15 +73,24 @@ class TestGrid:
         # is pickled to a worker process
         names = ("x", "k_int", "wavenumbers", "dealias_mask", "sobolev_base",
                  "derivative_symbol", "hilbert_symbol", "helmholtz_dx_symbol",
-                 "transport_symbols", "gradient_symbols")
+                 "step_symbols", "transport_symbols")
         g = SpectralGrid(n_modes=32)
         cached = [getattr(g, name) for name in names]
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g
         for a in [*cached, *(getattr(copy, name) for name in names),
-                  spectral._sobolev_weights(g, 2.5)]:
+                  spectral._sobolev_weights(g, 2.5), mollifier_values(g, 0.1),
+                  random_band_limited(g, 4, np.random.default_rng(0)).gradient_samples]:
             with pytest.raises(ValueError):
                 a[..., 1] = 0
+
+    @pytest.mark.parametrize("n, fraction", [(16, 2.0 / 3.0), (256, 2.0 / 3.0),
+                                             (64, 1.0), (64, 0.5)])
+    def test_aliased_modes_are_the_mask_complement(self, n, fraction):
+        g = SpectralGrid(n_modes=n, dealias_fraction=fraction)
+        outside = np.zeros(n, dtype=bool)
+        outside[g.aliased_modes] = True
+        assert np.array_equal(outside, ~g.dealias_mask)
 
     def test_nyquist_always_zeroed(self):
         g = SpectralGrid(n_modes=16)
@@ -263,6 +278,43 @@ class TestStackedTransforms:
             want = (fx.max_abs(), hilbert(fx).max_abs(),
                     max(frac_laplacian(f, 1.0).samples))
             assert np.array_equal(gradient_sups(f), want)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_step_rows(self, n, fft_calls):
+        # two fields from one call, each row equal to its own multiplier
+        f, g = self.fields(n)
+        pair = f.copy(), mollify(g, 0.05)
+        fft_calls.clear()
+        fill_step_rows(*pair)
+        assert fft_calls == ["ifft"]
+        for got, src in zip(pair, (f, mollify(g, 0.05))):
+            for row, symbol in zip(got.step_rows, src.grid.step_symbols):
+                assert np.array_equal(row, apply_multiplier(src, symbol).samples)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_noise_transform_carries_transport(self, n, fft_calls):
+        for u in self.fields(n):
+            samples = np.cos(u.grid.x) * u.samples
+            want = dealias(Field.from_samples(u.grid, samples)).coefficients
+            want_transport = transport_product(u.copy()).coefficients
+            fresh = u.copy()
+            fresh.step_rows
+            fft_calls.clear()
+            got = dealiased_with_transport(fresh, samples)
+            assert np.array_equal(got, want)
+            assert np.array_equal(fresh.transport_coefficients, want_transport)
+            assert fft_calls == ["fft"]     # the product came with the one call
+
+    def test_mollifier_values(self):
+        assert np.array_equal(mollifier_values(GRID, 0.05),
+                              mollifier_symbol(0.05 * GRID.wavenumbers))
+
+    def test_is_dealiased(self):
+        f = random_band_limited(GRID, GRID.dealias_keep, np.random.default_rng(3))
+        assert is_dealiased(f)
+        assert not is_dealiased(random_band_limited(GRID, GRID.dealias_keep + 1,
+                                                    np.random.default_rng(3)))
+        assert is_dealiased(-1.0 * f) and is_dealiased(Field.zeros(GRID))
 
     @pytest.mark.parametrize("n", SIZES)
     def test_transport_gradient_powers(self, n):
