@@ -26,9 +26,9 @@ the noise and the samples of the first RK4 stage.  The first stage then
 takes one forward FFT, which a ``GeneralH``/``InstabilityH`` noise shares
 with its own; ``StrongAlpha`` and ``LinearB`` add none.  So a macro step
 takes 8 FFT calls: the start (1), the noise with stage 1 (1) and stages 2-4
-(6); with a mollifier the noise's forward FFT is its own (9).  A halving
-retry starts from the same state and its :class:`StepStart`, so it pays
-stages 2-4 only (6 calls); the second half starts from a new state (8).
+(6).  With a mollifier stage 1 transforms ``J u`` on its own (10).  A
+halving retry starts from the same state and its :class:`StepStart`, so it
+pays stages 2-4 only (6 calls); the second half starts from a new state (8).
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -57,11 +57,11 @@ from .spectral import (
     dealias,
     dealiased_coefficients,
     evaluate_at,
-    fill_step_rows,
     frac_laplacian,
     gradient_sups,
     inverse_samples,
-    mollifier_values,
+    mollifier_symbol,
+    request_transport,
     sobolev_norm,
     transition_bump,
 )
@@ -176,17 +176,18 @@ def rk4(rhs, y, dt: float, k1=None):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _gate(c: np.ndarray, cfg: SimConfig) -> float:
-    """Cut-off factor ``chi_R(|u|_{H^{s-3/2}})`` of the coefficients ``c``;
-    1 without taking the norm when no radius is set."""
+def _gate(c: np.ndarray, grid: SpectralGrid, cfg: SimConfig) -> float:
+    """Cut-off factor ``chi_R(|u|_{H^{s-3/2}})`` of the coefficients ``c`` on
+    ``grid``; 1 without taking the norm when no radius is set."""
     if cfg.cutoff_radius is None or np.isposinf(cfg.cutoff_radius):
         return 1.0
-    return cutoff_chi(sobolev_norm(Field(cfg.grid, c), cfg.s - 1.5), cfg.cutoff_radius)
+    return cutoff_chi(sobolev_norm(Field(grid, c), cfg.s - 1.5), cfg.cutoff_radius)
 
 
-def _mollifier(cfg: SimConfig) -> np.ndarray | None:
-    """Per-mode values of ``J_eps``, ``None`` for the identity."""
-    return mollifier_values(cfg.grid, cfg.eps_mollify) if cfg.eps_mollify > 0.0 else None
+def _mollifier(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray | None:
+    """Per-mode values of ``J_eps`` on ``grid``, ``None`` for the identity."""
+    eps = cfg.eps_mollify
+    return mollifier_symbol(eps * grid.wavenumbers) if eps > 0.0 else None
 
 
 def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float = 1.0,
@@ -194,9 +195,9 @@ def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float = 1.0,
     """``-gate J[(H J c) (J c)_x]``, dealiased, for the coefficients ``c``.
 
     ``J`` multiplies by ``mollifier`` (the identity for ``None``).
-    ``product`` is the dealiased ``(H J c) (J c)_x`` when the caller has it;
-    otherwise one stacked inverse and one forward FFT form it.  No FFT when
-    the gate is closed.
+    ``product`` is the dealiased ``(H c) c_x`` when the caller has it and
+    there is no mollifier; otherwise one stacked inverse and one forward FFT
+    form the product.  No FFT when the gate is closed.
     """
     if gate == 0.0:
         return np.zeros_like(c)
@@ -211,42 +212,28 @@ def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float = 1.0,
 
 def drift(u: Field, cfg: SimConfig) -> Field:
     """Negated gated transport term, ready to be added to the state."""
-    c = u.coefficients
-    return Field(u.grid, _transport_rhs(c, cfg.grid, _gate(c, cfg), _mollifier(cfg)))
-
-
-_PENDING = object()
+    c, grid = u.coefficients, u.grid
+    return Field(grid, _transport_rhs(c, grid, _gate(c, grid, cfg), _mollifier(grid, cfg)))
 
 
 class StepStart:
     """What every step from the state ``u`` at time ``t`` needs of ``u``.
 
-    One stacked inverse FFT (:func:`~ccflab.spectral.fill_step_rows`) gives
-    the step rows of ``u``, from which the sups and the noise read their
-    gradient samples, and of ``w = J u``, from which the first RK4 stage
-    reads ``(Hw) w_x``; without a mollifier ``w`` is ``u``, and a noise that
-    transforms forward forms that product in the same call
-    (:func:`~ccflab.spectral.dealiased_with_transport`).  The sups, the first
-    stage ``k1``, the noise coefficient and the ``H^s`` norm are each formed
-    once, when first asked for, and then shared by every attempt that starts
-    from ``u``.
+    The sups and the noise read the gradient samples of ``u``'s step rows
+    (one stacked inverse FFT, cached on ``u``), and without a mollifier the
+    first RK4 stage reads its ``(Hu) u_x`` from the first two rows.  The sups,
+    the first stage ``k1``, the noise coefficient and the ``H^s`` norm are
+    each formed once, when first asked for, and then shared by every attempt
+    that starts from ``u``.
     """
 
-    __slots__ = ("u", "t", "cfg", "gate", "mollifier", "w", "_sups", "_k1",
-                 "_noise", "_h_s")
+    __slots__ = ("u", "t", "cfg", "gate", "mollifier", "_sups", "_k1", "_noise", "_h_s")
 
     def __init__(self, u: Field, t: float, cfg: SimConfig):
         self.u, self.t, self.cfg = u, t, cfg
-        self.gate = _gate(u.coefficients, cfg)
-        self.mollifier = _mollifier(cfg)
-        if self.mollifier is None:
-            self.w = u
-            fill_step_rows(u)
-        else:
-            self.w = Field(u.grid, u.coefficients * self.mollifier)
-            fill_step_rows(u, self.w)
-        self._sups = self._k1 = self._h_s = None
-        self._noise = _PENDING
+        self.gate = _gate(u.coefficients, u.grid, cfg)
+        self.mollifier = _mollifier(u.grid, cfg)
+        self._sups = self._k1 = self._noise = self._h_s = None
 
     @property
     def sups(self) -> tuple[float, float, float]:
@@ -255,22 +242,35 @@ class StepStart:
             self._sups = gradient_sups(self.u)
         return self._sups
 
+    def _first_stage(self):
+        """Form the noise coefficient, then ``k1``.  Without a mollifier
+        ``k1``'s product is ``u``'s own, so it is requested first: a noise that
+        transforms forward forms it in the same call."""
+        u = self.u
+        if self.gate == 0.0:
+            self._noise = None
+            self._k1 = np.zeros_like(u.coefficients)
+            return
+        if self.mollifier is None:
+            request_transport(u)
+        h = self.cfg.noise.components(self.t, u)
+        self._noise = None if h is None else h.coefficients
+        product = u.transport_coefficients if self.mollifier is None else None
+        self._k1 = _transport_rhs(u.coefficients, u.grid, self.gate, self.mollifier, product)
+
     @property
     def k1(self) -> np.ndarray:
         """The first RK4 stage, the coefficients of ``drift(u, cfg)``."""
         if self._k1 is None:
-            product = None if self.gate == 0.0 else self.w.transport_coefficients
-            self._k1 = _transport_rhs(self.u.coefficients, self.u.grid, self.gate,
-                                      self.mollifier, product)
+            self._first_stage()
         return self._k1
 
     @property
     def noise(self) -> np.ndarray | None:
         """Coefficients of ``h(t, u)``; ``None`` when no noise enters, with no
         noise model or a closed gate."""
-        if self._noise is _PENDING:
-            h = None if self.gate == 0.0 else self.cfg.noise.components(self.t, self.u)
-            self._noise = None if h is None else h.coefficients
+        if self._k1 is None:
+            self._first_stage()
         return self._noise
 
     @property
@@ -290,11 +290,14 @@ def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
     only.
     """
     dt = cfg.dt if dt is None else dt
-    start = StepStart(u, t, cfg) if start is None else start
+    if start is None:
+        start = StepStart(u, t, cfg)
+    elif start.u is not u or start.t != t or start.cfg is not cfg:
+        raise ValueError("start belongs to another state, time or config")
     grid, mollifier = u.grid, start.mollifier
-    h = start.noise    # before k1: the noise's forward FFT can carry k1's
-    c = rk4(lambda y: _transport_rhs(y, grid, _gate(y, cfg), mollifier),
+    c = rk4(lambda y: _transport_rhs(y, grid, _gate(y, grid, cfg), mollifier),
             u.coefficients, dt, start.k1)
+    h = start.noise
     if h is not None:
         c = c + h * float(start.gate * dw)
     return Field(grid, c)

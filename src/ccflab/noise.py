@@ -90,8 +90,9 @@ def transport_gradient_powers(u: Field, k: int, n: int) -> Field:
     Exponents 1 and 2 are alias-free under the 2/3 rule; higher powers fold a
     small aliased tail back into the band, so keep k, n <= 2 in production runs.
     A ``u`` inside the band is its own dealiased part, so its cached
-    ``gradient_samples`` serve, and the one forward transform here also forms
-    its transport product (:func:`~ccflab.spectral.dealiased_with_transport`).
+    ``gradient_samples`` serve, and when a time step requested its transport
+    product, the one forward transform here forms that too
+    (:func:`~ccflab.spectral.dealiased_with_transport`).
     """
     if k < 1 or n < 1:
         raise ValueError("exponents must be >= 1")

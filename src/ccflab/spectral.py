@@ -27,13 +27,12 @@ are stacked forward transforms.
 
 A field computes what a time step reads of it once, when first asked for:
 ``step_rows``, the samples of ``Hf``, ``f_x`` and ``H f_x`` from one inverse
-transform (:func:`fill_step_rows` fills several fields from one call), and
-``transport_coefficients``, the dealiased ``(Hf) f_x`` from one forward
-transform of the first two rows.  :func:`transport_product` and
+transform, and ``transport_coefficients``, the dealiased ``(Hf) f_x`` from one
+forward transform of the first two rows.  :func:`transport_product` and
 :func:`gradient_sups` (``sup|f_x|``, ``sup|H f_x|``, ``max Lam f = -min H f_x``)
-read these caches, and :func:`dealiased_with_transport` lets a forward
-transform of a pointwise function of the rows carry the transport product
-along in the same call.  At small N the per-call overhead of a transform
+read these caches.  A caller that will read the transport product can say so
+with :func:`request_transport`; the next :func:`dealiased_with_transport` of
+the field then forms the product in the same forward transform.  At small N the per-call overhead of a transform
 outweighs its arithmetic, so the number of calls, not their length, sets the
 cost of a time step.
 
@@ -59,7 +58,6 @@ __all__ = [
     "bessel",
     "mollify",
     "mollifier_symbol",
-    "mollifier_values",
     "transition_bump",
     "dealias",
     "is_dealiased",
@@ -67,7 +65,7 @@ __all__ = [
     "dealiased_product",
     "transport_product",
     "inverse_samples",
-    "fill_step_rows",
+    "request_transport",
     "dealiased_with_transport",
     "pad_field",
     "sobolev_norm",
@@ -94,6 +92,11 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     # cached arrays are shared by every caller of a grid
     a.setflags(write=False)
     return a
+
+
+# ``Field._transport`` before the product is formed, once a caller that will
+# read it asked for it (:func:`request_transport`)
+_REQUESTED = object()
 
 
 @dataclass(frozen=True)
@@ -267,9 +270,12 @@ class Field:
     @property
     def step_rows(self) -> np.ndarray:
         """Samples of ``Hf``, ``f_x`` and ``H f_x``, the rows of
-        ``grid.step_symbols`` (read-only)."""
+        ``grid.step_symbols`` (read-only), from one inverse transform.  The
+        rows are formed as ``c * symbol``, the order a single multiplier uses,
+        so each is bit-identical to ``apply_multiplier(f, symbol).samples``."""
         if self._rows is None:
-            fill_step_rows(self)
+            self._rows = _read_only(inverse_samples(self.grid,
+                                                    self._coeffs * self.grid.step_symbols))
         return self._rows
 
     @property
@@ -280,7 +286,7 @@ class Field:
     @property
     def transport_coefficients(self) -> np.ndarray:
         """Coefficients of the dealiased ``(Hf) f_x`` (read-only)."""
-        if self._transport is None:
+        if self._transport is None or self._transport is _REQUESTED:
             hf, fx = self.step_rows[:2]
             self._transport = _read_only(dealiased_coefficients(self.grid, hf * fx))
         return self._transport
@@ -374,13 +380,7 @@ def mollify(f: Field, eps: float) -> Field:
         raise ValueError("eps must be nonnegative")
     if eps == 0.0:
         return f.copy()
-    return apply_multiplier(f, mollifier_values(f.grid, eps))
-
-
-@lru_cache(maxsize=64)
-def mollifier_values(grid: SpectralGrid, eps: float) -> np.ndarray:
-    """Per-mode values of the mollifier at width ``eps > 0`` (read-only)."""
-    return _read_only(mollifier_symbol(eps * grid.wavenumbers))
+    return apply_multiplier(f, mollifier_symbol(eps * f.grid.wavenumbers))
 
 
 # -- products and dealiasing --------------------------------------------------
@@ -424,30 +424,23 @@ def inverse_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.ifft(coeffs, axis=-1, norm="forward").real
 
 
-def fill_step_rows(*fields: Field) -> None:
-    """Fill :attr:`Field.step_rows` of every field (all on one grid) that has
-    none from one stacked inverse transform.  The rows are formed as
-    ``c * symbol``, the order a single multiplier uses, so each is
-    bit-identical to ``apply_multiplier(f, symbol).samples``."""
-    todo = [f for f in fields if f._rows is None]
-    if not todo:
-        return
-    symbols = todo[0].grid.step_symbols
-    coeffs = np.concatenate([f.coefficients * symbols for f in todo]) if len(todo) > 1 \
-        else todo[0].coefficients * symbols
-    rows = inverse_samples(todo[0].grid, coeffs)
-    for i, f in enumerate(todo):
-        f._rows = _read_only(rows[3 * i:3 * i + 3])
+def request_transport(f: Field) -> None:
+    """Have the next :func:`dealiased_with_transport` of ``f`` form
+    :attr:`Field.transport_coefficients` in the same forward transform.  Only
+    a caller that will read the product asks, so no other caller pays for
+    the extra row."""
+    if f._transport is None:
+        f._transport = _REQUESTED
 
 
 def dealiased_with_transport(f: Field, samples: np.ndarray) -> np.ndarray:
-    """:func:`dealiased_coefficients` of ``samples``.  When ``f`` has its step
-    rows but not yet its transport product, the product's forward transform
-    is stacked into the same call and cached on ``f``, so a time step pays
-    one forward transform for its noise and its first stage together."""
-    if f._rows is None or f._transport is not None:
+    """:func:`dealiased_coefficients` of ``samples``, a pointwise function of
+    the step rows of ``f``.  When the transport product of ``f`` was
+    requested (:func:`request_transport`) and not yet formed, its forward
+    transform is stacked into the same call and cached on ``f``."""
+    if f._transport is not _REQUESTED:
         return dealiased_coefficients(f.grid, samples)
-    hf, fx = f._rows[:2]
+    hf, fx = f.step_rows[:2]
     both = dealiased_coefficients(f.grid, np.stack([samples, hf * fx]))
     f._transport = _read_only(both[1])
     return both[0]

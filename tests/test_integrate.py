@@ -238,6 +238,30 @@ class TestDrift:
 
 
 class TestEmStep:
+    def test_rejects_a_start_of_another_state(self):
+        rng = np.random.default_rng(4)
+        u = random_band_limited(GRID, 20, rng, rms=0.3)
+        cfg = zero_cfg()
+        start = StepStart(u, 0.0, cfg)
+        for args in ((u.copy(), 0.0, cfg), (u, 0.5, cfg), (u, 0.0, zero_cfg())):
+            with pytest.raises(ValueError, match="start"):
+                em_step(*args, 1e-3, None, start)
+
+    def test_steps_on_the_fields_grid(self):
+        # drift, gate and mollifier all act on u's own grid, as reference_drift
+        # does, whatever grid the config names
+        grid = SpectralGrid(period=4.0 * np.pi, n_modes=GRID.n_modes)
+        u = random_band_limited(grid, 20, np.random.default_rng(9), rms=0.5)
+        noise = GeneralH(n_components=2)
+        for kw in ({}, {"eps_mollify": 0.05,
+                        "cutoff_radius": sobolev_norm(u, 1.6) / 1.5}):
+            own = zero_cfg(grid=grid, noise=noise, **kw)
+            other = zero_cfg(noise=noise, **kw)
+            assert np.array_equal(drift(u, other).coefficients,
+                                  reference_drift(u, own).coefficients)
+            assert np.array_equal(em_step(u.copy(), 0.1, other, 0.02).coefficients,
+                                  reference_em_step(u, 0.1, own, 0.02).coefficients)
+
     def test_zero_fixed_point(self):
         cfg = zero_cfg()
         u = Field.zeros(GRID)
@@ -357,10 +381,11 @@ class TestTransformBudget:
         assert len(fft_calls) == 8
 
     def test_general_h_em_step_mollified(self, fft_calls):
-        # stage 1 transforms J u forward on its own
+        # stage 1 transforms J u on its own (2): no more than one drift and
+        # one noise transform each per stage
         cfg = zero_cfg(noise=GeneralH(n_components=8), eps_mollify=0.05)
         em_step(self.U.copy(), 0.0, cfg, 1e-3)
-        assert len(fft_calls) == 9
+        assert len(fft_calls) == 10
 
     @pytest.mark.parametrize("noise, per_step", [(GeneralH(n_components=8), 8),
                                                  (LinearB(b0=0.4, lam=1.0, b_star=0.2), 8),
@@ -381,19 +406,24 @@ class TestTransformBudget:
         def counted(u, t, cfg, dw, dt=None, start=None):
             seen = id(start) in starts
             starts[id(start)] = start
+            # an accepted state was transformed for its sups; the midpoint
+            # of a halved step is transformed in its first attempt
+            rows_pending = u._rows is None
             before = len(fft_calls)
             out = em_step(u, t, cfg, dw, dt, start)
-            counts.append((seen, len(fft_calls) - before))
+            counts.append((seen, rows_pending, len(fft_calls) - before))
             return out
 
         monkeypatch.setattr(integrate, "em_step", counted)
         noise = GeneralH(n_components=8, q=4.0)
         cfg = zero_cfg(horizon=0.05, noise=noise, seed=5)
         simulate_path(cfg, blowup_bump(GRID, 10.0))
-        retries = [n for seen, n in counts if seen]
-        firsts = [n for seen, n in counts if not seen]
+        retries = [n for seen, _, n in counts if seen]
         assert retries and set(retries) == {6}
-        assert set(firsts) == {7}    # the noise with stage 1, and stages 2-4
+        assert not any(pending for seen, pending, _ in counts if seen)
+        # the start transform if pending, the noise with stage 1, stages 2-4
+        firsts = {(pending, n) for seen, pending, n in counts if not seen}
+        assert firsts == {(False, 7), (True, 8)}
 
 
 class TestSimulatePath:

@@ -23,16 +23,14 @@ from ccflab.spectral import (
     dealiased_with_transport,
     derivative,
     evaluate_at,
-    fill_step_rows,
     frac_laplacian,
     gradient_sups,
     hilbert,
     is_dealiased,
     lambda_shift_residual,
-    mollifier_symbol,
-    mollifier_values,
     mollify,
     random_band_limited,
+    request_transport,
     sobolev_inner,
     sobolev_norm,
     sup_norms,
@@ -79,7 +77,7 @@ class TestGrid:
         copy = pickle.loads(pickle.dumps(g))
         assert copy == g
         for a in [*cached, *(getattr(copy, name) for name in names),
-                  spectral._sobolev_weights(g, 2.5), mollifier_values(g, 0.1),
+                  spectral._sobolev_weights(g, 2.5),
                   random_band_limited(g, 4, np.random.default_rng(0)).gradient_samples]:
             with pytest.raises(ValueError):
                 a[..., 1] = 0
@@ -281,15 +279,14 @@ class TestStackedTransforms:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_step_rows(self, n, fft_calls):
-        # two fields from one call, each row equal to its own multiplier
-        f, g = self.fields(n)
-        pair = f.copy(), mollify(g, 0.05)
-        fft_calls.clear()
-        fill_step_rows(*pair)
-        assert fft_calls == ["ifft"]
-        for got, src in zip(pair, (f, mollify(g, 0.05))):
-            for row, symbol in zip(got.step_rows, src.grid.step_symbols):
-                assert np.array_equal(row, apply_multiplier(src, symbol).samples)
+        # all rows from one call, each equal to its own multiplier
+        for f in self.fields(n):
+            fresh = f.copy()
+            fft_calls.clear()
+            rows = fresh.step_rows
+            assert fft_calls == ["ifft"]
+            for row, symbol in zip(rows, f.grid.step_symbols):
+                assert np.array_equal(row, apply_multiplier(f, symbol).samples)
 
     @pytest.mark.parametrize("n", SIZES)
     def test_noise_transform_carries_transport(self, n, fft_calls):
@@ -298,6 +295,7 @@ class TestStackedTransforms:
             want = dealias(Field.from_samples(u.grid, samples)).coefficients
             want_transport = transport_product(u.copy()).coefficients
             fresh = u.copy()
+            request_transport(fresh)
             fresh.step_rows
             fft_calls.clear()
             got = dealiased_with_transport(fresh, samples)
@@ -305,9 +303,18 @@ class TestStackedTransforms:
             assert np.array_equal(fresh.transport_coefficients, want_transport)
             assert fft_calls == ["fft"]     # the product came with the one call
 
-    def test_mollifier_values(self):
-        assert np.array_equal(mollifier_values(GRID, 0.05),
-                              mollifier_symbol(0.05 * GRID.wavenumbers))
+    def test_noise_transform_alone_unless_requested(self, fft_calls):
+        u = self.fields(256)[0]
+        samples = np.cos(u.grid.x) * u.samples
+        want = dealias(Field.from_samples(u.grid, samples)).coefficients
+        u.step_rows
+        fft_calls.clear()
+        assert np.array_equal(dealiased_with_transport(u, samples), want)
+        assert u._transport is None
+        u.transport_coefficients
+        request_transport(u)      # formed already: nothing left to carry
+        dealiased_with_transport(u, samples)
+        assert fft_calls == ["fft"] * 3
 
     def test_is_dealiased(self):
         f = random_band_limited(GRID, GRID.dealias_keep, np.random.default_rng(3))

@@ -18,9 +18,15 @@ runs, median, quartiles (``numpy.percentile`` 25/75, linear) and range; the
 wins per pair; whether the median gap in the better direction exceeds the
 parent's interquartile range; and ``within_bound``, that the change's median
 is worse than the parent's by at most the metric's relative bound.  The
-traced per-layer metrics of both sides go under ``traced_counts``.  The file
-is rewritten after every pair, so an interrupted comparison keeps what it
-measured.
+traced per-layer metrics of both sides go under the set's ``traced_counts``;
+the top-level ``traced_counts`` holds each workload's latest traced pair.
+
+One invocation is one *set* of pairs, recorded with its command line and
+seed order.  When ``--out`` already holds a comparison against the same
+parent commit, the new set is appended to it and ``--note`` lines are added
+to its notes, so a file is rebuilt by rerunning its sets' invocations in
+order.  The file is rewritten after every pair, so an interrupted comparison
+keeps what it measured.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -106,6 +113,20 @@ def compare(pairs: list[dict], better: str, bound: float) -> dict:
     return out
 
 
+def invocation_args() -> list[str]:
+    """This run's arguments without ``--workdir``, which only says where the
+    two copies go."""
+    args, skip = [], False
+    for a in sys.argv[1:]:
+        if skip:
+            skip = False
+        elif a == "--workdir":
+            skip = True
+        elif not a.startswith("--workdir="):
+            args.append(a)
+    return args
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent")
@@ -124,39 +145,57 @@ def main() -> int:
     plan = [(w, int(n), int(s)) for w, n, s in (p.split(":") for p in args.plan)]
     parent_commit = subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, check=True,
                                    capture_output=True, text=True).stdout.strip()
-    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
-    dirs = prepare(workdir, parent_commit)
-    command = f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds:g} --trace 0"
-    doc = {
-        "change": args.change,
-        "parent_commit": parent_commit,
-        "method": {
-            "command": command,
-            "sides": "parent = git archive of the parent commit, change = a copy of this "
-                     "tree's src/, perfbench/ and BENCHMARK.json",
-            "order": "; ".join(f"{w}: pair p uses workload seed {s}+p ({n} pairs)"
-                               for w, n, s in plan)
-                     + "; within a pair the parent runs first on even pairs and the "
-                       "change first on odd pairs",
-            "quartiles": "numpy.percentile 25/75 (linear interpolation) over the runs "
-                         "of one side",
-            "wins": "per pair, the side with the better run-level metric",
-            "within_bound": "relative worsening of the change's median against the "
-                            "parent's median is at most the BENCHMARK.json bound",
-            "traced_counts": "python3 perfbench/run.py --workload W --seed 0 --seconds 1 "
-                             "--trace 1 on each side; self times are from one traced call "
-                             "and carry its noise",
-        },
-        "notes": args.note,
-        "machine": {},
-        "sets": [{"name": "pairs", "workloads": {}}],
-        "traced_counts": {},
-    }
+    if args.out.exists():
+        doc = json.loads(args.out.read_text())
+        if doc["parent_commit"] != parent_commit:
+            raise SystemExit(f"{args.out} compares against {doc['parent_commit']}, "
+                             f"not {parent_commit}")
+        doc["change"] = args.change
+        doc["notes"] += args.note
+    else:
+        doc = {
+            "change": args.change,
+            "parent_commit": parent_commit,
+            "method": {
+                "command": "python3 perfbench/run.py --workload W --seed S "
+                           f"--seconds {args.seconds:g} --trace 0",
+                "sides": "parent = git archive of the parent commit, change = a copy of "
+                         "this tree's src/, perfbench/ and BENCHMARK.json",
+                "order": "each set's order names the workload seeds of its pairs; within "
+                         "a pair the parent runs first on even pairs and the change "
+                         "first on odd pairs",
+                "quartiles": "numpy.percentile 25/75 (linear interpolation) over the "
+                             "runs of one side",
+                "wins": "per pair, the side with the better run-level metric",
+                "within_bound": "relative worsening of the change's median against "
+                                "the parent's median is at most the BENCHMARK.json bound",
+                "traced_counts": "python3 perfbench/run.py --workload W --seed 0 "
+                                 "--seconds 1 --trace 1 on each side, once per workload "
+                                 "of a set; self times are from one traced call and "
+                                 "carry its noise",
+            },
+            "notes": args.note,
+            "machine": {},
+            "sets": [],
+            "traced_counts": {},
+        }
     if args.claim:
         workload, metric = args.claim.split(":")
         doc["claimed"] = {"metric": metric, "workload": workload,
                           "rule": "change wins >= 9 of >= 10 alternating pairs and the "
                                   "median gap exceeds the parent's interquartile range"}
+    this = {
+        "name": f"set{len(doc['sets']) + 1}",
+        "invocation": shlex.join(["python3", "tools/bench_pairs.py", *invocation_args()]),
+        "order": "; ".join(f"{w}: pair p uses workload seed {s}+p ({n} pairs)"
+                           for w, n, s in plan),
+        "seconds": args.seconds,
+        "workloads": {},
+        "traced_counts": {},
+    }
+    doc["sets"].append(this)
+    workdir = args.workdir or Path(tempfile.mkdtemp(prefix="bench_pairs_"))
+    dirs = prepare(workdir, parent_commit)
 
     def write():
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
@@ -173,7 +212,7 @@ def main() -> int:
                 verdicts[side].append(res[side])
             pairs.append({side: res[side]["metrics"] for side in SIDES})
             runs = [r for side in SIDES for r in verdicts[side]]
-            doc["sets"][0]["workloads"][workload] = {
+            this["workloads"][workload] = {
                 "correct_every_run": all(r["correct"] for r in runs),
                 "exit_codes": sorted({c for r in runs for c in r["exit_codes"]}),
                 "metrics": {name: compare([{s: pr[s][name] for s in SIDES} for pr in pairs],
@@ -184,11 +223,11 @@ def main() -> int:
             print(f"{workload} pair {p}: " + ", ".join(
                 f"{s} wall_s {pairs[-1][s]['wall_s']:.3f}" for s in SIDES), flush=True)
     for workload, _, _ in plan:
-        doc["traced_counts"][workload] = {}
+        traced = {}
         for side in SIDES:
             res = bench(dirs[side], workload, 0, 1.0, 1)
-            doc["traced_counts"][workload][side] = {"correct": res["correct"], "seed": 0,
-                                                    **res["metrics"]}
+            traced[side] = {"correct": res["correct"], "seed": 0, **res["metrics"]}
+        this["traced_counts"][workload] = doc["traced_counts"][workload] = traced
         write()
     return 0
 
