@@ -225,7 +225,7 @@ def identity_sv_residual(v: Field, z0: float | None = None) -> float:
     if np.any(on_grid):
         eta[on_grid] = evaluate_at(derivative(vt), z0)
     eta_f = Field.from_samples(grid, eta)
-    hdot_half = float(np.sum(np.abs(grid.wavenumbers)
+    hdot_half = float(np.sum(grid.parseval * np.abs(grid.wavenumbers)
                              * np.abs(eta_f.coefficients) ** 2) * grid.period)
     rhs = -0.5 * lam_v0**2 - hdot_half / np.pi
     return abs(lhs - rhs)

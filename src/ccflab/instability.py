@@ -22,11 +22,13 @@ from ``u_l(0)`` alone (no low-frequency solve), and the separation experiment
 keeps the ``m = +1`` states of a path to difference the ``m = -1`` run against.
 
 Transform budget of one defect step: the integrand's carrier rows are in
-closed form (:func:`error_integrand_mod`, one stacked inverse and one forward
-transform; generic carrier products took 21 calls), the noise coefficient
-along the approximate solution builds its packet with one forward transform
-(plus 3 per power above 1 of its exponents), and the low-frequency RK4 step
-takes 8.  That is 11 FFT calls per step with noise, shared by every path.
+closed form (:func:`error_integrand_mod`, one stacked ``irfft`` of the
+low-frequency rows and one forward ``fft`` of carrier row 1; generic carrier
+products took 21 calls), the noise coefficient along the approximate solution
+takes none (plus 3 per power above 1 of its exponents), since its packet is
+the cached unit-phase row times one phase, and the low-frequency RK4 step
+takes 8.  That is 10 transform calls per step with noise, shared by every
+path.
 
 Decay exponents, computed from ``(s, sigma0, delta)`` and asserted negative
 up front:
@@ -58,7 +60,7 @@ from .modulated import (
     packet,
 )
 from .noise import InstabilityH, ZeroNoise, instability_factor, path_seed, wiener_increments
-from .spectral import Field, SpectralGrid, _read_only, hilbert
+from .spectral import Field, SpectralGrid, _read_only, hilbert, inverse_samples
 
 __all__ = [
     "InstabilityParams",
@@ -183,9 +185,18 @@ class InstabilityParams:
         amp = float(self.n) ** (-1.5 * self.delta - self.s)
         return _read_only(amp * self.phi_prime_envelope * 0.5)
 
-    def _unit_packet(self) -> ModulatedField:
-        return packet(self.basis, float(self.n) ** (-0.5 * self.delta - self.s)
+    @cached_property
+    def packet_row(self) -> np.ndarray:
+        """Carrier row 1 of the unit-phase packet ``u_h``: the packet at time
+        ``t`` is this row times ``phase``."""
+        unit = packet(self.basis, float(self.n) ** (-0.5 * self.delta - self.s)
                       * self.phi_envelope)
+        return _read_only(unit.coeffs[1])
+
+    def _unit_packet(self) -> ModulatedField:
+        mf = ModulatedField.zeros(self.basis)
+        mf.coeffs[1] = self.packet_row
+        return mf
 
     @cached_property
     def hilbert_samples(self) -> np.ndarray:
@@ -199,10 +210,9 @@ class InstabilityParams:
         ``mod_derivative`` of the packet."""
         h = self.hilbert_samples
         d = mod_derivative(self._unit_packet()).phys[1]
-        grid = self.env_grid
         rows = np.fft.fft(np.stack([2.0 * (np.conj(h) * d).real, h * d]),
-                          axis=-1) / grid.n_modes
-        rows[:, ~grid.dealias_mask] = 0.0
+                          axis=-1) / self.env_grid.n_modes
+        rows[:, ~self.basis.envelope_mask] = 0.0
         return _read_only(rows)
 
 
@@ -225,10 +235,12 @@ def build_high_frequency(p: InstabilityParams, t: float, grid: SpectralGrid) -> 
 
 def build_high_frequency_mod(p: InstabilityParams, t: float) -> ModulatedField:
     """Carrier-1 version of the packet (phase referenced to the centered
-    coordinate, matching :func:`build_high_frequency`)."""
-    amp = float(p.n) ** (-0.5 * p.delta - p.s)
+    coordinate, matching :func:`build_high_frequency`): the cached
+    :attr:`InstabilityParams.packet_row` times the phase, no transform."""
     phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
-    return packet(p.basis, amp * p.phi_envelope, phase=phase)
+    mf = ModulatedField.zeros(p.basis)
+    mf.coeffs[1] = phase * p.packet_row
+    return mf
 
 
 def build_low_initial(p: InstabilityParams, grid: SpectralGrid) -> Field:
@@ -287,22 +299,21 @@ def error_integrand_mod(p: InstabilityParams, t: float, ul_t: Field,
     carrier rows have a closed form in the unit-phase samples cached on ``p``:
     row 0 is term 3's time-independent ``2 Re(conj(H) D)``, row 2 is
     ``phase^2 H D``, and row 1 is ``phase`` times the dealiased transform of
-    ``(Hu_l(0) - Hu_l(t)) S + Hu_l(t) C + H d_x u_l(t)``.  One stacked inverse
-    transform (of ``u_l(t)`` under ``[i sgn xi, i xi]``, and of
-    ``hul0 - Hu_l(t)``) and one forward transform.
+    ``(Hu_l(0) - Hu_l(t)) S + Hu_l(t) C + H d_x u_l(t)``.  One stacked
+    ``irfft`` of the three real rows (``u_l(t)`` under ``[i sgn xi, i xi]``,
+    and ``hul0 - Hu_l(t)``) and one forward ``fft`` of the complex row 1.
     """
     grid = p.env_grid
     if ul_t.grid != grid or hul0.grid != grid:
         raise ValueError("low-frequency fields must live on the envelope grid")
-    n_modes = grid.n_modes
-    rows = np.empty((3, n_modes), dtype=np.complex128)
+    rows = np.empty((3, *grid.k_int.shape), dtype=np.complex128)
     rows[:2] = grid.transport_symbols * ul_t.coefficients
     # difference the Hilbert transforms before sampling: they nearly cancel
     rows[2] = hul0.coefficients - rows[0]
-    hul_t, ul_x, hul_drop = np.fft.ifft(rows * n_modes, axis=-1)
+    hul_t, ul_x, hul_drop = inverse_samples(grid, rows)
     row1 = np.fft.fft(hul_drop * p.sin_samples + hul_t * p.cos_samples
-                      + p.hilbert_samples * ul_x) / n_modes
-    row1[~grid.dealias_mask] = 0.0
+                      + p.hilbert_samples * ul_x) / grid.n_modes
+    row1[~p.basis.envelope_mask] = 0.0
     phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
     out = ModulatedField.zeros(p.basis)
     out.coeffs[0] = p.square_rows[0]

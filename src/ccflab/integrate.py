@@ -14,21 +14,23 @@ the imaginary axis and leaves the strong order of the noise unchanged.  A
 step whose relative ``H^s`` increment exceeds ``ADAPT_REL_INCREMENT`` is
 split with a Brownian bridge, at most ``MAX_HALVINGS`` times.
 
-All stepping runs through one right-hand side on coefficient arrays,
-``-gate J[(H J c) (J c)_x]``: one stacked inverse FFT and one forward FFT per
-evaluation.  It backs :func:`drift`, the RK4 stages of :func:`em_step` and
-:func:`simulate_low_frequency`.
+All stepping runs through one right-hand side on half-spectrum coefficient
+arrays, ``-gate J[(H J c) (J c)_x]``: one stacked inverse and one forward
+real FFT per evaluation.  It backs :func:`drift`, the RK4 stages of
+:func:`em_step` and :func:`simulate_low_frequency`.
 
-Transform budget: a step reads everything it needs of its start state ``u``
-from one :class:`StepStart`, which takes one stacked inverse FFT of ``u``:
-the monitored sups and the recorded ``max Lam u``, the gradient samples of
-the noise and the samples of the first RK4 stage.  The first stage then
-takes one forward FFT, which a ``GeneralH``/``InstabilityH`` noise shares
-with its own; ``StrongAlpha`` and ``LinearB`` add none.  So a macro step
-takes 8 FFT calls: the start (1), the noise with stage 1 (1) and stages 2-4
-(6).  With a mollifier stage 1 transforms ``J u`` on its own (10).  A
-halving retry starts from the same state and its :class:`StepStart`, so it
-pays stages 2-4 only (6 calls); the second half starts from a new state (8).
+Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
+real field is one of them, see :mod:`ccflab.spectral`): a step reads
+everything it needs of its start state ``u`` from one :class:`StepStart`,
+which takes one stacked ``irfft`` of ``u``: the monitored sups and the
+recorded ``max Lam u``, the gradient samples of the noise and the samples of
+the first RK4 stage.  The first stage then takes one ``rfft``, which a
+``GeneralH``/``InstabilityH`` noise shares with its own; ``StrongAlpha`` and
+``LinearB`` add none.  So a macro step takes 8 transform calls: the start
+(1), the noise with stage 1 (1) and stages 2-4 (6).  With a mollifier stage
+1 transforms ``J u`` on its own (10).  A halving retry starts from the same
+state and its :class:`StepStart`, so it pays stages 2-4 only (6 calls); the
+second half starts from a new state (8).
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -453,11 +455,10 @@ def power_law_field(grid: SpectralGrid, decay: float, rng: np.random.Generator,
     observable instead of collapsing to spectral round-off.
     """
     kmax = grid.dealias_keep if max_mode is None else max_mode
-    c = np.zeros(grid.n_modes, dtype=np.complex128)
+    c = np.zeros(grid.k_int.shape, dtype=np.complex128)
     k = np.arange(1, kmax + 1)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=kmax)
     c[k] = 0.5 * k ** (-float(decay)) * np.exp(1j * phases)
-    c[-k] = np.conj(c[k])
     f = Field.from_coefficients(grid, c)
     cur = sobolev_norm(f, 0.0)
     return (amplitude / cur) * f if cur > 0 else f

@@ -23,8 +23,12 @@ supported packet on the line (the carrier need not be commensurate with the
 envelope period).
 
 Each field stores its envelopes as one ``(max_carrier + 1, N)`` coefficient
-array, so every transform is one stacked FFT along the last axis and each
-carrier basis caches its shifted multiplier symbols (read-only).  Transform
+array of complex envelopes in full FFT order (the envelopes are not real, so
+all N modes are kept), so every transform is one stacked complex FFT along
+the last axis and each carrier basis caches its own FFT-order frequencies,
+dealias mask and shifted multiplier symbols (read-only).  A real field of
+:mod:`ccflab.spectral` keeps only its half spectrum; :func:`carrier0` is the
+one place where it is expanded into an envelope row.  Transform
 budget: one ``ifft`` per :attr:`ModulatedField.phys`, 3 calls per
 :func:`mod_product` of two fields whose samples are not yet cached, and 2 per
 :func:`mod_transport_product`, the right-hand side of the transport step.
@@ -72,10 +76,24 @@ class CarrierBasis:
                              "increase the carrier or shrink the envelope grid")
 
     @cached_property
+    def envelope_k(self) -> np.ndarray:
+        """Integer envelope wavenumbers in FFT order; the Nyquist slot carries
+        ``+N/2`` (only its label matters)."""
+        n = self.grid.n_modes
+        k = np.arange(n)
+        k[n // 2 + 1:] -= n
+        return _read_only(k)
+
+    @cached_property
+    def envelope_mask(self) -> np.ndarray:
+        """The envelope modes inside the grid's dealias band, in FFT order."""
+        return _read_only(np.abs(self.envelope_k) <= self.grid.dealias_keep)
+
+    @cached_property
     def xi(self) -> np.ndarray:
         """Shifted frequencies ``c n + xi``."""
         c = np.arange(self.max_carrier + 1)[:, None]
-        return _read_only(c * self.carrier + self.grid.wavenumbers)
+        return _read_only(c * self.carrier + 2.0 * np.pi * self.envelope_k / self.grid.period)
 
     @cached_property
     def derivative_symbol(self) -> np.ndarray:
@@ -145,11 +163,15 @@ class ModulatedField:
 
 
 def carrier0(basis: CarrierBasis, f: Field) -> ModulatedField:
-    """Lift a plain real field onto the zero carrier."""
+    """Lift a plain real field onto the zero carrier: its half spectrum
+    ``c_0 .. c_{N/2}`` and the conjugate modes ``c_{-k} = conj(c_k)`` fill the
+    FFT-order envelope row."""
     if f.grid != basis.grid:
         raise ValueError("field lives on the wrong envelope grid")
     mf = ModulatedField.zeros(basis)
-    mf.coeffs[0] = f.coefficients
+    c, half = f.coefficients, basis.grid.n_modes // 2
+    mf.coeffs[0, :half + 1] = c
+    mf.coeffs[0, half + 1:] = np.conj(c[half - 1:0:-1])
     return mf
 
 
@@ -200,7 +222,7 @@ def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray) -> Mod
             acc[cout] += (pa[c1] if c1 >= 0 else ca[-c1]) * (pb[c2] if c2 >= 0 else cb[-c2])
     acc[0] = acc[0].real  # conjugate pairs cancel
     c = np.fft.fft(acc, axis=-1) / n
-    c[:, ~grid.dealias_mask] = 0.0
+    c[:, ~basis.envelope_mask] = 0.0
     return ModulatedField(basis, c)
 
 

@@ -1,18 +1,25 @@
 """Periodic pseudospectral fields and Fourier-multiplier operators.
 
-Everything lives on a uniform periodic grid.  A :class:`Field` is stored in
-coefficient space (normalized DFT, ``c_k = (1/N) sum_j f(x_j) exp(-i xi_k x_j)``)
-with samples cached lazily, so multiplier operators are single array
-multiplications and never lose Hermitian symmetry.
+Everything lives on a uniform periodic grid of N points.  A :class:`Field` is
+a real function stored in coefficient space as its half spectrum: the
+``N/2 + 1`` normalized DFT coefficients
+``c_k = (1/N) sum_j f(x_j) exp(-i xi_k x_j)`` for ``k = 0 .. N/2``, i.e.
+``rfft(samples) / N``.  The modes ``-k`` are the conjugates ``conj(c_k)`` and
+are not stored.  Samples are cached lazily, and multiplier operators are
+single array multiplications.
 
 Conventions:
 
-* wavenumbers ``xi_k = 2 pi k / L`` for integer ``k = -N/2+1 .. N/2`` stored in
-  FFT order; the Nyquist slot is forced to zero in every field.
+* wavenumbers ``xi_k = 2 pi k / L`` for ``k = 0 .. N/2``; the DC coefficient
+  is real and the Nyquist slot ``k = N/2`` is zero in every field.  Every
+  symbol is real or zero at ``k = 0``, since ``irfft`` ignores the imaginary
+  parts of the DC and Nyquist slots.
 * Hilbert transform has symbol ``+i sgn(xi)`` (kernel ``1/(y-x)``), so
   ``hilbert(derivative(f)) = -frac_laplacian(f, 1)``.
-* the squared Sobolev norm is ``sum_k (1+xi_k^2)^s |c_k|^2 * L``, which for
-  compactly supported data converges to the line-norm value under the
+* the squared Sobolev norm is ``sum_k p_k (1+xi_k^2)^s |c_k|^2 * L`` over the
+  stored modes, with the Parseval factor ``p_k`` (1 at ``k = 0`` and
+  ``k = N/2``, 2 in between) counting each mode ``k`` once more for ``-k``.
+  For compactly supported data it converges to the line-norm value under the
   unitary-per-length transform normalization.
 
 Multiplier symbols are built once per grid: :class:`SpectralGrid` caches
@@ -20,10 +27,10 @@ Multiplier symbols are built once per grid: :class:`SpectralGrid` caches
 ``step_symbols = [i sgn(xi), i xi, (i xi)(i sgn(xi))]`` (``Hf``, ``f_x`` and
 ``H f_x``) and its view ``transport_symbols`` (rows 0-1, ``Hw`` and ``w_x``).
 Every cached array is read-only, since each grid hands the same array to all
-callers.  :func:`inverse_samples` is the one inverse-transform rule: the
-samples of every row of a coefficient stack from one ``ifft`` call along the
-last axis; stacked rows are bit-identical to separate 1-D transforms, and so
-are stacked forward transforms.
+callers.  :func:`inverse_samples` (one ``irfft``) and
+:func:`dealiased_coefficients` (one ``rfft``) are the transform rules of real
+fields: each acts on every row of a stack along the last axis, and stacked
+rows are bit-identical to separate 1-D transforms.
 
 A field computes what a time step reads of it once, when first asked for:
 ``step_rows``, the samples of ``Hf``, ``f_x`` and ``H f_x`` from one inverse
@@ -32,9 +39,9 @@ forward transform of the first two rows.  :func:`transport_product` and
 :func:`gradient_sups` (``sup|f_x|``, ``sup|H f_x|``, ``max Lam f = -min H f_x``)
 read these caches.  A caller that will read the transport product can say so
 with :func:`request_transport`; the next :func:`dealiased_with_transport` of
-the field then forms the product in the same forward transform.  At small N the per-call overhead of a transform
-outweighs its arithmetic, so the number of calls, not their length, sets the
-cost of a time step.
+the field then forms the product in the same forward transform.  At small N
+the per-call overhead of a transform outweighs its arithmetic, so the number
+of calls, not their length, sets the cost of a time step.
 
 Fields are immutable after construction and all operations are pure, so
 concurrent evaluation is safe.
@@ -101,7 +108,7 @@ _REQUESTED = object()
 
 @dataclass(frozen=True)
 class SpectralGrid:
-    """Uniform periodic grid with FFT-ordered integer wavenumbers.
+    """Uniform periodic grid and the half-spectrum wavenumbers ``k = 0..N/2``.
 
     Parameters
     ----------
@@ -132,13 +139,8 @@ class SpectralGrid:
 
     @cached_property
     def k_int(self) -> np.ndarray:
-        # FFT order, but the Nyquist slot carries +N/2 (it is zeroed in all
-        # fields, so only the label matters).
-        n = self.n_modes
-        k = np.arange(n)
-        k[n // 2 + 1:] -= n
-        k[n // 2] = n // 2
-        return _read_only(k)
+        """Integer wavenumbers ``0 .. N/2`` of the stored half spectrum."""
+        return _read_only(np.arange(self.n_modes // 2 + 1))
 
     @cached_property
     def wavenumbers(self) -> np.ndarray:
@@ -155,12 +157,21 @@ class SpectralGrid:
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        return _read_only(np.abs(self.k_int) <= self.dealias_keep)
+        return _read_only(self.k_int <= self.dealias_keep)
 
     @cached_property
     def aliased_modes(self) -> slice:
-        """The FFT-order slots outside the dealias band, one contiguous run."""
-        return slice(self.dealias_keep + 1, self.n_modes - self.dealias_keep)
+        """The slots outside the dealias band: the tail of the half spectrum,
+        Nyquist included."""
+        return slice(self.dealias_keep + 1, None)
+
+    @cached_property
+    def parseval(self) -> np.ndarray:
+        """Parseval factor per stored mode: 1 at ``k = 0`` and ``k = N/2``, 2 in
+        between, where the mode ``-k`` is the conjugate of ``k``."""
+        p = np.full(self.n_modes // 2 + 1, 2.0)
+        p[[0, -1]] = 1.0
+        return _read_only(p)
 
     @cached_property
     def sobolev_base(self) -> np.ndarray:
@@ -205,10 +216,11 @@ class SpectralGrid:
 
 
 class Field:
-    """Real periodic function stored as normalized DFT coefficients.
+    """Real periodic function stored as its half spectrum of normalized DFT
+    coefficients, ``N/2 + 1`` of them.
 
-    Coefficients are Hermitian-symmetric (the function is real valued) and the
-    Nyquist mode is held at zero.  Construct through :meth:`from_samples`,
+    The DC coefficient is real and the Nyquist mode is held at zero.
+    Construct through :meth:`from_samples`,
     :meth:`from_coefficients` or :meth:`from_function`.  The samples, the
     step rows and the transport product are computed once, when first asked
     for.
@@ -227,15 +239,13 @@ class Field:
 
     @classmethod
     def from_coefficients(cls, grid: SpectralGrid, coeffs: np.ndarray) -> "Field":
+        """The field of the half-spectrum coefficients ``c_0 .. c_{N/2}``; the
+        imaginary part of ``c_0`` and the Nyquist coefficient are dropped."""
         c = np.asarray(coeffs, dtype=np.complex128).copy()
-        if c.shape != (grid.n_modes,):
+        if c.shape != (grid.n_modes // 2 + 1,):
             raise ValueError("coefficient array has wrong length")
-        c[grid.nyquist_index] = 0.0
-        # exact Hermitian symmetrization keeps the inverse transform real
-        n = grid.n_modes
-        idx = np.arange(1, n)
-        c[idx] = 0.5 * (c[idx] + np.conj(c[n - idx]))
         c[0] = c[0].real
+        c[grid.nyquist_index] = 0.0
         return cls(grid, c)
 
     @classmethod
@@ -243,7 +253,7 @@ class Field:
         s = np.asarray(samples, dtype=np.float64)
         if s.shape != (grid.n_modes,):
             raise ValueError("sample array has wrong length")
-        c = np.fft.fft(s) / grid.n_modes
+        c = np.fft.rfft(s, norm="forward")
         c[grid.nyquist_index] = 0.0
         return cls(grid, c, s.copy())
 
@@ -253,7 +263,7 @@ class Field:
 
     @classmethod
     def zeros(cls, grid: SpectralGrid) -> "Field":
-        return cls(grid, np.zeros(grid.n_modes, dtype=np.complex128))
+        return cls(grid, np.zeros(grid.n_modes // 2 + 1, dtype=np.complex128))
 
     # -- views --------------------------------------------------------------
 
@@ -408,20 +418,20 @@ def dealiased_product(f: Field, g: Field) -> Field:
 
 
 def dealiased_coefficients(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
-    """Coefficients of ``samples`` masked into the dealias band: one forward
-    transform along the last axis."""
-    c = np.fft.fft(samples)
-    c /= grid.n_modes
+    """Half-spectrum coefficients of the real ``samples`` masked into the
+    dealias band: one ``rfft`` along the last axis.  Its ``1/N`` is applied
+    in the transform (``norm="forward"``); N is a power of two, so this equals
+    ``rfft(samples) / N`` bit for bit wherever no value is subnormal."""
+    c = np.fft.rfft(samples, axis=-1, norm="forward")
     c[..., grid.aliased_modes] = 0.0
     return c
 
 
 def inverse_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Samples of every row of the coefficient stack ``coeffs``: one ``ifft``
-    along the last axis, without its ``1/N``.  N is a power of two, so this
-    equals ``ifft(coeffs * N)`` bit for bit wherever no value is subnormal,
-    and saves a pass over the stack."""
-    return np.fft.ifft(coeffs, axis=-1, norm="forward").real
+    """Samples of every row of the half-spectrum stack ``coeffs``: one
+    ``irfft`` along the last axis, without its ``1/N``, which equals
+    ``irfft(coeffs * N)`` bit for bit wherever no value is subnormal."""
+    return np.fft.irfft(coeffs, n=grid.n_modes, axis=-1, norm="forward")
 
 
 def request_transport(f: Field) -> None:
@@ -461,10 +471,9 @@ def pad_field(f: Field, factor: int = 2) -> Field:
     Exact products of band-limited fields are computed on padded grids.
     """
     grid2 = f.grid.refine(factor)
-    n, m = f.grid.n_modes, grid2.n_modes
-    c2 = np.zeros(m, dtype=np.complex128)
+    n = f.grid.n_modes
+    c2 = np.zeros(grid2.n_modes // 2 + 1, dtype=np.complex128)
     c2[: n // 2] = f.coefficients[: n // 2]
-    c2[m - n // 2 + 1:] = f.coefficients[n // 2 + 1:]
     return Field(grid2, c2)
 
 
@@ -473,9 +482,10 @@ def pad_field(f: Field, factor: int = 2) -> Field:
 
 @lru_cache(maxsize=256)
 def _sobolev_weights(grid: SpectralGrid, s: float) -> np.ndarray:
-    # the power over the full mode set dominates the cost of norm evaluation
-    # in hot loops; grids hash by their defining parameters
-    return _read_only(grid.sobolev_base**s)
+    # the power over the mode set dominates the cost of norm evaluation in
+    # hot loops; grids hash by their defining parameters.  The Parseval
+    # factor is folded in (exact: it is 1 or 2).
+    return _read_only(grid.parseval * grid.sobolev_base**s)
 
 
 def sobolev_norm(f: Field, s: float) -> float:
@@ -519,7 +529,8 @@ def evaluate_at(f: Field, x) -> np.ndarray | float:
     c = f.coefficients
     keep = np.abs(c) > 0.0
     xi = f.grid.wavenumbers[keep]
-    vals = (np.exp(1j * np.outer(x, xi)) @ c[keep]).real
+    # mode -k adds the conjugate of mode k: its real part once more
+    vals = (np.exp(1j * np.outer(x, xi)) @ (f.grid.parseval * c)[keep]).real
     return vals if vals.size > 1 else float(vals[0])
 
 
@@ -541,7 +552,7 @@ def argmax_refined(f: Field) -> float:
 
 def _require_band_limited(f: Field, max_k: int, what: str):
     c = np.abs(f.coefficients)
-    outside = c[np.abs(f.grid.k_int) > max_k]
+    outside = c[f.grid.k_int > max_k]
     scale = float(np.max(c)) if c.size else 0.0
     if scale > 0.0 and outside.size and float(np.max(outside)) > 1e-12 * scale:
         raise BandwidthError(f"{what} requires band limit |k| <= {max_k}")
@@ -558,7 +569,7 @@ def cotlar_residual(f: Field) -> float:
     _require_band_limited(f, f.grid.dealias_keep, "cotlar_residual")
     fp = pad_field(f, 2)
     hf = hilbert(fp)
-    lhs = 2.0 * hilbert(Field(fp.grid, np.fft.fft(fp.samples * hf.samples) / fp.grid.n_modes))
+    lhs = 2.0 * hilbert(Field.from_samples(fp.grid, fp.samples * hf.samples))
     rhs = hf.samples**2 - fp.samples**2
     resid = lhs.samples - (rhs - np.mean(rhs))
     return float(np.sqrt(np.mean(resid**2) * f.grid.period))
@@ -577,7 +588,12 @@ def lambda_shift_residual(f: Field) -> float:
     round-off for every band-limited field.
     """
     _require_band_limited(f, f.grid.n_modes // 2 - 2, "lambda_shift_residual")
-    xi = f.grid.wavenumbers
+    # the modulated samples are complex: full FFT-order wavenumbers, the
+    # Nyquist slot labelled +N/2
+    n = f.grid.n_modes
+    k = np.arange(n)
+    k[n // 2 + 1:] -= n
+    xi = 2.0 * np.pi * k / f.grid.period
     theta = 2.0 * np.pi / f.grid.period
     e1 = np.exp(1j * theta * f.grid.x)
     lam = np.abs(xi)
@@ -599,13 +615,12 @@ def random_band_limited(grid: SpectralGrid, max_mode: int, rng: np.random.Genera
     """Random real field with modes ``1..max_mode``, coefficient decay ``k^-decay``."""
     if max_mode >= grid.n_modes // 2:
         raise ValueError("max_mode must stay below the Nyquist mode")
-    c = np.zeros(grid.n_modes, dtype=np.complex128)
+    c = np.zeros(grid.n_modes // 2 + 1, dtype=np.complex128)
     k = np.arange(1, max_mode + 1)
     mag = k ** (-float(decay))
     phase = rng.uniform(0.0, 2.0 * np.pi, size=max_mode)
     rad = rng.normal(size=max_mode) * mag
     c[k] = 0.5 * rad * np.exp(1j * phase)
-    c[-k] = np.conj(c[k])
     f = Field.from_coefficients(grid, c)
     cur = float(np.sqrt(np.mean(f.samples**2)))
     if cur > 0.0:

@@ -5,7 +5,8 @@ or ``from ... import``, is used in that module or re-exported through its
 every ``ccflab`` name the benchmark wraps by name still exists, and every
 argument its observers read is a parameter of the function they wrap; the only
 random generator is built by ``noise.stream``, and the only path Wiener
-stream ``stream(seed, 0)`` is drawn by ``noise.wiener_increments``; and
+stream ``stream(seed, 0)`` is drawn by ``noise.wiener_increments``; real
+fields are transformed only by ``spectral``'s ``rfft``/``irfft``; and
 importing the CLI loads no scipy."""
 
 import ast
@@ -138,6 +139,22 @@ def test_one_wiener_stream_site():
     sites = {path.name: call_sites(path.read_text(), "stream", (None, 0))
              for path in MODULES}
     assert {name: s for name, s in sites.items() if s} == {"noise.py": ["wiener_increments"]}
+
+
+def test_real_fields_have_one_transform_rule():
+    # every transform of a real field is spectral's rfft (Field.from_samples,
+    # dealiased_coefficients) or irfft (inverse_samples); complex fft/ifft
+    # act only on complex data: carrier envelopes, the defect integrand's
+    # carrier row and the modulated samples of lambda_shift_residual
+    sites = {path.name: {fn: call_sites(path.read_text(), fn)
+                         for fn in ("fft", "ifft", "rfft", "irfft")} for path in MODULES}
+    real = {name: sorted(s["rfft"] + s["irfft"]) for name, s in sites.items()
+            if s["rfft"] + s["irfft"]}
+    assert real == {"spectral.py": ["<module>", "dealiased_coefficients", "inverse_samples"]}
+    complex_ = {name: set(s["fft"] + s["ifft"]) for name, s in sites.items()
+                if s["fft"] + s["ifft"]}
+    assert set(complex_) == {"modulated.py", "instability.py", "spectral.py"}
+    assert complex_["spectral.py"] == {"lambda_shift_residual"}
 
 
 def bench_instrument():

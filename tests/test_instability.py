@@ -172,12 +172,26 @@ class TestModulatedAlgebra:
         assert modulated_norm(2.0 * mf, 2.0) == pytest.approx(2 * modulated_norm(mf, 2.0))
 
 
+def _ref_wavenumbers(grid):
+    """Integer envelope wavenumbers in FFT order (the Nyquist slot labelled
+    +N/2) and the envelope frequencies ``xi`` they stand for."""
+    n = grid.n_modes
+    k = np.arange(n)
+    k[n // 2 + 1:] -= n
+    return k, 2.0 * np.pi * k / grid.period
+
+
+def _ref_mask(grid):
+    return np.abs(_ref_wavenumbers(grid)[0]) <= grid.dealias_keep
+
+
 def _ref_phys(basis, rows):
     return [np.fft.ifft(c * basis.grid.n_modes) for c in rows]
 
 
 def _ref_symbol(basis, symbol, rows):
-    return [symbol(c * basis.carrier + basis.grid.wavenumbers) * rows[c]
+    xi = _ref_wavenumbers(basis.grid)[1]
+    return [symbol(c * basis.carrier + xi) * rows[c]
             for c in range(basis.max_carrier + 1)]
 
 
@@ -200,15 +214,16 @@ def _ref_product(basis, pa, pb):
         if cout == 0:
             acc = acc.real.astype(np.complex128)
         c = np.fft.fft(acc) / n
-        c[~grid.dealias_mask] = 0.0
+        c[~_ref_mask(grid)] = 0.0
         out.append(c)
     return out
 
 
 def _ref_norm(basis, rows, r):
     total = 0.0
+    xi = _ref_wavenumbers(basis.grid)[1]
     for c in range(basis.max_carrier + 1):
-        w = (1.0 + (c * basis.carrier + basis.grid.wavenumbers) ** 2) ** r
+        w = (1.0 + (c * basis.carrier + xi) ** 2) ** r
         contrib = float(np.sum(w * np.abs(rows[c]) ** 2) * basis.grid.period)
         total += contrib if c == 0 else 2.0 * contrib
     return float(np.sqrt(total))
@@ -235,7 +250,7 @@ class TestStackedCarriers:
         def draw():
             shape = (basis.max_carrier + 1, env)
             c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            return ModulatedField(basis, np.where(basis.grid.dealias_mask, 1e-3 * c, 0.0))
+            return ModulatedField(basis, np.where(_ref_mask(basis.grid), 1e-3 * c, 0.0))
 
         # a realistic packet plus low-frequency profile, and two random stacks
         packet_and_low = approx_solution_mod(p, 0.3, build_low_initial(p, p.env_grid))
@@ -277,9 +292,29 @@ class TestStackedCarriers:
     def test_cached_symbols_read_only(self, fields):
         basis, _ = fields
         for name in ("xi", "derivative_symbol", "hilbert_symbol", "helmholtz_dx_symbol",
-                     "transport_symbols"):
+                     "transport_symbols", "envelope_k", "envelope_mask"):
             with pytest.raises(ValueError):
-                getattr(basis, name)[0, 0] = 0.0
+                getattr(basis, name)[..., 0] = 0
+
+    def test_envelope_layout(self, fields):
+        basis, _ = fields
+        k, _ = _ref_wavenumbers(basis.grid)
+        assert np.array_equal(basis.envelope_k, k)
+        assert np.array_equal(basis.envelope_mask, _ref_mask(basis.grid))
+
+    def test_carrier0_mirrors_the_half_spectrum(self, fields):
+        # the zero-carrier row of a real field is its full Hermitian spectrum
+        basis, _ = fields
+        grid = basis.grid
+        f = Field.from_samples(grid, np.cos(grid.x * 2.0 * np.pi / grid.period)
+                               + np.sin(3.0 * grid.x * 2.0 * np.pi / grid.period) ** 3)
+        row = carrier0(basis, f).coeffs[0]
+        want = np.fft.fft(f.samples) / grid.n_modes
+        want[grid.n_modes // 2] = 0.0
+        assert np.max(np.abs(row - want)) < 1e-15
+        n = grid.n_modes
+        assert np.array_equal(row[n // 2 + 1:], np.conj(row[1:n // 2][::-1]))
+        assert np.array_equal(row[:n // 2 + 1], f.coefficients)
 
 
 class TestCarrierTransformBudget:
@@ -310,19 +345,49 @@ class TestCarrierTransformBudget:
         assert fft_calls == ["ifft", "fft"]
 
     def test_error_integrand(self, fft_calls):
-        # one stacked inverse transform of the low-frequency rows, one forward
-        # transform of carrier row 1; rows 0 and 2 are cached on the params
+        # one stacked inverse transform of the real low-frequency rows, one
+        # forward transform of the complex carrier row 1; rows 0 and 2 are
+        # cached on the params
         hul0 = hilbert(self.UL1)
         error_integrand_mod(self.P, 0.1, self.UL1, hul0)
         fft_calls.clear()
         error_integrand_mod(self.P, 0.1, self.UL1, hul0)
-        assert fft_calls == ["ifft", "fft"]
+        assert fft_calls == ["irfft", "fft"]
 
     def test_simulate_actual_mod_step(self, fft_calls):
         # two forward transforms build the low datum and the packet, then
-        # 4 RK4 stages of 2
-        simulate_actual_mod(self.P, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3)
+        # 4 RK4 stages of 2; the packet's row stays cached on the params
+        p = InstabilityParams(m=1, n=64, env_modes=256)
+        simulate_actual_mod(p, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3)
         assert len(fft_calls) == 2 + 3 * 8
+        assert fft_calls[:2] == ["rfft", "fft"]
+        fft_calls.clear()
+        simulate_actual_mod(p, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3)
+        assert len(fft_calls) == 1 + 3 * 8
+
+    def test_packet_takes_no_transform(self, fft_calls):
+        # u_h(t) is the cached unit-phase row times one phase
+        p = InstabilityParams(m=-1, n=64, env_modes=256)
+        p.packet_row
+        fft_calls.clear()
+        uh = build_high_frequency_mod(p, 0.37)
+        assert fft_calls == []
+        want = packet(p.basis, float(p.n) ** (-0.5 * p.delta - p.s) * p.phi_envelope,
+                      phase=np.exp(-1j * (p.m * 0.37 + 0.5 * p.n * p.period)))
+        assert np.max(np.abs(uh.coeffs - want.coeffs)) <= 1e-15 * np.max(np.abs(want.coeffs))
+
+    def test_defect_step(self, fft_calls):
+        # one defect step: the integrand (2) and the low-frequency RK4 step
+        # (8); the noise coefficient along u_h + u_l takes none
+        p = InstabilityParams(m=1, n=64, env_modes=256)
+        noise = InstabilityH(sigma0=p.sigma0)
+        error_functional_ensemble(p, noise, 2, horizon=0.01, dt=5e-3)   # warm caches
+        counts = []
+        for horizon in (0.05, 0.1):
+            fft_calls.clear()
+            error_functional_ensemble(p, noise, 2, horizon=horizon, dt=5e-3)
+            counts.append(len(fft_calls))
+        assert counts[1] - counts[0] == 10 * 10
 
 
 class TestBuilders:
@@ -605,7 +670,7 @@ class TestStudies:
         sep = separation_experiment(p, horizon=0.5, dt=5e-3, noise=noise,
                                     num_paths=2, seed=3)
         assert len(sep["times"]) == len(sep["gap_curve"]) == 101
-        assert sep["gap_curve"][-1] == 0.8146460803708101
+        assert sep["gap_curve"][-1] == 0.81464608037081
         assert sep["initial_gap"] == 0.374339041785388
         assert sep["status"] == {1: ["completed"] * 2, -1: ["completed"] * 2}
 

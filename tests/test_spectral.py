@@ -56,7 +56,8 @@ class TestGrid:
         base = 2.0 * np.pi / 5.0
         ratio = g.wavenumbers / base
         assert np.allclose(ratio, np.round(ratio), atol=1e-12)
-        assert ratio.min() == -31 and ratio.max() == 32
+        # the half spectrum k = 0 .. N/2
+        assert ratio.shape == (33,) and ratio.min() == 0 and ratio.max() == 32
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
@@ -69,7 +70,7 @@ class TestGrid:
     def test_cached_arrays_read_only(self):
         # every caller of a grid shares these arrays, also after the grid
         # is pickled to a worker process
-        names = ("x", "k_int", "wavenumbers", "dealias_mask", "sobolev_base",
+        names = ("x", "k_int", "wavenumbers", "dealias_mask", "parseval", "sobolev_base",
                  "derivative_symbol", "hilbert_symbol", "helmholtz_dx_symbol",
                  "step_symbols", "transport_symbols")
         g = SpectralGrid(n_modes=32)
@@ -82,11 +83,19 @@ class TestGrid:
             with pytest.raises(ValueError):
                 a[..., 1] = 0
 
+    def test_symbols_real_or_zero_at_dc(self):
+        # irfft drops the imaginary part of the DC slot, so no symbol may put
+        # one there
+        g = SpectralGrid(n_modes=32)
+        for name in ("sobolev_base", "derivative_symbol", "hilbert_symbol",
+                     "helmholtz_dx_symbol", "step_symbols", "parseval"):
+            assert np.all(np.imag(getattr(g, name)[..., 0]) == 0.0), name
+
     @pytest.mark.parametrize("n, fraction", [(16, 2.0 / 3.0), (256, 2.0 / 3.0),
                                              (64, 1.0), (64, 0.5)])
     def test_aliased_modes_are_the_mask_complement(self, n, fraction):
         g = SpectralGrid(n_modes=n, dealias_fraction=fraction)
-        outside = np.zeros(n, dtype=bool)
+        outside = np.zeros(n // 2 + 1, dtype=bool)
         outside[g.aliased_modes] = True
         assert np.array_equal(outside, ~g.dealias_mask)
 
@@ -177,10 +186,9 @@ class TestMollify:
         # direct norm computation on power-law data.
         grid = SpectralGrid(n_modes=1024)
         s, r = 3.0, 1.5
-        c = np.zeros(grid.n_modes, dtype=np.complex128)
+        c = np.zeros(grid.n_modes // 2 + 1, dtype=np.complex128)
         k = np.arange(1, 300)
         c[k] = (1.0 + k.astype(float) ** 2) ** (-(s + 0.501) / 2.0)
-        c[-k] = np.conj(c[k])
         f = Field.from_coefficients(grid, c)
         hs = sobolev_norm(f, s)
         worst = max(
@@ -284,7 +292,7 @@ class TestStackedTransforms:
             fresh = f.copy()
             fft_calls.clear()
             rows = fresh.step_rows
-            assert fft_calls == ["ifft"]
+            assert fft_calls == ["irfft"]
             for row, symbol in zip(rows, f.grid.step_symbols):
                 assert np.array_equal(row, apply_multiplier(f, symbol).samples)
 
@@ -301,7 +309,7 @@ class TestStackedTransforms:
             got = dealiased_with_transport(fresh, samples)
             assert np.array_equal(got, want)
             assert np.array_equal(fresh.transport_coefficients, want_transport)
-            assert fft_calls == ["fft"]     # the product came with the one call
+            assert fft_calls == ["rfft"]    # the product came with the one call
 
     def test_noise_transform_alone_unless_requested(self, fft_calls):
         u = self.fields(256)[0]
@@ -314,7 +322,7 @@ class TestStackedTransforms:
         u.transport_coefficients
         request_transport(u)      # formed already: nothing left to carry
         dealiased_with_transport(u, samples)
-        assert fft_calls == ["fft"] * 3
+        assert fft_calls == ["rfft"] * 3
 
     def test_is_dealiased(self):
         f = random_band_limited(GRID, GRID.dealias_keep, np.random.default_rng(3))
@@ -359,16 +367,25 @@ class TestCommutation:
 
 
 class TestHermitianPreservation:
+    # a real field is its half spectrum: the conjugate modes are implied, so
+    # what keeps it real is a real DC coefficient and a zero Nyquist slot
     def test_ops_keep_fields_real(self):
         rng = np.random.default_rng(51)
         f = random_band_limited(GRID, 60, rng)
         for g in (hilbert(f), frac_laplacian(f, 1.0), bessel(f, 2.0),
                   mollify(f, 0.05), derivative(f), dealiased_product(f, f)):
             c = g.coefficients
-            n = GRID.n_modes
-            idx = np.arange(1, n)
-            assert np.allclose(c[idx], np.conj(c[n - idx]), atol=1e-14)
-            assert abs(c[0].imag) < 1e-15
+            assert c.shape == (GRID.n_modes // 2 + 1,)
+            assert c[0].imag == 0.0 and c[GRID.nyquist_index] == 0.0
+
+    def test_constructors_keep_fields_real(self):
+        c = np.full(GRID.n_modes // 2 + 1, 1.0 + 2.0j)
+        f = Field.from_coefficients(GRID, c)
+        assert f.coefficients[0] == 1.0 and f.coefficients[-1] == 0.0
+        g = Field.from_samples(GRID, np.cos(GRID.x) + np.cos(128 * GRID.x) + 0.5)
+        assert g.coefficients[0] == 0.5 and g.coefficients[-1] == 0.0
+        with pytest.raises(ValueError, match="wrong length"):
+            Field.from_coefficients(GRID, np.zeros(GRID.n_modes))
 
 
 class TestCotlar:

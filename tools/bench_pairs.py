@@ -17,9 +17,12 @@ Per end-to-end metric of ``BENCHMARK.json`` the file records each side's
 runs, median, quartiles (``numpy.percentile`` 25/75, linear) and range; the
 wins per pair; whether the median gap in the better direction exceeds the
 parent's interquartile range; and ``within_bound``, that the change's median
-is worse than the parent's by at most the metric's relative bound.  The
-traced per-layer metrics of both sides go under the set's ``traced_counts``;
-the top-level ``traced_counts`` holds each workload's latest traced pair.
+is worse than the parent's by at most the metric's relative bound.  Each
+run's ``ifft256 calibration median`` line (the machine's speed state while it
+ran) is recorded per side in pair order under ``ifft256_us``, so a phase of
+the machine can be told from an effect of the code.  The traced per-layer
+metrics of both sides go under the set's ``traced_counts``; the top-level
+``traced_counts`` holds each workload's latest traced pair.
 
 One invocation is one *set* of pairs, recorded with its command line and
 seed order.  When ``--out`` already holds a comparison against the same
@@ -84,7 +87,9 @@ def bench(side_dir: Path, workload: str, seed: int, seconds: float, trace: int) 
                     if line.startswith("machine:")), {})
     exits = sorted({int(m) for m in re.findall(r"^study seed \d+ exit (-?\d+)",
                                                 proc.stdout, re.M)})
+    calibration = re.search(r"ifft256 calibration median (\S+) us", proc.stdout)
     return {"correct": bool(last["correct"]), "exit_codes": exits, "machine": machine,
+            "ifft256_us": float(calibration.group(1)) if calibration else None,
             "metrics": {k: v["value"] for k, v in last["metrics"].items()}}
 
 
@@ -215,6 +220,8 @@ def main() -> int:
             this["workloads"][workload] = {
                 "correct_every_run": all(r["correct"] for r in runs),
                 "exit_codes": sorted({c for r in runs for c in r["exit_codes"]}),
+                "ifft256_us": {side: [r["ifft256_us"] for r in verdicts[side]]
+                               for side in SIDES},
                 "metrics": {name: compare([{s: pr[s][name] for s in SIDES} for pr in pairs],
                                           m["better"], m["bound"])
                             for name, m in metrics.items()},
@@ -226,7 +233,8 @@ def main() -> int:
         traced = {}
         for side in SIDES:
             res = bench(dirs[side], workload, 0, 1.0, 1)
-            traced[side] = {"correct": res["correct"], "seed": 0, **res["metrics"]}
+            traced[side] = {"correct": res["correct"], "seed": 0,
+                            "ifft256_us": res["ifft256_us"], **res["metrics"]}
         this["traced_counts"][workload] = doc["traced_counts"][workload] = traced
         write()
     return 0
