@@ -4,17 +4,18 @@ maximum, the max-point identity, the pathwise Riccati bound, and the
 first-passage lower bound on the blow-up probability.
 
 For noise ``b(t) u dW`` the process ``beta = exp(int b dW - int b^2/2 dt)`` is
-positive and ``v = u / beta`` solves the random PDE ``v_t + beta (Hv) v_x = 0``.
+positive and ``v = u / beta`` solves the random PDE ``v_t + beta (Hv) v_x = 0``,
+the deterministic equation on the clock ``theta(t) = int_0^t beta ds``.
 Along the characteristic started at the argmax of the initial datum,
 ``F = Lam v`` obeys ``dF/dt >= beta F^2 / 2``, which forces finite-time
-blow-up once ``F(0)`` beats the noise level.  The scalar first-passage bound
-``P{ exp(int_0^t b dW) > K for all t }`` is evaluated by Monte Carlo in
-variance space (the law of the stochastic integral depends on ``b`` only
-through its cumulative variance) next to the reflection-principle closed form.
-For ``b = b0 exp(-lam t)`` the total variance is ``b0^2 / (2 lam)`` exactly, so
-the Monte Carlo runs on that interval and takes no horizon; it samples the
-first-passage event exactly from each increment's end values and the
-minimum of the Brownian bridge between them.
+blow-up once ``F(0)`` beats the noise level.  The scalar
+first-passage bound ``P{ exp(int_0^t b dW) > K for all t }`` is evaluated by
+Monte Carlo in variance space (the law of the stochastic integral depends on
+``b`` only through its cumulative variance) next to the reflection-principle
+closed form.  For ``b = b0 exp(-lam t)`` the total variance is
+``b0^2 / (2 lam)`` exactly, so the Monte Carlo runs on that interval and takes
+no horizon; it samples the first-passage event exactly from each increment's
+end values and the minimum of the Brownian bridge between them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import SimTask, run_paths, wilson_ci
-from .integrate import SimConfig, drift, rk4, simulate_path
+from .integrate import SimConfig, em_step, rk4, simulate_path
 from .noise import LinearB, ZeroNoise, exp_decay, path_seed, stream
 from .spectral import (
     Field,
@@ -43,6 +44,7 @@ __all__ = [
     "beta_path",
     "girsanov_residual",
     "run_random_pde",
+    "characteristic_track",
     "identity_sv_residual",
     "riccati_check",
     "first_passage_oracle",
@@ -70,13 +72,42 @@ def beta_path(b0: float, lam: float, increments: np.ndarray, dt: float) -> np.nd
 # -- random transport PDE -------------------------------------------------------
 
 
+def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray):
+    """Integrate ``v_t + beta(t) (Hv) v_x = 0`` with the drift gate of ``cfg``.
+
+    ``beta`` holds one value per step (frozen within the step, matching the
+    order of the noise coupling) plus the value at the horizon; a shorter
+    ``beta`` is an error.  Step i is one noiseless ``em_step`` of size
+    ``beta_i dt``, whatever the noise of ``cfg``.  Returns ``(times,
+    fields)``, bare fields every ``cfg.record_every`` steps and at the
+    horizon.  Raises ``ValueError`` naming the time of the first non-finite
+    step instead of returning a shortened ``(times, fields)``.
+    """
+    dt = cfg.dt
+    n_steps = int(round(cfg.horizon / dt))
+    if len(beta) < n_steps + 1:
+        raise ValueError(f"beta holds {len(beta)} values; {n_steps} steps need "
+                         f"{n_steps + 1}")
+    cfg = replace(cfg, noise=ZeroNoise())
+    v = u0
+    times, fields = [0.0], [Field(u0.grid, u0.coefficients)]
+    for i in range(n_steps):
+        v = em_step(v, i * dt, cfg, 0.0, beta[i] * dt)
+        t = (i + 1) * dt
+        if v.diverged:
+            raise ValueError(f"random PDE diverged at t={t:.6g}")
+        if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
+            times.append(t)
+            fields.append(Field(v.grid, v.coefficients))
+    return np.array(times), fields
+
+
 @dataclass
 class CharacteristicTrack:
     """Trajectory of the transported maximum and its monitored quantities.
 
     ``flagged`` means only that the track left the well-resolved region:
-    ``|d_x v|`` at the tracked point rose above a tenth of its sup.  A
-    non-finite step is not flagged; :func:`run_random_pde` raises on it.
+    ``|d_x v|`` at the tracked point rose above a tenth of its sup.
     """
 
     times: np.ndarray
@@ -87,65 +118,28 @@ class CharacteristicTrack:
     flagged: bool               # track left the well-resolved region
 
 
-def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray, track: bool = False):
-    """Integrate ``v_t + beta(t) (Hv) v_x = 0`` with the drift gate of ``cfg``.
-
-    ``beta`` holds one value per step (frozen within the step, matching the
-    order of the noise coupling) plus the value at the horizon; a shorter
-    ``beta`` is an error.  Returns ``(times, fields, track)``: the fields
-    sampled every ``cfg.record_every`` steps and, when ``track`` is set, a
-    :class:`CharacteristicTrack` of the characteristic started at the argmax of
-    ``u0``, integrated online with the same step size (``None`` otherwise).
-    Raises ``ValueError`` naming the time of the first non-finite step
-    instead of returning a shortened ``(times, fields)``.
+def characteristic_track(fields: list[Field], beta: np.ndarray,
+                         dt: float) -> CharacteristicTrack:
+    """The characteristic of ``v_t + beta (Hv) v_x = 0`` from the argmax of
+    ``fields[0]``, the states at ``t_i = i dt`` (:func:`run_random_pde` with
+    ``record_every = 1``), one ``beta`` value for each.  Step i is a
+    frozen-field fourth-order step of ``d phi/dt = beta_i Hv_i(phi)``.
     """
-    dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
-    if len(beta) < n_steps + 1:
-        raise ValueError(f"beta holds {len(beta)} values; {n_steps} steps need "
-                         f"{n_steps + 1}")
-    v = u0
-    times, fields = [0.0], [v]
-    trk_t, trk_pos, trk_f, trk_beta, trk_vx = [], [], [], [], []
-    flagged = False
-    if track:
-        phi = argmax_refined(v)
-
-        def observe(t, f, pos, beta_i):
-            lam_v = frac_laplacian(f, 1.0)
-            vx = derivative(f)
-            trk_t.append(t)
-            trk_pos.append(pos)
-            trk_f.append(evaluate_at(lam_v, pos))
-            trk_beta.append(beta_i)
-            trk_vx.append(abs(evaluate_at(vx, pos)))
-
-        observe(0.0, v, phi, beta[0])
-
-    for i in range(n_steps):
-        b_i = beta[i]
-        if track:
-            # frozen-field 4th-order step of d phi/dt = beta Hv(phi)
-            hv = hilbert(v)
-            phi = rk4(lambda x: b_i * evaluate_at(hv, x), phi, dt)
-        v = rk4(lambda f: b_i * drift(f, cfg), v, dt)
-        t = (i + 1) * dt
-        if v.diverged:
-            raise ValueError(f"random PDE diverged at t={t:.6g}")
-        if track:
-            observe(t, v, phi, beta[i + 1])
-            if trk_vx[-1] > 0.1 * max(derivative(v).max_abs(), 1e-300):
-                flagged = True
-        if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            times.append(t)
-            fields.append(v)
-
-    track_obj = None
-    if track:
-        track_obj = CharacteristicTrack(np.array(trk_t), np.array(trk_pos),
-                                        np.array(trk_f), np.array(trk_beta),
-                                        np.array(trk_vx), flagged)
-    return np.array(times), fields, track_obj
+    if len(beta) < len(fields):
+        raise ValueError(f"beta holds {len(beta)} values for {len(fields)} states")
+    phi = argmax_refined(fields[0])
+    positions = [phi]
+    for b_i, v in zip(beta, fields[:-1]):
+        hv = hilbert(v)
+        phi = rk4(lambda x: b_i * evaluate_at(hv, x), phi, dt)
+        positions.append(phi)
+    f_values = [evaluate_at(frac_laplacian(v, 1.0), x) for v, x in zip(fields, positions)]
+    vx = [abs(evaluate_at(derivative(v), x)) for v, x in zip(fields, positions)]
+    flagged = any(r > 0.1 * max(derivative(v).max_abs(), 1e-300)
+                  for v, r in zip(fields[1:], vx[1:]))
+    n = len(fields)
+    return CharacteristicTrack(np.arange(n) * dt, np.array(positions), np.array(f_values),
+                               np.array(beta[:n]), np.array(vx), flagged)
 
 
 def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
@@ -173,7 +167,7 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     if rec.status != "completed":
         return float("nan"), rec.status
     beta = beta_path(cfg.noise.b0, cfg.noise.lam, rec.wiener_increments, cfg.dt)
-    _, fields_v, _ = run_random_pde(replace(base, noise=ZeroNoise()), u0, beta)
+    _, fields_v = run_random_pde(base, u0, beta)
     worst = 0.0
     for (tu, u), v in zip(rec.snapshots, fields_v):
         bu = beta[int(round(tu / cfg.dt))]

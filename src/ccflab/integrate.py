@@ -17,20 +17,21 @@ split with a Brownian bridge, at most ``MAX_HALVINGS`` times.
 All stepping runs through one right-hand side on half-spectrum coefficient
 arrays, ``-gate J[(H J c) (J c)_x]``: one stacked inverse and one forward
 real FFT per evaluation.  It backs :func:`drift`, the RK4 stages of
-:func:`em_step` and :func:`simulate_low_frequency`.
+:func:`em_step` and :func:`simulate_low_frequency`; :func:`em_step` also
+takes each step of the random-PDE twin of :mod:`ccflab.girsanov`.
 
 Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
 real field is one of them, see :mod:`ccflab.spectral`): a step reads
 everything it needs of its start state ``u`` from one :class:`StepStart`,
 which takes one stacked ``irfft`` of ``u``: the monitored sups and the
 recorded ``max Lam u``, the gradient samples of the noise and the samples of
-the first RK4 stage.  The first stage then takes one ``rfft``, which a
-``GeneralH``/``InstabilityH`` noise shares with its own; ``StrongAlpha`` and
-``LinearB`` add none.  So a macro step takes 8 transform calls: the start
-(1), the noise with stage 1 (1) and stages 2-4 (6).  With a mollifier stage
-1 transforms ``J u`` on its own (10).  A halving retry starts from the same
-state and its :class:`StepStart`, so it pays stages 2-4 only (6 calls); the
-second half starts from a new state (8).
+the first RK4 stage.  The first stage's product then takes one ``rfft``,
+which the forward transform of a ``GeneralH``/``InstabilityH`` noise carries;
+``StrongAlpha`` and ``LinearB`` add none.  So a macro step takes 8 transform
+calls: the start (1), the noise with stage 1 (1) and stages 2-4 (6).  With a
+mollifier stage 1 transforms ``J u`` on its own (10).  A halving retry starts
+from the same state and its :class:`StepStart`, so it pays stages 2-4 only
+(6 calls); the second half starts from a new state (8).
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -48,6 +49,7 @@ import io
 import json
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,6 +57,7 @@ from .noise import NoiseModel, ZeroNoise, stream, wiener_increments
 from .spectral import (
     Field,
     SpectralGrid,
+    _read_only,
     argmax_refined,
     dealias,
     dealiased_coefficients,
@@ -63,7 +66,6 @@ from .spectral import (
     gradient_sups,
     inverse_samples,
     mollifier_symbol,
-    request_transport,
     sobolev_norm,
     transition_bump,
 )
@@ -167,8 +169,8 @@ class PathRecord:
 def rk4(rhs, y, dt: float, k1=None):
     """One classical fourth-order Runge-Kutta step of ``y' = rhs(y)``.
 
-    ``y`` may be a float, a coefficient array, a :class:`Field` or a
-    ``ModulatedField``: anything closed under addition and scaling by a float.
+    ``y`` may be a float, a coefficient array or a ``ModulatedField``:
+    anything closed under addition and scaling by a float.
     ``k1`` is ``rhs(y)`` when the caller already has it.
     """
     k1 = rhs(y) if k1 is None else k1
@@ -186,10 +188,16 @@ def _gate(c: np.ndarray, grid: SpectralGrid, cfg: SimConfig) -> float:
     return cutoff_chi(sobolev_norm(Field(grid, c), cfg.s - 1.5), cfg.cutoff_radius)
 
 
+@lru_cache(maxsize=64)
+def _mollifier_values(grid: SpectralGrid, eps: float) -> np.ndarray:
+    # every step on the grid shares it, hence read-only
+    return _read_only(mollifier_symbol(eps * grid.wavenumbers))
+
+
 def _mollifier(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray | None:
     """Per-mode values of ``J_eps`` on ``grid``, ``None`` for the identity."""
     eps = cfg.eps_mollify
-    return mollifier_symbol(eps * grid.wavenumbers) if eps > 0.0 else None
+    return _mollifier_values(grid, eps) if eps > 0.0 else None
 
 
 def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float = 1.0,
@@ -223,10 +231,10 @@ class StepStart:
 
     The sups and the noise read the gradient samples of ``u``'s step rows
     (one stacked inverse FFT, cached on ``u``), and without a mollifier the
-    first RK4 stage reads its ``(Hu) u_x`` from the first two rows.  The sups,
-    the first stage ``k1``, the noise coefficient and the ``H^s`` norm are
-    each formed once, when first asked for, and then shared by every attempt
-    that starts from ``u``.
+    first RK4 stage reads its ``(Hu) u_x`` from the first two rows (from its
+    own transform when nothing formed them).  The sups, the first stage
+    ``k1``, the noise coefficient and the ``H^s`` norm are each formed once,
+    when first asked for, and then shared by every attempt from ``u``.
     """
 
     __slots__ = ("u", "t", "cfg", "gate", "mollifier", "_sups", "_k1", "_noise", "_h_s")
@@ -246,15 +254,13 @@ class StepStart:
 
     def _first_stage(self):
         """Form the noise coefficient, then ``k1``.  Without a mollifier
-        ``k1``'s product is ``u``'s own, so it is requested first: a noise that
-        transforms forward forms it in the same call."""
+        ``k1``'s product is ``u``'s own, which a noise that transforms forward
+        has formed in the same call."""
         u = self.u
         if self.gate == 0.0:
             self._noise = None
             self._k1 = np.zeros_like(u.coefficients)
             return
-        if self.mollifier is None:
-            request_transport(u)
         h = self.cfg.noise.components(self.t, u)
         self._noise = None if h is None else h.coefficients
         product = u.transport_coefficients if self.mollifier is None else None

@@ -35,13 +35,14 @@ rows are bit-identical to separate 1-D transforms.
 A field computes what a time step reads of it once, when first asked for:
 ``step_rows``, the samples of ``Hf``, ``f_x`` and ``H f_x`` from one inverse
 transform, and ``transport_coefficients``, the dealiased ``(Hf) f_x`` from one
-forward transform of the first two rows.  :func:`transport_product` and
+forward transform of the first two rows (a field without step rows transforms
+those two alone and keeps nothing).  :func:`transport_product` and
 :func:`gradient_sups` (``sup|f_x|``, ``sup|H f_x|``, ``max Lam f = -min H f_x``)
-read these caches.  A caller that will read the transport product can say so
-with :func:`request_transport`; the next :func:`dealiased_with_transport` of
-the field then forms the product in the same forward transform.  At small N
-the per-call overhead of a transform outweighs its arithmetic, so the number
-of calls, not their length, sets the cost of a time step.
+read these caches.  A forward transform of a function of the step rows
+(:func:`dealiased_with_transport`, the noise's) forms the transport product in
+the same call while it is not yet formed.  At small N the per-call overhead
+of a transform outweighs its arithmetic, so the number of calls, not their
+length, sets the cost of a time step.
 
 Fields are immutable after construction and all operations are pure, so
 concurrent evaluation is safe.
@@ -72,7 +73,6 @@ __all__ = [
     "dealiased_product",
     "transport_product",
     "inverse_samples",
-    "request_transport",
     "dealiased_with_transport",
     "pad_field",
     "sobolev_norm",
@@ -99,11 +99,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     # cached arrays are shared by every caller of a grid
     a.setflags(write=False)
     return a
-
-
-# ``Field._transport`` before the product is formed, once a caller that will
-# read it asked for it (:func:`request_transport`)
-_REQUESTED = object()
 
 
 @dataclass(frozen=True)
@@ -295,9 +290,14 @@ class Field:
 
     @property
     def transport_coefficients(self) -> np.ndarray:
-        """Coefficients of the dealiased ``(Hf) f_x`` (read-only)."""
-        if self._transport is None or self._transport is _REQUESTED:
-            hf, fx = self.step_rows[:2]
+        """Coefficients of the dealiased ``(Hf) f_x`` (read-only), formed from
+        the first two step rows and kept; a field whose rows are not formed
+        transforms those two alone and keeps nothing."""
+        if self._transport is None:
+            if self._rows is None:
+                hf, fx = inverse_samples(self.grid, self._coeffs * self.grid.transport_symbols)
+                return _read_only(dealiased_coefficients(self.grid, hf * fx))
+            hf, fx = self._rows[:2]
             self._transport = _read_only(dealiased_coefficients(self.grid, hf * fx))
         return self._transport
 
@@ -434,21 +434,12 @@ def inverse_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
     return np.fft.irfft(coeffs, n=grid.n_modes, axis=-1, norm="forward")
 
 
-def request_transport(f: Field) -> None:
-    """Have the next :func:`dealiased_with_transport` of ``f`` form
-    :attr:`Field.transport_coefficients` in the same forward transform.  Only
-    a caller that will read the product asks, so no other caller pays for
-    the extra row."""
-    if f._transport is None:
-        f._transport = _REQUESTED
-
-
 def dealiased_with_transport(f: Field, samples: np.ndarray) -> np.ndarray:
     """:func:`dealiased_coefficients` of ``samples``, a pointwise function of
-    the step rows of ``f``.  When the transport product of ``f`` was
-    requested (:func:`request_transport`) and not yet formed, its forward
-    transform is stacked into the same call and cached on ``f``."""
-    if f._transport is not _REQUESTED:
+    the step rows of ``f``.  While :attr:`Field.transport_coefficients` of
+    ``f`` is not formed, its forward transform is stacked into the same call
+    and cached on ``f``, so a step that reads both pays one call."""
+    if f._transport is not None:
         return dealiased_coefficients(f.grid, samples)
     hf, fx = f.step_rows[:2]
     both = dealiased_coefficients(f.grid, np.stack([samples, hf * fx]))
@@ -458,7 +449,8 @@ def dealiased_with_transport(f: Field, samples: np.ndarray) -> np.ndarray:
 
 def transport_product(w: Field) -> Field:
     """Dealiased ``(H w) w_x``: one stacked inverse and one forward transform,
-    both cached on ``w``.
+    or, cached on ``w``, the forward one alone when ``w``'s step rows are
+    formed.
 
     Bit-identical to ``dealiased_product(hilbert(w), derivative(w))``.
     """

@@ -195,7 +195,8 @@ class Full:
         return out
 
     def random_pde(self, cfg, c0, beta):
-        """The recorded states of ``run_random_pde`` without a track."""
+        """The recorded states of ``run_random_pde``: frozen-``beta`` RK4
+        steps of the drift scaled by ``beta_i``."""
         n_steps = int(round(cfg.horizon / cfg.dt))
         v, out = c0, [c0]
         for i in range(n_steps):

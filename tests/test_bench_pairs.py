@@ -1,0 +1,81 @@
+"""The statistics ``tools/bench_pairs.py`` writes into every ``BENCH_*.json``:
+wins per pair, the median gap against the parent's interquartile range, and
+``within_bound``, the gate on each end-to-end metric."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+
+def bench_pairs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+COMPARE = bench_pairs().compare
+
+
+def pairs(parent, change):
+    return [{"parent": p, "change": c} for p, c in zip(parent, change)]
+
+
+def test_lower_better_gain():
+    out = COMPARE(pairs([1.0, 1.1, 1.2, 1.3], [0.8, 0.9, 1.0, 1.1]), "lower", 0.25)
+    assert out["better"] == "lower" and out["bound"] == 0.25
+    assert out["wins"] == {"change": 4, "parent": 0, "tie": 0}
+    assert out["parent"]["median"] == pytest.approx(1.15)
+    assert out["parent"]["iqr"] == pytest.approx(0.15)     # 1.075 .. 1.225
+    assert out["change"]["runs"] == [0.8, 0.9, 1.0, 1.1]
+    assert out["median_rel_change"] == pytest.approx(-0.2 / 1.15)
+    assert out["median_gap_exceeds_parent_iqr"]
+    assert out["within_bound"]
+
+
+def test_higher_better_gain_and_worsening():
+    gain = COMPARE(pairs([0.9] * 4, [1.0] * 4), "higher", 0.01)
+    assert gain["wins"] == {"change": 4, "parent": 0, "tie": 0}
+    assert gain["median_gap_exceeds_parent_iqr"] and gain["within_bound"]
+    loss = COMPARE(pairs([1.0] * 4, [0.9] * 4), "higher", 0.05)
+    assert loss["wins"] == {"change": 0, "parent": 4, "tie": 0}
+    assert not loss["median_gap_exceeds_parent_iqr"]
+    assert not loss["within_bound"]
+    # the same runs of a lower-better metric are a gain
+    assert COMPARE(pairs([1.0] * 4, [0.9] * 4), "lower", 0.05)["wins"]["change"] == 4
+
+
+def test_ties():
+    out = COMPARE(pairs([1.0, 2.0, 1.0, 2.0], [1.0, 2.0, 1.0, 2.0]), "lower", 0.25)
+    assert out["wins"] == {"change": 0, "parent": 0, "tie": 4}
+    assert out["median_rel_change"] == 0.0
+    assert not out["median_gap_exceeds_parent_iqr"]
+    assert out["within_bound"]
+
+
+@pytest.mark.parametrize("better, parent, at_bound, past_bound", [
+    ("lower", 2.0, 2.5, 2.5000001),
+    ("higher", 1.0, 0.75, 0.7499999),
+])
+def test_worsening_exactly_at_the_bound_is_within(better, parent, at_bound, past_bound):
+    # a relative worsening equal to the bound passes; any more fails
+    assert COMPARE(pairs([parent] * 4, [at_bound] * 4), better, 0.25)["within_bound"]
+    assert not COMPARE(pairs([parent] * 4, [past_bound] * 4), better, 0.25)["within_bound"]
+
+
+def test_gap_must_exceed_parent_iqr():
+    # every pair won, but the median gap is within the parent's spread
+    spread = COMPARE(pairs([1.0, 2.0, 3.0, 4.0], [0.9, 1.9, 2.9, 3.9]), "lower", 0.25)
+    assert spread["wins"]["change"] == 4
+    assert spread["parent"]["iqr"] == pytest.approx(1.5)
+    assert not spread["median_gap_exceeds_parent_iqr"]
+    # a gap equal to the IQR does not exceed it: parent quartiles 1 and 3,
+    # medians 2 and 0
+    equal = COMPARE(pairs([1.0, 1.0, 3.0, 3.0], [-1.0, -1.0, 1.0, 1.0]), "lower", 0.25)
+    assert equal["parent"]["iqr"] == 2.0
+    assert equal["parent"]["median"] - equal["change"]["median"] == 2.0
+    assert not equal["median_gap_exceeds_parent_iqr"]
+    wider = COMPARE(pairs([1.0, 1.0, 3.0, 3.0], [-1.5, -1.5, 0.5, 0.5]), "lower", 0.25)
+    assert wider["median_gap_exceeds_parent_iqr"]

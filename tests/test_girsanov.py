@@ -14,13 +14,14 @@ from ccflab.girsanov import (
     beta_path,
     blowup_ensemble,
     blowup_probability_bound,
+    characteristic_track,
     first_passage_oracle,
     girsanov_residual,
     identity_sv_residual,
     riccati_check,
     run_random_pde,
 )
-from ccflab.integrate import SimConfig, blowup_bump, simulate_path
+from ccflab.integrate import SimConfig, blowup_bump, em_step, simulate_path
 from ccflab.noise import LinearB, ZeroNoise, path_seed
 from ccflab.spectral import (
     Field,
@@ -96,14 +97,54 @@ class TestGirsanovResidual:
         assert r_coarse < 0.05
 
 
-class TestCharacteristicTrack:
-    def test_constant_field(self):
-        v = Field.from_function(GRID, lambda x: 0 * x + 0.7)
-        cfg = SimConfig(grid=GRID, s=3.1, dt=0.01, horizon=0.1, noise=ZeroNoise())
-        _, _, trk = run_random_pde(cfg, v, np.ones(11), track=True)
-        assert trk.times.size == 11
-        assert np.allclose(trk.positions, trk.positions[0])
-        assert np.allclose(trk.f_values, 0.0, atol=1e-12)
+class TestRandomPDE:
+    """The twin ``v`` steps through ``em_step`` (``fft_calls`` is in
+    ``conftest.py``)."""
+
+    def cfg(self, **kw):
+        noise = LinearB(b0=0.5, lam=1.0, b_star=0.3)
+        return SimConfig(**{"grid": GRID, "s": 3.1, "dt": 1e-3, "horizon": 0.01,
+                            "noise": noise, **kw})
+
+    def beta(self, cfg):
+        inc = np.sqrt(cfg.dt) * np.random.default_rng(6).standard_normal(10)
+        return beta_path(0.5, 1.0, inc, cfg.dt)
+
+    def test_steps_are_noiseless_em_steps(self):
+        # a LinearB cfg: the twin sets ZeroNoise itself
+        cfg = self.cfg(record_every=3)
+        beta = self.beta(cfg)
+        u0 = blowup_bump(GRID, 5.0)
+        times, fields = run_random_pde(cfg, u0, beta)
+        quiet = replace(cfg, noise=ZeroNoise())
+        v, want = u0.copy(), [u0]
+        for i in range(10):
+            v = em_step(v, i * cfg.dt, quiet, 0.0, beta[i] * cfg.dt)
+            if (i + 1) % 3 == 0 or i == 9:
+                want.append(v)
+        assert np.array_equal(times, np.array([0, 3, 6, 9, 10]) * cfg.dt)
+        assert len(fields) == len(want) == 5
+        for f, w in zip(fields, want):
+            assert np.array_equal(f.coefficients, w.coefficients)
+
+    def test_twin_step_transforms(self, fft_calls):
+        # per step: stage 1's two rows and product (2), stages 2-4 (6); no
+        # sups are read, so no three-row start transform
+        u0 = blowup_bump(GRID, 5.0)
+        cfg = self.cfg(horizon=1e-3)
+        fft_calls.clear()
+        run_random_pde(cfg, u0.copy(), np.ones(2))
+        assert fft_calls == ["irfft", "rfft"] * 4
+        fft_calls.clear()
+        run_random_pde(self.cfg(), u0.copy(), np.ones(11))
+        assert len(fft_calls) == 10 * 8
+
+    def test_recorded_fields_are_bare(self):
+        cfg = self.cfg()
+        u0 = blowup_bump(GRID, 5.0)
+        _, fields = run_random_pde(cfg, u0, self.beta(cfg))
+        assert len(fields) == 11
+        assert all(f._rows is None and f._transport is None for f in fields)
 
     def test_short_beta_rejected(self):
         # 10 steps need beta at 11 step times
@@ -111,15 +152,30 @@ class TestCharacteristicTrack:
         with pytest.raises(ValueError, match="beta holds 10 values"):
             run_random_pde(cfg, Field.zeros(GRID), np.ones(10))
 
-    @pytest.mark.parametrize("track", [False, True])
-    def test_divergence_raises(self, track):
+    def test_divergence_raises(self):
         # a non-finite step is an error naming its time, not a shortened
         # (times, fields) that the residual would be scored on
         grid = SpectralGrid(n_modes=64)
         cfg = SimConfig(grid=grid, s=3.1, dt=0.01, horizon=0.5, noise=ZeroNoise())
         with np.errstate(all="ignore"), \
                 pytest.raises(ValueError, match=r"random PDE diverged at t=0\.02"):
-            run_random_pde(cfg, blowup_bump(grid, 2.0), np.full(51, 1e6), track=track)
+            run_random_pde(cfg, blowup_bump(grid, 2.0), np.full(51, 1e6))
+
+
+class TestCharacteristicTrack:
+    def test_constant_field(self):
+        v = Field.from_function(GRID, lambda x: 0 * x + 0.7)
+        cfg = SimConfig(grid=GRID, s=3.1, dt=0.01, horizon=0.1, noise=ZeroNoise())
+        _, fields = run_random_pde(cfg, v, np.ones(11))
+        trk = characteristic_track(fields, np.ones(11), cfg.dt)
+        assert trk.times.size == 11
+        assert np.allclose(trk.positions, trk.positions[0])
+        assert np.allclose(trk.f_values, 0.0, atol=1e-12)
+
+    def test_beta_shorter_than_states_rejected(self):
+        fields = [Field.zeros(GRID)] * 3
+        with pytest.raises(ValueError, match="beta holds 2 values for 3 states"):
+            characteristic_track(fields, np.ones(2), 0.01)
 
     def test_frozen_track(self):
         # frozen values: a change in the RK4 stage arithmetic shows here
@@ -128,7 +184,8 @@ class TestCharacteristicTrack:
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, noise=ZeroNoise())
         inc = np.sqrt(cfg.dt) * np.random.default_rng(4).standard_normal(20)
         beta = beta_path(0.5, 1.0, inc, cfg.dt)
-        _, fields, trk = run_random_pde(cfg, u0, beta, track=True)
+        _, fields = run_random_pde(cfg, u0, beta)
+        trk = characteristic_track(fields, beta, cfg.dt)
         assert trk.times.size == 21
         assert trk.positions[-1] == pytest.approx(3.8014613905613364, rel=1e-12)
         assert trk.f_values[-1] == pytest.approx(2.0735500735579255, rel=1e-12)
@@ -139,12 +196,12 @@ class TestCharacteristicTrack:
         # and v along the characteristic is conserved
         grid = SpectralGrid(n_modes=512)
         u0 = blowup_bump(grid, 2.0, width=1.0)
-        cfg = SimConfig(grid=grid, s=3.1, dt=5e-4, horizon=0.2, noise=ZeroNoise(),
-                        seed=0, record_every=40)
+        cfg = SimConfig(grid=grid, s=3.1, dt=5e-4, horizon=0.2, noise=ZeroNoise(), seed=0)
         beta = np.ones(int(round(cfg.horizon / cfg.dt)) + 1)
-        times, fields, trk = run_random_pde(cfg, u0, beta, track=True)
+        times, fields = run_random_pde(cfg, u0, beta)
+        trk = characteristic_track(fields, beta, cfg.dt)
         assert not trk.flagged
-        vx_max = max(derivative(f).max_abs() for f in fields)
+        vx_max = max(derivative(f).max_abs() for f in fields[::40])
         assert np.max(trk.vx_residual) <= 1e-3 * vx_max
         # value conservation along the characteristic
         v_on_track = [evaluate_at(fields[0], trk.positions[0])]
@@ -155,10 +212,10 @@ class TestCharacteristicTrack:
         grid = SpectralGrid(n_modes=1024)
         f0 = 10.0
         u0 = blowup_bump(grid, f0, width=1.0)
-        cfg = SimConfig(grid=grid, s=3.1, dt=2e-4, horizon=0.12, noise=ZeroNoise(),
-                        seed=0, record_every=600)
+        cfg = SimConfig(grid=grid, s=3.1, dt=2e-4, horizon=0.12, noise=ZeroNoise(), seed=0)
         beta = np.ones(int(round(cfg.horizon / cfg.dt)) + 1)
-        _, _, trk = run_random_pde(cfg, u0, beta, track=True)
+        _, fields = run_random_pde(cfg, u0, beta)
+        trk = characteristic_track(fields, beta, cfg.dt)
         worst, ok = riccati_check(trk, tol=0.05, f_max=60.0)
         assert ok, f"worst normalized defect {worst}"
         # integrated Riccati: 1/F(0) - 1/F(t) >= t/2 forces F to double by 0.1

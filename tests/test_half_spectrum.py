@@ -189,7 +189,7 @@ def test_random_pde_matches_full_spectrum():
     cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.04, record_every=10)
     u0 = blowup_bump(grid, 5.0)
     beta = np.exp(0.3 * np.sin(np.arange(41)))
-    _, fields, _ = run_random_pde(cfg, u0, beta)
+    _, fields = run_random_pde(cfg, u0, beta)
     want = full.random_pde(cfg, full.mirror(u0.coefficients), beta)
     assert len(fields) == len(want) == 5
     for f, c in zip(fields, want):

@@ -30,7 +30,6 @@ from ccflab.spectral import (
     lambda_shift_residual,
     mollify,
     random_band_limited,
-    request_transport,
     sobolev_inner,
     sobolev_norm,
     sup_norms,
@@ -278,6 +277,24 @@ class TestStackedTransforms:
             assert np.array_equal(transport_product(w).coefficients, want.coefficients)
 
     @pytest.mark.parametrize("n", SIZES)
+    def test_transport_product_from_rows_or_alone(self, n, fft_calls):
+        # from formed step rows it takes the forward transform only and is
+        # kept; without them it transforms its two rows itself and keeps
+        # nothing
+        for w in self.fields(n):
+            want = dealiased_product(hilbert(w), derivative(w)).coefficients
+            bare, rowed = w.copy(), w.copy()
+            rowed.step_rows
+            fft_calls.clear()
+            assert np.array_equal(rowed.transport_coefficients, want)
+            assert fft_calls == ["rfft"]
+            fft_calls.clear()
+            assert np.array_equal(bare.transport_coefficients, want)
+            assert fft_calls == ["irfft", "rfft"]
+            assert bare._rows is None and bare._transport is None
+            assert rowed.transport_coefficients is rowed.transport_coefficients
+
+    @pytest.mark.parametrize("n", SIZES)
     def test_gradient_sups(self, n):
         for f in self.fields(n):
             fx = derivative(f)
@@ -303,7 +320,6 @@ class TestStackedTransforms:
             want = dealias(Field.from_samples(u.grid, samples)).coefficients
             want_transport = transport_product(u.copy()).coefficients
             fresh = u.copy()
-            request_transport(fresh)
             fresh.step_rows
             fft_calls.clear()
             got = dealiased_with_transport(fresh, samples)
@@ -311,18 +327,19 @@ class TestStackedTransforms:
             assert np.array_equal(fresh.transport_coefficients, want_transport)
             assert fft_calls == ["rfft"]    # the product came with the one call
 
-    def test_noise_transform_alone_unless_requested(self, fft_calls):
+    def test_noise_transform_carries_transport_once(self, fft_calls):
+        # the first call forms the product; later calls transform the
+        # samples alone and leave the cached product as it is
         u = self.fields(256)[0]
         samples = np.cos(u.grid.x) * u.samples
         want = dealias(Field.from_samples(u.grid, samples)).coefficients
         u.step_rows
         fft_calls.clear()
         assert np.array_equal(dealiased_with_transport(u, samples), want)
-        assert u._transport is None
-        u.transport_coefficients
-        request_transport(u)      # formed already: nothing left to carry
-        dealiased_with_transport(u, samples)
-        assert fft_calls == ["rfft"] * 3
+        formed = u.transport_coefficients
+        assert np.array_equal(dealiased_with_transport(u, samples), want)
+        assert u.transport_coefficients is formed
+        assert fft_calls == ["rfft"] * 2
 
     def test_is_dealiased(self):
         f = random_band_limited(GRID, GRID.dealias_keep, np.random.default_rng(3))
