@@ -117,8 +117,13 @@ def recompute_summaries(per_path: list[PathOutcome]) -> dict:
     return summary
 
 
-def wilson_ci(successes: int, trials: int, z: float = 1.959964) -> tuple[float, float]:
-    """Wilson score interval (robust at small counts)."""
+# two-sided 95% standard normal quantile
+WILSON_Z = 1.959964
+
+
+def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval (robust at small counts)."""
+    z = WILSON_Z
     if trials == 0:
         return 0.0, 1.0
     p = successes / trials
@@ -222,26 +227,24 @@ class _CoupledFamilyTask:
 
 
 def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
-                      u0: Field | None = None, eps_ref: float | None = None,
-                      k_threshold: float | None = None,
-                      workers: int = 1) -> dict:
+                      eps_ref: float | None = None, workers: int = 1) -> dict:
     """Coupled-pair mollifier convergence: ensemble mean of the stopped
     supremum of the squared H^{s-3/2} gap against the reference width, with a
     log-log rate fit.
 
-    Initial data defaults to a power-law spectrum at the critical decay for
-    the configured Sobolev index, which keeps tail mass at every scale (smooth
-    data would collapse the study to spectral round-off).
+    The initial datum is a power-law spectrum at the critical decay for the
+    configured Sobolev index, drawn from the data stream ``stream(cfg.seed)``;
+    it keeps tail mass at every scale (smooth data would collapse the study
+    to spectral round-off).  The sup stops once either path leaves the ball of
+    radius ``50 |u0|_{H^s}``.
     """
     if len(set(eps_list)) < 2:
         raise ValueError("need at least two distinct mollifier widths")
     eps_sorted = sorted(eps_list, reverse=True)
     if eps_ref is None:
         eps_ref = eps_sorted[-1] / 4.0
-    if u0 is None:
-        u0 = power_law_field(cfg.grid, cfg.s, stream(cfg.seed), amplitude=1.0)
-    if k_threshold is None:
-        k_threshold = 50.0 * sobolev_norm(u0, cfg.s)
+    u0 = power_law_field(cfg.grid, cfg.s, stream(cfg.seed), amplitude=1.0)
+    k_threshold = 50.0 * sobolev_norm(u0, cfg.s)
 
     task = _CoupledFamilyTask(cfg, u0, tuple(eps_sorted), eps_ref, k_threshold)
     per_seed = np.array(run_paths(task, cfg.seed, num_paths, workers))

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import SimTask, run_paths, wilson_ci
-from .integrate import SimConfig, em_step, rk4, simulate_path
-from .noise import LinearB, ZeroNoise, exp_decay, path_seed, stream
+from .integrate import SimConfig, rk4, simulate_low_frequency, simulate_path
+from .noise import LinearB, exp_decay, path_seed, stream
 from .spectral import (
     Field,
     argmax_refined,
@@ -77,27 +77,22 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray):
 
     ``beta`` holds one value per step (frozen within the step, matching the
     order of the noise coupling) plus the value at the horizon; a shorter
-    ``beta`` is an error.  Step i is one noiseless ``em_step`` of size
-    ``beta_i dt``, whatever the noise of ``cfg``.  Returns ``(times,
-    fields)``, bare fields every ``cfg.record_every`` steps and at the
-    horizon.  Raises ``ValueError`` naming the time of the first non-finite
-    step instead of returning a shortened ``(times, fields)``.
+    ``beta`` is an error.  Step i is one step of size ``beta_i dt`` of the
+    deterministic stream :func:`~ccflab.integrate.simulate_low_frequency`,
+    whatever the noise of ``cfg``.  Returns ``(times, fields)``, bare fields
+    every ``cfg.record_every`` steps and at the horizon.  Raises
+    ``ValueError`` naming the time of the first non-finite step instead of
+    returning a shortened ``(times, fields)``.
     """
-    dt = cfg.dt
-    n_steps = int(round(cfg.horizon / dt))
+    n_steps = int(round(cfg.horizon / cfg.dt))
     if len(beta) < n_steps + 1:
         raise ValueError(f"beta holds {len(beta)} values; {n_steps} steps need "
                          f"{n_steps + 1}")
-    cfg = replace(cfg, noise=ZeroNoise())
-    v = u0
-    times, fields = [0.0], [Field(u0.grid, u0.coefficients)]
-    for i in range(n_steps):
-        v = em_step(v, i * dt, cfg, 0.0, beta[i] * dt)
-        t = (i + 1) * dt
-        if v.diverged:
-            raise ValueError(f"random PDE diverged at t={t:.6g}")
-        if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            times.append(t)
+    steps = np.asarray(beta[:n_steps]) * cfg.dt
+    times, fields = [], []
+    for i, v in enumerate(simulate_low_frequency(cfg, u0, steps)):
+        if i % cfg.record_every == 0 or i == n_steps:
+            times.append(i * cfg.dt)
             fields.append(Field(v.grid, v.coefficients))
     return np.array(times), fields
 
@@ -340,6 +335,12 @@ def blowup_probability_bound(b0: float, lam: float, threshold_k: float, num_path
 
 @dataclass
 class BlowupEnsembleResult:
+    """Flagged fraction of an SPDE ensemble against the Monte Carlo bound.
+
+    ``n_unresolved`` counts the ``diverged`` paths (the benchmark reads the
+    name).
+    """
+
     fraction: float
     n_blewup: int
     n_unresolved: int

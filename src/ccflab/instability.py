@@ -13,28 +13,32 @@ defect against the stochastic equation is the integrand
 and the accumulated defect is ``int E dt`` minus the stochastic integral of
 the weak-noise coefficient along the approximate solution.  Everything here
 runs in the carrier-envelope representation, whose step cost does not grow
-with ``n``; agreement with dense-grid evaluation is covered by the tests.
+with ``n``; agreement with dense-grid evaluation is covered by the tests,
+which keep the dense packets as their reference.
 
 Each study is one pass over time that keeps only running sums and sups: the
 defect functional steps ``u_l`` (from :func:`build_low_initial`) in the same
 loop that forms ``E`` and the noise coefficient, the actual solutions start
 from ``u_l(0)`` alone (no low-frequency solve), and the separation experiment
 keeps the ``m = +1`` states of a path to difference the ``m = -1`` run against.
+The low-frequency profile is the deterministic stream of
+:func:`~ccflab.integrate.simulate_low_frequency` on the envelope grid.
 
 Transform budget of one defect step: the integrand's carrier rows are in
 closed form (:func:`error_integrand_mod`, one stacked ``irfft`` of the
 low-frequency rows and one forward ``fft`` of carrier row 1; generic carrier
 products took 21 calls), the noise coefficient along the approximate solution
 takes none (plus 3 per power above 1 of its exponents), since its packet is
-the cached unit-phase row times one phase, and the low-frequency RK4 step
-takes 8.  That is 10 transform calls per step with noise, shared by every
-path.
+the cached unit-phase row times one phase, and the low-frequency step (one
+noiseless ``em_step``) takes 8.  That is 10 transform calls per step with
+noise, shared by every path.
 
 Decay exponents, computed from ``(s, sigma0, delta)`` and asserted negative
 up front:
 
     rate_error = -s - 1 + sigma0 + delta      (defect functional, squared: 2x)
-    rate_gap_hs = (delta - 1) / 2             (H^s distance of actual vs approx)
+    rate_gap_hs = (delta - 1) / 2             (H^s distance of actual vs approx,
+                                               the paper's rate; no study measures it)
 """
 
 from __future__ import annotations
@@ -42,10 +46,11 @@ from __future__ import annotations
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
-from .integrate import plateau_bump, rk4, simulate_low_frequency
+from .integrate import SimConfig, plateau_bump, rk4, simulate_low_frequency
 from .modulated import (
     CarrierBasis,
     ModulatedField,
@@ -67,16 +72,13 @@ __all__ = [
     "phi_profile",
     "phi_tilde_profile",
     "profile_l2_line",
-    "build_high_frequency",
     "build_high_frequency_mod",
     "build_low_initial",
     "low_trajectory",
-    "approx_solution",
     "approx_solution_mod",
     "error_integrand_mod",
     "packet_norm_ratio",
     "error_functional_ensemble",
-    "actual_vs_approx_gap",
     "separation_experiment",
 ]
 
@@ -219,23 +221,9 @@ class InstabilityParams:
 # -- building blocks -------------------------------------------------------------
 
 
-def build_high_frequency(p: InstabilityParams, t: float, grid: SpectralGrid) -> Field:
-    """Dense-grid packet ``n^{-d/2-s} phi(x_c/n^d) cos(n x_c - m t)``.
-
-    The grid must resolve the carrier with at least 8 points per wavelength.
-    """
-    if 2.0 * np.pi * grid.n_modes / grid.period < 8.0 * p.n:
-        raise ValueError("grid does not resolve the carrier (need >= 8 points "
-                         "per wavelength)")
-    xc = grid.x - 0.5 * grid.period
-    amp = float(p.n) ** (-0.5 * p.delta - p.s)
-    vals = amp * phi_profile(xc / p.n**p.delta) * np.cos(p.n * xc - p.m * t)
-    return Field.from_samples(grid, vals)
-
-
 def build_high_frequency_mod(p: InstabilityParams, t: float) -> ModulatedField:
-    """Carrier-1 version of the packet (phase referenced to the centered
-    coordinate, matching :func:`build_high_frequency`): the cached
+    """Carrier-1 packet ``n^{-d/2-s} phi(x_c/n^d) cos(n x_c - m t)``, its phase
+    referenced to the centered coordinate ``x_c``: the cached
     :attr:`InstabilityParams.packet_row` times the phase, no transform."""
     phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
     mf = ModulatedField.zeros(p.basis)
@@ -251,20 +239,13 @@ def build_low_initial(p: InstabilityParams, grid: SpectralGrid) -> Field:
     return -1.0 * hilbert(g)
 
 
-def low_trajectory(p: InstabilityParams, horizon: float,
-                   dt: float) -> Iterator[tuple[float, Field]]:
-    """Stream of ``(t, u_l(t))`` on the envelope grid, one per step from
-    ``t = 0``; each RK4 step runs when its state is read."""
-    return simulate_low_frequency(build_low_initial(p, p.env_grid), horizon, dt)
-
-
-def approx_solution(p: InstabilityParams, t: float, ul_t: Field,
-                    grid: SpectralGrid) -> Field:
-    """Dense ``u_h(t) + u_l(t)``; ``ul_t`` is interpolated onto ``grid`` modes."""
-    uh = build_high_frequency(p, t, grid)
-    if ul_t.grid != grid:
-        raise ValueError("low-frequency field must live on the dense grid")
-    return uh + ul_t
+def low_trajectory(p: InstabilityParams, horizon: float, dt: float) -> Iterator[Field]:
+    """Stream of ``u_l(i dt)`` on the envelope grid, one per step from
+    ``t = 0`` over ``round(horizon / dt)`` steps; each step runs when its
+    state is read."""
+    cfg = SimConfig(p.env_grid, p.s, dt, horizon)
+    return simulate_low_frequency(cfg, build_low_initial(p, p.env_grid),
+                                  repeat(dt, int(round(horizon / dt))))
 
 
 def approx_solution_mod(p: InstabilityParams, t: float, ul_t: Field) -> ModulatedField:
@@ -365,7 +346,8 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     partial = ModulatedField.zeros(p.basis)    # running integral of E
     det_sup_sq = modulated_norm(partial, sigma0) ** 2
     # zip stops at the range before asking the stream for the horizon state
-    for i, (t, ul_t) in zip(range(n_steps), low_trajectory(p, horizon, dt)):
+    for i, ul_t in zip(range(n_steps), low_trajectory(p, horizon, dt)):
+        t = i * dt
         if i == 0:
             hul0 = hilbert(ul_t)
         partial = partial + dt * error_integrand_mod(p, t, ul_t, hul0)
@@ -383,7 +365,7 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
             "det_sup_sq": det_sup_sq, "num_paths": paths}
 
 
-# -- actual solutions and gaps ---------------------------------------------------------
+# -- actual solutions and separation ---------------------------------------------------
 
 
 def _mod_rhs(u: ModulatedField) -> ModulatedField:
@@ -425,44 +407,6 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
         if observer is not None:
             observer(i + 1, (i + 1) * dt, u)
     return {"state": u, "status": status, "t_stop": t_stop}
-
-
-def actual_vs_approx_gap(p: InstabilityParams, noise: InstabilityH | ZeroNoise,
-                         num_paths: int, horizon: float, dt: float,
-                         seed: int = 0) -> dict:
-    """Ensemble gap estimates between actual and approximate solutions.
-
-    Returns ``E sup |gap|^2`` in ``H^{sigma0}`` and ``H^{2s-sigma0}`` plus
-    ``E sup |gap|`` in ``H^s``, with the per-path sups for the interpolation
-    inequality check (the H^s mean is bounded by the fourth-root product of
-    the two squared means).
-    """
-    approx = [approx_solution_mod(p, t, f) for t, f in low_trajectory(p, horizon, dt)]
-    hi_index = 2.0 * p.s - p.sigma0
-    per_path = {"sigma0_sq": [], "high_sq": [], "hs": []}
-
-    for idx in range(num_paths):
-        sup_lo, sup_hi, sup_s = 0.0, 0.0, 0.0
-
-        def observe(i, t, u):
-            nonlocal sup_lo, sup_hi, sup_s
-            gap = u - approx[i]
-            sup_lo = max(sup_lo, modulated_norm(gap, p.sigma0) ** 2)
-            sup_hi = max(sup_hi, modulated_norm(gap, hi_index) ** 2)
-            sup_s = max(sup_s, modulated_norm(gap, p.s))
-
-        simulate_actual_mod(p, noise, path_seed(seed, idx), horizon, dt,
-                            observer=observe)
-        per_path["sigma0_sq"].append(sup_lo)
-        per_path["high_sq"].append(sup_hi)
-        per_path["hs"].append(sup_s)
-
-    out = {k: float(np.mean(v)) for k, v in per_path.items()}
-    out["interpolation_ok"] = bool(
-        out["hs"] <= out["sigma0_sq"] ** 0.25 * out["high_sq"] ** 0.25 * (1.0 + 1e-9)
-        or out["hs"] < 1e-300)
-    out["per_path"] = per_path
-    return out
 
 
 def separation_experiment(p: InstabilityParams, horizon: float, dt: float,

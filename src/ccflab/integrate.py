@@ -16,9 +16,9 @@ split with a Brownian bridge, at most ``MAX_HALVINGS`` times.
 
 All stepping runs through one right-hand side on half-spectrum coefficient
 arrays, ``-gate J[(H J c) (J c)_x]``: one stacked inverse and one forward
-real FFT per evaluation.  It backs :func:`drift`, the RK4 stages of
-:func:`em_step` and :func:`simulate_low_frequency`; :func:`em_step` also
-takes each step of the random-PDE twin of :mod:`ccflab.girsanov`.
+real FFT per evaluation.  It backs :func:`drift` and the RK4 stages of
+:func:`em_step`, which takes every step of a real field: the SPDE paths and
+the deterministic stream of :func:`simulate_low_frequency`.
 
 Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
 real field is one of them, see :mod:`ccflab.spectral`): a step reads
@@ -31,7 +31,9 @@ which the forward transform of a ``GeneralH``/``InstabilityH`` noise carries;
 calls: the start (1), the noise with stage 1 (1) and stages 2-4 (6).  With a
 mollifier stage 1 transforms ``J u`` on its own (10).  A halving retry starts
 from the same state and its :class:`StepStart`, so it pays stages 2-4 only
-(6 calls); the second half starts from a new state (8).
+(6 calls); the second half starts from a new state (8).  A step of the
+deterministic stream reads no sups, so stage 1 transforms two rows and forms
+their product (2): 8 calls too.
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -39,16 +41,20 @@ for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
 points of halving come from its stream ``(1,)`` (:func:`~ccflab.noise.stream`),
 so the increments a path records do not depend on how often it halves.
 
-:func:`simulate_low_frequency` is the deterministic ``u_t + (Hu) u_x = 0``
-alone: an RK4 stream from a datum the caller builds.
+:func:`simulate_low_frequency` is the gated, mollified deterministic
+equation alone: a stream of noiseless :func:`em_step` states on step sizes the
+caller gives, which serves the low-frequency profile of
+:mod:`ccflab.instability` (a constant step) and the random-PDE twin of
+:mod:`ccflab.girsanov` (the steps ``beta_i dt`` of the clock
+``theta = int beta dt``).
 """
 
 from __future__ import annotations
 
 import io
 import json
-from collections.abc import Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -200,8 +206,8 @@ def _mollifier(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray | None:
     return _mollifier_values(grid, eps) if eps > 0.0 else None
 
 
-def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float = 1.0,
-                   mollifier: np.ndarray | None = None, product=None) -> np.ndarray:
+def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float,
+                   mollifier: np.ndarray | None, product=None) -> np.ndarray:
     """``-gate J[(H J c) (J c)_x]``, dealiased, for the coefficients ``c``.
 
     ``J`` multiplies by ``mollifier`` (the identity for ``None``).
@@ -409,27 +415,27 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     return finalize("completed", t, n_steps)
 
 
-# -- deterministic low-frequency solver --------------------------------------------
+# -- deterministic stream ------------------------------------------------------------
 
 
-def simulate_low_frequency(u0: Field, horizon: float,
-                           dt: float) -> Iterator[tuple[float, Field]]:
-    """Classical RK4 pseudospectral solve of ``u_t + (Hu) u_x = 0`` on
-    ``u0.grid``, over ``round(horizon / dt)`` steps of size ``dt``.
+def simulate_low_frequency(cfg: SimConfig, u0: Field,
+                           steps: Iterable[float]) -> Iterator[Field]:
+    """The gated, mollified ``u_t + (Hu) u_x = 0`` from ``u0``: yields ``u0``
+    and then the state after each noiseless :func:`em_step`, one per size in
+    ``steps``, whatever the noise of ``cfg``.
 
-    Yields ``(t, u)`` at ``t = 0`` and after each step; a step is only taken
-    when the next state is asked for.  Raises ``ValueError`` naming the time
-    of the first non-finite step.
+    A step is only taken when the next state is asked for.  Raises
+    ``ValueError`` naming the time ``(i + 1) cfg.dt`` of the first non-finite
+    step.
     """
-    grid = u0.grid
-    c = u0.coefficients
-    yield 0.0, u0
-    for i in range(int(round(horizon / dt))):
-        c = rk4(lambda f: _transport_rhs(f, grid), c, dt)
-        u = Field(grid, c)
+    cfg = replace(cfg, noise=ZeroNoise())
+    u = u0
+    yield u
+    for i, dt in enumerate(steps):
+        u = em_step(u, i * cfg.dt, cfg, 0.0, dt)
         if u.diverged:
-            raise ValueError(f"low-frequency solve diverged at t={(i + 1) * dt:.6g}")
-        yield (i + 1) * dt, u
+            raise ValueError(f"deterministic stream diverged at t={(i + 1) * cfg.dt:.6g}")
+        yield u
 
 
 # -- initial data factories -----------------------------------------------------------

@@ -11,7 +11,7 @@ follow the carrier algebra (harmonics beyond ``max_carrier`` are truncated,
 which costs O(amplitude^3) here since the packets are tiny).  This makes the
 cost of a time step independent of ``n``, while a dense grid would need
 O(n^{1+delta}) points; agreement with the dense representation is checked in
-the tests at small ``n``.
+the tests at small ``n``, which keep the dense upsampling as their reference.
 
 Because each carrier band is disjoint (the envelope bandwidth stays below
 ``n/2``), Sobolev norms split across carriers:
@@ -48,8 +48,7 @@ from .spectral import Field, SpectralGrid, _read_only
 
 __all__ = ["CarrierBasis", "ModulatedField", "modulated_norm", "carrier_norms",
            "apply_symbol", "mod_product", "mod_transport_product", "mod_derivative",
-           "mod_hilbert", "mod_helmholtz_inverse_dx", "to_dense_field", "packet",
-           "carrier0"]
+           "mod_hilbert", "mod_helmholtz_inverse_dx", "packet", "carrier0"]
 
 
 @dataclass(frozen=True)
@@ -175,17 +174,17 @@ def carrier0(basis: CarrierBasis, f: Field) -> ModulatedField:
     return mf
 
 
-def packet(basis: CarrierBasis, envelope_samples: np.ndarray,
-           phase: complex = 1.0) -> ModulatedField:
-    """Real packet ``Re[envelope * phase * exp(i n x)]`` on the first carrier.
+def packet(basis: CarrierBasis, envelope_samples: np.ndarray) -> ModulatedField:
+    """Real packet ``Re[envelope * exp(i n x)]`` on the first carrier.
 
-    The stored envelope is ``envelope * phase / 2`` so that the two-sided
-    representation reproduces the cosine convention: with ``phase = exp(-i m t)``
-    and a real envelope this is ``envelope * cos(n x - m t)``.
+    The stored envelope is ``envelope / 2`` so that the two-sided
+    representation reproduces the cosine convention: for a real envelope this
+    is ``envelope * cos(n x)``, and ``envelope * exp(-i m t)`` gives
+    ``envelope * cos(n x - m t)``.
     """
     mf = ModulatedField.zeros(basis)
     n = basis.grid.n_modes
-    env = np.asarray(envelope_samples, dtype=np.complex128) * (0.5 * phase)
+    env = np.asarray(envelope_samples, dtype=np.complex128) * 0.5
     mf.coeffs[1] = np.fft.fft(env) / n
     return mf
 
@@ -266,28 +265,3 @@ def carrier_norms(basis: CarrierBasis, coeffs: np.ndarray, r: float) -> np.ndarr
 def modulated_norm(mf: ModulatedField, r: float) -> float:
     """H^r norm via the disjoint carrier bands (see module docstring)."""
     return float(carrier_norms(mf.basis, mf.coeffs, r))
-
-
-def to_dense_field(mf: ModulatedField, dense: SpectralGrid) -> Field:
-    """Exact dense-grid samples of the represented function.
-
-    Envelopes are upsampled spectrally (the dense grid must share the period
-    and be a multiple refinement of the envelope grid); the carrier phases are
-    evaluated directly, so the result is meaningful even when the carrier is
-    not commensurate with the period, as long as the envelopes vanish at the
-    window edges.
-    """
-    grid = mf.basis.grid
-    if abs(dense.period - grid.period) > 1e-12 * grid.period:
-        raise ValueError("dense grid must share the envelope period")
-    if dense.n_modes % grid.n_modes != 0:
-        raise ValueError("dense grid must refine the envelope grid")
-    n, m = grid.n_modes, dense.n_modes
-    up = np.zeros((mf.basis.max_carrier + 1, m), dtype=np.complex128)
-    up[:, : n // 2] = mf.coeffs[:, : n // 2]
-    up[:, m - n // 2 + 1:] = mf.coeffs[:, n // 2 + 1:]
-    env = np.fft.ifft(up * m, axis=-1)
-    c = np.arange(mf.basis.max_carrier + 1)[:, None]
-    bands = (env * np.exp(1j * c * mf.basis.carrier * dense.x)).real
-    bands[1:] *= 2.0
-    return Field.from_samples(dense, bands.sum(axis=0))

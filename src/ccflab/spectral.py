@@ -63,8 +63,6 @@ __all__ = [
     "derivative",
     "hilbert",
     "frac_laplacian",
-    "bessel",
-    "mollify",
     "mollifier_symbol",
     "transition_bump",
     "dealias",
@@ -359,11 +357,6 @@ def frac_laplacian(f: Field, alpha: float) -> Field:
     return apply_multiplier(f, np.abs(f.grid.wavenumbers) ** alpha)
 
 
-def bessel(f: Field, s: float) -> Field:
-    """Bessel potential, multiplier ``(1 + xi^2)^{s/2}``."""
-    return apply_multiplier(f, f.grid.sobolev_base ** (0.5 * s))
-
-
 def transition_bump(z: np.ndarray) -> np.ndarray:
     """Smooth transition ``exp(1 - 1/(1 - z^2))`` on (0,1): 1 at z<=0, 0 at z>=1."""
     z = np.asarray(z, dtype=np.float64)
@@ -378,19 +371,6 @@ def transition_bump(z: np.ndarray) -> np.ndarray:
 def mollifier_symbol(zeta: np.ndarray) -> np.ndarray:
     """Low-pass symbol: 1 on |zeta|<=1, C-infinity monotone cut, 0 on |zeta|>=2."""
     return transition_bump(np.abs(zeta) - 1.0)
-
-
-def mollify(f: Field, eps: float) -> Field:
-    """Friedrichs-type mollifier: multiply mode ``xi`` by the symbol at ``eps*xi``.
-
-    ``eps = 0`` is the identity.  Commutes exactly with every other multiplier
-    operator here, since all of them act diagonally in coefficient space.
-    """
-    if eps < 0.0:
-        raise ValueError("eps must be nonnegative")
-    if eps == 0.0:
-        return f.copy()
-    return apply_multiplier(f, mollifier_symbol(eps * f.grid.wavenumbers))
 
 
 # -- products and dealiasing --------------------------------------------------

@@ -9,10 +9,9 @@ from ccflab.diagnostics import (
     LyapunovSpec,
     blowup_quantity,
     estimate_commutator_constant,
+    _drift_condition_sides,
     fit_k1_from_sweep,
-    lyapunov_drift_residual,
     lyapunov_growth_check,
-    lyapunov_value,
     transport_pairing,
 )
 from ccflab.integrate import SimConfig, simulate_path
@@ -20,7 +19,7 @@ from ccflab.noise import StrongAlpha, ZeroNoise
 from ccflab.spectral import (
     Field,
     SpectralGrid,
-    bessel,
+    apply_multiplier,
     dealiased_product,
     derivative,
     hilbert,
@@ -30,6 +29,13 @@ from ccflab.spectral import (
 )
 
 GRID = SpectralGrid(n_modes=256)
+
+
+def drift_residual(u, model, spec):
+    """LHS minus RHS of the drift condition at ``(0, u)``; a negative value
+    certifies it there."""
+    lhs, rhs = _drift_condition_sides(u, 0.0, model, spec)
+    return lhs - rhs
 
 
 class TestBlowupQuantity:
@@ -47,18 +53,25 @@ class TestBlowupQuantity:
 
 
 class TestLyapunovValue:
+    """The ``lyapunov`` column ``log(1 + |u|^2_{H^{s-1}})`` that
+    ``simulate_path`` records, read at ``t = 0``."""
+
+    def recorded(self, u):
+        cfg = SimConfig(grid=GRID, s=3.1, dt=1e-3, horizon=1e-3, noise=ZeroNoise())
+        return simulate_path(cfg, u).diagnostics["lyapunov"][0]
+
     def test_zero(self):
-        assert lyapunov_value(Field.zeros(GRID), 3.1) == 0.0
+        assert self.recorded(Field.zeros(GRID)) == 0.0
 
     def test_unit_norm(self):
         u = Field.from_function(GRID, lambda x: np.cos(x))
         u = (1.0 / sobolev_norm(u, 2.1)) * u
-        assert lyapunov_value(u, 3.1) == pytest.approx(np.log(2.0), rel=1e-10)
+        assert self.recorded(u) == pytest.approx(np.log(2.0), rel=1e-10)
 
     def test_monotone(self):
         rng = np.random.default_rng(1)
         u = random_band_limited(GRID, 30, rng)
-        vals = [lyapunov_value(a * u, 3.1) for a in (0.5, 1.0, 2.0)]
+        vals = [self.recorded(a * u) for a in (0.5, 1.0, 2.0)]
         assert vals[0] < vals[1] < vals[2]
 
 
@@ -87,7 +100,7 @@ class TestTransportPairing:
         u = random_band_limited(GRID, 40, rng)
         sig = 2.1
         up = pad_field(u, 2)
-        a = bessel(up, sig)
+        a = apply_multiplier(up, up.grid.sobolev_base ** (sig / 2))
         w = hilbert(up)
         lhs = np.mean(w.samples * derivative(a).samples * a.samples) * up.grid.period
         rhs = -0.5 * np.mean(derivative(w).samples * a.samples**2) * up.grid.period
@@ -116,7 +129,7 @@ class TestDriftCondition:
 
     def test_zero_field_gives_minus_k1(self):
         model = StrongAlpha(q=1.0, theta=1.0)
-        r = lyapunov_drift_residual(Field.zeros(GRID), 0.0, model, self.spec(k1=2.5))
+        r = drift_residual(Field.zeros(GRID), model, self.spec(k1=2.5))
         assert r == pytest.approx(-2.5, abs=1e-12)
 
     def test_negative_for_large_gradient_states(self):
@@ -127,26 +140,26 @@ class TestDriftCondition:
         for _ in range(25):
             u = random_band_limited(GRID, 60, rng, rms=rng.uniform(4.0, 10.0))
             assert blowup_quantity(u) > 4.0
-            assert lyapunov_drift_residual(u, 0.0, model, spec) <= 0.0
+            assert drift_residual(u, model, spec) <= 0.0
 
     def test_monotone_in_k2(self):
         model = StrongAlpha(q=1.0, theta=1.0)
         rng = np.random.default_rng(9)
         u = random_band_limited(GRID, 40, rng, rms=2.0)
-        r_small = lyapunov_drift_residual(u, 0.0, model, self.spec(k2=0.1))
-        r_big = lyapunov_drift_residual(u, 0.0, model, self.spec(k2=5.0))
+        r_small = drift_residual(u, model, self.spec(k2=0.1))
+        r_big = drift_residual(u, model, self.spec(k2=5.0))
         assert r_big > r_small
 
     def test_fitted_k1_certifies_fresh_states(self):
         model = StrongAlpha(q=1.0, theta=1.0)
         k1 = fit_k1_from_sweep(model, 3.1, q_hat=0.5, k2=0.5,
-                               rng=np.random.default_rng(10), samples=300)
+                               rng=np.random.default_rng(10))
         spec = LyapunovSpec(k1=1.2 * k1, k2=0.5, q_hat=0.5, s=3.1)
         rng = np.random.default_rng(11)
         bad = 0
         for _ in range(100):
             u = random_band_limited(GRID, 80, rng, rms=rng.uniform(0.01, 8.0))
-            if lyapunov_drift_residual(u, 0.0, model, spec) > 0.0:
+            if drift_residual(u, model, spec) > 0.0:
                 bad += 1
         assert bad == 0
 

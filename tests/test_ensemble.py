@@ -198,8 +198,7 @@ class TestConvergenceStudy:
         # fixed per-seed rows, one column per width (largest width first)
         rows = [[4.0, 1.0], [5.0, 1.5], [7.0, 2.0], [8.0, 3.5]]
         monkeypatch.setattr(ensemble, "run_paths", lambda task, seed, n, workers: rows)
-        out = convergence_study(small_cfg(), [0.2, 0.1], num_paths=len(rows),
-                                u0=small_u0(), k_threshold=1.0)
+        out = convergence_study(small_cfg(), [0.2, 0.1], num_paths=len(rows))
         cols = np.array(rows)
         for j, row in enumerate(out["table"]):
             want = cols[:, j].std(ddof=1) / np.sqrt(len(rows))

@@ -158,7 +158,7 @@ class TestRandomPDE:
         grid = SpectralGrid(n_modes=64)
         cfg = SimConfig(grid=grid, s=3.1, dt=0.01, horizon=0.5, noise=ZeroNoise())
         with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match=r"random PDE diverged at t=0\.02"):
+                pytest.raises(ValueError, match=r"stream diverged at t=0\.02"):
             run_random_pde(cfg, blowup_bump(grid, 2.0), np.full(51, 1e6))
 
 

@@ -28,7 +28,7 @@ from ccflab.noise import (
 )
 from ccflab.spectral import (
     SpectralGrid,
-    bessel,
+    apply_multiplier,
     dealias,
     derivative,
     evaluate_at,
@@ -36,7 +36,6 @@ from ccflab.spectral import (
     gradient_sups,
     hilbert,
     mollifier_symbol,
-    mollify,
     pad_field,
     random_band_limited,
     sobolev_inner,
@@ -93,8 +92,10 @@ def test_core_matches_full_spectrum(n, band, full_band, seed, rms, decay, x):
     for op, symbol in ((derivative, full.d), (hilbert, full.h),
                        (helmholtz_inverse_dx, full.helmholtz),
                        (lambda u: frac_laplacian(u, 0.7), np.abs(full.xi) ** 0.7),
-                       (lambda u: bessel(u, 3.1), (1.0 + full.xi**2) ** 1.55),
-                       (lambda u: mollify(u, 0.05), mollifier_symbol(0.05 * full.xi)),
+                       (lambda u: apply_multiplier(u, grid.sobolev_base ** (3.1 / 2)),
+                        (1.0 + full.xi**2) ** 1.55),
+                       (lambda u: apply_multiplier(u, integrate._mollifier_values(grid, 0.05)),
+                        mollifier_symbol(0.05 * full.xi)),
                        (dealias, full.mask)):
         assert_field(full, op(f), symbol * c)
 
@@ -177,9 +178,10 @@ def test_low_frequency_matches_full_spectrum():
     full = Full(grid)
     u0 = random_band_limited(grid, 40, np.random.default_rng(6), rms=0.05)
     want = full.low_frequency(full.mirror(u0.coefficients), 0.2, 0.01)
-    got = list(simulate_low_frequency(u0, 0.2, 0.01))
+    cfg = SimConfig(grid=grid, s=3.1, dt=0.01, horizon=0.2)
+    got = list(simulate_low_frequency(cfg, u0, [0.01] * 20))
     assert len(got) == len(want) == 21
-    for (_, f), c in zip(got, want):
+    for f, c in zip(got, want):
         assert_field(full, f, c)
 
 

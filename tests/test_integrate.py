@@ -44,8 +44,8 @@ from ccflab.spectral import (
     evaluate_at,
     frac_laplacian,
     gradient_sups,
+    apply_multiplier,
     hilbert,
-    mollify,
     random_band_limited,
     sobolev_norm,
     sup_norms,
@@ -72,10 +72,11 @@ def reference_drift(u: Field, cfg: SimConfig) -> Field:
     if gate == 0.0:
         return Field.zeros(u.grid)
     eps = cfg.eps_mollify
-    w = mollify(u, eps) if eps > 0.0 else u
+    symbol = integrate._mollifier_values(u.grid, eps)
+    w = apply_multiplier(u, symbol) if eps > 0.0 else u
     term = dealiased_product(hilbert(w), derivative(w))
     if eps > 0.0:
-        term = mollify(term, eps)
+        term = apply_multiplier(term, symbol)
     return (-gate) * term
 
 
@@ -542,23 +543,34 @@ def low_datum(n: int, n_modes: int) -> Field:
     return build_low_initial(p, SpectralGrid(period=p.period, n_modes=n_modes))
 
 
+def low_cfg(grid: SpectralGrid, dt: float, horizon: float, **kw) -> SimConfig:
+    return SimConfig(grid=grid, s=3.1, dt=dt, horizon=horizon, **kw)
+
+
+def low_stream(u0: Field, horizon: float, dt: float, **kw):
+    """The deterministic stream of ``round(horizon / dt)`` steps of size
+    ``dt`` from ``u0``."""
+    n = int(round(horizon / dt))
+    return simulate_low_frequency(low_cfg(u0.grid, dt, horizon, **kw), u0, [dt] * n)
+
+
 class TestLowFrequency:
     def test_zero_initial_stays_zero(self):
         grid = SpectralGrid(period=16.0 * 64**0.9, n_modes=256)
-        steps = list(simulate_low_frequency(Field.zeros(grid), horizon=0.05, dt=1e-2))
+        steps = list(low_stream(Field.zeros(grid), horizon=0.05, dt=1e-2))
         assert len(steps) == 6
-        assert all(f.max_abs() == 0.0 for _, f in steps)
+        assert all(f.max_abs() == 0.0 for f in steps)
 
     def test_time_reversal(self):
         # v0 = -u(T) integrated forward by T returns to -u(0): the equation is
         # invariant under (t, u) -> (-t, -u).
         T, dt = 0.5, 2e-3
         u0 = low_datum(32, 512)
-        fwd = list(simulate_low_frequency(u0, horizon=T, dt=dt))
-        assert fwd[-1][0] == pytest.approx(T)
+        fwd = list(low_stream(u0, horizon=T, dt=dt))
+        assert len(fwd) == int(round(T / dt)) + 1
         # manual reverse run from -u(T)
         from ccflab.spectral import dealiased_product, derivative, hilbert
-        u = -1.0 * fwd[-1][1]
+        u = -1.0 * fwd[-1]
 
         def rhs(f):
             return -1.0 * dealiased_product(hilbert(f), derivative(f))
@@ -569,9 +581,9 @@ class TestLowFrequency:
 
     def test_frozen_values(self):
         # frozen values: a change in the RK4 stage arithmetic shows here
-        steps = list(simulate_low_frequency(low_datum(2, 64), 0.2, dt=2e-2))
+        steps = list(low_stream(low_datum(2, 64), 0.2, dt=2e-2))
         assert len(steps) == 11
-        last = steps[-1][1]
+        last = steps[-1]
         assert sobolev_norm(last, 3.1) == pytest.approx(3.1993670441614426, rel=1e-12)
         assert last.samples.max() == pytest.approx(0.4940297471127496, rel=1e-12)
 
@@ -581,17 +593,42 @@ class TestLowFrequency:
         grid = SpectralGrid(period=2.0 * np.pi, n_modes=64)
         initial = Field.from_samples(grid, 100.0 * np.sin(grid.x))
         with np.errstate(all="ignore"), \
-                pytest.raises(ValueError, match=r"diverged at t=0\.15"):
-            list(simulate_low_frequency(initial, horizon=0.5, dt=0.05))
+                pytest.raises(ValueError, match=r"stream diverged at t=0\.15"):
+            list(low_stream(initial, horizon=0.5, dt=0.05))
 
     def test_steps_run_on_demand(self, fft_calls):
         # the stream takes an RK4 step (8 FFT calls) only when its state is read
-        stream = simulate_low_frequency(low_datum(2, 64), 0.2, dt=2e-2)
+        stream = low_stream(low_datum(2, 64), 0.2, dt=2e-2)
         fft_calls.clear()
         next(stream)
         assert fft_calls == []
         next(stream)
         assert len(fft_calls) == 8
+
+    @pytest.mark.parametrize("gate, eps", [(True, 0.0), (False, 0.05), (True, 0.05)])
+    def test_steps_are_noiseless_em_steps(self, gate, eps):
+        # the stream honours the gate and the mollifier of its config and
+        # ignores its noise: each state is one noiseless em_step of the given
+        # size, bit for bit
+        u0 = power_law_field(GRID, 3.1, np.random.default_rng(12), amplitude=1.0)
+        radius = sobolev_norm(u0, 1.6) / 1.5 if gate else None
+        cfg = low_cfg(GRID, 1e-3, 0.01, cutoff_radius=radius, eps_mollify=eps,
+                      noise=GeneralH(n_components=8, exponent_k=2, exponent_n=1))
+        quiet = low_cfg(GRID, 1e-3, 0.01, cutoff_radius=radius, eps_mollify=eps)
+        sizes = 1e-3 * np.exp(0.3 * np.sin(np.arange(10)))
+        got = list(simulate_low_frequency(cfg, u0, sizes))
+        v, want = u0, [u0]
+        for i, h in enumerate(sizes):
+            v = em_step(v, i * 1e-3, quiet, 0.0, h)
+            want.append(v)
+        assert len(got) == len(want) == 11
+        for f, w in zip(got, want):
+            assert np.array_equal(f.coefficients, w.coefficients)
+        if gate:
+            # the gate is active: the stream is not the ungated equation
+            free = list(simulate_low_frequency(low_cfg(GRID, 1e-3, 0.01, eps_mollify=eps),
+                                               u0, sizes))
+            assert not np.array_equal(free[-1].coefficients, got[-1].coefficients)
 
 
 class TestInitialData:

@@ -14,9 +14,8 @@ from ccflab.spectral import (
     BandwidthError,
     Field,
     SpectralGrid,
-    argmax_refined,
-    bessel,
     apply_multiplier,
+    argmax_refined,
     cotlar_residual,
     dealias,
     dealiased_product,
@@ -28,14 +27,13 @@ from ccflab.spectral import (
     hilbert,
     is_dealiased,
     lambda_shift_residual,
-    mollify,
     random_band_limited,
     sobolev_inner,
     sobolev_norm,
     sup_norms,
     transport_product,
 )
-from ccflab import spectral
+from ccflab import integrate, spectral
 from ccflab.noise import transport_gradient_powers
 
 GRID = SpectralGrid(period=2.0 * np.pi, n_modes=256)
@@ -47,6 +45,16 @@ def cos_field(grid, k, amp=1.0):
 
 def sin_field(grid, k, amp=1.0):
     return Field.from_function(grid, lambda x: amp * np.sin(k * x))
+
+
+def bessel(f, s):
+    """Bessel potential, the multiplier ``(1 + xi^2)^{s/2}``."""
+    return apply_multiplier(f, f.grid.sobolev_base ** (s / 2))
+
+
+def mollify(f, eps):
+    """``J_eps``: the per-mode values a mollified step multiplies by."""
+    return apply_multiplier(f, integrate._mollifier_values(f.grid, eps))
 
 
 class TestGrid:
