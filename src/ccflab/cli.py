@@ -4,7 +4,7 @@ Config key tree (defaults shown by ``--dump-config``):
 
 * ``grid.*``      period, n_modes, dealias_fraction
 * ``sim.*``       s, dt, horizon, eps_mollify, cutoff_radius, blowup_threshold,
-                  record_every, adapt, seed
+                  record_every, seed
 * ``noise.*``     family (zero | general | strong | linear | instability) and
                   its parameters (q, theta, b0, lam, b_star, k_exp, n_exp,
                   sigma0, n_components, component_decay)
@@ -54,7 +54,7 @@ DEFAULTS: dict = {
     "sim": {
         "s": 3.1, "dt": 1e-3, "horizon": 1.0, "eps_mollify": 0.0,
         "cutoff_radius": None, "blowup_threshold": 1e3,
-        "record_every": 10, "adapt": True, "seed": 0,
+        "record_every": 10, "seed": 0,
     },
     "noise": {
         "family": "zero", "q": 1.0, "theta": 1.0, "b0": 0.5, "lam": 1.0,
@@ -110,10 +110,10 @@ def apply_overrides(cfg: dict, pairs: list[str]) -> dict:
 
 def _typed(key: str, default, value):
     """``value`` checked against the type of its schema ``default``: an int is
-    taken for a float (and converted), ``null`` only where the default is
-    ``null``, a ``null`` default takes a number (every one is an optional
-    float), and a list is checked item by item against the type of its
-    default's items."""
+    taken for a float (and converted), no key takes a bool, ``null`` only
+    where the default is ``null``, a ``null`` default takes a number (every
+    one is an optional float), and a list is checked item by item against the
+    type of its default's items."""
     if isinstance(default, list) and default and isinstance(value, list):
         if None in value:
             raise TypeError(f"override {key}: null list item")
@@ -124,8 +124,8 @@ def _typed(key: str, default, value):
         return None
     if default is None:
         default = 0.0
-    # bool is an int subclass: only a bool default takes a bool
-    if (isinstance(value, bool) and not isinstance(default, bool)) or (
+    # bool is an int subclass, and no key takes a bool
+    if isinstance(value, bool) or (
             not isinstance(value, type(default))
             and not (isinstance(default, float) and isinstance(value, int))):
         raise TypeError(f"override {key}: expected {type(default).__name__}, "
@@ -176,7 +176,7 @@ def build_sim(cfg: dict, grid=None, noise=None) -> SimConfig:
         noise=noise if noise is not None else build_noise(cfg),
         seed=s["seed"], eps_mollify=s["eps_mollify"],
         cutoff_radius=s["cutoff_radius"], blowup_threshold=s["blowup_threshold"],
-        record_every=s["record_every"], adapt=s["adapt"],
+        record_every=s["record_every"],
     )
 
 

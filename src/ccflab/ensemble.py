@@ -207,7 +207,7 @@ class _CoupledFamilyTask:
     k_threshold: float
 
     def __call__(self, seed: int) -> list[float]:
-        base = replace(self.cfg, seed=seed, adapt=False, keep_snapshots=True)
+        base = replace(self.cfg, seed=seed, keep_snapshots=True)
         rec_r = simulate_path(replace(base, eps_mollify=self.eps_ref), self.u0)
         s32 = self.cfg.s - 1.5
         out = []

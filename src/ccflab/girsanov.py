@@ -146,8 +146,11 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     Returns ``(residual, status)`` with the status of the linear-noise path.
     Only a ``completed`` path covers the horizon, so any other status gives a
     ``nan`` residual instead of one scored on the prefix the path ran.
-    Expected to shrink like ``dt^{1/2}`` under coupled refinement (the noise
-    is the only first-order difference between the two discretizations).
+    The path takes its noise as the exact factor of the frozen ``b``, so the
+    residual is the splitting error alone: first order in ``dt`` on one
+    Brownian path.  The step sizes of a refinement share a path seed, not a
+    path (each draws its own increments), so its ratios also carry
+    path-to-path variation.
     A finite ``cutoff_radius`` is an error: the cut-off equation gates the
     drift on ``|u| = |beta v|`` and the noise as well, so ``v`` does not solve
     the twin's equation.
@@ -157,7 +160,7 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     if cfg.cutoff_radius is not None and np.isfinite(cfg.cutoff_radius):
         raise ValueError("girsanov_residual needs no finite cutoff_radius: the "
                          "random-PDE twin does not solve the cut-off equation")
-    base = replace(cfg, seed=path_seed(cfg.seed, 0), adapt=False, keep_snapshots=True)
+    base = replace(cfg, seed=path_seed(cfg.seed, 0), keep_snapshots=True)
     rec = simulate_path(base, u0)
     if rec.status != "completed":
         return float("nan"), rec.status

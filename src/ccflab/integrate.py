@@ -5,14 +5,21 @@ The drift is the gated, mollified transport term
     -chi_R(|u|_{H^{s-3/2}}) J_eps[(H J_eps u) d_x J_eps u],
 
 the diffusion is the selected noise family times the same gate, driven by one
-scalar Brownian increment per step.  The noise enters in Euler-Maruyama fashion
-(strong order 1/2) on top of a classical fourth-order Runge-Kutta drift
-substep.  Forward Euler on a spectral advection operator would amplify the
-highest retained modes at rate ~ (c k_max)^2 dt/2 per unit time, which wrecks
-long horizons at realistic step sizes; the RK4 substep is neutrally stable on
-the imaginary axis and leaves the strong order of the noise unchanged.  A
-step whose relative ``H^s`` increment exceeds ``ADAPT_REL_INCREMENT`` is
-split with a Brownian bridge, at most ``MAX_HALVINGS`` times.
+scalar Brownian increment per step.  A step is a classical fourth-order
+Runge-Kutta drift substep followed by the noise.  Forward Euler on a spectral
+advection operator would amplify the highest retained modes at rate
+~ (c k_max)^2 dt/2 per unit time, which wrecks long horizons at realistic step
+sizes; the RK4 substep is neutrally stable on the imaginary axis.
+
+The families ``h = a(t, u) u`` with a scalar rate (``StrongAlpha``,
+``LinearB``) take their noise exactly for ``a = gate rate(t, u)`` frozen over
+the step: the substep's result is multiplied by ``exp(a dW - a^2 dt / 2)``,
+the Ito factor of ``du = a u dW`` (Kloeden & Platen, *Numerical Solution of
+SDEs*, 1992).  Explicit Euler's ``a u dW`` diverges at the rates of the strong
+noise, a ~ 20 (Hutzenthaler, Jentzen & Kloeden, Proc. R. Soc. A 467, 2011).
+The field-valued families ``GeneralH`` and ``InstabilityH`` add the
+Euler-Maruyama increment ``gate h(t, u) dW`` (strong order 1/2).  A path takes
+one step per macro step.
 
 All stepping runs through one right-hand side on half-spectrum coefficient
 arrays, ``-gate J[(H J c) (J c)_x]``: one stacked inverse and one forward
@@ -24,22 +31,18 @@ Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
 real field is one of them, see :mod:`ccflab.spectral`): a step reads
 everything it needs of its start state ``u`` from one :class:`StepStart`,
 which takes one stacked ``irfft`` of ``u``: the monitored sups and the
-recorded ``max Lam u``, the gradient samples of the noise and the samples of
-the first RK4 stage.  The first stage's product then takes one ``rfft``,
-which the forward transform of a ``GeneralH``/``InstabilityH`` noise carries;
-``StrongAlpha`` and ``LinearB`` add none.  So a macro step takes 8 transform
-calls: the start (1), the noise with stage 1 (1) and stages 2-4 (6).  With a
-mollifier stage 1 transforms ``J u`` on its own (10).  A halving retry starts
-from the same state and its :class:`StepStart`, so it pays stages 2-4 only
-(6 calls); the second half starts from a new state (8).  A step of the
-deterministic stream reads no sups, so stage 1 transforms two rows and forms
-their product (2): 8 calls too.
+recorded ``max Lam u``, the gradient samples of the noise (and the sups a
+``StrongAlpha`` rate reads) and the samples of the first RK4 stage.  The first
+stage's product then takes one ``rfft``, which the forward transform of a
+``GeneralH``/``InstabilityH`` noise carries; the scalar rates add none.  So a
+macro step takes 8 transform calls: the start (1), the noise with stage 1 (1)
+and stages 2-4 (6).  With a mollifier stage 1 transforms ``J u`` on its own
+(10).  A step of the deterministic stream reads no sups, so stage 1
+transforms two rows and forms their product (2): 8 calls too.
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
-:func:`~ccflab.noise.wiener_increments` of it, drawn up front, and the bridge
-points of halving come from its stream ``(1,)`` (:func:`~ccflab.noise.stream`),
-so the increments a path records do not depend on how often it halves.
+:func:`~ccflab.noise.wiener_increments` of it, drawn up front.
 
 :func:`simulate_low_frequency` is the gated, mollified deterministic
 equation alone: a stream of noiseless :func:`em_step` states on step sizes the
@@ -59,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import NoiseModel, ZeroNoise, stream, wiener_increments
+from .noise import NoiseModel, ZeroNoise, wiener_increments
 from .spectral import (
     Field,
     SpectralGrid,
@@ -126,7 +129,6 @@ class SimConfig:
     blowup_threshold: float = 1.0e3
     record_every: int = 1
     keep_snapshots: bool = False
-    adapt: bool = True
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.horizon <= 0.0:
@@ -233,23 +235,23 @@ def drift(u: Field, cfg: SimConfig) -> Field:
 
 
 class StepStart:
-    """What every step from the state ``u`` at time ``t`` needs of ``u``.
+    """What a step from the state ``u`` at time ``t`` needs of ``u``.
 
     The sups and the noise read the gradient samples of ``u``'s step rows
     (one stacked inverse FFT, cached on ``u``), and without a mollifier the
     first RK4 stage reads its ``(Hu) u_x`` from the first two rows (from its
-    own transform when nothing formed them).  The sups, the first stage
-    ``k1``, the noise coefficient and the ``H^s`` norm are each formed once,
-    when first asked for, and then shared by every attempt from ``u``.
+    own transform when nothing formed them).  Both are formed when first
+    asked for: a path reads the sups of every state it reaches, and steps
+    from all but the last.
     """
 
-    __slots__ = ("u", "t", "cfg", "gate", "mollifier", "_sups", "_k1", "_noise", "_h_s")
+    __slots__ = ("u", "t", "cfg", "gate", "mollifier", "_sups", "_stage")
 
     def __init__(self, u: Field, t: float, cfg: SimConfig):
         self.u, self.t, self.cfg = u, t, cfg
         self.gate = _gate(u.coefficients, u.grid, cfg)
         self.mollifier = _mollifier(u.grid, cfg)
-        self._sups = self._k1 = self._noise = self._h_s = None
+        self._sups = self._stage = None
 
     @property
     def sups(self) -> tuple[float, float, float]:
@@ -258,50 +260,39 @@ class StepStart:
             self._sups = gradient_sups(self.u)
         return self._sups
 
-    def _first_stage(self):
-        """Form the noise coefficient, then ``k1``.  Without a mollifier
-        ``k1``'s product is ``u``'s own, which a noise that transforms forward
-        has formed in the same call."""
-        u = self.u
-        if self.gate == 0.0:
-            self._noise = None
-            self._k1 = np.zeros_like(u.coefficients)
-            return
-        h = self.cfg.noise.components(self.t, u)
-        self._noise = None if h is None else h.coefficients
-        product = u.transport_coefficients if self.mollifier is None else None
-        self._k1 = _transport_rhs(u.coefficients, u.grid, self.gate, self.mollifier, product)
-
     @property
-    def k1(self) -> np.ndarray:
-        """The first RK4 stage, the coefficients of ``drift(u, cfg)``."""
-        if self._k1 is None:
-            self._first_stage()
-        return self._k1
-
-    @property
-    def noise(self) -> np.ndarray | None:
-        """Coefficients of ``h(t, u)``; ``None`` when no noise enters, with no
-        noise model or a closed gate."""
-        if self._k1 is None:
-            self._first_stage()
-        return self._noise
-
-    @property
-    def h_s(self) -> float:
-        """``|u|_{H^s}``."""
-        if self._h_s is None:
-            self._h_s = sobolev_norm(self.u, self.cfg.s)
-        return self._h_s
+    def first_stage(self) -> tuple[np.ndarray, float | None, np.ndarray | None]:
+        """``(k1, rate, h)``: the first RK4 stage, the coefficients of
+        ``drift(u, cfg)``, and the noise, either ``gate rate(t, u)`` of a
+        family ``h = rate u`` or the coefficients of a field-valued ``h(t, u)``
+        (``None`` for the other, and both ``None`` with no noise or a closed
+        gate).  The noise comes first: without a mollifier ``k1``'s product is
+        ``u``'s own, which a noise that transforms forward forms in the same
+        call."""
+        if self._stage is None:
+            u, noise, rate, h = self.u, self.cfg.noise, None, None
+            if self.gate == 0.0:
+                self._stage = (np.zeros_like(u.coefficients), None, None)
+                return self._stage
+            if hasattr(noise, "rate"):
+                rate = self.gate * noise.rate(self.t, u)
+            else:
+                coefficient = noise.components(self.t, u)
+                h = None if coefficient is None else coefficient.coefficients
+            product = u.transport_coefficients if self.mollifier is None else None
+            k1 = _transport_rhs(u.coefficients, u.grid, self.gate, self.mollifier, product)
+            self._stage = (k1, rate, h)
+        return self._stage
 
 
 def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
             dt: float | None = None, start: StepStart | None = None) -> Field:
-    """One step: drift substep plus the gated noise increment ``h dw``.
+    """One step: the RK4 drift substep, then the noise of the increment
+    ``dw``, the exact factor ``exp(a dw - a^2 dt / 2)`` of a scalar rate ``a``
+    or the gated increment ``gate h dw`` (:attr:`StepStart.first_stage`).
 
     ``start`` is the :class:`StepStart` of ``(u, t)`` when the caller keeps
-    one; a step from a start an earlier step used pays for RK4 stages 2-4
-    only.
+    one.
     """
     dt = cfg.dt if dt is None else dt
     if start is None:
@@ -309,38 +300,14 @@ def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
     elif start.u is not u or start.t != t or start.cfg is not cfg:
         raise ValueError("start belongs to another state, time or config")
     grid, mollifier = u.grid, start.mollifier
+    k1, a, h = start.first_stage
     c = rk4(lambda y: _transport_rhs(y, grid, _gate(y, grid, cfg), mollifier),
-            u.coefficients, dt, start.k1)
-    h = start.noise
-    if h is not None:
+            u.coefficients, dt, k1)
+    if a is not None:
+        c = c * np.exp(a * dw - 0.5 * a**2 * dt)
+    elif h is not None:
         c = c + h * float(start.gate * dw)
     return Field(grid, c)
-
-
-# adaptive halving: at most 2**MAX_HALVINGS = 4096 sub-steps per macro step
-ADAPT_REL_INCREMENT = 0.10
-MAX_HALVINGS = 12
-
-
-def _adaptive_step(start: StepStart, cfg: SimConfig, dt: float, dw: float,
-                   bridge: np.random.Generator, depth: int) -> Field:
-    u, t = start.u, start.t
-    unew = em_step(u, t, cfg, dw, dt, start)
-    if not cfg.adapt or depth >= MAX_HALVINGS:
-        return unew
-    base = start.h_s
-    inc = sobolev_norm(unew - u, cfg.s) if not unew.diverged else np.inf
-    if inc <= ADAPT_REL_INCREMENT * max(base, 1e-12):
-        return unew
-    # split the increment with a Brownian bridge and recurse on both halves;
-    # the first half starts from the same state, so it reuses ``start``
-    dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * bridge.standard_normal()
-    dw2 = dw - dw1
-    mid = _adaptive_step(start, cfg, 0.5 * dt, dw1, bridge, depth + 1)
-    if mid.diverged:
-        return mid
-    return _adaptive_step(StepStart(mid, t + 0.5 * dt, cfg), cfg, 0.5 * dt, dw2,
-                          bridge, depth + 1)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -357,10 +324,8 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         raise ValueError("initial field lives on the wrong grid")
     n_steps = int(round(cfg.horizon / cfg.dt))
     increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
-    bridge = stream(cfg.seed, 1)
 
-    # each accepted state gets one StepStart: its sups, and the start of the
-    # next macro step
+    # each state gets one StepStart: its sups, and the start of the next step
     start = StepStart(dealias(u0), 0.0, cfg)
     times, rows = [], []
     snapshots: list[tuple[float, Field]] = []
@@ -375,7 +340,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         hm1 = sobolev_norm(f, cfg.s - 1.0)
         hm32 = sobolev_norm(f, cfg.s - 1.5)
         times.append(t)
-        rows.append((state.h_s, hm1, hm32, sup_fx, sup_hfx, mlam, np.log1p(hm1**2)))
+        rows.append((sobolev_norm(f, cfg.s), hm1, hm32, sup_fx, sup_hfx, mlam, np.log1p(hm1**2)))
 
     def snapshot(t: float, f: Field):
         if cfg.keep_snapshots:
@@ -393,11 +358,11 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
 
     t = 0.0
     for i, dw in enumerate(increments):
-        u_next = _adaptive_step(start, cfg, cfg.dt, dw, bridge, 0)
+        u_next = em_step(start.u, start.t, cfg, dw, start=start)
         t = (i + 1) * cfg.dt
 
         if u_next.diverged:
-            # the last finite state, with the sups taken when it was accepted
+            # the last finite state, with the sups taken when it was reached
             record(t, start)
             return finalize("diverged", t, i + 1)
         start = StepStart(u_next, t, cfg)

@@ -4,8 +4,10 @@ Each model maps ``(t, u)`` to its diffusion-coefficient field ``h(t, u)``,
 driven by one scalar Brownian motion per path (``None`` for the deterministic
 equation).  A truncated cylindrical sum ``sum_j c_j g(u) dW_j`` whose
 components are all multiples of one field ``g`` equals ``|c|_2 g dB`` in law,
-so the general family is that one field.  Models are immutable and evaluation
-is pure.
+so the general family is that one field.  The two families ``h = a(t, u) u``
+with a scalar ``a``, :class:`StrongAlpha` and :class:`LinearB`, also give that
+``rate(t, u)``, so the stepper can take their noise exactly.  Models are
+immutable and evaluation is pure.
 
 Seeding rule: every random stream of the lab is :func:`stream`, the child
 ``key`` of ``SeedSequence(seed)``, so streams with different keys are
@@ -16,8 +18,7 @@ random numbers: as easy as 1, 2, 3", SC'11).  The keys are
   ``(1,)`` the scalar Monte Carlo, ``(2, j)`` the sweeps of ``global``
   (``q_hat`` j=0, ``k1`` j=1), and ``(0, i)`` the seed of path i
   (:func:`path_seed`);
-* on a path seed: ``(0,)`` the Wiener increments (:func:`wiener_increments`),
-  ``(1,)`` the bridge points of adaptive halving.
+* on a path seed: ``(0,)`` the Wiener increments (:func:`wiener_increments`).
 """
 
 from __future__ import annotations
@@ -168,11 +169,14 @@ class StrongAlpha:
     q: float = 1.0
     theta: float = 1.0
 
-    def components(self, t: float, u: Field) -> Field:
-        """``q (1 + |u_x|_inf + |H u_x|_inf)^theta u``."""
+    def rate(self, t: float, u: Field) -> float:
+        """``q (1 + |u_x|_inf + |H u_x|_inf)^theta``."""
         sup_ux, sup_hux, _ = gradient_sups(u)
-        scale = self.q * (1.0 + sup_ux + sup_hux) ** self.theta
-        return scale * u
+        return self.q * (1.0 + sup_ux + sup_hux) ** self.theta
+
+    def components(self, t: float, u: Field) -> Field:
+        """``rate(t, u) u``."""
+        return self.rate(t, u) * u
 
     def validate(self, q_hat: float | None = None):
         """Check the admissible-coefficient condition.
@@ -211,9 +215,13 @@ class LinearB:
         if self.b_star <= 0.0:
             raise ValueError("b_star must be positive")
 
+    def rate(self, t: float, u: Field) -> float:
+        """``b(t)``."""
+        return exp_decay(self.b0, self.lam, t)
+
     def components(self, t: float, u: Field) -> Field:
-        """``b(t) u``."""
-        return exp_decay(self.b0, self.lam, t) * u
+        """``rate(t, u) u = b(t) u``."""
+        return self.rate(t, u) * u
 
     def validate(self):
         """Check ``0 <= b(t)`` and ``b(t)^2 < b_star`` for all ``t >= 0``: with

@@ -11,7 +11,7 @@ rules of :mod:`ccflab.integrate` and :mod:`ccflab.girsanov` on these arrays.
 
 import numpy as np
 
-from ccflab.integrate import ADAPT_REL_INCREMENT, MAX_HALVINGS, cutoff_chi
+from ccflab.integrate import cutoff_chi
 from ccflab.noise import (
     GeneralH,
     InstabilityH,
@@ -20,7 +20,6 @@ from ccflab.noise import (
     ZeroNoise,
     exp_decay,
     instability_factor,
-    stream,
     wiener_increments,
 )
 from ccflab.spectral import mollifier_symbol
@@ -107,18 +106,24 @@ class Full:
         ux, hux = self.samples(self.d * v), self.samples(self.h * self.d * v)
         return self.dealiased(ux**k + hux**n)
 
+    def rate(self, model, t, c):
+        """The scalar ``a(t, c)`` of a family ``h = a c``; ``None`` for the
+        others."""
+        if isinstance(model, StrongAlpha):
+            sup_ux, sup_hux, _ = self.gradient_sups(c)
+            return model.q * (1.0 + sup_ux + sup_hux) ** model.theta
+        if isinstance(model, LinearB):
+            return exp_decay(model.b0, model.lam, t)
+        return None
+
     def noise(self, model, t, c):
-        """The coefficient ``h(t, c)`` of each noise family; ``None`` for none."""
+        """The coefficient ``h(t, c)`` of a field-valued noise family; ``None``
+        for none."""
         if isinstance(model, ZeroNoise):
             return None
         if isinstance(model, GeneralH):
             powers = self.gradient_powers(c, model.exponent_k, model.exponent_n)
             return (model.q * model.amplitude) * (self.helmholtz * powers)
-        if isinstance(model, StrongAlpha):
-            sup_ux, sup_hux, _ = self.gradient_sups(c)
-            return model.q * (1.0 + sup_ux + sup_hux) ** model.theta * c
-        if isinstance(model, LinearB):
-            return exp_decay(model.b0, model.lam, t) * c
         if isinstance(model, InstabilityH):
             factor = model.q * instability_factor(self.sobolev_norm(c, model.sigma0))
             if factor == 0.0:
@@ -128,33 +133,26 @@ class Full:
         raise TypeError(f"no reference for {model!r}")
 
     def em_step(self, c, t, cfg, dw, dt):
+        """RK4 of the drift, then the exact factor ``exp(a dw - a^2 dt / 2)``
+        of ``a = gate rate`` or the gated increment ``gate h dw``."""
         out = rk4(lambda y: self.drift(y, cfg), c, dt)
-        h = self.noise(cfg.noise, t, c)
         gate = self.gate(c, cfg)
-        if h is not None and gate != 0.0:
+        if gate == 0.0:
+            return out
+        rate = self.rate(cfg.noise, t, c)
+        if rate is not None:
+            a = gate * rate
+            return out * np.exp(a * dw - 0.5 * a**2 * dt)
+        h = self.noise(cfg.noise, t, c)
+        if h is not None:
             out = out + h * float(gate * dw)
         return out
 
     def simulate_path(self, cfg, c0):
-        """The rules of ``simulate_path``: its statuses, records and halving."""
+        """The rules of ``simulate_path``: its statuses and records, one step
+        per macro step."""
         n_steps = int(round(cfg.horizon / cfg.dt))
         increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
-        bridge = stream(cfg.seed, 1)
-
-        def step(c, t, dt, dw, depth):
-            new = self.em_step(c, t, cfg, dw, dt)
-            if not cfg.adapt or depth >= MAX_HALVINGS:
-                return new
-            base = self.sobolev_norm(c, cfg.s)
-            finite = np.isfinite(new).all()
-            inc = self.sobolev_norm(new - c, cfg.s) if finite else np.inf
-            if inc <= ADAPT_REL_INCREMENT * max(base, 1e-12):
-                return new
-            dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * bridge.standard_normal()
-            mid = step(c, t, 0.5 * dt, dw1, depth + 1)
-            if not np.isfinite(mid).all():
-                return mid
-            return step(mid, t + 0.5 * dt, 0.5 * dt, dw - dw1, depth + 1)
 
         times, rows = [], []
 
@@ -173,7 +171,7 @@ class Full:
         t = 0.0
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i, dw in enumerate(increments):
-                new = step(c, t, cfg.dt, dw, 0)
+                new = self.em_step(c, t, cfg, dw, cfg.dt)
                 t = (i + 1) * cfg.dt
                 if not np.isfinite(new).all():
                     record(t, c)

@@ -4,9 +4,10 @@ import csv
 import json
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from ccflab import cli, ensemble, girsanov, instability
+from ccflab import cli, ensemble, girsanov, instability, integrate
 from ccflab.cli import (
     apply_overrides,
     build_grid,
@@ -35,7 +36,7 @@ class TestConfig:
         assert build_sim(cfg).grid.n_modes == 128
 
     def test_override_unknown_key(self):
-        for pair in ("sim.notakey=1", "sim.drift_scheme=euler"):
+        for pair in ("sim.notakey=1", "sim.drift_scheme=euler", "sim.adapt=false"):
             with pytest.raises(KeyError):
                 apply_overrides(load_config(None, []), [pair])
 
@@ -46,10 +47,10 @@ class TestConfig:
     @pytest.mark.parametrize("pair", ["sim.dt=true", "study.paths=true",
                                       "study.q_hat=false"])
     def test_override_bool_needs_bool_default(self, pair):
-        # bool is an int subclass: a float, int or None default takes no bool
+        # bool is an int subclass: a float, int or None default takes no bool,
+        # and no default is a bool
         with pytest.raises(TypeError, match="got bool"):
             load_config(None, [pair])
-        assert load_config(None, ["sim.adapt=false"])["sim"]["adapt"] is False
 
     @pytest.mark.parametrize("pair", ["sim.dt=null", "study.delta=null",
                                       "study.paths=null", "noise.family=null"])
@@ -88,7 +89,7 @@ class TestConfig:
         assert cfg["sim"]["dt"] == 0.002
 
     @pytest.mark.parametrize("tree, message", [
-        ({"sim": {"adapt": "false"}}, "override sim.adapt: expected bool, got str"),
+        ({"noise": {"family": False}}, "override noise.family: expected str, got bool"),
         ({"sim": {"record_every": 10.9}},
          "override sim.record_every: expected int, got float"),
         ({"study": {"workers": 1.5}}, "override study.workers: expected int, got float"),
@@ -211,10 +212,16 @@ class TestExitCodes:
 
     def test_bad_config_file_is_a_usage_error(self, tmp_path, capsys):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"sim": {"adapt": "false", "record_every": 10.9},
+        p.write_text(json.dumps({"sim": {"seed": "7", "record_every": 10.9},
                                  "study": {"workers": 1.5}}))
         assert main(["simulate", "--paths", "1", "--config", str(p)]) == 3
-        assert "override sim.adapt: expected bool, got str" in capsys.readouterr().err
+        assert "override sim.seed: expected int, got str" in capsys.readouterr().err
+
+    def test_adapt_key_is_a_usage_error(self, capsys):
+        # every path takes one step per macro step; there is no halving to
+        # switch off
+        assert main(["simulate", "--paths", "1", "--set", "sim.adapt=false"]) == 3
+        assert "unknown config key: sim.adapt" in capsys.readouterr().err
 
     def test_non_finite_step_count_is_a_usage_error(self, capsys):
         assert main(["simulate", "--paths", "1", "--set", "sim.horizon=1e308",
@@ -273,9 +280,16 @@ class TestExitCodes:
         assert code == 2
         assert "lyapunov slope nan" in out and "(FAIL)" in out
 
-    def test_global_reports_diverged_paths(self, tmp_path, capsys):
-        # strong noise at the default f0=10 on 64 modes: one of the 8 paths
-        # overflows at t=0.001, and the verdict line says so
+    def test_global_reports_diverged_paths(self, tmp_path, capsys, monkeypatch):
+        # path 3 overflows at its second step, and the verdict line and the
+        # report say so
+        step, target = integrate.em_step, path_seed(0, 3)
+
+        def overflowing(u, t, cfg, dw, dt=None, start=None):
+            out = step(u, t, cfg, dw, dt, start)
+            return np.inf * out if cfg.seed == target and t > 0.0 else out
+
+        monkeypatch.setattr(integrate, "em_step", overflowing)
         rep = tmp_path / "global.csv"
         code = main(["global", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.005",
                      "--set", "study.q_hat=0.1", "--set", "study.k1=1.0",
@@ -285,6 +299,14 @@ class TestExitCodes:
         assert "paths 8: completed 7, blewup 0, diverged 1; lyapunov slope nan" in out
         (row,) = csv.DictReader(rep.read_text().splitlines())
         assert (row["completed"], row["blowups"], row["diverged"]) == ("7", "0", "1")
+
+    def test_global_defaults_pass(self, capsys):
+        # the strong noise prevents blow-up: with the exact factor of its
+        # rate no path diverges (4 of 8 did under Euler-Maruyama increments)
+        code = main(["global"])
+        out = capsys.readouterr().out
+        assert "paths 8: completed 8, blewup 0, diverged 0;" in out
+        assert code == 0
 
     def test_global_theta_half_reads_q_hat(self, capsys):
         # theta = 1/2 is admissible when q^2 > 2 Q_hat, with Q_hat from study.q_hat
@@ -371,6 +393,14 @@ class TestExitCodes:
                      "--set", "study.amplitude=0.2"])
         assert code in (0, 2)  # ordering can be noisy at this tiny scale
         assert "refinement ratios" in capsys.readouterr().out
+
+    def test_girsanov_seed_52_passes(self, capsys):
+        # the first refinement ratio read 0.46 at this seed under
+        # Euler-Maruyama increments
+        code = main(["girsanov", "--seed", "52"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.count("coupled residual") == 3
 
     @pytest.mark.parametrize("dt_list", ["[0.001]", "[0.001,0.001]"])
     def test_girsanov_one_step_size_is_a_usage_error(self, dt_list, capsys):

@@ -106,7 +106,7 @@ class TestDigest:
         # any change to the fields of SimConfig or of a noise model moves the
         # digest written into every ensemble header: update this on purpose
         cfg = small_cfg(noise=GeneralH(n_components=2))
-        assert config_digest(cfg) == "8866c4f0c117d03e"
+        assert config_digest(cfg) == "f2501d919d28970c"
 
     def test_nested_types_hashed(self):
         # same field values, different nested dataclass type: different digest

@@ -1,6 +1,6 @@
 """The half-spectrum core against the full-spectrum reference
 (``full_spectrum.py``): operators, norms, evaluation, padding, one step of
-every noise family, a halving path, the low-frequency solve and the random
+every noise family, a linear-noise path, the low-frequency solve and the random
 PDE agree to 1e-13 relative."""
 
 import numpy as np
@@ -147,8 +147,8 @@ def test_power_law_field_matches_full_spectrum():
     assert_field(full, f, (2.0 / full.sobolev_norm(c, 0.0)) * c)
 
 
-def test_halving_path_matches_full_spectrum(monkeypatch):
-    # 50 macro steps of a blow-up datum under linear noise, some of them halved
+def test_linear_noise_path_matches_full_spectrum(monkeypatch):
+    # 50 macro steps of a blow-up datum under linear noise, one step each
     calls = []
 
     def counted(*args, **kwargs):
@@ -163,7 +163,7 @@ def test_halving_path_matches_full_spectrum(monkeypatch):
     u0 = blowup_bump(grid, 10.0)
     want = full.simulate_path(cfg, full.mirror(u0.coefficients))
     rec = simulate_path(cfg, u0)
-    assert len(calls) > 2 * 50
+    assert len(calls) == 50
     assert rec.status == want["status"] == "completed"
     assert rec.t_stop == want["t_stop"]
     assert np.array_equal(rec.times, want["times"]) and rec.times.size == 11

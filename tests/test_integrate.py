@@ -1,8 +1,8 @@
-"""Integrator checks: gate profile, hand-computed drift values, the scalar
-geometric-Brownian oracle for the linear-noise stepping, the one-operator-at-a-
-time reference step and path the shared-transform stepper must equal bit for
-bit, FFT budgets, determinism/coupling contracts, and a fast deterministic
-blow-up smoke run."""
+"""Integrator checks: gate profile, hand-computed drift values, the exact
+factor of the scalar-rate noises against the geometric-Brownian closed form,
+the one-operator-at-a-time reference step and path the shared-transform
+stepper must equal bit for bit, FFT budgets, determinism/coupling contracts,
+and a fast deterministic blow-up smoke run."""
 
 import io
 
@@ -11,8 +11,6 @@ import pytest
 
 from ccflab import integrate
 from ccflab.integrate import (
-    ADAPT_REL_INCREMENT,
-    MAX_HALVINGS,
     SimConfig,
     StepStart,
     blowup_bump,
@@ -31,7 +29,7 @@ from ccflab.noise import (
     LinearB,
     StrongAlpha,
     ZeroNoise,
-    stream,
+    exp_decay,
     wiener_increments,
 )
 from ccflab.spectral import (
@@ -80,47 +78,48 @@ def reference_drift(u: Field, cfg: SimConfig) -> Field:
     return (-gate) * term
 
 
-def reference_em_step(u: Field, t: float, cfg: SimConfig, dw: float,
-                      dt: float | None = None) -> Field:
-    """RK4 of the drift plus the gated noise ``components(t, u) dw``, each
-    operator applied on its own; ``u`` is copied first, so no transform a
-    stepper cached on it is read."""
-    dt = cfg.dt if dt is None else dt
-    u = u.copy()
-    unew = rk4(lambda f: reference_drift(f, cfg), u, dt)
-    h = cfg.noise.components(t, u)
-    if h is not None:
-        gate = reference_gate(u, cfg)
-        if gate != 0.0:
-            unew = unew + (gate * dw) * h
-    return unew
-
-
 def reference_sups(f: Field) -> tuple[float, float, float]:
     fx = derivative(f)
     return fx.max_abs(), hilbert(fx).max_abs(), 0.0 - float(np.min(hilbert(fx).samples))
+
+
+def reference_rate(model, t: float, u: Field) -> float | None:
+    """The scalar ``a(t, u)`` of a family ``h = a u``, formed here from its
+    formula; ``None`` for the field-valued families."""
+    if isinstance(model, LinearB):
+        return exp_decay(model.b0, model.lam, t)
+    if isinstance(model, StrongAlpha):
+        sup_ux, sup_hux, _ = reference_sups(u)
+        return model.q * (1.0 + sup_ux + sup_hux) ** model.theta
+    return None
+
+
+def reference_em_step(u: Field, t: float, cfg: SimConfig, dw: float,
+                      dt: float | None = None) -> Field:
+    """RK4 of the drift, then the exact factor ``exp(a dw - a^2 dt / 2)`` of
+    ``a = gate rate`` or the gated noise ``components(t, u) dw``, each operator
+    applied on its own; ``u`` is copied first, so no transform a stepper
+    cached on it is read."""
+    dt = cfg.dt if dt is None else dt
+    u = u.copy()
+    unew = rk4(lambda f: reference_drift(f, cfg), u, dt)
+    gate = reference_gate(u, cfg)
+    if gate == 0.0:
+        return unew
+    rate = reference_rate(cfg.noise, t, u)
+    if rate is not None:
+        a = gate * rate
+        return np.exp(a * dw - 0.5 * a**2 * dt) * unew
+    h = cfg.noise.components(t, u)
+    if h is not None:
+        unew = unew + (gate * dw) * h
+    return unew
 
 
 def reference_path(cfg: SimConfig, u0: Field) -> dict:
     """``simulate_path`` as a plain loop over :func:`reference_em_step`."""
     n_steps = int(round(cfg.horizon / cfg.dt))
     increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
-    bridge = stream(cfg.seed, 1)
-
-    def step(u, t, dt, dw, depth):
-        unew = reference_em_step(u, t, cfg, dw, dt)
-        if not cfg.adapt or depth >= MAX_HALVINGS:
-            return unew
-        base = sobolev_norm(u, cfg.s)
-        inc = sobolev_norm(unew - u, cfg.s) if not unew.diverged else np.inf
-        if inc <= ADAPT_REL_INCREMENT * max(base, 1e-12):
-            return unew
-        dw1 = 0.5 * dw + 0.5 * np.sqrt(dt) * bridge.standard_normal()
-        mid = step(u, t, 0.5 * dt, dw1, depth + 1)
-        if mid.diverged:
-            return mid
-        return step(mid, t + 0.5 * dt, 0.5 * dt, dw - dw1, depth + 1)
-
     times, rows = [], []
 
     def record(t, f):
@@ -138,7 +137,7 @@ def reference_path(cfg: SimConfig, u0: Field) -> dict:
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, dw in enumerate(increments):
-            unew = step(u, t, cfg.dt, dw, 0)
+            unew = reference_em_step(u, t, cfg, dw)
             t = (i + 1) * cfg.dt
             if unew.diverged:
                 record(t, u)
@@ -273,14 +272,14 @@ class TestEmStep:
     def test_geometric_brownian_oracle(self):
         # constant datum, b(t) u dW: H and d_x annihilate the zero mode, so the
         # transport drift vanishes exactly and the state follows the scalar
-        # geometric Brownian motion; EM tracks the closed form at strong
-        # order 1/2.
+        # geometric Brownian motion; the exact factor of b frozen over each
+        # step reproduces its frozen-coefficient closed form up to round-off
         b0, lam = 0.8, 1.0
         noise = LinearB(b0=b0, lam=lam, b_star=b0**2 * 1.05)
         u0 = Field.from_function(GRID, lambda x: 0.0 * x + 1.0)
         errs = []
         for dt in (1e-3, 1e-3 / 16.0):
-            cfg = zero_cfg(dt=dt, horizon=0.5, noise=noise, adapt=False, seed=77,
+            cfg = zero_cfg(dt=dt, horizon=0.5, noise=noise, seed=77,
                            record_every=max(1, int(1e-3 / dt)))
             assert drift(u0, cfg).max_abs() == 0.0
             rec = simulate_path(cfg, u0)
@@ -291,9 +290,26 @@ class TestEmStep:
             exact_T = float(np.exp(ito[-1] - quad[-1]))
             got_T = rec.diagnostics["h_s"][-1] / sobolev_norm(u0, 3.1)
             errs.append(abs(got_T - exact_T))
-        # 16x dt refinement should shrink the strong error by ~4 (order 1/2)
-        assert errs[1] < errs[0]
-        assert errs[0] < 0.05
+        assert max(errs) <= 1e-12, errs
+
+    @pytest.mark.parametrize("noise", [StrongAlpha(q=3.0, theta=1.0),
+                                       LinearB(b0=0.8, lam=1.0, b_star=0.8**2 * 1.05)],
+                             ids=repr)
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_scalar_rate_step_is_the_exact_factor(self, noise, gated):
+        # on a constant datum the drift vanishes and the sups are 0, so one
+        # step is u exp(a dw - a^2 dt / 2) with a = gate q or gate b(t)
+        u = Field.from_function(GRID, lambda x: 0.0 * x + 1.0)
+        radius = sobolev_norm(u, 1.6) / 1.5 if gated else None
+        cfg = zero_cfg(noise=noise, cutoff_radius=radius)
+        gate = cutoff_chi(sobolev_norm(u, 1.6), radius)
+        assert (0.0 < gate < 1.0) if gated else gate == 1.0
+        t, dt, dw = 0.3, 2e-3, 0.07
+        rate = noise.q if isinstance(noise, StrongAlpha) else noise.b0 * np.exp(-noise.lam * t)
+        a = gate * rate
+        got = em_step(u.copy(), t, cfg, dw, dt)
+        want = u.coefficients * np.exp(a * dw - a * a * dt / 2.0)
+        assert np.allclose(got.coefficients, want, rtol=1e-14, atol=0.0)
 
 
 class TestReferenceStep:
@@ -330,9 +346,10 @@ class TestReferenceStep:
                 want = reference_em_step(u, 0.3, cfg, 0.02, dt)
                 got = em_step(u.copy(), 0.3, cfg, 0.02, dt)
                 assert np.array_equal(got.coefficients, want.coefficients)
-                # a retry from a kept start, as halving takes it
+                # from a kept start whose sups were read first, as a path
+                # steps from each state it reaches
                 start = StepStart(u.copy(), 0.3, cfg)
-                em_step(start.u, 0.3, cfg, -0.01, 2.0 * dt, start)
+                start.sups
                 got = em_step(start.u, 0.3, cfg, 0.02, dt, start)
                 assert np.array_equal(got.coefficients, want.coefficients)
 
@@ -348,18 +365,19 @@ class TestReferenceStep:
             start = StepStart(u.copy(), 0.0, zero_cfg(eps_mollify=0.05))
             assert start.sups == reference_sups(u)
 
-    def test_path_with_halving_equals_reference(self):
-        noise = LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25)
-        cfg = zero_cfg(horizon=0.1, noise=noise, seed=5, record_every=3)
+    def test_noisy_paths_equal_reference(self):
         u0 = blowup_bump(GRID, 10.0)
-        want = reference_path(cfg, u0)
-        rec = simulate_path(cfg, u0)
-        assert rec.status == want["status"]
-        assert rec.t_stop == want["t_stop"]
-        assert np.array_equal(rec.wiener_increments, want["increments"])
-        assert np.array_equal(rec.times, want["times"])
-        for j, name in enumerate(integrate.DIAGNOSTIC_NAMES):
-            assert np.array_equal(rec.diagnostics[name], want["rows"][:, j]), name
+        for noise in (LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25),
+                      StrongAlpha(q=0.5, theta=1.0), GeneralH(n_components=8)):
+            cfg = zero_cfg(horizon=0.1, noise=noise, seed=5, record_every=3)
+            want = reference_path(cfg, u0)
+            rec = simulate_path(cfg, u0)
+            assert rec.status == want["status"] == "completed"
+            assert rec.t_stop == want["t_stop"]
+            assert np.array_equal(rec.wiener_increments, want["increments"])
+            assert np.array_equal(rec.times, want["times"])
+            for j, name in enumerate(integrate.DIAGNOSTIC_NAMES):
+                assert np.array_equal(rec.diagnostics[name], want["rows"][:, j]), name
 
 
 class TestTransformBudget:
@@ -390,41 +408,15 @@ class TestTransformBudget:
 
     @pytest.mark.parametrize("noise, per_step", [(GeneralH(n_components=8), 8),
                                                  (LinearB(b0=0.4, lam=1.0, b_star=0.2), 8),
-                                                 (ZeroNoise(), 8)])
+                                                 (ZeroNoise(), 8),
+                                                 (StrongAlpha(q=0.5, theta=1.0), 8)])
     def test_simulate_path_per_macro_step(self, fft_calls, noise, per_step):
         # one start transform for the initial state, then per macro step the
         # step's transforms and the next state's start transform
-        cfg = zero_cfg(noise=noise, horizon=0.02, adapt=False)
+        cfg = zero_cfg(noise=noise, horizon=0.02)
         rec = simulate_path(cfg, self.U)
         assert rec.status == "completed" and rec.wiener_increments.shape == (20,)
         assert len(fft_calls) == 1 + 20 * per_step
-
-    def test_halving_retry_reuses_start(self, fft_calls, monkeypatch):
-        # every em_step that starts from a state an earlier attempt started
-        # from pays for RK4 stages 2-4 only
-        counts, starts = [], {}     # starts kept alive, so ids stay unique
-
-        def counted(u, t, cfg, dw, dt=None, start=None):
-            seen = id(start) in starts
-            starts[id(start)] = start
-            # an accepted state was transformed for its sups; the midpoint
-            # of a halved step is transformed in its first attempt
-            rows_pending = u._rows is None
-            before = len(fft_calls)
-            out = em_step(u, t, cfg, dw, dt, start)
-            counts.append((seen, rows_pending, len(fft_calls) - before))
-            return out
-
-        monkeypatch.setattr(integrate, "em_step", counted)
-        noise = GeneralH(n_components=8, q=4.0)
-        cfg = zero_cfg(horizon=0.05, noise=noise, seed=5)
-        simulate_path(cfg, blowup_bump(GRID, 10.0))
-        retries = [n for seen, _, n in counts if seen]
-        assert retries and set(retries) == {6}
-        assert not any(pending for seen, pending, _ in counts if seen)
-        # the start transform if pending, the noise with stage 1, stages 2-4
-        firsts = {(pending, n) for seen, pending, n in counts if not seen}
-        assert firsts == {(False, 7), (True, 8)}
 
 
 class TestSimulatePath:
@@ -448,9 +440,10 @@ class TestSimulatePath:
             assert np.array_equal(r1.diagnostics[k], r2.diagnostics[k])
         assert np.array_equal(r1.wiener_increments, r2.wiener_increments)
 
-    def test_increments_independent_of_halving(self, monkeypatch):
-        # bridge points have their own stream: halving leaves the recorded
-        # macro increments as they are
+    def test_one_em_step_per_macro_step(self, monkeypatch):
+        # a path takes exactly one em_step per macro step, for each kind of
+        # noise step, also where a step moves the state by far more than 10%
+        # of its H^s norm
         calls = []
 
         def counted(*args, **kwargs):
@@ -458,13 +451,13 @@ class TestSimulatePath:
             return em_step(*args, **kwargs)
 
         monkeypatch.setattr(integrate, "em_step", counted)
-        noise = LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25)
         u0 = blowup_bump(GRID, 10.0)
-        on = simulate_path(zero_cfg(horizon=0.1, noise=noise, seed=5), u0)
-        assert len(calls) > 100    # some of the 100 macro steps were halved
-        off = simulate_path(zero_cfg(horizon=0.1, noise=noise, seed=5, adapt=False), u0)
-        assert on.status == off.status == "completed"
-        assert np.array_equal(on.wiener_increments, off.wiener_increments)
+        for noise in (LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25),
+                      StrongAlpha(q=1.0, theta=1.0), GeneralH(n_components=8, q=4.0)):
+            calls.clear()
+            rec = simulate_path(zero_cfg(horizon=0.1, noise=noise, seed=5), u0)
+            assert rec.status == "completed"
+            assert len(calls) == rec.wiener_increments.shape[0] == 100
 
     def test_increments_are_the_path_seeds_draw(self):
         # a path that stops early records the prefix of its seed's increments
