@@ -52,6 +52,7 @@ import numpy as np
 
 from .integrate import SimConfig, plateau_bump, rk4, simulate_low_frequency
 from .modulated import (
+    CARRIER_ROWS,
     CarrierBasis,
     ModulatedField,
     carrier0,
@@ -333,7 +334,7 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     which only differs by its scalar Brownian increments (left-point Euler
     accumulation, :func:`~ccflab.noise.wiener_increments` of the path's
     seed, as :func:`simulate_actual_mod` draws them).  The paths' Ito sums
-    are one ``(num_paths, max_carrier + 1, N)`` array, and each step takes
+    are one ``(num_paths, CARRIER_ROWS, N)`` array, and each step takes
     their ``H^{sigma0}`` norms in one batched :func:`~ccflab.modulated.carrier_norms`.
     """
     n_steps = int(round(horizon / dt))
@@ -341,7 +342,7 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH | ZeroNo
     paths = num_paths if not isinstance(noise, ZeroNoise) else 0
     dws = np.array([wiener_increments(path_seed(seed, idx), dt, n_steps)
                     for idx in range(paths)])
-    itos = np.zeros((paths, p.basis.max_carrier + 1, p.env_modes), dtype=np.complex128)
+    itos = np.zeros((paths, CARRIER_ROWS, p.env_modes), dtype=np.complex128)
     sups = np.zeros(paths)
     partial = ModulatedField.zeros(p.basis)    # running integral of E
     det_sup_sq = modulated_norm(partial, sigma0) ** 2

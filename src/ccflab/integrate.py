@@ -28,17 +28,17 @@ real FFT per evaluation.  It backs :func:`drift` and the RK4 stages of
 the deterministic stream of :func:`simulate_low_frequency`.
 
 Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
-real field is one of them, see :mod:`ccflab.spectral`): a step reads
-everything it needs of its start state ``u`` from one :class:`StepStart`,
-which takes one stacked ``irfft`` of ``u``: the monitored sups and the
-recorded ``max Lam u``, the gradient samples of the noise (and the sups a
-``StrongAlpha`` rate reads) and the samples of the first RK4 stage.  The first
-stage's product then takes one ``rfft``, which the forward transform of a
-``GeneralH``/``InstabilityH`` noise carries; the scalar rates add none.  So a
-macro step takes 8 transform calls: the start (1), the noise with stage 1 (1)
-and stages 2-4 (6).  With a mollifier stage 1 transforms ``J u`` on its own
-(10).  A step of the deterministic stream reads no sups, so stage 1
-transforms two rows and forms their product (2): 8 calls too.
+real field is one of them, see :mod:`ccflab.spectral`): what a step shares
+of its start state ``u`` lives in ``u``'s own caches.  Its step rows, one
+stacked ``irfft``, serve the monitored sups and the recorded ``max Lam u``,
+the gradient samples of the noise (and the sups a ``StrongAlpha`` rate reads)
+and the samples of the first RK4 stage.  The first stage's product then takes
+one ``rfft``, which the forward transform of a ``GeneralH``/``InstabilityH``
+noise carries; the scalar rates add none.  So a macro step takes 8 transform
+calls: the step rows (1), the noise with stage 1 (1) and stages 2-4 (6).
+With a mollifier stage 1 transforms ``J u`` on its own (10).  A step of the
+deterministic stream reads no sups, so stage 1 transforms two rows and forms
+their product (2): 8 calls too.
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -85,7 +85,6 @@ __all__ = [
     "cutoff_chi",
     "rk4",
     "drift",
-    "StepStart",
     "em_step",
     "simulate_path",
     "simulate_low_frequency",
@@ -234,79 +233,37 @@ def drift(u: Field, cfg: SimConfig) -> Field:
     return Field(grid, _transport_rhs(c, grid, _gate(c, grid, cfg), _mollifier(grid, cfg)))
 
 
-class StepStart:
-    """What a step from the state ``u`` at time ``t`` needs of ``u``.
-
-    The sups and the noise read the gradient samples of ``u``'s step rows
-    (one stacked inverse FFT, cached on ``u``), and without a mollifier the
-    first RK4 stage reads its ``(Hu) u_x`` from the first two rows (from its
-    own transform when nothing formed them).  Both are formed when first
-    asked for: a path reads the sups of every state it reaches, and steps
-    from all but the last.
-    """
-
-    __slots__ = ("u", "t", "cfg", "gate", "mollifier", "_sups", "_stage")
-
-    def __init__(self, u: Field, t: float, cfg: SimConfig):
-        self.u, self.t, self.cfg = u, t, cfg
-        self.gate = _gate(u.coefficients, u.grid, cfg)
-        self.mollifier = _mollifier(u.grid, cfg)
-        self._sups = self._stage = None
-
-    @property
-    def sups(self) -> tuple[float, float, float]:
-        """``gradient_sups(u)``."""
-        if self._sups is None:
-            self._sups = gradient_sups(self.u)
-        return self._sups
-
-    @property
-    def first_stage(self) -> tuple[np.ndarray, float | None, np.ndarray | None]:
-        """``(k1, rate, h)``: the first RK4 stage, the coefficients of
-        ``drift(u, cfg)``, and the noise, either ``gate rate(t, u)`` of a
-        family ``h = rate u`` or the coefficients of a field-valued ``h(t, u)``
-        (``None`` for the other, and both ``None`` with no noise or a closed
-        gate).  The noise comes first: without a mollifier ``k1``'s product is
-        ``u``'s own, which a noise that transforms forward forms in the same
-        call."""
-        if self._stage is None:
-            u, noise, rate, h = self.u, self.cfg.noise, None, None
-            if self.gate == 0.0:
-                self._stage = (np.zeros_like(u.coefficients), None, None)
-                return self._stage
-            if hasattr(noise, "rate"):
-                rate = self.gate * noise.rate(self.t, u)
-            else:
-                coefficient = noise.components(self.t, u)
-                h = None if coefficient is None else coefficient.coefficients
-            product = u.transport_coefficients if self.mollifier is None else None
-            k1 = _transport_rhs(u.coefficients, u.grid, self.gate, self.mollifier, product)
-            self._stage = (k1, rate, h)
-        return self._stage
-
-
 def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
-            dt: float | None = None, start: StepStart | None = None) -> Field:
-    """One step: the RK4 drift substep, then the noise of the increment
-    ``dw``, the exact factor ``exp(a dw - a^2 dt / 2)`` of a scalar rate ``a``
-    or the gated increment ``gate h dw`` (:attr:`StepStart.first_stage`).
+            dt: float | None = None) -> Field:
+    """One step from the state ``u`` at time ``t``: the RK4 drift substep,
+    then the noise of the increment ``dw``, the exact factor
+    ``exp(a dw - a^2 dt / 2)`` of ``a = gate rate(t, u)`` for a family
+    ``h = rate u`` or the gated increment ``gate h(t, u) dw`` otherwise.
 
-    ``start`` is the :class:`StepStart` of ``(u, t)`` when the caller keeps
-    one.
+    The noise is formed before the first stage: without a mollifier the first
+    stage reads ``u``'s own transport product, which the forward transform of
+    a field-valued noise forms in the same call.
     """
     dt = cfg.dt if dt is None else dt
-    if start is None:
-        start = StepStart(u, t, cfg)
-    elif start.u is not u or start.t != t or start.cfg is not cfg:
-        raise ValueError("start belongs to another state, time or config")
-    grid, mollifier = u.grid, start.mollifier
-    k1, a, h = start.first_stage
-    c = rk4(lambda y: _transport_rhs(y, grid, _gate(y, grid, cfg), mollifier),
-            u.coefficients, dt, k1)
+    c, grid = u.coefficients, u.grid
+    gate, mollifier = _gate(c, grid, cfg), _mollifier(grid, cfg)
+    a = h = None
+    if gate == 0.0:
+        k1 = np.zeros_like(c)
+    else:
+        noise = cfg.noise
+        if hasattr(noise, "rate"):
+            a = gate * noise.rate(t, u)
+        else:
+            coefficient = noise.components(t, u)
+            h = None if coefficient is None else coefficient.coefficients
+        product = u.transport_coefficients if mollifier is None else None
+        k1 = _transport_rhs(c, grid, gate, mollifier, product)
+    c = rk4(lambda y: _transport_rhs(y, grid, _gate(y, grid, cfg), mollifier), c, dt, k1)
     if a is not None:
         c = c * np.exp(a * dw - 0.5 * a**2 * dt)
     elif h is not None:
-        c = c + h * float(start.gate * dw)
+        c = c + h * float(gate * dw)
     return Field(grid, c)
 
 
@@ -325,18 +282,16 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     n_steps = int(round(cfg.horizon / cfg.dt))
     increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
 
-    # each state gets one StepStart: its sups, and the start of the next step
-    start = StepStart(dealias(u0), 0.0, cfg)
+    # each state is read with its sups: the blow-up check and its record
+    u = dealias(u0)
+    sups = gradient_sups(u)
+    if cfg.blowup_threshold <= sups[0] + sups[1]:
+        raise ValueError("blowup_threshold must exceed the initial monitored quantity")
     times, rows = [], []
     snapshots: list[tuple[float, Field]] = []
 
-    sups = start.sups
-    if cfg.blowup_threshold <= sups[0] + sups[1]:
-        raise ValueError("blowup_threshold must exceed the initial monitored quantity")
-
-    def record(t: float, state: StepStart):
-        f = state.u
-        sup_fx, sup_hfx, mlam = state.sups
+    def record(t: float, f: Field, sups: tuple[float, float, float]):
+        sup_fx, sup_hfx, mlam = sups
         hm1 = sobolev_norm(f, cfg.s - 1.0)
         hm32 = sobolev_norm(f, cfg.s - 1.5)
         times.append(t)
@@ -353,29 +308,28 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         return PathRecord(np.array(times), diags, status, t_stop, snapshots,
                           increments[:taken])
 
-    record(0.0, start)
-    snapshot(0.0, start.u)
+    record(0.0, u, sups)
+    snapshot(0.0, u)
 
     t = 0.0
     for i, dw in enumerate(increments):
-        u_next = em_step(start.u, start.t, cfg, dw, start=start)
+        u_next = em_step(u, t, cfg, dw)
         t = (i + 1) * cfg.dt
 
         if u_next.diverged:
             # the last finite state, with the sups taken when it was reached
-            record(t, start)
+            record(t, u, sups)
             return finalize("diverged", t, i + 1)
-        start = StepStart(u_next, t, cfg)
+        u, sups = u_next, gradient_sups(u_next)
 
-        sups = start.sups
         if sups[0] + sups[1] >= cfg.blowup_threshold:
-            record(t, start)
-            snapshot(t, u_next)
+            record(t, u, sups)
+            snapshot(t, u)
             return finalize("blewup", t, i + 1)
 
         if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            record(t, start)
-            snapshot(t, u_next)
+            record(t, u, sups)
+            snapshot(t, u)
 
     return finalize("completed", t, n_steps)
 

@@ -7,7 +7,7 @@ varying envelopes riding integer multiples of one fast carrier ``n``:
 
 Envelopes live on a shared coarse periodic grid; all Fourier-multiplier
 operators act exactly at the shifted frequencies ``c n + xi`` and products
-follow the carrier algebra (harmonics beyond ``max_carrier`` are truncated,
+follow the carrier algebra (harmonics beyond carrier 2 are truncated,
 which costs O(amplitude^3) here since the packets are tiny).  This makes the
 cost of a time step independent of ``n``, while a dense grid would need
 O(n^{1+delta}) points; agreement with the dense representation is checked in
@@ -22,7 +22,7 @@ with ``w(xi) = (1+xi^2)^r``.  The represented object is the compactly
 supported packet on the line (the carrier need not be commensurate with the
 envelope period).
 
-Each field stores its envelopes as one ``(max_carrier + 1, N)`` coefficient
+Each field stores its envelopes as one ``(CARRIER_ROWS, N)`` coefficient
 array of complex envelopes in full FFT order (the envelopes are not real, so
 all N modes are kept), so every transform is one stacked complex FFT along
 the last axis and each carrier basis caches its own FFT-order frequencies,
@@ -51,24 +51,26 @@ __all__ = ["CarrierBasis", "ModulatedField", "modulated_norm", "carrier_norms",
            "mod_hilbert", "mod_helmholtz_inverse_dx", "packet", "carrier0"]
 
 
+# one envelope row per carrier 0, 1, 2: the packets and the defect integrand
+# of :mod:`ccflab.instability` fill all three, and harmonics beyond are dropped
+CARRIER_ROWS = 3
+
+
 @dataclass(frozen=True)
 class CarrierBasis:
     """Envelope grid plus the fast carrier wavenumber.
 
-    The symbol stacks have one row per carrier ``c = 0..max_carrier``,
+    The symbol stacks have one row per carrier ``c < CARRIER_ROWS``,
     evaluated at the shifted frequencies ``c n + xi``; they are built once
     and shared read-only.
     """
 
     grid: SpectralGrid
     carrier: float
-    max_carrier: int = 2
 
     def __post_init__(self):
         if self.carrier <= 0.0:
             raise ValueError("carrier wavenumber must be positive")
-        if self.max_carrier < 1:
-            raise ValueError("max_carrier must be >= 1")
         xi_band = 2.0 * np.pi * self.grid.dealias_keep / self.grid.period
         if xi_band >= 0.5 * self.carrier:
             raise ValueError("envelope band overlaps neighbouring carrier bands; "
@@ -91,7 +93,7 @@ class CarrierBasis:
     @cached_property
     def xi(self) -> np.ndarray:
         """Shifted frequencies ``c n + xi``."""
-        c = np.arange(self.max_carrier + 1)[:, None]
+        c = np.arange(CARRIER_ROWS)[:, None]
         return _read_only(c * self.carrier + 2.0 * np.pi * self.envelope_k / self.grid.period)
 
     @cached_property
@@ -111,13 +113,13 @@ class CarrierBasis:
 
     @cached_property
     def transport_symbols(self) -> np.ndarray:
-        """``(2, max_carrier + 1, N)``: the Hilbert and derivative stacks."""
+        """``(2, CARRIER_ROWS, N)``: the Hilbert and derivative stacks."""
         return _read_only(np.stack([self.hilbert_symbol, self.derivative_symbol]))
 
 
 class ModulatedField:
-    """Immutable ``(max_carrier + 1, N)`` stack of complex envelope
-    coefficients, one row per carrier 0..max_carrier."""
+    """Immutable ``(CARRIER_ROWS, N)`` stack of complex envelope
+    coefficients, one row per carrier."""
 
     __slots__ = ("basis", "_coeffs", "_phys")
 
@@ -128,7 +130,7 @@ class ModulatedField:
 
     @classmethod
     def zeros(cls, basis: CarrierBasis) -> "ModulatedField":
-        return cls(basis, np.zeros((basis.max_carrier + 1, basis.grid.n_modes),
+        return cls(basis, np.zeros((CARRIER_ROWS, basis.grid.n_modes),
                                    dtype=np.complex128))
 
     @property
@@ -209,7 +211,7 @@ def mod_helmholtz_inverse_dx(mf: ModulatedField) -> ModulatedField:
 
 def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray) -> ModulatedField:
     """Carrier algebra of two sample stacks; one stacked forward transform."""
-    cmax = basis.max_carrier
+    cmax = CARRIER_ROWS - 1
     grid = basis.grid
     n = grid.n_modes
     # carrier -c carries the conjugate envelope of carrier c
@@ -227,7 +229,7 @@ def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray) -> Mod
 
 def mod_product(a: ModulatedField, b: ModulatedField) -> ModulatedField:
     """Pointwise product with carrier algebra; envelopes dealiased, harmonics
-    beyond ``max_carrier`` dropped."""
+    beyond the last carrier row dropped."""
     if b.basis != a.basis:
         raise ValueError("operands live on different carrier bases")
     return _carrier_product(a.basis, a.phys, b.phys)
@@ -255,7 +257,7 @@ def _band_weights(basis: CarrierBasis, r: float) -> np.ndarray:
 
 def carrier_norms(basis: CarrierBasis, coeffs: np.ndarray, r: float) -> np.ndarray:
     """H^r norms of a batch of coefficient stacks of shape
-    ``(..., max_carrier + 1, N)``, via the disjoint carrier bands."""
+    ``(..., CARRIER_ROWS, N)``, via the disjoint carrier bands."""
     w = _band_weights(basis, float(r))
     bands = np.sum(w * np.abs(coeffs) ** 2, axis=-1) * basis.grid.period
     # add the bands in carrier order (cumsum is sequential by definition)

@@ -11,7 +11,7 @@ modulated field.  The tests compare the carrier representation against them.
 import numpy as np
 
 from ccflab.instability import InstabilityParams, phi_profile
-from ccflab.modulated import ModulatedField
+from ccflab.modulated import CARRIER_ROWS, ModulatedField
 from ccflab.spectral import Field, SpectralGrid
 
 
@@ -53,11 +53,11 @@ def to_dense_field(mf: ModulatedField, dense: SpectralGrid) -> Field:
     if dense.n_modes % grid.n_modes != 0:
         raise ValueError("dense grid must refine the envelope grid")
     n, m = grid.n_modes, dense.n_modes
-    up = np.zeros((mf.basis.max_carrier + 1, m), dtype=np.complex128)
+    up = np.zeros((CARRIER_ROWS, m), dtype=np.complex128)
     up[:, : n // 2] = mf.coeffs[:, : n // 2]
     up[:, m - n // 2 + 1:] = mf.coeffs[:, n // 2 + 1:]
     env = np.fft.ifft(up * m, axis=-1)
-    c = np.arange(mf.basis.max_carrier + 1)[:, None]
+    c = np.arange(CARRIER_ROWS)[:, None]
     bands = (env * np.exp(1j * c * mf.basis.carrier * dense.x)).real
     bands[1:] *= 2.0
     return Field.from_samples(dense, bands.sum(axis=0))

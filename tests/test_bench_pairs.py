@@ -1,6 +1,8 @@
 """The statistics ``tools/bench_pairs.py`` writes into every ``BENCH_*.json``:
-wins per pair, the median gap against the parent's interquartile range, and
-``within_bound``, the gate on each end-to-end metric."""
+wins per pair, the median gap against the parent's interquartile range,
+``within_bound``, the gate on each end-to-end metric, ``gain_met``, the rule a
+claimed gain must meet, and ``unresolved``, a parent spread wider than the
+bound."""
 
 import importlib.util
 from pathlib import Path
@@ -79,3 +81,58 @@ def test_gap_must_exceed_parent_iqr():
     assert not equal["median_gap_exceeds_parent_iqr"]
     wider = COMPARE(pairs([1.0, 1.0, 3.0, 3.0], [-1.5, -1.5, 0.5, 0.5]), "lower", 0.25)
     assert wider["median_gap_exceeds_parent_iqr"]
+
+
+def claim_runs(wins: int, n: int):
+    # the change wins ``wins`` pairs by 0.5 and loses the rest by 0.01; its
+    # median gap is far beyond the parent's interquartile range (< 0.05)
+    parent = [10.0 + 0.01 * i for i in range(n)]
+    change = [p - 0.5 if i < wins else p + 0.01 for i, p in enumerate(parent)]
+    return pairs(parent, change)
+
+
+def test_gain_met_at_nine_of_ten():
+    out = COMPARE(claim_runs(9, 10), "lower", 0.25)
+    assert out["wins"] == {"change": 9, "parent": 1, "tie": 0}
+    assert out["median_gap_exceeds_parent_iqr"] and out["gain_met"]
+
+
+def test_gain_not_met_at_eight_of_ten():
+    out = COMPARE(claim_runs(8, 10), "lower", 0.25)
+    assert out["wins"]["change"] == 8
+    assert out["median_gap_exceeds_parent_iqr"] and not out["gain_met"]
+
+
+def test_gain_not_met_at_five_pairs():
+    # five of five won, but fewer than ten pairs cannot carry a claim
+    out = COMPARE(claim_runs(5, 5), "lower", 0.25)
+    assert out["wins"]["change"] == 5
+    assert out["median_gap_exceeds_parent_iqr"] and not out["gain_met"]
+
+
+def test_ties_count_for_neither_side():
+    # 9 wins and one tie in 10 pairs meet the rule; 8 wins and 2 ties do not,
+    # though the parent wins none
+    nine = claim_runs(9, 10)
+    nine[9]["change"] = nine[9]["parent"]
+    assert COMPARE(nine, "lower", 0.25)["wins"] == {"change": 9, "parent": 0, "tie": 1}
+    assert COMPARE(nine, "lower", 0.25)["gain_met"]
+    eight = claim_runs(8, 10)
+    for p in eight[8:]:
+        p["change"] = p["parent"]
+    assert COMPARE(eight, "lower", 0.25)["wins"] == {"change": 8, "parent": 0, "tie": 2}
+    assert not COMPARE(eight, "lower", 0.25)["gain_met"]
+
+
+def test_unresolved_spread():
+    # parent IQR 1.5 over median 2.5 (0.6) exceeds the bound 0.25
+    wide = [1.0, 2.0, 3.0, 4.0]
+    assert COMPARE(pairs(wide, wide), "lower", 0.25)["unresolved"]
+    assert not COMPARE(pairs(wide, wide), "lower", 0.75)["unresolved"]
+    # resolved when every change run beats every parent run, in the
+    # metric's own direction
+    assert not COMPARE(pairs(wide, [0.1, 0.2, 0.3, 0.4]), "lower", 0.25)["unresolved"]
+    assert COMPARE(pairs(wide, [0.1, 0.2, 0.3, 0.4]), "higher", 0.25)["unresolved"]
+    assert not COMPARE(pairs(wide, [5.0, 6.0, 7.0, 8.0]), "higher", 0.25)["unresolved"]
+    # a tight parent is resolved whatever the change does
+    assert not COMPARE(pairs([1.0] * 4, wide), "lower", 0.25)["unresolved"]

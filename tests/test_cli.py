@@ -285,8 +285,8 @@ class TestExitCodes:
         # report say so
         step, target = integrate.em_step, path_seed(0, 3)
 
-        def overflowing(u, t, cfg, dw, dt=None, start=None):
-            out = step(u, t, cfg, dw, dt, start)
+        def overflowing(u, t, cfg, dw, dt=None):
+            out = step(u, t, cfg, dw, dt)
             return np.inf * out if cfg.seed == target and t > 0.0 else out
 
         monkeypatch.setattr(integrate, "em_step", overflowing)

@@ -29,6 +29,7 @@ from ccflab.instability import (
     simulate_actual_mod,
 )
 from ccflab.modulated import (
+    CARRIER_ROWS,
     CarrierBasis,
     ModulatedField,
     carrier0,
@@ -189,12 +190,12 @@ def _ref_phys(basis, rows):
 def _ref_symbol(basis, symbol, rows):
     xi = _ref_wavenumbers(basis.grid)[1]
     return [symbol(c * basis.carrier + xi) * rows[c]
-            for c in range(basis.max_carrier + 1)]
+            for c in range(CARRIER_ROWS)]
 
 
 def _ref_product(basis, pa, pb):
     """Per-carrier product of two lists of envelope samples."""
-    cmax, grid = basis.max_carrier, basis.grid
+    cmax, grid = CARRIER_ROWS - 1, basis.grid
     n = grid.n_modes
 
     def side(phys, c):
@@ -219,7 +220,7 @@ def _ref_product(basis, pa, pb):
 def _ref_norm(basis, rows, r):
     total = 0.0
     xi = _ref_wavenumbers(basis.grid)[1]
-    for c in range(basis.max_carrier + 1):
+    for c in range(CARRIER_ROWS):
         w = (1.0 + (c * basis.carrier + xi) ** 2) ** r
         contrib = float(np.sum(w * np.abs(rows[c]) ** 2) * basis.grid.period)
         total += contrib if c == 0 else 2.0 * contrib
@@ -245,7 +246,7 @@ class TestStackedCarriers:
         rng = np.random.default_rng(env + n)
 
         def draw():
-            shape = (basis.max_carrier + 1, env)
+            shape = (CARRIER_ROWS, env)
             c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             return ModulatedField(basis, np.where(_ref_mask(basis.grid), 1e-3 * c, 0.0))
 
@@ -641,7 +642,7 @@ class TestStudies:
         p = InstabilityParams(m=1, n=64, env_modes=256)
         noise = InstabilityH(sigma0=p.sigma0)
         error_functional_ensemble(p, noise, 2, horizon=0.01, dt=5e-3)  # warm caches
-        stack_bytes = (p.basis.max_carrier + 1) * p.env_modes * 16
+        stack_bytes = CARRIER_ROWS * p.env_modes * 16
         for horizon in (0.4, 1.6):
             tracemalloc.start()
             try:

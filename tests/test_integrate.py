@@ -12,7 +12,6 @@ import pytest
 from ccflab import integrate
 from ccflab.integrate import (
     SimConfig,
-    StepStart,
     blowup_bump,
     cutoff_chi,
     drift,
@@ -238,15 +237,6 @@ class TestDrift:
 
 
 class TestEmStep:
-    def test_rejects_a_start_of_another_state(self):
-        rng = np.random.default_rng(4)
-        u = random_band_limited(GRID, 20, rng, rms=0.3)
-        cfg = zero_cfg()
-        start = StepStart(u, 0.0, cfg)
-        for args in ((u.copy(), 0.0, cfg), (u, 0.5, cfg), (u, 0.0, zero_cfg())):
-            with pytest.raises(ValueError, match="start"):
-                em_step(*args, 1e-3, None, start)
-
     def test_steps_on_the_fields_grid(self):
         # drift, gate and mollifier all act on u's own grid, as reference_drift
         # does, whatever grid the config names
@@ -346,11 +336,11 @@ class TestReferenceStep:
                 want = reference_em_step(u, 0.3, cfg, 0.02, dt)
                 got = em_step(u.copy(), 0.3, cfg, 0.02, dt)
                 assert np.array_equal(got.coefficients, want.coefficients)
-                # from a kept start whose sups were read first, as a path
-                # steps from each state it reaches
-                start = StepStart(u.copy(), 0.3, cfg)
-                start.sups
-                got = em_step(start.u, 0.3, cfg, 0.02, dt, start)
+                # from a state whose sups were read first, as a path steps
+                # from each state it reaches
+                v = u.copy()
+                gradient_sups(v)
+                got = em_step(v, 0.3, cfg, 0.02, dt)
                 assert np.array_equal(got.coefficients, want.coefficients)
 
     def test_drift_equals_reference(self):
@@ -362,8 +352,7 @@ class TestReferenceStep:
 
     def test_start_sups_equal_reference(self):
         for u in self.states():
-            start = StepStart(u.copy(), 0.0, zero_cfg(eps_mollify=0.05))
-            assert start.sups == reference_sups(u)
+            assert gradient_sups(u.copy()) == reference_sups(u)
 
     def test_noisy_paths_equal_reference(self):
         u0 = blowup_bump(GRID, 10.0)
@@ -394,7 +383,7 @@ class TestTransformBudget:
         assert fft_calls == ["irfft"]
 
     def test_general_h_em_step(self, fft_calls):
-        # the start transform (1), the noise with stage 1 (1), stages 2-4 (6)
+        # the step rows (1), the noise with stage 1 (1), stages 2-4 (6)
         cfg = zero_cfg(noise=GeneralH(n_components=8))
         em_step(self.U.copy(), 0.0, cfg, 1e-3)
         assert len(fft_calls) == 8
@@ -411,8 +400,8 @@ class TestTransformBudget:
                                                  (ZeroNoise(), 8),
                                                  (StrongAlpha(q=0.5, theta=1.0), 8)])
     def test_simulate_path_per_macro_step(self, fft_calls, noise, per_step):
-        # one start transform for the initial state, then per macro step the
-        # step's transforms and the next state's start transform
+        # the initial state's step rows, then per macro step the step's
+        # transforms and the next state's step rows
         cfg = zero_cfg(noise=noise, horizon=0.02)
         rec = simulate_path(cfg, self.U)
         assert rec.status == "completed" and rec.wiener_increments.shape == (20,)

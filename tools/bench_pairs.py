@@ -16,13 +16,19 @@ traced run per side (``--seed 0 --seconds 1 --trace 1``).
 Per end-to-end metric of ``BENCHMARK.json`` the file records each side's
 runs, median, quartiles (``numpy.percentile`` 25/75, linear) and range; the
 wins per pair; whether the median gap in the better direction exceeds the
-parent's interquartile range; and ``within_bound``, that the change's median
-is worse than the parent's by at most the metric's relative bound.  Each
-run's ``ifft256 calibration median`` line (the machine's speed state while it
-ran) is recorded per side in pair order under ``ifft256_us``, so a phase of
-the machine can be told from an effect of the code.  The traced per-layer
-metrics of both sides go under the set's ``traced_counts``; the top-level
-``traced_counts`` holds each workload's latest traced pair.
+parent's interquartile range; ``within_bound``, that the change's median is
+worse than the parent's by at most the metric's relative bound; ``gain_met``,
+the rule a claimed gain must meet (at least 10 pairs, the change wins at
+least 9 in 10 of them, ties counting for neither side, and the median gap
+exceeds the parent's interquartile range); and ``unresolved``, that the
+parent's own spread (interquartile range over median) exceeds the bound, so
+the runs cannot tell a worsening of that size, unless every change run beats
+every parent run.  Each run's ``ifft256 calibration median`` line (the
+machine's speed state while it ran) is recorded per side in pair order under
+``ifft256_us``, so a phase of the machine can be told from an effect of the
+code.  The traced per-layer metrics of both sides go under the set's
+``traced_counts``; the top-level ``traced_counts`` holds each workload's
+latest traced pair.
 
 One invocation is one *set* of pairs, recorded with its command line and
 seed order.  When ``--out`` already holds a comparison against the same
@@ -49,6 +55,8 @@ import numpy as np
 ROOT = Path.cwd()
 SIDES = ("parent", "change")
 CHANGE_PATHS = ("src", "perfbench", "BENCHMARK.json")
+# a claimed gain needs at least this many pairs, 9 in 10 of them won
+CLAIM_MIN_PAIRS = 10
 
 
 def prepare(workdir: Path, rev: str) -> dict[str, Path]:
@@ -115,6 +123,12 @@ def compare(pairs: list[dict], better: str, bound: float) -> dict:
     out["wins"] = wins
     out["median_gap_exceeds_parent_iqr"] = gain > out["parent"]["iqr"]
     out["within_bound"] = -gain <= bound * abs(par)
+    n = len(pairs)
+    out["gain_met"] = (n >= CLAIM_MIN_PAIRS and 10 * wins["change"] >= 9 * n
+                       and out["median_gap_exceeds_parent_iqr"])
+    separated = all(sign * (p - c) > 0 for p in out["parent"]["runs"]
+                    for c in out["change"]["runs"])
+    out["unresolved"] = out["parent"]["iqr"] > bound * abs(par) and not separated
     return out
 
 
@@ -174,6 +188,12 @@ def main() -> int:
                 "wins": "per pair, the side with the better run-level metric",
                 "within_bound": "relative worsening of the change's median against "
                                 "the parent's median is at most the BENCHMARK.json bound",
+                "gain_met": "at least 10 pairs, the change wins at least 9 in 10 of "
+                            "them (ties count for neither side), and "
+                            "median_gap_exceeds_parent_iqr",
+                "unresolved": "the parent's interquartile range over its median "
+                              "exceeds the bound, and some change run does not beat "
+                              "every parent run",
                 "traced_counts": "python3 perfbench/run.py --workload W --seed 0 "
                                  "--seconds 1 --trace 1 on each side, once per workload "
                                  "of a set; self times are from one traced call and "
@@ -188,7 +208,8 @@ def main() -> int:
         workload, metric = args.claim.split(":")
         doc["claimed"] = {"metric": metric, "workload": workload,
                           "rule": "change wins >= 9 of >= 10 alternating pairs and the "
-                                  "median gap exceeds the parent's interquartile range"}
+                                  "median gap exceeds the parent's interquartile range "
+                                  "(gain_met)"}
     this = {
         "name": f"set{len(doc['sets']) + 1}",
         "invocation": shlex.join(["python3", "tools/bench_pairs.py", *invocation_args()]),
