@@ -146,11 +146,15 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     Returns ``(residual, status)`` with the status of the linear-noise path.
     Only a ``completed`` path covers the horizon, so any other status gives a
     ``nan`` residual instead of one scored on the prefix the path ran.
-    The path takes its noise as the exact factor of the frozen ``b``, so the
-    residual is the splitting error alone: first order in ``dt`` on one
-    Brownian path.  The step sizes of a refinement share a path seed, not a
-    path (each draws its own increments), so its ratios also carry
-    path-to-path variation.
+    The path multiplies step j by ``exp(b_j dW_j - b_j^2 dt / 2)``, ``b``
+    frozen at the left point, and a twin on the running product of those
+    factors holds ``u = beta v`` to round-off (~1e-15).  The twin here runs
+    on :func:`beta_path`, whose ``int b^2/2`` is a trapezoid sum, so the two
+    ``log beta`` differ by ``(b(0)^2 - b(t)^2) dt / 4``: the residual
+    measures that quadrature mismatch, first order in ``dt`` on one Brownian
+    path, not a splitting error.  The step sizes of a refinement share a path
+    seed, not a path (each draws its own increments), so its ratios also
+    carry path-to-path variation.
     A finite ``cutoff_radius`` is an error: the cut-off equation gates the
     drift on ``|u| = |beta v|`` and the noise as well, so ``v`` does not solve
     the twin's equation.

@@ -26,12 +26,13 @@ The low-frequency profile is the deterministic stream of
 
 Transform budget of one defect step: the integrand's carrier rows are in
 closed form (:func:`error_integrand_mod`, one stacked ``irfft`` of the
-low-frequency rows and one forward ``fft`` of carrier row 1; generic carrier
-products took 21 calls), the noise coefficient along the approximate solution
-takes none (plus 3 per power above 1 of its exponents), since its packet is
-the cached unit-phase row times one phase, and the low-frequency step (one
-noiseless ``em_step``) takes 8.  That is 10 transform calls per step with
-noise, shared by every path.
+low-frequency rows and one :func:`~ccflab.modulated.dealiased_envelopes` of
+carrier row 1; generic carrier products took 21 calls), the noise
+coefficient along the approximate solution takes none (plus 3 per power
+above 1 of its exponents), since its packet is the cached unit-phase row
+times one phase, and the low-frequency step (one noiseless ``em_step``)
+takes 8.  That is 10 transform calls per step with noise, shared by every
+path.
 
 Decay exponents, computed from ``(s, sigma0, delta)`` and asserted negative
 up front:
@@ -57,6 +58,7 @@ from .modulated import (
     ModulatedField,
     carrier0,
     carrier_norms,
+    dealiased_envelopes,
     mod_derivative,
     mod_helmholtz_inverse_dx,
     mod_hilbert,
@@ -213,10 +215,8 @@ class InstabilityParams:
         ``mod_derivative`` of the packet."""
         h = self.hilbert_samples
         d = mod_derivative(self._unit_packet()).phys[1]
-        rows = np.fft.fft(np.stack([2.0 * (np.conj(h) * d).real, h * d]),
-                          axis=-1) / self.env_grid.n_modes
-        rows[:, ~self.basis.envelope_mask] = 0.0
-        return _read_only(rows)
+        return _read_only(dealiased_envelopes(
+            self.basis, np.stack([2.0 * (np.conj(h) * d).real, h * d])))
 
 
 # -- building blocks -------------------------------------------------------------
@@ -283,7 +283,8 @@ def error_integrand_mod(p: InstabilityParams, t: float, ul_t: Field,
     ``phase^2 H D``, and row 1 is ``phase`` times the dealiased transform of
     ``(Hu_l(0) - Hu_l(t)) S + Hu_l(t) C + H d_x u_l(t)``.  One stacked
     ``irfft`` of the three real rows (``u_l(t)`` under ``[i sgn xi, i xi]``,
-    and ``hul0 - Hu_l(t)``) and one forward ``fft`` of the complex row 1.
+    and ``hul0 - Hu_l(t)``) and one ``dealiased_envelopes`` of the complex
+    row 1.
     """
     grid = p.env_grid
     if ul_t.grid != grid or hul0.grid != grid:
@@ -293,9 +294,8 @@ def error_integrand_mod(p: InstabilityParams, t: float, ul_t: Field,
     # difference the Hilbert transforms before sampling: they nearly cancel
     rows[2] = hul0.coefficients - rows[0]
     hul_t, ul_x, hul_drop = inverse_samples(grid, rows)
-    row1 = np.fft.fft(hul_drop * p.sin_samples + hul_t * p.cos_samples
-                      + p.hilbert_samples * ul_x) / grid.n_modes
-    row1[~p.basis.envelope_mask] = 0.0
+    row1 = dealiased_envelopes(p.basis, hul_drop * p.sin_samples + hul_t * p.cos_samples
+                               + p.hilbert_samples * ul_x)
     phase = np.exp(-1j * (p.m * t + 0.5 * p.n * p.period))
     out = ModulatedField.zeros(p.basis)
     out.coeffs[0] = p.square_rows[0]

@@ -30,15 +30,16 @@ the deterministic stream of :func:`simulate_low_frequency`.
 Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
 real field is one of them, see :mod:`ccflab.spectral`): what a step shares
 of its start state ``u`` lives in ``u``'s own caches.  Its step rows, one
-stacked ``irfft``, serve the monitored sups and the recorded ``max Lam u``,
-the gradient samples of the noise (and the sups a ``StrongAlpha`` rate reads)
-and the samples of the first RK4 stage.  The first stage's product then takes
-one ``rfft``, which the forward transform of a ``GeneralH``/``InstabilityH``
-noise carries; the scalar rates add none.  So a macro step takes 8 transform
-calls: the step rows (1), the noise with stage 1 (1) and stages 2-4 (6).
-With a mollifier stage 1 transforms ``J u`` on its own (10).  A step of the
-deterministic stream reads no sups, so stage 1 transforms two rows and forms
-their product (2): 8 calls too.
+stacked ``irfft``, serve the monitored sups and the recorded ``max Lam u``
+(taken once and kept on ``u``, where a ``StrongAlpha`` rate reads them too),
+the gradient samples of the noise and the samples of the first RK4 stage.
+The first stage's product then takes one ``rfft``, which the forward
+transform of a ``GeneralH``/``InstabilityH`` noise carries; the scalar rates
+add none.  So a macro step takes 8 transform calls: the step rows (1), the
+noise with stage 1 (1) and stages 2-4 (6).  With a mollifier stage 1
+transforms ``J u`` on its own (10).  A step of the deterministic stream reads
+no sups, so stage 1 transforms two rows and forms their product (2): 8 calls
+too.
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -282,7 +283,8 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     n_steps = int(round(cfg.horizon / cfg.dt))
     increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
 
-    # each state is read with its sups: the blow-up check and its record
+    # each state keeps its sups: the blow-up check, a StrongAlpha rate and
+    # the record read one tuple
     u = dealias(u0)
     sups = gradient_sups(u)
     if cfg.blowup_threshold <= sups[0] + sups[1]:
@@ -290,8 +292,8 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     times, rows = [], []
     snapshots: list[tuple[float, Field]] = []
 
-    def record(t: float, f: Field, sups: tuple[float, float, float]):
-        sup_fx, sup_hfx, mlam = sups
+    def record(t: float, f: Field):
+        sup_fx, sup_hfx, mlam = gradient_sups(f)
         hm1 = sobolev_norm(f, cfg.s - 1.0)
         hm32 = sobolev_norm(f, cfg.s - 1.5)
         times.append(t)
@@ -308,7 +310,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         return PathRecord(np.array(times), diags, status, t_stop, snapshots,
                           increments[:taken])
 
-    record(0.0, u, sups)
+    record(0.0, u)
     snapshot(0.0, u)
 
     t = 0.0
@@ -317,18 +319,18 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         t = (i + 1) * cfg.dt
 
         if u_next.diverged:
-            # the last finite state, with the sups taken when it was reached
-            record(t, u, sups)
+            # the last finite state
+            record(t, u)
             return finalize("diverged", t, i + 1)
         u, sups = u_next, gradient_sups(u_next)
 
         if sups[0] + sups[1] >= cfg.blowup_threshold:
-            record(t, u, sups)
+            record(t, u)
             snapshot(t, u)
             return finalize("blewup", t, i + 1)
 
         if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            record(t, u, sups)
+            record(t, u)
             snapshot(t, u)
 
     return finalize("completed", t, n_steps)

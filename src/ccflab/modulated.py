@@ -26,15 +26,25 @@ Each field stores its envelopes as one ``(CARRIER_ROWS, N)`` coefficient
 array of complex envelopes in full FFT order (the envelopes are not real, so
 all N modes are kept), so every transform is one stacked complex FFT along
 the last axis and each carrier basis caches its own FFT-order frequencies,
-dealias mask and shifted multiplier symbols (read-only).  A real field of
+the slice :attr:`CarrierBasis.aliased_modes` of the slots outside the dealias
+band, and shifted multiplier symbols (read-only).  A real field of
 :mod:`ccflab.spectral` keeps only its half spectrum; :func:`carrier0` is the
-one place where it is expanded into an envelope row.  Transform
-budget: one ``ifft`` per :attr:`ModulatedField.phys`, 3 calls per
-:func:`mod_product` of two fields whose samples are not yet cached, and 2 per
-:func:`mod_transport_product`, the right-hand side of the transport step.
-Norms take none; :func:`carrier_norms` reduces a batch of stacks at once.
-The defect integrand of :mod:`ccflab.instability` makes no generic product:
-its carrier rows are in closed form, at 2 calls.
+one place where it is expanded into an envelope row.
+
+Every envelope transform is normalized forward (``norm="forward"``), as a
+real field's is: the ``fft`` to coefficients applies the ``1/N`` and the
+``ifft`` to samples none.  N is a power of two, so this equals scaling by
+hand bit for bit wherever no value is subnormal.  :func:`dealiased_envelopes`
+is the one masked forward transform.  Transform budget: one ``ifft`` per
+:attr:`ModulatedField.phys`, 3 calls per :func:`mod_product` of two fields
+whose samples are not yet cached, and 2 per :func:`mod_transport_product`,
+the right-hand side of the transport step; each product ends in one
+:func:`dealiased_envelopes`.  :func:`packet` takes one unmasked ``fft`` (its
+modes outside the band are tiny, not zero).  Norms take none;
+:func:`carrier_norms` reduces a batch of stacks at once.  The defect
+integrand of :mod:`ccflab.instability` makes no generic product: its carrier
+rows are in closed form, at 2 calls, one ``irfft`` and one
+:func:`dealiased_envelopes`.
 """
 
 from __future__ import annotations
@@ -46,9 +56,10 @@ import numpy as np
 
 from .spectral import Field, SpectralGrid, _read_only
 
-__all__ = ["CarrierBasis", "ModulatedField", "modulated_norm", "carrier_norms",
-           "apply_symbol", "mod_product", "mod_transport_product", "mod_derivative",
-           "mod_hilbert", "mod_helmholtz_inverse_dx", "packet", "carrier0"]
+__all__ = ["CARRIER_ROWS", "CarrierBasis", "ModulatedField", "modulated_norm",
+           "carrier_norms", "apply_symbol", "dealiased_envelopes", "mod_product",
+           "mod_transport_product", "mod_derivative", "mod_hilbert",
+           "mod_helmholtz_inverse_dx", "packet", "carrier0"]
 
 
 # one envelope row per carrier 0, 1, 2: the packets and the defect integrand
@@ -86,9 +97,10 @@ class CarrierBasis:
         return _read_only(k)
 
     @cached_property
-    def envelope_mask(self) -> np.ndarray:
-        """The envelope modes inside the grid's dealias band, in FFT order."""
-        return _read_only(np.abs(self.envelope_k) <= self.grid.dealias_keep)
+    def aliased_modes(self) -> slice:
+        """The FFT-order slots outside the grid's dealias band, ``|k| > keep``."""
+        keep = self.grid.dealias_keep
+        return slice(keep + 1, self.grid.n_modes - keep)
 
     @cached_property
     def xi(self) -> np.ndarray:
@@ -141,7 +153,7 @@ class ModulatedField:
     def phys(self) -> np.ndarray:
         """Envelope samples, one row per carrier (one stacked ``ifft``)."""
         if self._phys is None:
-            self._phys = np.fft.ifft(self._coeffs * self.basis.grid.n_modes, axis=-1)
+            self._phys = np.fft.ifft(self._coeffs, axis=-1, norm="forward")
         return self._phys
 
     @property
@@ -185,9 +197,8 @@ def packet(basis: CarrierBasis, envelope_samples: np.ndarray) -> ModulatedField:
     ``envelope * cos(n x - m t)``.
     """
     mf = ModulatedField.zeros(basis)
-    n = basis.grid.n_modes
     env = np.asarray(envelope_samples, dtype=np.complex128) * 0.5
-    mf.coeffs[1] = np.fft.fft(env) / n
+    mf.coeffs[1] = np.fft.fft(env, norm="forward")
     return mf
 
 
@@ -209,22 +220,26 @@ def mod_helmholtz_inverse_dx(mf: ModulatedField) -> ModulatedField:
     return apply_symbol(mf, mf.basis.helmholtz_dx_symbol)
 
 
+def dealiased_envelopes(basis: CarrierBasis, samples: np.ndarray) -> np.ndarray:
+    """Envelope coefficients of every row of the complex ``samples``, masked
+    into the dealias band: one forward-normalized ``fft`` along the last axis."""
+    c = np.fft.fft(samples, axis=-1, norm="forward")
+    c[..., basis.aliased_modes] = 0.0
+    return c
+
+
 def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray) -> ModulatedField:
     """Carrier algebra of two sample stacks; one stacked forward transform."""
     cmax = CARRIER_ROWS - 1
-    grid = basis.grid
-    n = grid.n_modes
     # carrier -c carries the conjugate envelope of carrier c
     ca, cb = np.conj(pa), np.conj(pb)
-    acc = np.zeros((cmax + 1, n), dtype=np.complex128)
+    acc = np.zeros((cmax + 1, basis.grid.n_modes), dtype=np.complex128)
     for cout in range(cmax + 1):
         for c1 in range(cout - cmax, cmax + 1):
             c2 = cout - c1
             acc[cout] += (pa[c1] if c1 >= 0 else ca[-c1]) * (pb[c2] if c2 >= 0 else cb[-c2])
     acc[0] = acc[0].real  # conjugate pairs cancel
-    c = np.fft.fft(acc, axis=-1) / n
-    c[:, ~basis.envelope_mask] = 0.0
-    return ModulatedField(basis, c)
+    return ModulatedField(basis, dealiased_envelopes(basis, acc))
 
 
 def mod_product(a: ModulatedField, b: ModulatedField) -> ModulatedField:
@@ -241,10 +256,8 @@ def mod_transport_product(u: ModulatedField) -> ModulatedField:
 
     Bit-identical to ``mod_product(mod_hilbert(u), mod_derivative(u))``.
     """
-    basis = u.basis
-    hu, ux = np.fft.ifft((basis.transport_symbols * u.coeffs) * basis.grid.n_modes,
-                         axis=-1)
-    return _carrier_product(basis, hu, ux)
+    hu, ux = np.fft.ifft(u.basis.transport_symbols * u.coeffs, axis=-1, norm="forward")
+    return _carrier_product(u.basis, hu, ux)
 
 
 @lru_cache(maxsize=512)

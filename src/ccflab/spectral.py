@@ -145,12 +145,8 @@ class SpectralGrid:
 
     @cached_property
     def dealias_keep(self) -> int:
-        """Largest |k| retained by the dealias mask."""
+        """Largest |k| inside the dealias band."""
         return int(np.floor(self.dealias_fraction * (self.n_modes // 2))) - 1
-
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        return _read_only(self.k_int <= self.dealias_keep)
 
     @cached_property
     def aliased_modes(self) -> slice:
@@ -215,17 +211,18 @@ class Field:
     The DC coefficient is real and the Nyquist mode is held at zero.
     Construct through :meth:`from_samples`,
     :meth:`from_coefficients` or :meth:`from_function`.  The samples, the
-    step rows and the transport product are computed once, when first asked
-    for.
+    step rows, the gradient sups and the transport product are computed once,
+    when first asked for.
     """
 
-    __slots__ = ("grid", "_coeffs", "_samples", "_rows", "_transport")
+    __slots__ = ("grid", "_coeffs", "_samples", "_rows", "_sups", "_transport")
 
     def __init__(self, grid: SpectralGrid, coeffs: np.ndarray, _samples=None):
         self.grid = grid
         self._coeffs = coeffs
         self._samples = _samples
         self._rows = None
+        self._sups = None
         self._transport = None
 
     # -- constructors -------------------------------------------------------
@@ -378,7 +375,9 @@ def mollifier_symbol(zeta: np.ndarray) -> np.ndarray:
 
 def dealias(f: Field) -> Field:
     """Zero all modes outside the grid's dealias band."""
-    return Field(f.grid, np.where(f.grid.dealias_mask, f.coefficients, 0.0))
+    c = f.coefficients.copy()
+    c[f.grid.aliased_modes] = 0.0
+    return Field(f.grid, c)
 
 
 def is_dealiased(f: Field) -> bool:
@@ -484,11 +483,15 @@ def gradient_sups(f: Field) -> tuple[float, float, float]:
     ``Lam f = -H f_x``, so ``max Lam f = -min H f_x``; the values equal
     ``derivative(f).max_abs()``, ``hilbert(derivative(f)).max_abs()`` and
     ``max(frac_laplacian(f, 1).samples)`` bit for bit.  The transform is
-    ``f.step_rows``, so a field whose rows a step filled costs none.
+    ``f.step_rows``, so a field whose rows a step filled costs none, and the
+    tuple is kept on ``f`` next to its rows: every later call returns it.
     """
-    fx, hfx = f.gradient_samples
-    # 0.0 - m rather than -m: a zero field gives +0.0, as the max of Lam f does
-    return float(np.abs(fx).max()), float(np.abs(hfx).max()), 0.0 - float(hfx.min())
+    if f._sups is None:
+        fx, hfx = f.gradient_samples
+        # 0.0 - m rather than -m: a zero field gives +0.0, as the max of Lam f does
+        f._sups = (float(np.abs(fx).max()), float(np.abs(hfx).max()),
+                   0.0 - float(hfx.min()))
+    return f._sups
 
 
 def evaluate_at(f: Field, x) -> np.ndarray | float:

@@ -22,7 +22,7 @@ from ccflab.girsanov import (
     run_random_pde,
 )
 from ccflab.integrate import SimConfig, blowup_bump, em_step, simulate_path
-from ccflab.noise import LinearB, ZeroNoise, path_seed
+from ccflab.noise import LinearB, ZeroNoise, exp_decay, path_seed
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -95,6 +95,29 @@ class TestGirsanovResidual:
         r_fine, _ = girsanov_residual(self.cfg(dt=1e-3), u0)
         assert r_fine < r_coarse
         assert r_coarse < 0.05
+
+    @pytest.mark.parametrize("dt", [4e-3, 1e-3])
+    def test_left_point_twin_matches_to_round_off(self, dt):
+        # the path multiplies step j by exp(b_j dW_j - b_j^2 dt / 2), b frozen
+        # at the left point; a twin on the running product of those factors
+        # holds u = beta v to round-off, so the residual against beta_path
+        # measures its trapezoid int b^2/2 against that left point
+        cfg = replace(self.cfg(dt=dt), keep_snapshots=True)
+        u0 = random_band_limited(cfg.grid, 15, np.random.default_rng(5), rms=0.4)
+        rec = simulate_path(cfg, u0)
+        assert rec.status == "completed"
+        inc, noise = rec.wiener_increments, cfg.noise
+        b = np.array([exp_decay(noise.b0, noise.lam, i * dt) for i in range(len(inc))])
+        left = np.exp(np.concatenate([[0.0], np.cumsum(b * inc - 0.5 * b**2 * dt)]))
+
+        def worst(beta):
+            _, fields_v = run_random_pde(cfg, u0, beta)
+            return max(sobolev_norm(u - beta[round(t / dt)] * v, cfg.s - 1.0)
+                       / (1.0 + sobolev_norm(u, cfg.s - 1.0))
+                       for (t, u), v in zip(rec.snapshots, fields_v))
+
+        assert worst(left) <= 1e-12
+        assert worst(beta_path(noise.b0, noise.lam, inc, dt)) > 1e6 * worst(left)
 
 
 class TestRandomPDE:

@@ -93,16 +93,19 @@ def test_exports_defined_here(path):
 
 
 def call_sites(source: str, name: str, args: tuple | None = None) -> list[str]:
-    """Sorted names of the top-level functions that call ``name`` (as a bare
-    name or an attribute), one entry per call (``<module>`` for a call outside
-    any function).  With ``args``, only calls with exactly that many
-    positional arguments whose constant ones (the non-``None`` entries) match
-    count."""
+    """Sorted names of the top-level functions and the ``Class.method``s
+    that call ``name`` (as a bare name or an attribute), one entry per call
+    (``<module>`` for a call outside any function).  With ``args``, only calls
+    with exactly that many positional arguments whose constant ones (the
+    non-``None`` entries) match count."""
     tree = ast.parse(source)
     owner = {}
     for top in tree.body:
         for node in ast.walk(top):
             owner[node] = top.name if isinstance(top, ast.FunctionDef) else "<module>"
+        for method in top.body if isinstance(top, ast.ClassDef) else ():
+            for node in ast.walk(method) if isinstance(method, ast.FunctionDef) else ():
+                owner[node] = f"{top.name}.{method.name}"
 
     def matches(call: ast.Call) -> bool:
         if name not in {getattr(call.func, "attr", None), getattr(call.func, "id", None)}:
@@ -120,7 +123,10 @@ def call_sites(source: str, name: str, args: tuple | None = None) -> list[str]:
 def test_detects_generator_sites():
     assert call_sites("import numpy as np\ndef f(s):\n"
                       "    return np.random.default_rng(s)\n"
-                      "g = default_rng(0)\n", "default_rng") == ["<module>", "f"]
+                      "g = default_rng(0)\n"
+                      "class C:\n    r = default_rng(1)\n"
+                      "    def m(self):\n        return default_rng(2)\n",
+                      "default_rng") == ["<module>", "<module>", "C.m", "f"]
 
 
 def test_one_generator_site():
@@ -143,20 +149,45 @@ def test_one_wiener_stream_site():
     assert {name: s for name, s in sites.items() if s} == {"noise.py": ["wiener_increments"]}
 
 
-def test_real_fields_have_one_transform_rule():
+def forward_normalized(source: str, name: str) -> bool:
+    """Whether every call of ``name`` in ``source`` passes ``norm="forward"``."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
+             and name in {getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
+    return all(any(kw.arg == "norm" and isinstance(kw.value, ast.Constant)
+                   and kw.value.value == "forward" for kw in call.keywords)
+               for call in calls)
+
+
+def test_detects_unnormalized_transforms():
+    assert forward_normalized("np.fft.fft(a, norm='forward')\nfft(b, norm='forward')\n",
+                              "fft")
+    assert not forward_normalized("np.fft.fft(a, norm='forward')\nnp.fft.fft(b) / n\n",
+                                  "fft")
+    assert not forward_normalized("np.fft.ifft(a, norm='backward')\n", "ifft")
+
+
+def test_each_representation_has_one_transform_rule():
     # every transform of a real field is spectral's rfft (Field.from_samples,
-    # dealiased_coefficients) or irfft (inverse_samples); complex fft/ifft
-    # act only on complex data: carrier envelopes, the defect integrand's
-    # carrier row and the modulated samples of lambda_shift_residual
-    sites = {path.name: {fn: call_sites(path.read_text(), fn)
-                         for fn in ("fft", "ifft", "rfft", "irfft")} for path in MODULES}
+    # dealiased_coefficients) or irfft (inverse_samples); every transform of
+    # carrier envelopes is modulated's fft (packet, dealiased_envelopes) or
+    # ifft (ModulatedField.phys, mod_transport_product); each representation
+    # normalizes forward.  The one other complex pair transforms the
+    # modulated samples of lambda_shift_residual.
+    sources = {path.name: path.read_text() for path in MODULES}
+    sites = {name: {fn: call_sites(source, fn) for fn in ("fft", "ifft", "rfft", "irfft")}
+             for name, source in sources.items()}
     real = {name: sorted(s["rfft"] + s["irfft"]) for name, s in sites.items()
             if s["rfft"] + s["irfft"]}
-    assert real == {"spectral.py": ["<module>", "dealiased_coefficients", "inverse_samples"]}
-    complex_ = {name: set(s["fft"] + s["ifft"]) for name, s in sites.items()
+    assert real == {"spectral.py": ["Field.from_samples", "dealiased_coefficients",
+                                    "inverse_samples"]}
+    complex_ = {name: sorted(s["fft"] + s["ifft"]) for name, s in sites.items()
                 if s["fft"] + s["ifft"]}
-    assert set(complex_) == {"modulated.py", "instability.py", "spectral.py"}
-    assert complex_["spectral.py"] == {"lambda_shift_residual"}
+    assert complex_ == {
+        "modulated.py": ["ModulatedField.phys", "dealiased_envelopes",
+                         "mod_transport_product", "packet"],
+        "spectral.py": ["lambda_shift_residual", "lambda_shift_residual"]}
+    assert all(forward_normalized(sources["spectral.py"], fn) for fn in ("rfft", "irfft"))
+    assert all(forward_normalized(sources["modulated.py"], fn) for fn in ("fft", "ifft"))
 
 
 def test_real_fields_step_through_em_step():
@@ -242,24 +273,30 @@ def test_cli_import_loads_no_scipy():
 
 
 def reached_defs(sources: dict[str, str], root: tuple[str, str]) -> set[tuple[str, str]]:
-    """``(module, name)`` of the top-level defs and classes of ``sources``
-    (module name to source) in the static closure of the def ``root`` and of
-    every module's top-level statements other than imports: a reached def or
-    class reaches each top-level def or class, in any module, whose name it
-    mentions as a bare name or an attribute.  A class reaches what its methods
-    mention."""
+    """``(module, name)`` of the top-level defs, classes and assigned names
+    of ``sources`` (module name to source) in the static closure of the def
+    ``root`` and of every module's top-level statements other than imports:
+    a reached def, class or assignment reaches each top-level def, class or
+    assigned name, in any module, that it reads as a bare name or mentions as
+    an attribute.  A class reaches what its methods mention."""
     defs, todo = {}, []
     for module, source in sources.items():
         for node in ast.parse(source).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs.setdefault(node.name, []).append((module, node))
-            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            targets = node.targets if isinstance(node, ast.Assign) else \
+                [node.target] if isinstance(node, ast.AnnAssign) else []
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defs.setdefault(target.id, []).append((module, node))
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
                 todo.append(node)
     reached = {root}
     todo += [node for module, node in defs.get(root[1], ()) if module == root[0]]
     while todo:
         for node in ast.walk(todo.pop()):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 name = node.id
             elif isinstance(node, ast.Attribute):
                 name = node.attr
@@ -278,7 +315,8 @@ def test_detects_unreached_defs():
              "def main():\n    return b.helper(1)\n"
              "def dead():\n    return spare()\n"
              "TABLE = {'k': listed}\n",
-        "b": "def helper(x):\n    return Inner(x)\n"
+        "b": "LIMIT = 3\nSPARE_LIMIT: int = 4\n"
+             "def helper(x):\n    return Inner(min(x, LIMIT))\n"
              "class Inner:\n    def m(self):\n        return self.method_target()\n"
              "def method_target(): pass\n"
              "def listed(): pass\n"
@@ -286,8 +324,8 @@ def test_detects_unreached_defs():
              "def lonely(): pass\n",
     }
     assert reached_defs(sources, ("a", "main")) == {
-        ("a", "main"), ("b", "helper"), ("b", "Inner"), ("b", "method_target"),
-        ("b", "listed")}
+        ("a", "main"), ("b", "helper"), ("b", "LIMIT"), ("b", "Inner"),
+        ("b", "method_target"), ("b", "listed")}
 
 
 # Public names that no study reaches yet: the girsanov mechanism group, kept

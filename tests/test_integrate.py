@@ -382,6 +382,15 @@ class TestTransformBudget:
         gradient_sups(self.U.copy())
         assert fft_calls == ["irfft"]
 
+    def test_gradient_sups_kept_on_the_field(self, fft_calls):
+        # the path takes a state's sups once; a StrongAlpha rate of that
+        # state reads the same tuple
+        u = self.U.copy()
+        sups = gradient_sups(u)
+        assert gradient_sups(u) is sups
+        assert StrongAlpha(q=0.5).rate(0.0, u) == 0.5 * (1.0 + sups[0] + sups[1])
+        assert fft_calls == ["irfft"]
+
     def test_general_h_em_step(self, fft_calls):
         # the step rows (1), the noise with stage 1 (1), stages 2-4 (6)
         cfg = zero_cfg(noise=GeneralH(n_components=8))

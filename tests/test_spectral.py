@@ -77,7 +77,7 @@ class TestGrid:
     def test_cached_arrays_read_only(self):
         # every caller of a grid shares these arrays, also after the grid
         # is pickled to a worker process
-        names = ("x", "k_int", "wavenumbers", "dealias_mask", "parseval", "sobolev_base",
+        names = ("x", "k_int", "wavenumbers", "parseval", "sobolev_base",
                  "derivative_symbol", "hilbert_symbol", "helmholtz_dx_symbol",
                  "step_symbols", "transport_symbols")
         g = SpectralGrid(n_modes=32)
@@ -99,12 +99,18 @@ class TestGrid:
             assert np.all(np.imag(getattr(g, name)[..., 0]) == 0.0), name
 
     @pytest.mark.parametrize("n, fraction", [(16, 2.0 / 3.0), (256, 2.0 / 3.0),
-                                             (64, 1.0), (64, 0.5)])
+                                             (64, 1.0), (64, 0.5), (1024, 2.0 / 3.0)])
     def test_aliased_modes_are_the_mask_complement(self, n, fraction):
+        # the slice selects exactly the stored modes beyond the band
         g = SpectralGrid(n_modes=n, dealias_fraction=fraction)
         outside = np.zeros(n // 2 + 1, dtype=bool)
         outside[g.aliased_modes] = True
-        assert np.array_equal(outside, ~g.dealias_mask)
+        assert np.array_equal(outside, g.k_int > g.dealias_keep)
+        # dealias zeroes those modes and keeps every other one
+        f = Field.from_samples(g, np.random.default_rng(n).standard_normal(n))
+        d = dealias(f).coefficients
+        assert not d[outside].any()
+        assert np.array_equal(d[~outside], f.coefficients[~outside])
 
     def test_nyquist_always_zeroed(self):
         g = SpectralGrid(n_modes=16)
@@ -473,7 +479,7 @@ class TestProducts:
         f = cos_field(GRID, 80)
         prod = dealiased_product(f, f)  # cos^2 has a 160 mode, beyond keep=84
         c = prod.coefficients
-        assert np.max(np.abs(c[~GRID.dealias_mask])) == 0.0
+        assert np.max(np.abs(c[GRID.k_int > GRID.dealias_keep])) == 0.0
 
 
 class TestDivergedFlag:
