@@ -2,7 +2,7 @@
 
 Config key tree (defaults shown by ``--dump-config``):
 
-* ``grid.*``      period, n_modes, dealias_fraction
+* ``grid.*``      period, n_modes (products are dealiased by the 2/3 rule)
 * ``sim.*``       s, dt, horizon, eps_mollify, cutoff_radius, blowup_threshold,
                   record_every, seed
 * ``noise.*``     family (zero | general | strong | linear | instability) and
@@ -50,7 +50,7 @@ from .spectral import (
 )
 
 DEFAULTS: dict = {
-    "grid": {"period": 2.0 * np.pi, "n_modes": 256, "dealias_fraction": 2.0 / 3.0},
+    "grid": {"period": 2.0 * np.pi, "n_modes": 256},
     "sim": {
         "s": 3.1, "dt": 1e-3, "horizon": 1.0, "eps_mollify": 0.0,
         "cutoff_radius": None, "blowup_threshold": 1e3,
@@ -141,9 +141,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
 
 def build_grid(cfg: dict) -> SpectralGrid:
-    g = cfg["grid"]
-    return SpectralGrid(period=g["period"], n_modes=g["n_modes"],
-                        dealias_fraction=g["dealias_fraction"])
+    return SpectralGrid(period=cfg["grid"]["period"], n_modes=cfg["grid"]["n_modes"])
 
 
 def build_noise(cfg: dict, family: str | None = None):
@@ -168,12 +166,13 @@ def build_noise(cfg: dict, family: str | None = None):
     raise ValueError(f"unknown noise family {family!r}")
 
 
-def build_sim(cfg: dict, grid=None, noise=None) -> SimConfig:
+def build_sim(cfg: dict, family: str | None = None) -> SimConfig:
+    """The path settings of ``sim.*`` on the grid of ``grid.*``, with the
+    noise model of ``family`` (default ``noise.family``)."""
     s = cfg["sim"]
     return SimConfig(
-        grid=grid if grid is not None else build_grid(cfg),
-        s=s["s"], dt=s["dt"], horizon=s["horizon"],
-        noise=noise if noise is not None else build_noise(cfg),
+        grid=build_grid(cfg), s=s["s"], dt=s["dt"], horizon=s["horizon"],
+        noise=build_noise(cfg, family),
         seed=s["seed"], eps_mollify=s["eps_mollify"],
         cutoff_radius=s["cutoff_radius"], blowup_threshold=s["blowup_threshold"],
         record_every=s["record_every"],
@@ -205,6 +204,8 @@ def write_csv(path: str | None, header: list[str], rows: list[list]):
 def cmd_identities(cfg: dict, args) -> int:
     tol = cfg["study"]["tolerance"]
     n_fields = cfg["study"]["fields"]
+    if n_fields < 1:
+        raise ValueError(f"fields must be >= 1, got {n_fields}")
     grid = build_grid(cfg)
     rng = stream(cfg["sim"]["seed"])
     rows, failed = [], False
@@ -220,7 +221,7 @@ def cmd_identities(cfg: dict, args) -> int:
         hh = hilbert(hilbert(f)) + f
         worst["double_hilbert"] = max(worst["double_hilbert"],
                                       sobolev_norm(hh, 0.0) / l2)
-        sym = hilbert(derivative(f)) + frac_laplacian(f, 1.0)
+        sym = hilbert(derivative(f)) + frac_laplacian(f)
         worst["gradient_symbol"] = max(worst["gradient_symbol"],
                                        sobolev_norm(sym, 0.0) / l2)
     for name, value in worst.items():
@@ -267,11 +268,9 @@ def cmd_simulate(cfg: dict, args) -> int:
 
 def cmd_blowup(cfg: dict, args) -> int:
     study = cfg["study"]
-    grid = build_grid(cfg)
-    noise = build_noise(cfg, "linear")
+    sim = build_sim(cfg, "linear")
     k_thr = study["threshold_k"]
-    u0 = blowup_bump(grid, study["f0"], width=study["width"])
-    sim = build_sim(cfg, grid=grid, noise=noise)
+    u0 = blowup_bump(sim.grid, study["f0"], width=study["width"])
     n_paths = study_paths(cfg, args, 0)   # 0: Monte Carlo bound only
     res = girsanov.blowup_ensemble(sim, k_thr, u0, n_paths,
                                    mc_paths=study["mc_paths"],
@@ -283,17 +282,16 @@ def cmd_blowup(cfg: dict, args) -> int:
     write_csv(args.report,
               ["b0", "lambda", "K", "bound_mc", "bound_oracle", "spde_fraction",
                "ci_lo", "ci_hi"],
-              [[noise.b0, noise.lam, k_thr, b["estimate"], b["oracle"],
+              [[sim.noise.b0, sim.noise.lam, k_thr, b["estimate"], b["oracle"],
                 res.fraction, b["ci_lo"], b["ci_hi"]]])
     return 0 if res.passed else 2
 
 
 def cmd_global(cfg: dict, args) -> int:
     study = cfg["study"]
-    grid = build_grid(cfg)
-    model = build_noise(cfg, "strong")
-    sim = build_sim(cfg, grid=grid, noise=model)
-    u0 = blowup_bump(grid, study["f0"], width=study["width"])
+    sim = build_sim(cfg, "strong")
+    model = sim.noise
+    u0 = blowup_bump(sim.grid, study["f0"], width=study["width"])
     n_paths = study_paths(cfg, args, diagnostics.MIN_GROWTH_PATHS)
     q_hat = study["q_hat"]
     if q_hat is None:
@@ -325,14 +323,12 @@ def cmd_girsanov(cfg: dict, args) -> int:
     study = cfg["study"]
     if len(set(study["dt_list"])) < 2:
         raise ValueError("need at least two distinct step sizes in study.dt_list")
-    grid = build_grid(cfg)
-    noise = build_noise(cfg, "linear")
-    u0 = power_law_field(grid, cfg["sim"]["s"], stream(cfg["sim"]["seed"]),
-                         amplitude=study["amplitude"], max_mode=grid.dealias_keep // 4)
+    base = build_sim(cfg, "linear")
+    u0 = power_law_field(base.grid, base.s, stream(base.seed), amplitude=study["amplitude"],
+                         max_mode=base.grid.dealias_keep // 4)
     rows, residuals, stopped = [], [], False
     for dt in study["dt_list"]:
-        sim = replace(build_sim(cfg, grid=grid, noise=noise), dt=dt,
-                      record_every=max(1, int(round(0.02 / dt))))
+        sim = replace(base, dt=dt, record_every=max(1, int(round(0.02 / dt))))
         res, status = girsanov.girsanov_residual(sim, u0)
         residuals.append(res)
         rows.append([dt, res])
@@ -355,11 +351,12 @@ def cmd_girsanov(cfg: dict, args) -> int:
 
 def cmd_instability(cfg: dict, args) -> int:
     study = cfg["study"]
-    noise = build_noise(cfg, "instability")
     # the SimConfig checks on horizon and dt, before any work
-    sim = build_sim(cfg, noise=noise)
-    horizon, dt, seed = sim.horizon, sim.dt, sim.seed
+    sim = build_sim(cfg, "instability")
+    noise, horizon, dt, seed = sim.noise, sim.horizon, sim.dt, sim.seed
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
+    if len(set(study["n_list"])) < 2:
+        raise ValueError("need at least two distinct carriers in study.n_list")
     # one parameter set, re-used at every carrier n (the decay exponents and
     # the separation experiment do not depend on n or m)
     sep_p = instability.InstabilityParams(m=study["m"],
@@ -405,11 +402,9 @@ def cmd_instability(cfg: dict, args) -> int:
 
 def cmd_converge(cfg: dict, args) -> int:
     study = cfg["study"]
-    grid = build_grid(cfg)
-    noise = build_noise(cfg)
-    sim = build_sim(cfg, grid=grid, noise=noise)
+    sim = build_sim(cfg)
     n_paths = study_paths(cfg, args, 1)
-    if isinstance(noise, ZeroNoise) and n_paths > 1:
+    if isinstance(sim.noise, ZeroNoise) and n_paths > 1:
         # without noise every path is the same path
         print(f"noise is deterministic: 1 path run, not {n_paths}")
         n_paths = 1

@@ -178,8 +178,8 @@ def persist(result: EnsembleResult, path: str):
 
 def rate_fit(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     """Log-log least squares; returns ``(slope, intercept, r_squared)``."""
-    if len(points) < 2:
-        raise ValueError("rate fit needs at least two points")
+    if len({x for x, _ in points}) < 2:
+        raise ValueError("rate fit needs at least two distinct abscissae")
     xs = np.log(np.array([p[0] for p in points], dtype=float))
     ys = np.log(np.array([p[1] for p in points], dtype=float))
     if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):

@@ -88,15 +88,6 @@ class CarrierBasis:
                              "increase the carrier or shrink the envelope grid")
 
     @cached_property
-    def envelope_k(self) -> np.ndarray:
-        """Integer envelope wavenumbers in FFT order; the Nyquist slot carries
-        ``+N/2`` (only its label matters)."""
-        n = self.grid.n_modes
-        k = np.arange(n)
-        k[n // 2 + 1:] -= n
-        return _read_only(k)
-
-    @cached_property
     def aliased_modes(self) -> slice:
         """The FFT-order slots outside the grid's dealias band, ``|k| > keep``."""
         keep = self.grid.dealias_keep
@@ -104,9 +95,10 @@ class CarrierBasis:
 
     @cached_property
     def xi(self) -> np.ndarray:
-        """Shifted frequencies ``c n + xi``."""
+        """Shifted frequencies ``c n + xi`` over the FFT-order envelope
+        wavenumbers ``grid.k_fft`` (the Nyquist slot labelled ``+N/2``)."""
         c = np.arange(CARRIER_ROWS)[:, None]
-        return _read_only(c * self.carrier + 2.0 * np.pi * self.envelope_k / self.grid.period)
+        return _read_only(c * self.carrier + 2.0 * np.pi * self.grid.k_fft / self.grid.period)
 
     @cached_property
     def derivative_symbol(self) -> np.ndarray:

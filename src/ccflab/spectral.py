@@ -15,7 +15,9 @@ Conventions:
   symbol is real or zero at ``k = 0``, since ``irfft`` ignores the imaginary
   parts of the DC and Nyquist slots.
 * Hilbert transform has symbol ``+i sgn(xi)`` (kernel ``1/(y-x)``), so
-  ``hilbert(derivative(f)) = -frac_laplacian(f, 1)``.
+  ``hilbert(derivative(f)) = -frac_laplacian(f)``, where ``frac_laplacian``
+  is ``Lam``, the multiplier ``|xi|``.
+* products are dealiased by the 2/3 rule: the band keeps ``|k| <= N // 3 - 1``.
 * the squared Sobolev norm is ``sum_k p_k (1+xi_k^2)^s |c_k|^2 * L`` over the
   stored modes, with the Parseval factor ``p_k`` (1 at ``k = 0`` and
   ``k = N/2``, 2 in between) counting each mode ``k`` once more for ``-k``.
@@ -109,22 +111,16 @@ class SpectralGrid:
         Domain length L; samples sit at ``x_j = j L / N``.
     n_modes:
         Number of grid points N, a power of two >= 16.
-    dealias_fraction:
-        Fraction of the Nyquist band kept when products are dealiased
-        (2/3 by default, appropriate for a quadratic nonlinearity).
     """
 
     period: float = 2.0 * np.pi
     n_modes: int = 256
-    dealias_fraction: float = 2.0 / 3.0
 
     def __post_init__(self):
         if not self.period > 0.0:
             raise ValueError("period must be positive")
         if not _is_power_of_two(self.n_modes) or self.n_modes < 16:
             raise ValueError("n_modes must be a power of two >= 16")
-        if not 0.0 < self.dealias_fraction <= 1.0:
-            raise ValueError("dealias_fraction must lie in (0, 1]")
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -136,6 +132,14 @@ class SpectralGrid:
         return _read_only(np.arange(self.n_modes // 2 + 1))
 
     @cached_property
+    def k_fft(self) -> np.ndarray:
+        """Integer wavenumbers of all N modes in FFT order, the Nyquist slot
+        labelled ``+N/2``: the spectrum of complex samples."""
+        k = np.arange(self.n_modes)
+        k[self.n_modes // 2 + 1:] -= self.n_modes
+        return _read_only(k)
+
+    @cached_property
     def wavenumbers(self) -> np.ndarray:
         return _read_only(2.0 * np.pi * self.k_int / self.period)
 
@@ -145,8 +149,9 @@ class SpectralGrid:
 
     @cached_property
     def dealias_keep(self) -> int:
-        """Largest |k| inside the dealias band."""
-        return int(np.floor(self.dealias_fraction * (self.n_modes // 2))) - 1
+        """Largest |k| inside the 2/3-rule band, ``floor(2/3 N/2) - 1``, which
+        is ``N // 3 - 1`` since 3 divides no power of two."""
+        return self.n_modes // 3 - 1
 
     @cached_property
     def aliased_modes(self) -> slice:
@@ -197,11 +202,7 @@ class SpectralGrid:
     def __reduce__(self):
         # pickle the defining fields only: a worker process rebuilds the
         # caches, read-only, instead of receiving writable copies
-        return SpectralGrid, (self.period, self.n_modes, self.dealias_fraction)
-
-    def refine(self, factor: int) -> "SpectralGrid":
-        """Same period, `factor` times more modes."""
-        return SpectralGrid(self.period, self.n_modes * factor, self.dealias_fraction)
+        return SpectralGrid, (self.period, self.n_modes)
 
 
 class Field:
@@ -347,11 +348,10 @@ def hilbert(f: Field) -> Field:
     return apply_multiplier(f, f.grid.hilbert_symbol)
 
 
-def frac_laplacian(f: Field, alpha: float) -> Field:
-    """Fractional Laplacian, multiplier ``|xi|^alpha`` for alpha in (0, 2]."""
-    if not 0.0 < alpha <= 2.0:
-        raise ValueError("alpha must lie in (0, 2]")
-    return apply_multiplier(f, np.abs(f.grid.wavenumbers) ** alpha)
+def frac_laplacian(f: Field) -> Field:
+    """``Lam = (-d_xx)^{1/2}``, multiplier ``|xi|``: the stored wavenumbers
+    ``xi_k >= 0`` themselves."""
+    return apply_multiplier(f, f.grid.wavenumbers)
 
 
 def transition_bump(z: np.ndarray) -> np.ndarray:
@@ -436,13 +436,13 @@ def transport_product(w: Field) -> Field:
     return Field(w.grid, w.transport_coefficients)
 
 
-def pad_field(f: Field, factor: int = 2) -> Field:
-    """Zero-pad the spectrum onto a ``factor`` times finer grid (same period).
+def pad_field(f: Field) -> Field:
+    """Zero-pad the spectrum onto the grid of twice the points (same period).
 
     Exact products of band-limited fields are computed on padded grids.
     """
-    grid2 = f.grid.refine(factor)
     n = f.grid.n_modes
+    grid2 = SpectralGrid(f.grid.period, 2 * n)
     c2 = np.zeros(grid2.n_modes // 2 + 1, dtype=np.complex128)
     c2[: n // 2] = f.coefficients[: n // 2]
     return Field(grid2, c2)
@@ -482,7 +482,7 @@ def gradient_sups(f: Field) -> tuple[float, float, float]:
 
     ``Lam f = -H f_x``, so ``max Lam f = -min H f_x``; the values equal
     ``derivative(f).max_abs()``, ``hilbert(derivative(f)).max_abs()`` and
-    ``max(frac_laplacian(f, 1).samples)`` bit for bit.  The transform is
+    ``max(frac_laplacian(f).samples)`` bit for bit.  The transform is
     ``f.step_rows``, so a field whose rows a step filled costs none, and the
     tuple is kept on ``f`` next to its rows: every later call returns it.
     """
@@ -542,7 +542,7 @@ def cotlar_residual(f: Field) -> float:
     inside the dealias band.
     """
     _require_band_limited(f, f.grid.dealias_keep, "cotlar_residual")
-    fp = pad_field(f, 2)
+    fp = pad_field(f)
     hf = hilbert(fp)
     lhs = 2.0 * hilbert(Field.from_samples(fp.grid, fp.samples * hf.samples))
     rhs = hf.samples**2 - fp.samples**2
@@ -563,18 +563,14 @@ def lambda_shift_residual(f: Field) -> float:
     round-off for every band-limited field.
     """
     _require_band_limited(f, f.grid.n_modes // 2 - 2, "lambda_shift_residual")
-    # the modulated samples are complex: full FFT-order wavenumbers, the
-    # Nyquist slot labelled +N/2
-    n = f.grid.n_modes
-    k = np.arange(n)
-    k[n // 2 + 1:] -= n
-    xi = 2.0 * np.pi * k / f.grid.period
+    # the modulated samples are complex: full FFT-order wavenumbers
+    xi = 2.0 * np.pi * f.grid.k_fft / f.grid.period
     theta = 2.0 * np.pi / f.grid.period
     e1 = np.exp(1j * theta * f.grid.x)
     lam = np.abs(xi)
 
     def apply_c(mult, values):
-        return np.fft.ifft(mult * np.fft.fft(values))
+        return np.fft.ifft(mult * np.fft.fft(values, norm="forward"), norm="forward")
 
     fs = f.samples
     lhs = apply_c(lam, e1 * fs) - e1 * apply_c(lam, fs)

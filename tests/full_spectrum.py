@@ -22,7 +22,7 @@ from ccflab.noise import (
     instability_factor,
     wiener_increments,
 )
-from ccflab.spectral import mollifier_symbol
+from ccflab.spectral import SpectralGrid, mollifier_symbol
 
 
 class Full:
@@ -70,9 +70,9 @@ class Full:
     def evaluate_at(self, c, x):
         return (np.exp(1j * np.outer(np.atleast_1d(x), self.xi)) @ c).real
 
-    def pad(self, c, factor):
-        """``(Full of the refined grid, padded coefficients)``."""
-        fine = Full(self.grid.refine(factor))
+    def pad(self, c):
+        """``(Full of the grid of twice the points, padded coefficients)``."""
+        fine = Full(SpectralGrid(self.grid.period, 2 * self.n))
         n, m = self.n, fine.n
         c2 = np.zeros(m, dtype=np.complex128)
         c2[: n // 2] = c[: n // 2]

@@ -223,6 +223,11 @@ class TestExitCodes:
         assert main(["simulate", "--paths", "1", "--set", "sim.adapt=false"]) == 3
         assert "unknown config key: sim.adapt" in capsys.readouterr().err
 
+    def test_dealias_fraction_key_is_a_usage_error(self, capsys):
+        # products are dealiased by the 2/3 rule; there is no band to set
+        assert main(["identities", "--set", "grid.dealias_fraction=0.5"]) == 3
+        assert "unknown config key: grid.dealias_fraction" in capsys.readouterr().err
+
     def test_non_finite_step_count_is_a_usage_error(self, capsys):
         assert main(["simulate", "--paths", "1", "--set", "sim.horizon=1e308",
                      "--set", "sim.dt=1e-10"]) == 3
@@ -240,6 +245,14 @@ class TestExitCodes:
         assert code == 0
         assert "pass" in out
         assert rep.exists() and "cotlar" in rep.read_text()
+
+    @pytest.mark.parametrize("fields", [0, -2])
+    def test_identities_without_fields_is_a_usage_error(self, fields, capsys):
+        # no field checks no identity: that is no pass
+        assert main(["identities", "--set", f"study.fields={fields}"]) == 3
+        captured = capsys.readouterr()
+        assert f"fields must be >= 1, got {fields}" in captured.err
+        assert captured.out == ""
 
     def test_identities_zero_tolerance_fails(self):
         assert main(["identities", "--set", "study.fields=5",
@@ -459,6 +472,20 @@ class TestExitCodes:
         assert "horizon recorded" in capsys.readouterr().err
         assert main(["instability", "--set", "study.horizon=0.3"]) == 3
         assert "unknown config key: study.horizon" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_list", ["[64]", "[64,64]"])
+    def test_instability_one_carrier_is_a_usage_error(self, n_list, monkeypatch, capsys):
+        # one carrier has no defect slope to fit: rejected before any defect runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study work started")
+        monkeypatch.setattr(instability, "error_functional_ensemble", forbidden)
+        code = main(["instability", "--paths", "0", "--set", f"study.n_list={n_list}",
+                     "--set", "sim.horizon=0.05", "--set", "sim.dt=0.01",
+                     "--set", "study.separation_n=64"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "two distinct carriers in study.n_list" in captured.err
+        assert captured.out == ""
 
     def test_instability_stopped_separation_fails(self, monkeypatch, capsys):
         # an exit radius below the packet norm stops both separation paths

@@ -99,7 +99,7 @@ class TestTransportPairing:
         rng = np.random.default_rng(3)
         u = random_band_limited(GRID, 40, rng)
         sig = 2.1
-        up = pad_field(u, 2)
+        up = pad_field(u)
         a = apply_multiplier(up, up.grid.sobolev_base ** (sig / 2))
         w = hilbert(up)
         lhs = np.mean(w.samples * derivative(a).samples * a.samples) * up.grid.period

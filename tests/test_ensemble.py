@@ -106,7 +106,7 @@ class TestDigest:
         # any change to the fields of SimConfig or of a noise model moves the
         # digest written into every ensemble header: update this on purpose
         cfg = small_cfg(noise=GeneralH(n_components=2))
-        assert config_digest(cfg) == "f2501d919d28970c"
+        assert config_digest(cfg) == "3da0fce0686b2a28"
 
     def test_nested_types_hashed(self):
         # same field values, different nested dataclass type: different digest
@@ -156,8 +156,10 @@ class TestRateFit:
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
     def test_single_point_error(self):
-        with pytest.raises(ValueError):
-            rate_fit([(8.0, 1.0)])
+        # two points at one abscissa have no slope either
+        for pts in ([(8.0, 1.0)], [(8.0, 1.0), (8.0, 2.0)]):
+            with pytest.raises(ValueError, match="two distinct abscissae"):
+                rate_fit(pts)
 
     def test_noisy_slope_recovery(self):
         rng = np.random.default_rng(4)

@@ -1,7 +1,8 @@
 """Change-of-measure lab checks: exponential-martingale path arithmetic, the
 coupled u = beta*v equivalence, characteristic tracking of the transported
-maximum, the max-point identity on wide windows, the pathwise Riccati bound,
-and the scalar first-passage bound against its reflection-principle oracle."""
+maximum, the max-point identity on wide windows, the pathwise Riccati bound
+(the last three through ``blowup_mechanism.py``), and the scalar
+first-passage bound against its reflection-principle oracle."""
 
 import tracemalloc
 from dataclasses import replace
@@ -10,15 +11,11 @@ import numpy as np
 import pytest
 
 from ccflab.girsanov import (
-    CharacteristicTrack,
     beta_path,
     blowup_ensemble,
     blowup_probability_bound,
-    characteristic_track,
     first_passage_oracle,
     girsanov_residual,
-    identity_sv_residual,
-    riccati_check,
     run_random_pde,
 )
 from ccflab.integrate import SimConfig, blowup_bump, em_step, simulate_path
@@ -31,6 +28,12 @@ from ccflab.spectral import (
     random_band_limited,
     sobolev_norm,
     sup_norms,
+)
+from blowup_mechanism import (
+    CharacteristicTrack,
+    characteristic_track,
+    identity_sv_residual,
+    riccati_check,
 )
 
 GRID = SpectralGrid(n_modes=256)

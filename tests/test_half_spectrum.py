@@ -91,7 +91,7 @@ def test_core_matches_full_spectrum(n, band, full_band, seed, rms, decay, x):
     # multiplier operators
     for op, symbol in ((derivative, full.d), (hilbert, full.h),
                        (helmholtz_inverse_dx, full.helmholtz),
-                       (lambda u: frac_laplacian(u, 0.7), np.abs(full.xi) ** 0.7),
+                       (frac_laplacian, np.abs(full.xi)),
                        (lambda u: apply_multiplier(u, grid.sobolev_base ** (3.1 / 2)),
                         (1.0 + full.xi**2) ** 1.55),
                        (lambda u: apply_multiplier(u, integrate._mollifier_values(grid, 0.05)),
@@ -115,8 +115,8 @@ def test_core_matches_full_spectrum(n, band, full_band, seed, rms, decay, x):
     assert_close(evaluate_at(f, xs), full.evaluate_at(c, xs), "evaluate_at")
     assert_close(evaluate_at(f, grid.x[[1, n // 3]]), f.samples[[1, n // 3]], "on grid")
 
-    fine, c2 = full.pad(c, 2)
-    assert_field(fine, pad_field(f, 2), c2)
+    fine, c2 = full.pad(c)
+    assert_field(fine, pad_field(f), c2)
 
     # one step of every noise family, plain, mollified, gated strictly
     # inside (0, 1), and both; the gated state has |u|_{H^{s-3/2}} = 1.5 R

@@ -4,12 +4,12 @@ or ``from ... import``, is used in that module or re-exported through its
 ``__init__`` is defined in that module, so each public name has one home;
 every ``ccflab`` name the benchmark wraps by name still exists, and every
 argument its observers read is a parameter of the function they wrap; every
-public name is reached from the CLI, wrapped by the benchmark or on a short
-allowlist, so no helper only the tests call lives in ``src``; the only random
-generator is built by ``noise.stream``, and the only path Wiener stream
-``stream(seed, 0)`` is drawn by ``noise.wiener_increments``; real fields are
-transformed only by ``spectral``'s ``rfft``/``irfft`` and stepped only by
-``integrate.em_step``; and importing the CLI loads no scipy."""
+public name is reached from the CLI or wrapped by the benchmark, so no helper
+only the tests call lives in ``src``; the only random generator is built by
+``noise.stream``, and the only path Wiener stream ``stream(seed, 0)`` is
+drawn by ``noise.wiener_increments``; real fields are transformed only by
+``spectral``'s ``rfft``/``irfft`` and stepped only by ``integrate.em_step``;
+and importing the CLI loads no scipy."""
 
 import ast
 import importlib
@@ -172,7 +172,7 @@ def test_each_representation_has_one_transform_rule():
     # carrier envelopes is modulated's fft (packet, dealiased_envelopes) or
     # ifft (ModulatedField.phys, mod_transport_product); each representation
     # normalizes forward.  The one other complex pair transforms the
-    # modulated samples of lambda_shift_residual.
+    # modulated samples of lambda_shift_residual, forward-normalized too.
     sources = {path.name: path.read_text() for path in MODULES}
     sites = {name: {fn: call_sites(source, fn) for fn in ("fft", "ifft", "rfft", "irfft")}
              for name, source in sources.items()}
@@ -186,18 +186,17 @@ def test_each_representation_has_one_transform_rule():
         "modulated.py": ["ModulatedField.phys", "dealiased_envelopes",
                          "mod_transport_product", "packet"],
         "spectral.py": ["lambda_shift_residual", "lambda_shift_residual"]}
-    assert all(forward_normalized(sources["spectral.py"], fn) for fn in ("rfft", "irfft"))
+    assert all(forward_normalized(sources["spectral.py"], fn)
+               for fn in ("rfft", "irfft", "fft", "ifft"))
     assert all(forward_normalized(sources["modulated.py"], fn) for fn in ("fft", "ifft"))
 
 
 def test_real_fields_step_through_em_step():
     # rk4 steps real-field coefficients only inside em_step (the SPDE paths
-    # and the deterministic stream); its other callers step the
-    # characteristic's position or carrier envelopes
+    # and the deterministic stream); its other caller steps carrier envelopes
     sites = {path.name: call_sites(path.read_text(), "rk4") for path in MODULES}
     assert {name: s for name, s in sites.items() if s} == {
-        "integrate.py": ["em_step"], "girsanov.py": ["characteristic_track"],
-        "instability.py": ["simulate_actual_mod"]}
+        "integrate.py": ["em_step"], "instability.py": ["simulate_actual_mod"]}
 
 
 def bench_instrument():
@@ -328,13 +327,6 @@ def test_detects_unreached_defs():
         ("b", "method_target"), ("b", "listed")}
 
 
-# Public names that no study reaches yet: the girsanov mechanism group, kept
-# so that the measured blow-up time (ROADMAP item 4) can run it on the
-# deterministic solution ``w`` of the time change.
-UNREACHED_ALLOWED = {"girsanov.CharacteristicTrack", "girsanov.characteristic_track",
-                     "girsanov.riccati_check", "girsanov.identity_sv_residual"}
-
-
 def test_public_names_reached():
     # a public name that neither a study nor the benchmark runs is a helper
     # only the tests call: it belongs in tests/ as a reference, or nowhere
@@ -346,6 +338,4 @@ def test_public_names_reached():
                for name in names} | set(instrument.OBSERVERS)
     unreached = {f"{module}.{name}" for module, source in sources.items()
                  for name in declared_all(ast.parse(source))} - reached
-    assert unreached - wrapped - UNREACHED_ALLOWED == set()
-    # an allowlisted name that a study now reaches leaves the list
-    assert UNREACHED_ALLOWED <= unreached
+    assert unreached - wrapped == set()

@@ -304,14 +304,14 @@ class TestStackedCarriers:
     def test_cached_symbols_read_only(self, fields):
         basis, _ = fields
         for name in ("xi", "derivative_symbol", "hilbert_symbol", "helmholtz_dx_symbol",
-                     "transport_symbols", "envelope_k"):
+                     "transport_symbols"):
             with pytest.raises(ValueError):
                 getattr(basis, name)[..., 0] = 0
 
     def test_envelope_layout(self, fields):
         basis, _ = fields
         k, _ = _ref_wavenumbers(basis.grid)
-        assert np.array_equal(basis.envelope_k, k)
+        assert np.array_equal(basis.grid.k_fft, k)
         assert_slices_band_complement(basis)
 
     def test_carrier0_mirrors_the_half_spectrum(self, fields):

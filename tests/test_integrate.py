@@ -627,7 +627,7 @@ class TestInitialData:
         grid = SpectralGrid(n_modes=1024)
         u0 = blowup_bump(grid, 10.0, width=1.0)
         x0 = argmax_refined(u0)
-        val = evaluate_at(frac_laplacian(u0, 1.0), x0)
+        val = evaluate_at(frac_laplacian(u0), x0)
         assert val == pytest.approx(10.0, rel=1e-3)
 
     def test_power_law_amplitude(self):
