@@ -271,7 +271,7 @@ def cmd_blowup(cfg: dict, args) -> int:
     sim = build_sim(cfg, "linear")
     k_thr = study["threshold_k"]
     u0 = blowup_bump(sim.grid, study["f0"], width=study["width"])
-    n_paths = study_paths(cfg, args, 0)   # 0: Monte Carlo bound only
+    n_paths = study_paths(cfg, args, 1)
     res = girsanov.blowup_ensemble(sim, k_thr, u0, n_paths,
                                    mc_paths=study["mc_paths"],
                                    workers=study["workers"])
@@ -299,16 +299,18 @@ def cmd_global(cfg: dict, args) -> int:
                                                          stream(sim.seed, 2, 0))
     model.validate(q_hat=q_hat)
     k1 = study["k1"]
+    # a fitted K1 is positive by construction
+    if min(study["k2"], q_hat, 1.0 if k1 is None else k1) <= 0.0:
+        raise ValueError("k1, k2 and q_hat must be positive")
     if k1 is None:
         k1 = diagnostics.fit_k1_from_sweep(model, sim.s, q_hat, study["k2"],
                                            stream(sim.seed, 2, 1))
-    spec = diagnostics.LyapunovSpec(k1=k1, k2=study["k2"], q_hat=q_hat, s=sim.s)
     records = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, n_paths,
                                  workers=study["workers"])
     n_done, n_blew, n_div = (sum(r.status == status for r in records)
                              for status in ("completed", "blewup", "diverged"))
     # too few completed paths for the growth check is a failed study
-    slope, growth_ok = diagnostics.lyapunov_growth_check(records, spec) \
+    slope, growth_ok = diagnostics.lyapunov_growth_check(records, k1) \
         if n_done >= diagnostics.MIN_GROWTH_PATHS else (float("nan"), False)
     print(f"paths {n_paths}: completed {n_done}, blewup {n_blew}, diverged {n_div}; "
           f"lyapunov slope {slope:.4f} vs K1={k1:.4f} ({'pass' if growth_ok else 'FAIL'})")
@@ -357,7 +359,7 @@ def cmd_instability(cfg: dict, args) -> int:
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
     if len(set(study["n_list"])) < 2:
         raise ValueError("need at least two distinct carriers in study.n_list")
-    # one parameter set, re-used at every carrier n (the decay exponents and
+    # one parameter set, re-used at every carrier n (the decay exponent and
     # the separation experiment do not depend on n or m)
     sep_p = instability.InstabilityParams(m=study["m"],
                                           n=study["separation_n"],

@@ -3,7 +3,8 @@ empirical transport-pairing constant, and the strong-noise drift condition.
 
 The Lyapunov functional is ``G(x) = log(1+x)`` applied to the squared
 H^{s-1} norm; the drift condition certifies that the strong noise cancels
-the transport growth at states with a large gradient quantity.  The pairing
+the transport growth at states with a large gradient quantity; its
+constants ``K1``, ``K2`` and ``Q`` are plain numbers.  The pairing
 constant Q in
 
     |((Hu) u_x, u)_{H^{s-1}}| <= Q (|u_x|_inf + |H u_x|_inf) |u|^2_{H^{s-1}}
@@ -14,8 +15,6 @@ is therefore a statistical check, not a proof.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +31,6 @@ from .spectral import (
 )
 
 __all__ = [
-    "LyapunovSpec",
     "blowup_quantity",
     "transport_pairing",
     "estimate_commutator_constant",
@@ -44,20 +42,6 @@ __all__ = [
 MIN_GROWTH_PATHS = 8
 # random states the K1 sweep samples
 K1_SWEEP_SAMPLES = 400
-
-
-@dataclass(frozen=True)
-class LyapunovSpec:
-    """Constants for the drift condition and growth check."""
-
-    k1: float
-    k2: float
-    q_hat: float
-    s: float
-
-    def __post_init__(self):
-        if min(self.k1, self.k2, self.q_hat) <= 0.0:
-            raise ValueError("k1, k2 and q_hat must be positive")
 
 
 def blowup_quantity(u: Field) -> float:
@@ -95,21 +79,21 @@ def estimate_commutator_constant(samples: int, s: float,
     return q_hat
 
 
-def _drift_condition_sides(u: Field, t: float, model: StrongAlpha,
-                           spec: LyapunovSpec) -> tuple[float, float]:
-    y2 = sobolev_norm(u, spec.s - 1.0) ** 2
+def _drift_condition_sides(u: Field, t: float, model: StrongAlpha, s: float,
+                           q_hat: float, k1: float, k2: float) -> tuple[float, float]:
+    y2 = sobolev_norm(u, s - 1.0) ** 2
     g = np.log1p(y2)
     gp = 1.0 / (1.0 + y2)
     gpp = -1.0 / (1.0 + y2) ** 2
     alpha = model.components(t, u)
-    pairing = abs(sobolev_inner(alpha, u, spec.s - 1.0))
-    m_t = 2.0 * spec.q_hat * blowup_quantity(u) * y2 + sobolev_norm(alpha, spec.s - 1.0) ** 2
+    pairing = abs(sobolev_inner(alpha, u, s - 1.0))
+    m_t = 2.0 * q_hat * blowup_quantity(u) * y2 + sobolev_norm(alpha, s - 1.0) ** 2
     lhs = gp * m_t + 2.0 * gpp * pairing**2
-    rhs = spec.k1 - spec.k2 * (gp * pairing) ** 2 / (1.0 + g)
+    rhs = k1 - k2 * (gp * pairing) ** 2 / (1.0 + g)
     return lhs, rhs
 
 
-def fit_k1_from_sweep(model: StrongAlpha, spec_s: float, q_hat: float, k2: float,
+def fit_k1_from_sweep(model: StrongAlpha, s: float, q_hat: float, k2: float,
                       rng: np.random.Generator) -> float:
     """Smallest admissible constant (with head-room) over a sweep of
     ``K1_SWEEP_SAMPLES`` random states on a 256-mode grid.
@@ -118,20 +102,18 @@ def fit_k1_from_sweep(model: StrongAlpha, spec_s: float, q_hat: float, k2: float
     drift condition holds with this K1 at every sampled state.
     """
     grid = SpectralGrid(n_modes=256)
-    probe = LyapunovSpec(k1=1.0, k2=k2, q_hat=q_hat, s=spec_s)
     worst = 0.0
     for _ in range(K1_SWEEP_SAMPLES):
         u = random_band_limited(grid, grid.dealias_keep, rng,
                                 rms=rng.uniform(0.01, 8.0),
                                 decay=rng.uniform(0.8, 2.5))
-        lhs, rhs = _drift_condition_sides(u, 0.0, model, probe)
-        # rhs = k1 - penalty, so lhs + penalty is the k1 needed at this state
+        lhs, rhs = _drift_condition_sides(u, 0.0, model, s, q_hat, 1.0, k2)
+        # rhs = 1 - penalty at k1 = 1, so lhs + penalty is the k1 needed here
         worst = max(worst, lhs + (1.0 - rhs))
     return 1.1 * max(worst, 1e-6)
 
 
-def lyapunov_growth_check(records: list[PathRecord],
-                          spec: LyapunovSpec) -> tuple[float, bool]:
+def lyapunov_growth_check(records: list[PathRecord], k1: float) -> tuple[float, bool]:
     """Linear-growth bound on the expected Lyapunov value of an ensemble.
 
     Compares the ensemble mean of ``log(1 + |u(t)|^2_{H^{s-1}})`` against the
@@ -150,7 +132,7 @@ def lyapunov_growth_check(records: list[PathRecord],
     curves = np.stack([r.diagnostics["lyapunov"] for r in completed])
     mean = curves.mean(axis=0)
     sem = curves.std(axis=0, ddof=1) / np.sqrt(curves.shape[0])
-    line = mean[0] + spec.k1 * times
+    line = mean[0] + k1 * times
     passed = bool(np.all(mean <= line + 2.0 * sem + 1e-12))
     slope = float(np.polyfit(times, mean, 1)[0]) if times.size > 1 else 0.0
     return slope, passed

@@ -70,27 +70,17 @@ class EnsembleResult:
 
 
 def config_digest(cfg) -> str:
-    """Stable digest of a configuration dataclass (or plain dict); the type of
+    """Stable digest of a :class:`~ccflab.integrate.SimConfig`; the type of
     every nested dataclass is hashed with its fields."""
     text = json.dumps(_plain(cfg), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def _plain(obj):
-    if is_dataclass(obj) and not isinstance(obj, type):
-        return {"__type__": type(obj).__name__,
-                **{f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}}
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if not is_dataclass(obj):
         return obj
-    return repr(obj)
+    return {"__type__": type(obj).__name__,
+            **{f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}}
 
 
 def recompute_summaries(per_path: list[PathOutcome]) -> dict:
@@ -99,7 +89,7 @@ def recompute_summaries(per_path: list[PathOutcome]) -> dict:
     statuses = [p.status for p in per_path]
     counts = {s: statuses.count(s) for s in sorted(set(statuses))}
     n_blew = counts.get("blewup", 0)
-    lo, hi = wilson_ci(n_blew, n) if n else (0.0, 1.0)
+    lo, hi = wilson_ci(n_blew, n)
     summary = {
         "n_paths": n,
         "status_counts": counts,

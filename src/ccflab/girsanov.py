@@ -48,11 +48,9 @@ def beta_path(b0: float, lam: float, increments: np.ndarray, dt: float) -> np.nd
     for ``int b dW`` and trapezoid for ``int b^2/2``; ``beta[0] = 1`` and
     ``beta[i]`` is the value at ``t_i = i dt``.
     """
-    n = increments.shape[0]
-    ts = np.arange(n) * dt
-    b = np.asarray([exp_decay(b0, lam, t) for t in ts])
-    ito = np.concatenate([[0.0], np.cumsum(b * increments)])
-    b2 = np.asarray([exp_decay(b0, lam, t) ** 2 for t in np.arange(n + 1) * dt])
+    b = exp_decay(b0, lam, np.arange(increments.shape[0] + 1) * dt)
+    ito = np.concatenate([[0.0], np.cumsum(b[:-1] * increments)])
+    b2 = b**2
     quad = np.concatenate([[0.0], np.cumsum(0.5 * (b2[:-1] + b2[1:]) * dt / 2.0)])
     return np.exp(ito - quad)
 
@@ -239,9 +237,11 @@ def blowup_ensemble(cfg: SimConfig, threshold_k: float, u0: Field,
     blown up, versus the scalar Monte Carlo lower bound.  Initial data must
     satisfy the max-point gradient condition ``Lam u0(argmax u0) > b_star / K``.
     The Monte Carlo draws from the stream ``(1,)`` of the study seed
-    ``cfg.seed``, path i runs on ``path_seed(cfg.seed, i)``."""
+    ``cfg.seed``, path i of ``num_paths >= 1`` on ``path_seed(cfg.seed, i)``."""
     if not isinstance(cfg.noise, LinearB):
         raise ValueError("blowup_ensemble needs a LinearB noise model")
+    if num_paths < 1:
+        raise ValueError(f"num_paths must be >= 1, got {num_paths}")
     _check_threshold(threshold_k)
     noise = cfg.noise.validate()
     x0 = argmax_refined(u0)
@@ -256,7 +256,7 @@ def blowup_ensemble(cfg: SimConfig, threshold_k: float, u0: Field,
     records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers=workers)
     n_blew = sum(1 for r in records if r.status == "blewup")
     n_bad = sum(1 for r in records if r.status == "diverged")
-    frac = n_blew / num_paths if num_paths else 0.0
+    frac = n_blew / num_paths
     ci_half = 0.5 * (bound["ci_hi"] - bound["ci_lo"])
-    passed = bool(num_paths == 0 or frac >= bound["estimate"] - 2.0 * ci_half)
+    passed = bool(frac >= bound["estimate"] - 2.0 * ci_half)
     return BlowupEnsembleResult(frac, n_blew, n_bad, num_paths, bound, passed)

@@ -368,12 +368,7 @@ def blowup_bump(grid: SpectralGrid, f0: float, width: float = 1.0) -> Field:
     xc = grid.x - 0.5 * grid.period
     prof = np.sin(xc) * np.exp(-(xc**2) / width**2)
     u = dealias(Field.from_samples(grid, prof))
-    x0 = argmax_refined(u)
-    lam_at_max = evaluate_at(frac_laplacian(u), x0)
-    if lam_at_max <= 0.0:
-        u = -1.0 * u
-        x0 = argmax_refined(u)
-        lam_at_max = evaluate_at(frac_laplacian(u), x0)
+    lam_at_max = evaluate_at(frac_laplacian(u), argmax_refined(u))
     if lam_at_max <= 0.0:
         raise ValueError("profile has nonpositive max-point gradient quantity")
     return (f0 / lam_at_max) * u

@@ -163,9 +163,6 @@ class ModulatedField:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "ModulatedField":
-        return ModulatedField(self.basis, -self._coeffs)
-
 
 def carrier0(basis: CarrierBasis, f: Field) -> ModulatedField:
     """Lift a plain real field onto the zero carrier: its half spectrum

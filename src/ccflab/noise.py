@@ -92,8 +92,7 @@ def transport_gradient_powers(u: Field, k: int, n: int) -> Field:
     small aliased tail back into the band, so keep k, n <= 2 in production runs.
     A ``u`` inside the band is its own dealiased part, so its cached
     ``gradient_samples`` serve, and the one forward transform here also forms
-    its transport product while that is not yet formed, ready for the first
-    RK4 stage of a step from ``u``
+    its transport product, ready for the first RK4 stage of a step from ``u``
     (:func:`~ccflab.spectral.dealiased_with_transport`).
     """
     if k < 1 or n < 1:

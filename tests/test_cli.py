@@ -136,12 +136,12 @@ class TestExitCodes:
         assert main(["simulate", "--config", "/nonexistent/x.json"]) == 3
 
     def test_blowup_without_mc_paths_is_a_usage_error(self, capsys):
-        assert main(["blowup", "--paths", "0", "--set", "study.mc_paths=0"]) == 3
+        assert main(["blowup", "--paths", "1", "--set", "study.mc_paths=0"]) == 3
         assert "num_paths" in capsys.readouterr().err
 
     @pytest.mark.parametrize("k", ["0", "1.0"])
     def test_blowup_threshold_outside_unit_interval_is_a_usage_error(self, k, capsys):
-        assert main(["blowup", "--paths", "0", "--set", "study.mc_paths=64",
+        assert main(["blowup", "--paths", "1", "--set", "study.mc_paths=64",
                      "--set", f"study.threshold_k={k}"]) == 3
         assert "threshold K must lie in (0, 1)" in capsys.readouterr().err
 
@@ -151,10 +151,11 @@ class TestExitCodes:
         ["global", "--paths", "0"],
         ["global", "--paths", "2"],
         ["converge", "--paths", "0"],
+        ["blowup", "--paths", "0", "--set", "study.mc_paths=64"],
         ["blowup", "--paths", "-1", "--set", "study.mc_paths=64"],
         ["instability", "--paths", "-1", "--set", "study.n_list=[64]"],
     ], ids=["simulate-0", "simulate-neg3", "global-0", "global-2", "converge-0",
-            "blowup-neg1", "instability-neg1"])
+            "blowup-0", "blowup-neg1", "instability-neg1"])
     def test_paths_below_minimum_is_a_usage_error(self, argv, capsys):
         assert main(argv) == 3
         assert "paths must be >=" in capsys.readouterr().err
@@ -330,6 +331,17 @@ class TestExitCodes:
         assert "lyapunov slope" in capsys.readouterr().out
         assert main(argv + ["--set", "noise.q=0.3"]) == 3
         assert "needs inf q^2 > 2*Q_hat = 0.2, got 0.09" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["k1", "k2", "q_hat"])
+    def test_global_nonpositive_constant_is_a_usage_error(self, key, monkeypatch, capsys):
+        # study.q_hat and study.k1 are given, so no sweep runs, and the check
+        # comes before any path
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study work started")
+        monkeypatch.setattr(ensemble, "run_paths", forbidden)
+        assert main(["global", "--set", "study.q_hat=0.5", "--set", "study.k1=1.0",
+                     "--set", f"study.{key}=-1"]) == 3
+        assert "k1, k2 and q_hat must be positive" in capsys.readouterr().err
 
     def test_converge_zero_gap_fails(self, capsys):
         # the two smallest widths leave every retained mode of a 64-mode grid

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ccflab.diagnostics import (
-    LyapunovSpec,
     blowup_quantity,
     estimate_commutator_constant,
     _drift_condition_sides,
@@ -31,10 +30,10 @@ from ccflab.spectral import (
 GRID = SpectralGrid(n_modes=256)
 
 
-def drift_residual(u, model, spec):
-    """LHS minus RHS of the drift condition at ``(0, u)``; a negative value
-    certifies it there."""
-    lhs, rhs = _drift_condition_sides(u, 0.0, model, spec)
+def drift_residual(u, model, k1=1.0, k2=0.5):
+    """LHS minus RHS of the drift condition at ``(0, u)`` with ``s = 3.1``
+    and ``q_hat = 0.5``; a negative value certifies it there."""
+    lhs, rhs = _drift_condition_sides(u, 0.0, model, 3.1, 0.5, k1, k2)
     return lhs - rhs
 
 
@@ -124,42 +123,37 @@ class TestCommutatorConstant:
 
 
 class TestDriftCondition:
-    def spec(self, k1=1.0, k2=0.5):
-        return LyapunovSpec(k1=k1, k2=k2, q_hat=0.5, s=3.1)
-
     def test_zero_field_gives_minus_k1(self):
         model = StrongAlpha(q=1.0, theta=1.0)
-        r = drift_residual(Field.zeros(GRID), model, self.spec(k1=2.5))
+        r = drift_residual(Field.zeros(GRID), model, k1=2.5)
         assert r == pytest.approx(-2.5, abs=1e-12)
 
     def test_negative_for_large_gradient_states(self):
         # theta = 1, q = 1: the noise quadratic dominates once bq is large
         model = StrongAlpha(q=1.0, theta=1.0)
-        spec = self.spec(k1=3.0, k2=0.5)
         rng = np.random.default_rng(8)
         for _ in range(25):
             u = random_band_limited(GRID, 60, rng, rms=rng.uniform(4.0, 10.0))
             assert blowup_quantity(u) > 4.0
-            assert drift_residual(u, model, spec) <= 0.0
+            assert drift_residual(u, model, k1=3.0) <= 0.0
 
     def test_monotone_in_k2(self):
         model = StrongAlpha(q=1.0, theta=1.0)
         rng = np.random.default_rng(9)
         u = random_band_limited(GRID, 40, rng, rms=2.0)
-        r_small = drift_residual(u, model, self.spec(k2=0.1))
-        r_big = drift_residual(u, model, self.spec(k2=5.0))
+        r_small = drift_residual(u, model, k2=0.1)
+        r_big = drift_residual(u, model, k2=5.0)
         assert r_big > r_small
 
     def test_fitted_k1_certifies_fresh_states(self):
         model = StrongAlpha(q=1.0, theta=1.0)
         k1 = fit_k1_from_sweep(model, 3.1, q_hat=0.5, k2=0.5,
                                rng=np.random.default_rng(10))
-        spec = LyapunovSpec(k1=1.2 * k1, k2=0.5, q_hat=0.5, s=3.1)
         rng = np.random.default_rng(11)
         bad = 0
         for _ in range(100):
             u = random_band_limited(GRID, 80, rng, rms=rng.uniform(0.01, 8.0))
-            if drift_residual(u, model, spec) > 0.0:
+            if drift_residual(u, model, k1=1.2 * k1) > 0.0:
                 bad += 1
         assert bad == 0
 
@@ -178,16 +172,14 @@ class TestGrowthCheck:
 
     def test_zero_noise_short_horizon_passes(self):
         recs = self.make_records(8)
-        spec = LyapunovSpec(k1=5.0, k2=0.5, q_hat=0.5, s=3.1)
-        slope, ok = lyapunov_growth_check(recs, spec)
+        slope, ok = lyapunov_growth_check(recs, 5.0)
         assert ok
         assert abs(slope) < 5.0
 
     def test_requires_enough_paths(self):
         recs = self.make_records(3)
-        spec = LyapunovSpec(k1=5.0, k2=0.5, q_hat=0.5, s=3.1)
         with pytest.raises(ValueError):
-            lyapunov_growth_check(recs, spec)
+            lyapunov_growth_check(recs, 5.0)
 
     def test_blowup_data_violates_bound(self):
         # negative control: deterministic blow-up growth beats any modest line
@@ -199,6 +191,5 @@ class TestGrowthCheck:
                             noise=ZeroNoise(), seed=i, record_every=20,
                             blowup_threshold=1e6)
             recs.append(simulate_path(cfg, blowup_bump(grid, 10.0)))
-        spec = LyapunovSpec(k1=1.0, k2=0.5, q_hat=0.5, s=3.1)
-        slope, ok = lyapunov_growth_check(recs, spec)
+        slope, ok = lyapunov_growth_check(recs, 1.0)
         assert not ok

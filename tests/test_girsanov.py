@@ -67,6 +67,20 @@ class TestBetaPath:
         sem = finals.std(ddof=1) / np.sqrt(len(finals))
         assert abs(finals.mean() - 1.0) < 4.0 * sem
 
+    def test_matches_per_step_sums(self):
+        # reference: one exp_decay call per grid time and running left-point
+        # Ito and trapezoid sums, in the order cumsum adds them
+        b0, lam, dt, n = 0.5, 1.0, 1e-3, 400
+        inc = np.sqrt(dt) * np.random.default_rng(6).standard_normal(n)
+        b = [exp_decay(b0, lam, t) for t in np.arange(n + 1) * dt]
+        ito = quad = 0.0
+        want = [1.0]
+        for i in range(n):
+            ito += b[i] * inc[i]
+            quad += 0.5 * (b[i] ** 2 + b[i + 1] ** 2) * dt / 2.0
+            want.append(np.exp(ito - quad))
+        assert np.array_equal(beta_path(b0, lam, inc, dt), want)
+
     def test_positive(self):
         rng = np.random.default_rng(3)
         inc = np.sqrt(0.01) * rng.standard_normal(500)
@@ -391,13 +405,14 @@ class TestBlowupEnsemble:
         with pytest.raises(ValueError, match="blow-up condition"):
             blowup_ensemble(cfg, 0.5, u0, num_paths=1, mc_paths=100)
 
-    def test_zero_paths_no_crash(self):
+    def test_zero_paths_rejected(self):
+        # no path to hold against the bound is no pass
         grid = SpectralGrid(n_modes=256)
         u0 = blowup_bump(grid, 1.0, width=1.0)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.5, seed=0,
                         blowup_threshold=50.0, noise=self.NOISE)
-        res = blowup_ensemble(cfg, 0.5, u0, num_paths=0, mc_paths=1000)
-        assert res.n_paths == 0 and res.passed
+        with pytest.raises(ValueError, match="num_paths must be >= 1"):
+            blowup_ensemble(cfg, 0.5, u0, num_paths=0, mc_paths=1000)
 
     def test_paths_match_direct_runs_and_workers(self):
         grid = SpectralGrid(n_modes=64)

@@ -41,7 +41,7 @@ from ccflab.modulated import (
     modulated_norm,
     packet,
 )
-from ccflab.noise import InstabilityH, ZeroNoise, path_seed
+from ccflab.noise import InstabilityH, path_seed
 from ccflab.spectral import (
     Field,
     SpectralGrid,
@@ -51,6 +51,10 @@ from ccflab.spectral import (
     sobolev_norm,
 )
 from dense_reference import approx_solution, build_high_frequency, to_dense_field
+
+# the deterministic carrier run: its weak-noise coefficient is zero, formed
+# without a transform
+DETERMINISTIC = InstabilityH(q=0.0)
 
 
 def params(n=32, m=1, env=1024):
@@ -67,7 +71,6 @@ class TestParams:
     def test_exponents_at_defaults(self):
         p = params()
         assert p.rate_error == pytest.approx(-1.6, abs=1e-12)
-        assert p.rate_gap_hs == pytest.approx(-0.05, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -370,11 +373,11 @@ class TestCarrierTransformBudget:
         # two forward transforms build the low datum and the packet, then
         # 4 RK4 stages of 2; the packet's row stays cached on the params
         p = InstabilityParams(m=1, n=64, env_modes=256)
-        simulate_actual_mod(p, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3)
+        simulate_actual_mod(p, DETERMINISTIC, seed=0, horizon=0.015, dt=5e-3)
         assert len(fft_calls) == 2 + 3 * 8
         assert fft_calls[:2] == ["rfft", "fft"]
         fft_calls.clear()
-        simulate_actual_mod(p, ZeroNoise(), seed=0, horizon=0.015, dt=5e-3)
+        simulate_actual_mod(p, DETERMINISTIC, seed=0, horizon=0.015, dt=5e-3)
         assert len(fft_calls) == 1 + 3 * 8
 
     def test_packet_takes_no_transform(self, fft_calls):
@@ -554,7 +557,7 @@ class TestErrorIntegrand:
 class TestStudies:
     def test_error_functional_deterministic_bound(self):
         p = params(n=64)
-        out = error_functional_ensemble(p, ZeroNoise(), num_paths=0,
+        out = error_functional_ensemble(p, DETERMINISTIC, num_paths=0,
                                         horizon=0.5, dt=5e-3)
         assert out["mean_sup_sq"] == out["det_sup_sq"] > 0.0
 
@@ -613,7 +616,7 @@ class TestStudies:
         # both signs exit after one step: the curve ends at the last state
         # the runs share instead of being padded to the horizon
         p = InstabilityParams(m=1, n=64, exit_radius=1e-300, env_modes=256)
-        out = separation_experiment(p, horizon=1.8, dt=5e-3, noise=ZeroNoise())
+        out = separation_experiment(p, horizon=1.8, dt=5e-3, noise=DETERMINISTIC)
         assert out["status"] == {1: ["exited"], -1: ["exited"]}
         assert out["t_stop"] == {1: [pytest.approx(5e-3)], -1: [pytest.approx(5e-3)]}
         assert len(out["times"]) == len(out["gap_curve"]) == len(out["reference"]) == 1
@@ -634,7 +637,7 @@ class TestStudies:
         # shrink the exit radius below the solution norm: path must stop at once
         p = InstabilityParams(m=1, n=64, exit_radius=1e-300)
         # exit_radius must be positive but tiny triggers immediate exit
-        res = simulate_actual_mod(p, ZeroNoise(), seed=0, horizon=0.1, dt=5e-3)
+        res = simulate_actual_mod(p, DETERMINISTIC, seed=0, horizon=0.1, dt=5e-3)
         assert res["status"] == "exited"
         assert res["t_stop"] == pytest.approx(5e-3)
 

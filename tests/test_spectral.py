@@ -348,20 +348,6 @@ class TestStackedTransforms:
             assert np.array_equal(fresh.transport_coefficients, want_transport)
             assert fft_calls == ["rfft"]    # the product came with the one call
 
-    def test_noise_transform_carries_transport_once(self, fft_calls):
-        # the first call forms the product; later calls transform the
-        # samples alone and leave the cached product as it is
-        u = self.fields(256)[0]
-        samples = np.cos(u.grid.x) * u.samples
-        want = dealias(Field.from_samples(u.grid, samples)).coefficients
-        u.step_rows
-        fft_calls.clear()
-        assert np.array_equal(dealiased_with_transport(u, samples), want)
-        formed = u.transport_coefficients
-        assert np.array_equal(dealiased_with_transport(u, samples), want)
-        assert u.transport_coefficients is formed
-        assert fft_calls == ["rfft"] * 2
-
     def test_is_dealiased(self):
         f = random_band_limited(GRID, GRID.dealias_keep, np.random.default_rng(3))
         assert is_dealiased(f)
