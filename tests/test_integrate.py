@@ -29,6 +29,7 @@ from ccflab.noise import (
     StrongAlpha,
     ZeroNoise,
     exp_decay,
+    stream,
     wiener_increments,
 )
 from ccflab.spectral import (
@@ -512,6 +513,20 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             simulate_path(cfg, u0)
 
+    def test_frozen_general_h(self):
+        # tiny GeneralH path; frozen values: a change in the RK4 stage
+        # arithmetic or the noise shows here
+        grid = SpectralGrid(n_modes=64)
+        u0 = random_band_limited(grid, 8, np.random.default_rng(2), rms=0.5)
+        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, seed=3,
+                        noise=GeneralH(n_components=4))
+        rec = simulate_path(cfg, u0)
+        assert rec.status == "completed"
+        assert rec.wiener_increments.shape == (20,)
+        assert rec.diagnostics["h_s"][-1] == pytest.approx(91.66208711734731, rel=1e-12)
+        assert rec.diagnostics["sup_ux"][-1] == pytest.approx(2.8619456523543527, rel=1e-12)
+        assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.3834538353390697, rel=1e-12)
+
     def test_frozen_general_h_gated(self):
         # tiny GeneralH path with the gate strictly between 0 and 1; frozen
         # values: a change in the RK4 stage arithmetic or the gate shows here
@@ -620,6 +635,38 @@ class TestLowFrequency:
             free = list(simulate_low_frequency(low_cfg(GRID, 1e-3, 0.01, eps_mollify=eps),
                                                u0, sizes))
             assert not np.array_equal(free[-1].coefficients, got[-1].coefficients)
+
+
+class TestTimeChange:
+    """A path of a noise ``h = a u`` is its start state's deterministic
+    stream on the clock ``theta = int beta dt``: ``u_n = beta_n w_n``."""
+
+    def test_strong_alpha_path_is_a_scaled_stream(self):
+        # w steps by beta_n dt; a_n = q (1 + beta_n F(w_n))^theta with
+        # F = sup|w_x| + sup|H w_x|, and beta_{n+1} = beta_n exp(a_n dW_n -
+        # a_n^2 dt / 2), the factor of the path's own step
+        grid = SpectralGrid(n_modes=128)
+        u0 = power_law_field(grid, 3.1, stream(0), max_mode=grid.dealias_keep // 4)
+        noise = StrongAlpha()
+        dt = 1e-3
+        cfg = SimConfig(grid=grid, s=3.1, dt=dt, horizon=0.2, noise=noise, seed=11,
+                        record_every=1, keep_snapshots=True)
+        rec = simulate_path(cfg, u0)
+        assert rec.status == "completed" and len(rec.snapshots) == 201
+        beta = [1.0]
+        steps = (beta[n] * dt for n in range(len(rec.wiener_increments)))
+        stream_w = simulate_low_frequency(cfg, rec.snapshots[0][1], steps)
+        worst = 0.0
+        for n, ((_, u), w) in enumerate(zip(rec.snapshots, stream_w)):
+            err = sobolev_norm(u - beta[n] * w, cfg.s - 1.0) / sobolev_norm(u, cfg.s - 1.0)
+            worst = max(worst, err)
+            if n < len(rec.wiener_increments):
+                sup_wx, sup_hwx, _ = gradient_sups(w)
+                a = noise.q * (1.0 + beta[n] * (sup_wx + sup_hwx)) ** noise.theta
+                dw = rec.wiener_increments[n]
+                beta.append(beta[n] * np.exp(a * dw - a * a * dt / 2.0))
+        assert len(beta) == 201
+        assert worst <= 1e-12
 
 
 class TestInitialData:
