@@ -3,8 +3,8 @@
 Config key tree (defaults shown by ``--dump-config``):
 
 * ``grid.*``      period, n_modes (products are dealiased by the 2/3 rule)
-* ``sim.*``       s, dt, horizon, eps_mollify, cutoff_radius, blowup_threshold,
-                  record_every, seed
+* ``sim.*``       s, dt, horizon, eps_mollify, blowup_threshold, record_every,
+                  seed
 * ``noise.*``     family (zero | general | strong | linear | instability) and
                   its parameters (q, theta, b0, lam, b_star, k_exp, n_exp,
                   sigma0, n_components, component_decay)
@@ -53,8 +53,7 @@ DEFAULTS: dict = {
     "grid": {"period": 2.0 * np.pi, "n_modes": 256},
     "sim": {
         "s": 3.1, "dt": 1e-3, "horizon": 1.0, "eps_mollify": 0.0,
-        "cutoff_radius": None, "blowup_threshold": 1e3,
-        "record_every": 10, "seed": 0,
+        "blowup_threshold": 1e3, "record_every": 10, "seed": 0,
     },
     "noise": {
         "family": "zero", "q": 1.0, "theta": 1.0, "b0": 0.5, "lam": 1.0,
@@ -174,8 +173,7 @@ def build_sim(cfg: dict, family: str | None = None) -> SimConfig:
         grid=build_grid(cfg), s=s["s"], dt=s["dt"], horizon=s["horizon"],
         noise=build_noise(cfg, family),
         seed=s["seed"], eps_mollify=s["eps_mollify"],
-        cutoff_radius=s["cutoff_radius"], blowup_threshold=s["blowup_threshold"],
-        record_every=s["record_every"],
+        blowup_threshold=s["blowup_threshold"], record_every=s["record_every"],
     )
 
 

@@ -59,7 +59,7 @@ def beta_path(b0: float, lam: float, increments: np.ndarray, dt: float) -> np.nd
 
 
 def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray):
-    """Integrate ``v_t + beta(t) (Hv) v_x = 0`` with the drift gate of ``cfg``.
+    """Integrate ``v_t + beta(t) (Hv) v_x = 0`` with the mollifier of ``cfg``.
 
     ``beta`` holds one value per step (frozen within the step, matching the
     order of the noise coupling) plus the value at the horizon; a shorter
@@ -101,15 +101,9 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     path, not a splitting error.  The step sizes of a refinement share a path
     seed, not a path (each draws its own increments), so its ratios also
     carry path-to-path variation.
-    A finite ``cutoff_radius`` is an error: the cut-off equation gates the
-    drift on ``|u| = |beta v|`` and the noise as well, so ``v`` does not solve
-    the twin's equation.
     """
     if not isinstance(cfg.noise, LinearB):
         raise ValueError("girsanov_residual needs a LinearB noise model")
-    if cfg.cutoff_radius is not None and np.isfinite(cfg.cutoff_radius):
-        raise ValueError("girsanov_residual needs no finite cutoff_radius: the "
-                         "random-PDE twin does not solve the cut-off equation")
     base = replace(cfg, seed=path_seed(cfg.seed, 0), keep_snapshots=True)
     rec = simulate_path(base, u0)
     if rec.status != "completed":

@@ -1,31 +1,32 @@
-"""Time integration of the (cut-off, mollified) stochastic transport equation.
+"""Time integration of the (mollified) stochastic transport equation.
 
-The drift is the gated, mollified transport term
+The drift is the mollified transport term
 
-    -chi_R(|u|_{H^{s-3/2}}) J_eps[(H J_eps u) d_x J_eps u],
+    -J_eps[(H J_eps u) d_x J_eps u],
 
-the diffusion is the selected noise family times the same gate, driven by one
-scalar Brownian increment per step.  A step is a classical fourth-order
-Runge-Kutta drift substep followed by the noise.  Forward Euler on a spectral
-advection operator would amplify the highest retained modes at rate
-~ (c k_max)^2 dt/2 per unit time, which wrecks long horizons at realistic step
-sizes; the RK4 substep is neutrally stable on the imaginary axis.
+the diffusion is the selected noise family, driven by one scalar Brownian
+increment per step.  A step is a classical fourth-order Runge-Kutta drift
+substep followed by the noise.  Forward Euler on a spectral advection operator
+would amplify the highest retained modes at rate ~ (c k_max)^2 dt/2 per unit
+time, which wrecks long horizons at realistic step sizes; the RK4 substep is
+neutrally stable on the imaginary axis.
 
 The families ``h = a(t, u) u`` with a scalar rate (``StrongAlpha``,
-``LinearB``) take their noise exactly for ``a = gate rate(t, u)`` frozen over
+``LinearB``) take their noise exactly for ``a = rate(t, u)`` frozen over
 the step: the substep's result is multiplied by ``exp(a dW - a^2 dt / 2)``,
 the Ito factor of ``du = a u dW`` (Kloeden & Platen, *Numerical Solution of
 SDEs*, 1992).  Explicit Euler's ``a u dW`` diverges at the rates of the strong
 noise, a ~ 20 (Hutzenthaler, Jentzen & Kloeden, Proc. R. Soc. A 467, 2011).
 The field-valued families ``GeneralH`` and ``InstabilityH`` add the
-Euler-Maruyama increment ``gate h(t, u) dW`` (strong order 1/2).  A path takes
+Euler-Maruyama increment ``h(t, u) dW`` (strong order 1/2).  A path takes
 one step per macro step.
 
 All stepping runs through one right-hand side on half-spectrum coefficient
-arrays, ``-gate J[(H J c) (J c)_x]``: one stacked inverse and one forward
-real FFT per evaluation.  It backs :func:`drift` and the RK4 stages of
-:func:`em_step`, which takes every step of a real field: the SPDE paths and
-the deterministic stream of :func:`simulate_low_frequency`.
+arrays, the transport term ``J[(H J c) (J c)_x]``: one stacked inverse and
+one forward real FFT per evaluation.  It backs :func:`drift` and the RK4
+stages of :func:`em_step`, which steps it over ``-dt`` (bit for bit RK4 of
+its negative over ``dt``) and takes every step of a real field: the SPDE
+paths and the deterministic stream of :func:`simulate_low_frequency`.
 
 Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
 real field is one of them, see :mod:`ccflab.spectral`): what a step shares
@@ -33,7 +34,7 @@ of its start state ``u`` lives in ``u``'s own caches.  Its step rows, one
 stacked ``irfft``, serve the monitored sups and the recorded ``max Lam u``
 (taken once and kept on ``u``, where a ``StrongAlpha`` rate reads them too),
 the gradient samples of the noise and the samples of the first RK4 stage.
-The first stage's product then takes one ``rfft``, which the forward
+The first stage is ``u``'s transport product, whose one ``rfft`` the forward
 transform of a ``GeneralH``/``InstabilityH`` noise carries; the scalar rates
 add none.  So a macro step takes 8 transform calls: the step rows (1), the
 noise with stage 1 (1) and stages 2-4 (6).  With a mollifier stage 1
@@ -45,9 +46,9 @@ One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
 :func:`~ccflab.noise.wiener_increments` of it, drawn up front.
 
-:func:`simulate_low_frequency` is the gated, mollified deterministic
-equation alone: a stream of noiseless :func:`em_step` states on step sizes the
-caller gives, which serves the low-frequency profile of
+:func:`simulate_low_frequency` is the mollified deterministic equation
+alone: a stream of noiseless :func:`em_step` states on step sizes the caller
+gives, which serves the low-frequency profile of
 :mod:`ccflab.instability` (a constant step) and the random-PDE twin of
 :mod:`ccflab.girsanov` (the steps ``beta_i dt`` of the clock
 ``theta = int beta dt``).
@@ -83,7 +84,6 @@ from .spectral import (
 __all__ = [
     "SimConfig",
     "PathRecord",
-    "cutoff_chi",
     "rk4",
     "drift",
     "em_step",
@@ -100,23 +100,9 @@ def plateau_bump(y: np.ndarray, inner: float = 1.0, outer: float = 2.0) -> np.nd
     return transition_bump((np.abs(y) - inner) / (outer - inner))
 
 
-def cutoff_chi(x: float, radius: float | None) -> float:
-    """Smooth gate: 1 on [0, R], 0 beyond 2R, monotone in between.
-
-    ``radius=None`` or ``+inf`` disables the gate (identically 1).
-    """
-    if radius is None or np.isposinf(radius):
-        return 1.0
-    if radius <= 0.0:
-        raise ValueError("cutoff radius must be positive")
-    if x <= radius:
-        return 1.0
-    return float(transition_bump(np.array((x - radius) / radius)))
-
-
 @dataclass(frozen=True)
 class SimConfig:
-    """All discretization, gating and stopping parameters for one path."""
+    """All discretization, noise and stopping parameters for one path."""
 
     grid: SpectralGrid
     s: float
@@ -125,7 +111,6 @@ class SimConfig:
     noise: NoiseModel = field(default_factory=ZeroNoise)
     seed: int = 0
     eps_mollify: float = 0.0
-    cutoff_radius: float | None = None
     blowup_threshold: float = 1.0e3
     record_every: int = 1
     keep_snapshots: bool = False
@@ -139,8 +124,6 @@ class SimConfig:
             raise ValueError("Sobolev index must exceed 3 for these runs")
         if not 0.0 <= self.eps_mollify < 1.0:
             raise ValueError("eps_mollify must lie in [0, 1)")
-        if self.cutoff_radius is not None and not self.cutoff_radius > 1.0:
-            raise ValueError("cutoff radius must exceed 1")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
@@ -188,14 +171,6 @@ def rk4(rhs, y, dt: float, k1=None):
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _gate(c: np.ndarray, grid: SpectralGrid, cfg: SimConfig) -> float:
-    """Cut-off factor ``chi_R(|u|_{H^{s-3/2}})`` of the coefficients ``c`` on
-    ``grid``; 1 without taking the norm when no radius is set."""
-    if cfg.cutoff_radius is None or np.isposinf(cfg.cutoff_radius):
-        return 1.0
-    return cutoff_chi(sobolev_norm(Field(grid, c), cfg.s - 1.5), cfg.cutoff_radius)
-
-
 @lru_cache(maxsize=64)
 def _mollifier_values(grid: SpectralGrid, eps: float) -> np.ndarray:
     # every step on the grid shares it, hence read-only
@@ -208,63 +183,48 @@ def _mollifier(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray | None:
     return _mollifier_values(grid, eps) if eps > 0.0 else None
 
 
-def _transport_rhs(c: np.ndarray, grid: SpectralGrid, gate: float,
-                   mollifier: np.ndarray | None, product=None) -> np.ndarray:
-    """``-gate J[(H J c) (J c)_x]``, dealiased, for the coefficients ``c``.
-
-    ``J`` multiplies by ``mollifier`` (the identity for ``None``).
-    ``product`` is the dealiased ``(H c) c_x`` when the caller has it and
-    there is no mollifier; otherwise one stacked inverse and one forward FFT
-    form the product.  No FFT when the gate is closed.
-    """
-    if gate == 0.0:
-        return np.zeros_like(c)
-    if product is None:
-        w = c if mollifier is None else c * mollifier
-        hw, wx = inverse_samples(grid, w * grid.transport_symbols)
-        product = dealiased_coefficients(grid, hw * wx)
-    if mollifier is not None:
-        product = product * mollifier
-    return product * (-gate)
+def _transport_rhs(c: np.ndarray, grid: SpectralGrid,
+                   mollifier: np.ndarray | None) -> np.ndarray:
+    """``J[(H J c) (J c)_x]``, dealiased, for the coefficients ``c``: one
+    stacked inverse and one forward FFT.  ``J`` multiplies by ``mollifier``
+    (the identity for ``None``)."""
+    w = c if mollifier is None else c * mollifier
+    hw, wx = inverse_samples(grid, w * grid.transport_symbols)
+    product = dealiased_coefficients(grid, hw * wx)
+    return product if mollifier is None else product * mollifier
 
 
 def drift(u: Field, cfg: SimConfig) -> Field:
-    """Negated gated transport term, ready to be added to the state."""
-    c, grid = u.coefficients, u.grid
-    return Field(grid, _transport_rhs(c, grid, _gate(c, grid, cfg), _mollifier(grid, cfg)))
+    """Negated transport term, ready to be added to the state."""
+    return Field(u.grid, -_transport_rhs(u.coefficients, u.grid, _mollifier(u.grid, cfg)))
 
 
 def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
             dt: float | None = None) -> Field:
     """One step from the state ``u`` at time ``t``: the RK4 drift substep,
     then the noise of the increment ``dw``, the exact factor
-    ``exp(a dw - a^2 dt / 2)`` of ``a = gate rate(t, u)`` for a family
-    ``h = rate u`` or the gated increment ``gate h(t, u) dw`` otherwise.
+    ``exp(a dw - a^2 dt / 2)`` of ``a = rate(t, u)`` for a family
+    ``h = rate u`` or the increment ``h(t, u) dw`` otherwise.
 
-    The noise is formed before the first stage: without a mollifier the first
-    stage reads ``u``'s own transport product, which the forward transform of
-    a field-valued noise forms in the same call.
+    The substep is RK4 of the transport term over ``-dt``.  The noise is
+    formed before it: without a mollifier the first stage is ``u``'s own
+    transport product, which the forward transform of a field-valued noise
+    forms in the same call.
     """
     dt = cfg.dt if dt is None else dt
-    c, grid = u.coefficients, u.grid
-    gate, mollifier = _gate(c, grid, cfg), _mollifier(grid, cfg)
+    grid, mollifier, noise = u.grid, _mollifier(u.grid, cfg), cfg.noise
     a = h = None
-    if gate == 0.0:
-        k1 = np.zeros_like(c)
+    if hasattr(noise, "rate"):
+        a = noise.rate(t, u)
     else:
-        noise = cfg.noise
-        if hasattr(noise, "rate"):
-            a = gate * noise.rate(t, u)
-        else:
-            coefficient = noise.components(t, u)
-            h = None if coefficient is None else coefficient.coefficients
-        product = u.transport_coefficients if mollifier is None else None
-        k1 = _transport_rhs(c, grid, gate, mollifier, product)
-    c = rk4(lambda y: _transport_rhs(y, grid, _gate(y, grid, cfg), mollifier), c, dt, k1)
+        coefficient = noise.components(t, u)
+        h = None if coefficient is None else coefficient.coefficients
+    k1 = u.transport_coefficients if mollifier is None else None
+    c = rk4(lambda y: _transport_rhs(y, grid, mollifier), u.coefficients, -dt, k1)
     if a is not None:
         c = c * np.exp(a * dw - 0.5 * a**2 * dt)
     elif h is not None:
-        c = c + h * float(gate * dw)
+        c = c + h * dw
     return Field(grid, c)
 
 
@@ -341,7 +301,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
 
 def simulate_low_frequency(cfg: SimConfig, u0: Field,
                            steps: Iterable[float]) -> Iterator[Field]:
-    """The gated, mollified ``u_t + (Hu) u_x = 0`` from ``u0``: yields ``u0``
+    """The mollified ``u_t + (Hu) u_x = 0`` from ``u0``: yields ``u0``
     and then the state after each noiseless :func:`em_step`, one per size in
     ``steps``, whatever the noise of ``cfg``.
 

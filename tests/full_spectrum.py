@@ -11,7 +11,6 @@ rules of :mod:`ccflab.integrate` and :mod:`ccflab.girsanov` on these arrays.
 
 import numpy as np
 
-from ccflab.integrate import cutoff_chi
 from ccflab.noise import (
     GeneralH,
     InstabilityH,
@@ -90,16 +89,10 @@ class Full:
 
     # -- the equation ------------------------------------------------------------
 
-    def gate(self, c, cfg):
-        return cutoff_chi(self.sobolev_norm(c, cfg.s - 1.5), cfg.cutoff_radius)
-
     def drift(self, c, cfg):
-        """``-gate J[(H J c) (J c)_x]``."""
-        gate = self.gate(c, cfg)
-        if gate == 0.0:
-            return np.zeros_like(c)
+        """``-J[(H J c) (J c)_x]``."""
         j = mollifier_symbol(cfg.eps_mollify * self.xi) if cfg.eps_mollify > 0.0 else 1.0
-        return -gate * (self.transport(c * j) * j)
+        return -(self.transport(c * j) * j)
 
     def gradient_powers(self, c, k, n):
         v = np.where(self.mask, c, 0.0)
@@ -134,18 +127,14 @@ class Full:
 
     def em_step(self, c, t, cfg, dw, dt):
         """RK4 of the drift, then the exact factor ``exp(a dw - a^2 dt / 2)``
-        of ``a = gate rate`` or the gated increment ``gate h dw``."""
+        of ``a = rate`` or the increment ``h dw``."""
         out = rk4(lambda y: self.drift(y, cfg), c, dt)
-        gate = self.gate(c, cfg)
-        if gate == 0.0:
-            return out
-        rate = self.rate(cfg.noise, t, c)
-        if rate is not None:
-            a = gate * rate
+        a = self.rate(cfg.noise, t, c)
+        if a is not None:
             return out * np.exp(a * dw - 0.5 * a**2 * dt)
         h = self.noise(cfg.noise, t, c)
         if h is not None:
-            out = out + h * float(gate * dw)
+            out = out + h * dw
         return out
 
     def simulate_path(self, cfg, c0):

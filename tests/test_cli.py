@@ -58,8 +58,8 @@ class TestConfig:
         key = pair.split("=")[0]
         with pytest.raises(TypeError, match=rf"override {key}: expected \w+, got null"):
             load_config(None, [pair])
-        cfg = load_config(None, ["sim.cutoff_radius=2.0", "sim.cutoff_radius=null"])
-        assert cfg["sim"]["cutoff_radius"] is None
+        cfg = load_config(None, ["study.eps_ref=2.0", "study.eps_ref=null"])
+        assert cfg["study"]["eps_ref"] is None
 
     @pytest.mark.parametrize("pair, message", [
         ("study.dt_list=[true,0.01]", "expected float, got bool"),
@@ -107,15 +107,15 @@ class TestConfig:
 
     def test_config_file_converts_like_set(self, tmp_path):
         p = tmp_path / "c.json"
-        p.write_text(json.dumps({"sim": {"dt": 1, "cutoff_radius": 2},
-                                 "study": {"eps_list": [1, 0.5], "k1": None}}))
+        p.write_text(json.dumps({"sim": {"dt": 1},
+                                 "study": {"eps_ref": 2, "eps_list": [1, 0.5], "k1": None}}))
         cfg = load_config(str(p), [])
-        assert type(cfg["sim"]["dt"]) is float and cfg["sim"]["cutoff_radius"] == 2.0
+        assert type(cfg["sim"]["dt"]) is float and cfg["study"]["eps_ref"] == 2.0
         assert all(type(eps) is float for eps in cfg["study"]["eps_list"])
         assert cfg["study"]["k1"] is None
 
-    @pytest.mark.parametrize("key", ["sim.cutoff_radius", "noise.b_star", "study.eps_ref",
-                                     "study.k1", "study.q_hat"])
+    @pytest.mark.parametrize("key", ["noise.b_star", "study.eps_ref", "study.k1",
+                                     "study.q_hat"])
     def test_null_default_takes_a_number_or_null(self, key):
         for raw in ("abc", '"big"', "[0.01]"):
             with pytest.raises(TypeError, match=rf"override {key}: expected float, got"):
@@ -199,9 +199,9 @@ class TestExitCodes:
           'noise={"family": "general", "n_components": 2.5}'], "override noise: "),
         (["simulate", "--set", 'sim={"dt": 0.01}'], "override sim: "),
         (["global", "--set", "study.q_hat=abc"], "override study.q_hat: "),
-        (["simulate", "--set", 'sim.cutoff_radius="big"'], "override sim.cutoff_radius: "),
+        (["simulate", "--set", 'study.eps_ref="big"'], "override study.eps_ref: "),
         (["converge", "--set", "study.eps_ref=[0.01]"], "override study.eps_ref: "),
-    ], ids=["section-noise", "section-sim", "q_hat-str", "cutoff-str", "eps_ref-list"])
+    ], ids=["section-noise", "section-sim", "q_hat-str", "eps_ref-str", "eps_ref-list"])
     def test_bad_leaf_is_a_usage_error_before_any_work(self, argv, message, monkeypatch,
                                                         capsys):
         def forbidden(*args, **kwargs):
@@ -218,11 +218,13 @@ class TestExitCodes:
         assert main(["simulate", "--paths", "1", "--config", str(p)]) == 3
         assert "override sim.seed: expected int, got str" in capsys.readouterr().err
 
-    def test_adapt_key_is_a_usage_error(self, capsys):
-        # every path takes one step per macro step; there is no halving to
-        # switch off
-        assert main(["simulate", "--paths", "1", "--set", "sim.adapt=false"]) == 3
-        assert "unknown config key: sim.adapt" in capsys.readouterr().err
+    @pytest.mark.parametrize("pair", ["sim.adapt=false", "sim.cutoff_radius=50.0"])
+    def test_adapt_key_is_a_usage_error(self, pair, capsys):
+        # every path takes one plain step per macro step; there is no halving
+        # to switch off and no cut-off gate to set
+        assert main(["simulate", "--paths", "1", "--set", pair]) == 3
+        key = pair.split("=")[0]
+        assert f"unknown config key: {key}" in capsys.readouterr().err
 
     def test_dealias_fraction_key_is_a_usage_error(self, capsys):
         # products are dealiased by the 2/3 rule; there is no band to set
@@ -347,8 +349,7 @@ class TestExitCodes:
         # the two smallest widths leave every retained mode of a 64-mode grid
         # unchanged, so their gap is exactly 0 and has no log-log rate
         code = main(["converge", "--paths", "2", "--set", "grid.n_modes=64",
-                     "--set", "sim.horizon=0.05", "--set", "noise.family=linear",
-                     "--set", "sim.cutoff_radius=50.0"])
+                     "--set", "sim.horizon=0.05", "--set", "noise.family=linear"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out.count("E sup gap^2") == 4
@@ -435,15 +436,6 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert code == 3
         assert "two distinct step sizes" in captured.err
-        assert "coupled residual" not in captured.out
-
-    def test_girsanov_cutoff_is_a_usage_error(self, capsys):
-        # the random-PDE twin does not solve the cut-off equation
-        code = main(["girsanov", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.05",
-                     "--set", "sim.cutoff_radius=1.5"])
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "cutoff_radius" in captured.err
         assert "coupled residual" not in captured.out
 
     def test_girsanov_stopped_paths_fail(self, capsys):

@@ -106,7 +106,7 @@ class TestDigest:
         # any change to the fields of SimConfig or of a noise model moves the
         # digest written into every ensemble header: update this on purpose
         cfg = small_cfg(noise=GeneralH(n_components=2))
-        assert config_digest(cfg) == "3da0fce0686b2a28"
+        assert config_digest(cfg) == "2f0c8ba27fdd5b2d"
 
     def test_nested_types_hashed(self):
         # same field values, different nested dataclass type: different digest
@@ -190,7 +190,7 @@ class TestConvergenceStudy:
         grid = SpectralGrid(n_modes=128)
         noise = LinearB(b0=0.3, lam=1.0, b_star=0.1)
         cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.1, noise=noise,
-                        seed=7, record_every=10, cutoff_radius=50.0)
+                        seed=7, record_every=10)
         out = convergence_study(cfg, [1 / 4, 1 / 8, 1 / 16], num_paths=3)
         gaps = [row["mean_sq_gap"] for row in out["table"]]
         assert gaps[0] > gaps[-1] > 0.0

@@ -118,19 +118,13 @@ def test_core_matches_full_spectrum(n, band, full_band, seed, rms, decay, x):
     fine, c2 = full.pad(c)
     assert_field(fine, pad_field(f), c2)
 
-    # one step of every noise family, plain, mollified, gated strictly
-    # inside (0, 1), and both; the gated state has |u|_{H^{s-3/2}} = 1.5 R
-    gated = f * (3.0 / sobolev_norm(f, 1.6))
+    # one step of every noise family, plain and mollified
     for noise in NOISES:
-        for eps, u, radius in ((0.0, f, None), (0.05, f, None), (0.0, gated, 2.0),
-                               (0.05, gated, 2.0)):
+        for eps in (0.0, 0.05):
             cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.05, noise=noise,
-                            eps_mollify=eps, cutoff_radius=radius)
-            cu = full.mirror(u.coefficients)
-            if radius is not None:
-                assert 0.0 < full.gate(cu, cfg) < 1.0
-            want = full.em_step(cu, 0.3, cfg, 0.02, 1e-3)
-            assert_field(full, em_step(u.copy(), 0.3, cfg, 0.02), want)
+                            eps_mollify=eps)
+            want = full.em_step(c, 0.3, cfg, 0.02, 1e-3)
+            assert_field(full, em_step(f.copy(), 0.3, cfg, 0.02), want)
 
 
 def test_power_law_field_matches_full_spectrum():

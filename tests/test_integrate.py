@@ -1,8 +1,9 @@
-"""Integrator checks: gate profile, hand-computed drift values, the exact
-factor of the scalar-rate noises against the geometric-Brownian closed form,
-the one-operator-at-a-time reference step and path the shared-transform
-stepper must equal bit for bit, FFT budgets, determinism/coupling contracts,
-and a fast deterministic blow-up smoke run."""
+"""Integrator checks: hand-computed drift values, the exact factor of the
+scalar-rate noises against the geometric-Brownian closed form, the
+one-operator-at-a-time reference step and path the shared-transform stepper
+must equal bit for bit, FFT budgets, determinism/coupling contracts, the
+time-change identity of a scalar-rate path, and a fast deterministic blow-up
+smoke run."""
 
 import io
 
@@ -13,7 +14,6 @@ from ccflab import integrate
 from ccflab.integrate import (
     SimConfig,
     blowup_bump,
-    cutoff_chi,
     drift,
     em_step,
     power_law_field,
@@ -61,21 +61,14 @@ def zero_cfg(**kw):
 # -- reference stepper: one operator at a time, on Fields --------------------------
 
 
-def reference_gate(u: Field, cfg: SimConfig) -> float:
-    return cutoff_chi(sobolev_norm(u, cfg.s - 1.5), cfg.cutoff_radius)
-
-
 def reference_drift(u: Field, cfg: SimConfig) -> Field:
-    gate = reference_gate(u, cfg)
-    if gate == 0.0:
-        return Field.zeros(u.grid)
     eps = cfg.eps_mollify
     symbol = integrate._mollifier_values(u.grid, eps)
     w = apply_multiplier(u, symbol) if eps > 0.0 else u
     term = dealiased_product(hilbert(w), derivative(w))
     if eps > 0.0:
         term = apply_multiplier(term, symbol)
-    return (-gate) * term
+    return -1.0 * term
 
 
 def reference_sups(f: Field) -> tuple[float, float, float]:
@@ -97,22 +90,18 @@ def reference_rate(model, t: float, u: Field) -> float | None:
 def reference_em_step(u: Field, t: float, cfg: SimConfig, dw: float,
                       dt: float | None = None) -> Field:
     """RK4 of the drift, then the exact factor ``exp(a dw - a^2 dt / 2)`` of
-    ``a = gate rate`` or the gated noise ``components(t, u) dw``, each operator
-    applied on its own; ``u`` is copied first, so no transform a stepper
-    cached on it is read."""
+    ``a = rate`` or the noise ``components(t, u) dw``, each operator applied
+    on its own; ``u`` is copied first, so no transform a stepper cached on it
+    is read."""
     dt = cfg.dt if dt is None else dt
     u = u.copy()
     unew = rk4(lambda f: reference_drift(f, cfg), u, dt)
-    gate = reference_gate(u, cfg)
-    if gate == 0.0:
-        return unew
     rate = reference_rate(cfg.noise, t, u)
     if rate is not None:
-        a = gate * rate
-        return np.exp(a * dw - 0.5 * a**2 * dt) * unew
+        return np.exp(rate * dw - 0.5 * rate**2 * dt) * unew
     h = cfg.noise.components(t, u)
     if h is not None:
-        unew = unew + (gate * dw) * h
+        unew = unew + dw * h
     return unew
 
 
@@ -152,34 +141,7 @@ def reference_path(cfg: SimConfig, u0: Field) -> dict:
     return result("completed", t, n_steps)
 
 
-class TestCutoffChi:
-    def test_plateau(self):
-        assert cutoff_chi(0.5 * 3.0, 3.0) == 1.0
-
-    def test_zero_beyond_double(self):
-        assert cutoff_chi(9.0, 3.0) == 0.0
-
-    def test_middle_and_scale_invariance(self):
-        v1 = cutoff_chi(1.5 * 2.0, 2.0)
-        v2 = cutoff_chi(1.5 * 7.0, 7.0)
-        assert 0.0 < v1 < 1.0
-        assert v1 == pytest.approx(v2, rel=1e-14)
-
-    def test_disabled(self):
-        assert cutoff_chi(1e9, None) == 1.0
-        assert cutoff_chi(1e9, np.inf) == 1.0
-
-
 class TestSimConfig:
-    @pytest.mark.parametrize("radius", [0.5, 1.0, -np.inf, np.nan])
-    def test_rejects_cutoff_radius(self, radius):
-        with pytest.raises(ValueError):
-            zero_cfg(cutoff_radius=radius)
-
-    @pytest.mark.parametrize("radius", [None, np.inf, 2.0])
-    def test_accepts_cutoff_radius(self, radius):
-        assert zero_cfg(cutoff_radius=radius).cutoff_radius == radius
-
     @pytest.mark.parametrize("horizon, dt", [(1e308, 1e-10), (np.inf, 1e-3),
                                              (1.0, np.nan)])
     def test_rejects_non_finite_step_count(self, horizon, dt):
@@ -211,13 +173,6 @@ class TestDrift:
     def test_zero_field(self):
         assert drift(Field.zeros(GRID), zero_cfg()).max_abs() == 0.0
 
-    def test_gate_closes(self):
-        rng = np.random.default_rng(0)
-        u = random_band_limited(GRID, 40, rng, rms=1.0)
-        r = sobolev_norm(u, 3.1 - 1.5)
-        cfg = zero_cfg(cutoff_radius=max(r / 2.5, 1.01))  # |u| >= 2R
-        assert drift(u, cfg).max_abs() == 0.0
-
     def test_cos_hand_value(self):
         # (Hu)u_x = sin^2 x for u = cos x; drift is its negative
         u = Field.from_function(GRID, lambda x: np.cos(x))
@@ -225,10 +180,11 @@ class TestDrift:
         assert np.allclose(got.samples, -np.sin(GRID.x) ** 2, atol=1e-12)
 
     def test_linear_growth_envelope(self):
-        # gated drift obeys |G(u)|_{H^s} <= l1 (1 + |u|_{H^s}); constant frozen
-        # from a direct sweep at eps = 0.05, R = 2.
+        # over this sweep the mollified drift obeys
+        # |G(u)|_{H^s} <= l1 (1 + |u|_{H^s}); constant frozen from a direct
+        # sweep at eps = 0.05 (worst ratio ~10.5)
         rng = np.random.default_rng(1)
-        cfg = zero_cfg(eps_mollify=0.05, cutoff_radius=2.0)
+        cfg = zero_cfg(eps_mollify=0.05)
         worst = 0.0
         for _ in range(50):
             u = random_band_limited(GRID, 80, rng, rms=rng.uniform(0.05, 4.0))
@@ -239,13 +195,12 @@ class TestDrift:
 
 class TestEmStep:
     def test_steps_on_the_fields_grid(self):
-        # drift, gate and mollifier all act on u's own grid, as reference_drift
-        # does, whatever grid the config names
+        # drift and mollifier act on u's own grid, as reference_drift does,
+        # whatever grid the config names
         grid = SpectralGrid(period=4.0 * np.pi, n_modes=GRID.n_modes)
         u = random_band_limited(grid, 20, np.random.default_rng(9), rms=0.5)
         noise = GeneralH(n_components=2)
-        for kw in ({}, {"eps_mollify": 0.05,
-                        "cutoff_radius": sobolev_norm(u, 1.6) / 1.5}):
+        for kw in ({}, {"eps_mollify": 0.05}):
             own = zero_cfg(grid=grid, noise=noise, **kw)
             other = zero_cfg(noise=noise, **kw)
             assert np.array_equal(drift(u, other).coefficients,
@@ -286,25 +241,22 @@ class TestEmStep:
     @pytest.mark.parametrize("noise", [StrongAlpha(q=3.0, theta=1.0),
                                        LinearB(b0=0.8, lam=1.0, b_star=0.8**2 * 1.05)],
                              ids=repr)
-    @pytest.mark.parametrize("gated", [False, True])
-    def test_scalar_rate_step_is_the_exact_factor(self, noise, gated):
+    def test_scalar_rate_step_is_the_exact_factor(self, noise):
         # on a constant datum the drift vanishes and the sups are 0, so one
-        # step is u exp(a dw - a^2 dt / 2) with a = gate q or gate b(t)
+        # step is u exp(a dw - a^2 dt / 2) with a = q or b(t)
         u = Field.from_function(GRID, lambda x: 0.0 * x + 1.0)
-        radius = sobolev_norm(u, 1.6) / 1.5 if gated else None
-        cfg = zero_cfg(noise=noise, cutoff_radius=radius)
-        gate = cutoff_chi(sobolev_norm(u, 1.6), radius)
-        assert (0.0 < gate < 1.0) if gated else gate == 1.0
+        cfg = zero_cfg(noise=noise)
         t, dt, dw = 0.3, 2e-3, 0.07
-        rate = noise.q if isinstance(noise, StrongAlpha) else noise.b0 * np.exp(-noise.lam * t)
-        a = gate * rate
+        a = noise.q if isinstance(noise, StrongAlpha) else noise.b0 * np.exp(-noise.lam * t)
         got = em_step(u.copy(), t, cfg, dw, dt)
         want = u.coefficients * np.exp(a * dw - a * a * dt / 2.0)
         assert np.allclose(got.coefficients, want, rtol=1e-14, atol=0.0)
 
 
 class TestReferenceStep:
-    """``em_step`` equals the one-operator-at-a-time reference bit for bit."""
+    """``em_step`` equals the one-operator-at-a-time reference bit for bit:
+    the reference steps the negated transport term over ``dt``, ``em_step``
+    the term itself over ``-dt``."""
 
     NOISES = [
         ZeroNoise(),
@@ -326,13 +278,9 @@ class TestReferenceStep:
 
     @pytest.mark.parametrize("noise", NOISES, ids=repr)
     @pytest.mark.parametrize("eps", [0.0, 0.05])
-    @pytest.mark.parametrize("gated", [False, True])
-    def test_equals_reference(self, noise, eps, gated):
+    def test_equals_reference(self, noise, eps):
         for u in self.states():
-            radius = sobolev_norm(u, 1.6) / 1.5 if gated else None
-            cfg = zero_cfg(noise=noise, eps_mollify=eps, cutoff_radius=radius)
-            if gated:
-                assert 0.0 < reference_gate(u, cfg) < 1.0
+            cfg = zero_cfg(noise=noise, eps_mollify=eps)
             for dt in (1e-3, 2.5e-4):
                 want = reference_em_step(u, 0.3, cfg, 0.02, dt)
                 got = em_step(u.copy(), 0.3, cfg, 0.02, dt)
@@ -346,8 +294,7 @@ class TestReferenceStep:
 
     def test_drift_equals_reference(self):
         for u in self.states():
-            for cfg in (zero_cfg(), zero_cfg(eps_mollify=0.05,
-                                             cutoff_radius=sobolev_norm(u, 1.6) / 1.5)):
+            for cfg in (zero_cfg(), zero_cfg(eps_mollify=0.05)):
                 want = reference_drift(u, cfg).coefficients
                 assert np.array_equal(drift(u, cfg).coefficients, want)
 
@@ -468,14 +415,6 @@ class TestSimulatePath:
         assert np.array_equal(rec.wiener_increments,
                               wiener_increments(cfg.seed, cfg.dt, 200)[:taken])
 
-    def test_cutoff_inert_when_huge(self):
-        rng = np.random.default_rng(6)
-        u0 = random_band_limited(GRID, 20, rng, rms=0.2)
-        big = 1e3 * sobolev_norm(u0, 3.1)
-        rec_inf = simulate_path(zero_cfg(horizon=0.02, cutoff_radius=None), u0)
-        rec_big = simulate_path(zero_cfg(horizon=0.02, cutoff_radius=big), u0)
-        assert np.array_equal(rec_inf.diagnostics["h_s"], rec_big.diagnostics["h_s"])
-
     def test_transport_range_preserved(self):
         # pure transport: [min u, max u] invariant up to O(dt + spectral error)
         u0 = Field.from_function(GRID, lambda x: 0.3 * np.sin(x) + 0.1 * np.cos(2 * x))
@@ -526,21 +465,6 @@ class TestSimulatePath:
         assert rec.diagnostics["h_s"][-1] == pytest.approx(91.66208711734731, rel=1e-12)
         assert rec.diagnostics["sup_ux"][-1] == pytest.approx(2.8619456523543527, rel=1e-12)
         assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.3834538353390697, rel=1e-12)
-
-    def test_frozen_general_h_gated(self):
-        # tiny GeneralH path with the gate strictly between 0 and 1; frozen
-        # values: a change in the RK4 stage arithmetic or the gate shows here
-        grid = SpectralGrid(n_modes=64)
-        u0 = random_band_limited(grid, 8, np.random.default_rng(2), rms=0.5)
-        cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.02, seed=3,
-                        noise=GeneralH(n_components=4),
-                        cutoff_radius=sobolev_norm(u0, 1.6) / 1.5)
-        rec = simulate_path(cfg, u0)
-        assert rec.status == "completed"
-        assert rec.wiener_increments.shape == (20,)
-        assert rec.diagnostics["h_s"][-1] == pytest.approx(95.39678920212046, rel=1e-12)
-        assert rec.diagnostics["sup_ux"][-1] == pytest.approx(2.9726146137587635, rel=1e-12)
-        assert rec.diagnostics["max_lam"][-1] == pytest.approx(2.436232719983604, rel=1e-12)
 
 
 def low_datum(n: int, n_modes: int) -> Field:
@@ -611,16 +535,14 @@ class TestLowFrequency:
         next(stream)
         assert len(fft_calls) == 8
 
-    @pytest.mark.parametrize("gate, eps", [(True, 0.0), (False, 0.05), (True, 0.05)])
-    def test_steps_are_noiseless_em_steps(self, gate, eps):
-        # the stream honours the gate and the mollifier of its config and
-        # ignores its noise: each state is one noiseless em_step of the given
-        # size, bit for bit
+    def test_steps_are_noiseless_em_steps(self):
+        # the stream honours the mollifier of its config and ignores its
+        # noise: each state is one noiseless em_step of the given size, bit
+        # for bit
         u0 = power_law_field(GRID, 3.1, np.random.default_rng(12), amplitude=1.0)
-        radius = sobolev_norm(u0, 1.6) / 1.5 if gate else None
-        cfg = low_cfg(GRID, 1e-3, 0.01, cutoff_radius=radius, eps_mollify=eps,
+        cfg = low_cfg(GRID, 1e-3, 0.01, eps_mollify=0.05,
                       noise=GeneralH(n_components=8, exponent_k=2, exponent_n=1))
-        quiet = low_cfg(GRID, 1e-3, 0.01, cutoff_radius=radius, eps_mollify=eps)
+        quiet = low_cfg(GRID, 1e-3, 0.01, eps_mollify=0.05)
         sizes = 1e-3 * np.exp(0.3 * np.sin(np.arange(10)))
         got = list(simulate_low_frequency(cfg, u0, sizes))
         v, want = u0, [u0]
@@ -630,11 +552,6 @@ class TestLowFrequency:
         assert len(got) == len(want) == 11
         for f, w in zip(got, want):
             assert np.array_equal(f.coefficients, w.coefficients)
-        if gate:
-            # the gate is active: the stream is not the ungated equation
-            free = list(simulate_low_frequency(low_cfg(GRID, 1e-3, 0.01, eps_mollify=eps),
-                                               u0, sizes))
-            assert not np.array_equal(free[-1].coefficients, got[-1].coefficients)
 
 
 class TestTimeChange:
