@@ -248,14 +248,6 @@ def cmd_simulate(cfg: dict, args) -> int:
     u0 = power_law_field(sim.grid, sim.s, stream(sim.seed),
                          amplitude=cfg["study"]["amplitude"])
     n_paths = study_paths(cfg, args, 1)
-    if n_paths == 1:
-        (rec,) = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, 1)
-        print(f"status={rec.status} t_stop={rec.t_stop:.6g} "
-              f"final |u|_Hs={rec.diagnostics['h_s'][-1]:.6g}")
-        if args.out:
-            with open(args.out, "w") as fh:
-                rec.to_jsonl(fh)
-        return 0
     result = ensemble.run_ensemble(sim, u0, n_paths,
                                    workers=cfg["study"]["workers"])
     print(json.dumps(result.summaries, indent=2, sort_keys=True))

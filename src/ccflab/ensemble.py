@@ -17,12 +17,11 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .integrate import PathRecord, SimConfig, power_law_field, simulate_path
+from .integrate import DIAGNOSTIC_NAMES, PathRecord, SimConfig, power_law_field, simulate_path
 from .noise import path_seed, stream
 from .spectral import Field, sobolev_norm
 
 __all__ = [
-    "PathOutcome",
     "EnsembleResult",
     "run_paths",
     "SimTask",
@@ -52,20 +51,12 @@ def run_paths(task, seed_base: int, num_paths: int, workers: int = 1) -> list:
 
 
 @dataclass
-class PathOutcome:
-    """Scalar summary of one path."""
-
-    index: int
-    seed: int
-    status: str
-    t_stop: float
-    extremes: dict[str, float]
-
-
-@dataclass
 class EnsembleResult:
+    """The paths of one ensemble in index order, path i on ``seeds[i]``."""
+
     config_digest: str
-    per_path: list[PathOutcome]
+    seeds: list[int]
+    records: list[PathRecord]
     summaries: dict
 
 
@@ -83,27 +74,31 @@ def _plain(obj):
             **{f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}}
 
 
-def recompute_summaries(per_path: list[PathOutcome]) -> dict:
-    """Aggregate per-path rows; applying this twice is a no-op by construction."""
-    n = len(per_path)
-    statuses = [p.status for p in per_path]
+def _extremes(rec: PathRecord) -> dict[str, float]:
+    """The largest recorded value of each diagnostic of one path."""
+    return {k: float(np.max(v)) for k, v in rec.diagnostics.items()}
+
+
+def recompute_summaries(records: list[PathRecord]) -> dict:
+    """Aggregate one or more paths; applying this twice is a no-op."""
+    n = len(records)
+    statuses = [r.status for r in records]
     counts = {s: statuses.count(s) for s in sorted(set(statuses))}
     n_blew = counts.get("blewup", 0)
     lo, hi = wilson_ci(n_blew, n)
+    extremes = [_extremes(r) for r in records]
     summary = {
         "n_paths": n,
         "status_counts": counts,
-        "blowup_fraction": (n_blew / n) if n else 0.0,
+        "blowup_fraction": n_blew / n,
         "blowup_ci": [lo, hi],
         "extremes": {},
     }
-    if n:
-        keys = sorted({k for p in per_path for k in p.extremes})
-        for k in keys:
-            vals = np.array([p.extremes[k] for p in per_path if k in p.extremes])
-            summary["extremes"][k] = {"mean": float(vals.mean()),
-                                      "var": float(vals.var(ddof=1)) if vals.size > 1 else 0.0,
-                                      "max": float(vals.max())}
+    for k in sorted(DIAGNOSTIC_NAMES):
+        vals = np.array([e[k] for e in extremes])
+        summary["extremes"][k] = {"mean": float(vals.mean()),
+                                  "var": float(vals.var(ddof=1)) if n > 1 else 0.0,
+                                  "max": float(vals.max())}
     return summary
 
 
@@ -112,20 +107,13 @@ WILSON_Z = 1.959964
 
 
 def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
-    """95% Wilson score interval (robust at small counts)."""
+    """95% Wilson score interval (robust at small counts) of ``trials >= 1``."""
     z = WILSON_Z
-    if trials == 0:
-        return 0.0, 1.0
     p = successes / trials
     denom = 1.0 + z**2 / trials
     center = (p + z**2 / (2 * trials)) / denom
     half = z * np.sqrt(p * (1 - p) / trials + z**2 / (4 * trials**2)) / denom
     return center - half, center + half
-
-
-def _outcome_from_record(index: int, seed: int, rec: PathRecord) -> PathOutcome:
-    extremes = {k: float(np.max(v)) for k, v in rec.diagnostics.items()}
-    return PathOutcome(index, seed, rec.status, rec.t_stop, extremes)
 
 
 @dataclass(frozen=True)
@@ -141,26 +129,33 @@ class SimTask:
 
 def run_ensemble(cfg: SimConfig, u0: Field, num_paths: int,
                  workers: int = 1) -> EnsembleResult:
-    """Independent paths from shared initial data, path i on
-    ``path_seed(cfg.seed, i)``."""
+    """``num_paths >= 1`` independent paths from shared initial data, path i
+    on ``path_seed(cfg.seed, i)``."""
+    if num_paths < 1:
+        raise ValueError(f"num_paths must be >= 1, got {num_paths}")
     records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers)
-    per_path = [_outcome_from_record(i, path_seed(cfg.seed, i), r)
-                for i, r in enumerate(records)]
-    return EnsembleResult(config_digest(cfg), per_path, recompute_summaries(per_path))
+    seeds = [path_seed(cfg.seed, i) for i in range(num_paths)]
+    return EnsembleResult(config_digest(cfg), seeds, records, recompute_summaries(records))
 
 
 # -- persistence --------------------------------------------------------------------
 
 
 def persist(result: EnsembleResult, path: str):
-    """JSON-lines: one header row, one row per path in index order."""
+    """JSON-lines: one header row, then per path in index order its summary
+    row followed by one row per recorded step."""
     with open(path, "w") as fh:
-        fh.write(json.dumps({"kind": "header", "config_digest": result.config_digest,
-                             "n_paths": len(result.per_path)}) + "\n")
-        for p in result.per_path:
-            fh.write(json.dumps({"kind": "path", "index": p.index, "seed": p.seed,
-                                 "status": p.status, "t_stop": p.t_stop,
-                                 "extremes": p.extremes}) + "\n")
+        def write(row: dict):
+            fh.write(json.dumps(row) + "\n")
+
+        write({"kind": "header", "config_digest": result.config_digest,
+               "n_paths": len(result.records), "columns": ["t", *DIAGNOSTIC_NAMES]})
+        for i, (seed, rec) in enumerate(zip(result.seeds, result.records)):
+            write({"kind": "path", "index": i, "seed": seed, "status": rec.status,
+                   "t_stop": rec.t_stop, "extremes": _extremes(rec)})
+            for j, t in enumerate(rec.times):
+                write({"kind": "row", "v": [float(t)] + [float(rec.diagnostics[k][j])
+                                                         for k in DIAGNOSTIC_NAMES]})
 
 
 # -- rate fitting ---------------------------------------------------------------------
@@ -247,8 +242,7 @@ def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
     # a width that leaves every retained mode unchanged has a gap of exactly
     # 0, which has no logarithm: report those widths instead of a fit
     zero_gap_eps = [row["eps"] for row in table if row["mean_sq_gap"] == 0.0]
-    slope = intercept = r2 = float("nan")
+    slope = float("nan")
     if not zero_gap_eps:
-        slope, intercept, r2 = rate_fit([(row["eps"], row["mean_sq_gap"]) for row in table])
-    return {"table": table, "slope": slope, "intercept": intercept, "r2": r2,
-            "zero_gap_eps": zero_gap_eps, "eps_ref": eps_ref, "k_threshold": k_threshold}
+        slope, _, _ = rate_fit([(row["eps"], row["mean_sq_gap"]) for row in table])
+    return {"table": table, "slope": slope, "zero_gap_eps": zero_gap_eps}

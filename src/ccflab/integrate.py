@@ -56,8 +56,6 @@ gives, which serves the low-frequency profile of
 
 from __future__ import annotations
 
-import io
-import json
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -142,16 +140,6 @@ class PathRecord:
     t_stop: float
     snapshots: list[tuple[float, Field]]
     wiener_increments: np.ndarray  # one Brownian increment per macro step taken
-
-    def to_jsonl(self, stream: io.TextIOBase):
-        """One JSON row per recorded step, preceded by a header row."""
-        head = {"kind": "header", "status": self.status, "t_stop": self.t_stop,
-                "n_rows": int(self.times.size),
-                "columns": ["t", *DIAGNOSTIC_NAMES]}
-        stream.write(json.dumps(head) + "\n")
-        for i, t in enumerate(self.times):
-            row = [float(t)] + [float(self.diagnostics[k][i]) for k in DIAGNOSTIC_NAMES]
-            stream.write(json.dumps({"kind": "row", "v": row}) + "\n")
 
 
 # -- drift and stepping ----------------------------------------------------------
@@ -279,8 +267,9 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
         t = (i + 1) * cfg.dt
 
         if u_next.diverged:
-            # the last finite state
-            record(t, u)
+            # the last finite state, at its own time i dt, unless already recorded
+            if i % cfg.record_every:
+                record(i * cfg.dt, u)
             return finalize("diverged", t, i + 1)
         u, sups = u_next, gradient_sups(u_next)
 

@@ -20,7 +20,7 @@ from ccflab.ensemble import (
     run_paths,
     wilson_ci,
 )
-from ccflab.integrate import SimConfig, power_law_field
+from ccflab.integrate import DIAGNOSTIC_NAMES, SimConfig, power_law_field
 from ccflab.noise import GeneralH, LinearB, StrongAlpha, path_seed, stream
 from ccflab.spectral import Field, SpectralGrid
 
@@ -71,22 +71,31 @@ class TestSeeding:
         r1 = run_ensemble(cfg, u0, 6, workers=1)
         r2 = run_ensemble(cfg, u0, 6, workers=2)
         assert r1.config_digest == r2.config_digest
-        for a, b in zip(r1.per_path, r2.per_path):
-            assert a.seed == b.seed and a.status == b.status
-            assert a.extremes == b.extremes  # bitwise: same floats
+        assert r1.seeds == r2.seeds == [path_seed(cfg.seed, i) for i in range(6)]
+        assert_same_records(r1.records, r2.records)
 
     def test_rerun_identical(self):
         cfg, u0 = small_cfg(), small_u0()
-        r1 = run_ensemble(cfg, u0, 4)
-        r2 = run_ensemble(cfg, u0, 4)
-        assert [p.extremes for p in r1.per_path] == [p.extremes for p in r2.per_path]
+        assert_same_records(run_ensemble(cfg, u0, 4).records,
+                            run_ensemble(cfg, u0, 4).records)
+
+
+def assert_same_records(a, b):
+    """Bitwise: the same statuses, stopping times, rows and increments."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x.status, x.t_stop) == (y.status, y.t_stop)
+        assert np.array_equal(x.times, y.times)
+        assert np.array_equal(x.wiener_increments, y.wiener_increments)
+        assert x.diagnostics.keys() == y.diagnostics.keys()
+        for k in x.diagnostics:
+            assert np.array_equal(x.diagnostics[k], y.diagnostics[k]), k
 
 
 class TestResult:
     def test_zero_paths(self):
-        r = run_ensemble(small_cfg(), small_u0(), 0)
-        assert r.summaries["n_paths"] == 0
-        assert r.per_path == []
+        with pytest.raises(ValueError, match="num_paths must be >= 1, got 0"):
+            run_ensemble(small_cfg(), small_u0(), 0)
 
     def test_digest_sensitivity(self):
         a = config_digest(small_cfg())
@@ -97,7 +106,7 @@ class TestResult:
 
     def test_aggregation_idempotent(self):
         r = run_ensemble(small_cfg(), small_u0(), 5)
-        again = recompute_summaries(r.per_path)
+        again = recompute_summaries(r.records)
         assert again == r.summaries
 
 
@@ -127,12 +136,19 @@ class TestPersistence:
         persist(r, str(p))
         header, *rows = [json.loads(line) for line in p.read_text().splitlines()]
         assert header == {"kind": "header", "config_digest": r.config_digest,
-                          "n_paths": 4}
-        assert [row.pop("kind") for row in rows] == ["path"] * 4
-        assert rows == [{"index": o.index, "seed": o.seed, "status": o.status,
-                         "t_stop": o.t_stop, "extremes": o.extremes}
-                        for o in r.per_path]
-        assert [row["index"] for row in rows] == [0, 1, 2, 3]
+                          "n_paths": 4, "columns": ["t", *DIAGNOSTIC_NAMES]}
+        # per path in index order: its summary row, then its recorded rows
+        for i, rec in enumerate(r.records):
+            path, rows = rows[0], rows[1:]
+            assert path == {"kind": "path", "index": i, "seed": r.seeds[i],
+                            "status": rec.status, "t_stop": rec.t_stop,
+                            "extremes": {k: float(np.max(v))
+                                         for k, v in rec.diagnostics.items()}}
+            n = rec.times.size
+            assert [row["kind"] for row in rows[:n]] == ["row"] * n
+            assert [row["v"][0] for row in rows[:n]] == rec.times.tolist()
+            rows = rows[n:]
+        assert rows == []
 
 
 class TestWilson:
@@ -143,9 +159,6 @@ class TestWilson:
     def test_small_counts_stay_in_unit_interval(self):
         lo, hi = wilson_ci(0, 5)
         assert 0.0 <= lo < hi <= 1.0
-
-    def test_no_trials_gives_unit_interval(self):
-        assert wilson_ci(0, 0) == (0.0, 1.0)
 
 
 class TestRateFit:

@@ -5,12 +5,13 @@ must equal bit for bit, FFT budgets, determinism/coupling contracts, the
 time-change identity of a scalar-rate path, and a fast deterministic blow-up
 smoke run."""
 
-import io
+import json
 
 import numpy as np
 import pytest
 
 from ccflab import integrate
+from ccflab.ensemble import persist, run_ensemble
 from ccflab.integrate import (
     SimConfig,
     blowup_bump,
@@ -129,7 +130,8 @@ def reference_path(cfg: SimConfig, u0: Field) -> dict:
             unew = reference_em_step(u, t, cfg, dw)
             t = (i + 1) * cfg.dt
             if unew.diverged:
-                record(t, u)
+                if i % cfg.record_every:
+                    record(i * cfg.dt, u)
                 return result("diverged", t, i + 1)
             u = unew
             sup_ux, sup_hux, _ = reference_sups(u)
@@ -179,18 +181,22 @@ class TestDrift:
         got = drift(u, zero_cfg())
         assert np.allclose(got.samples, -np.sin(GRID.x) ** 2, atol=1e-12)
 
-    def test_linear_growth_envelope(self):
-        # over this sweep the mollified drift obeys
-        # |G(u)|_{H^s} <= l1 (1 + |u|_{H^s}); constant frozen from a direct
-        # sweep at eps = 0.05 (worst ratio ~10.5)
+    def test_quadratic_growth_envelope(self):
+        # the mollified drift has degree 2: G(10 u) = 100 G(u), and over this
+        # sweep |G(u)|_{H^s} <= C(eps) |u|_{H^s}^2; C frozen from a direct
+        # sweep at eps = 0.05 (worst ratio 6.05e-5), where the linear ratio
+        # |G(u)|_{H^s} / (1 + |u|_{H^s}) reaches 620
         rng = np.random.default_rng(1)
         cfg = zero_cfg(eps_mollify=0.05)
         worst = 0.0
         for _ in range(50):
-            u = random_band_limited(GRID, 80, rng, rms=rng.uniform(0.05, 4.0))
-            ratio = sobolev_norm(drift(u, cfg), 3.1) / (1.0 + sobolev_norm(u, 3.1))
-            worst = max(worst, ratio)
-        assert worst < 25.0
+            rms = np.exp(rng.uniform(np.log(0.05), np.log(400.0)))
+            u = random_band_limited(GRID, 80, rng, rms=rms)
+            g = drift(u, cfg)
+            scaled = drift(10.0 * u, cfg)
+            assert sobolev_norm(scaled - 100.0 * g, 3.1) <= 1e-12 * sobolev_norm(scaled, 3.1)
+            worst = max(worst, sobolev_norm(g, 3.1) / sobolev_norm(u, 3.1) ** 2)
+        assert worst < 1e-4
 
 
 class TestEmStep:
@@ -452,6 +458,32 @@ class TestSimulatePath:
         with pytest.raises(ValueError):
             simulate_path(cfg, u0)
 
+    def test_diverged_path_records_its_last_finite_state_once(self):
+        # step 5 overflows: the state at 5 dt is the last finite one; it is
+        # recorded at 5 dt, once, while t_stop is the failed step's 6 dt
+        grid = SpectralGrid(n_modes=64)
+        u0 = power_law_field(grid, 3.1, stream(0), amplitude=5.0)
+        recs = {}
+        for every in (1, 4):
+            cfg = SimConfig(grid=grid, s=3.1, dt=0.02, horizon=2.0, seed=1,
+                            noise=GeneralH(q=50.0), record_every=every,
+                            blowup_threshold=1e300)
+            rec = recs[every] = simulate_path(cfg, u0)
+            assert rec.status == "diverged"
+            assert rec.wiener_increments.shape == (6,)
+            assert rec.t_stop == 6 * cfg.dt
+            assert rec.times[-1] == 5 * cfg.dt
+            want = reference_path(cfg, u0)
+            assert np.array_equal(rec.times, want["times"])
+            for j, name in enumerate(integrate.DIAGNOSTIC_NAMES):
+                assert np.array_equal(rec.diagnostics[name], want["rows"][:, j]), name
+        # every fourth row and the last finite one are rows of the dense record
+        dense, sparse = recs[1], recs[4]
+        assert np.array_equal(dense.times, 0.02 * np.arange(6))
+        assert np.array_equal(sparse.times, dense.times[[0, 4, 5]])
+        for name, values in sparse.diagnostics.items():
+            assert np.array_equal(values, dense.diagnostics[name][[0, 4, 5]]), name
+
     def test_frozen_general_h(self):
         # tiny GeneralH path; frozen values: a change in the RK4 stage
         # arithmetic or the noise shows here
@@ -601,13 +633,16 @@ class TestInitialData:
 
 
 class TestPathRecordIO:
-    def test_jsonl_roundtrip_rows(self):
+    def test_jsonl_roundtrip_rows(self, tmp_path):
+        # persist writes a path's recorded rows as they are, bit for bit
         cfg = zero_cfg(horizon=0.01)
-        rec = simulate_path(cfg, Field.from_function(GRID, lambda x: 0.1 * np.sin(x)))
-        buf = io.StringIO()
-        rec.to_jsonl(buf)
-        lines = buf.getvalue().strip().split("\n")
-        import json
-        head = json.loads(lines[0])
-        assert head["status"] == "completed"
-        assert head["n_rows"] == len(lines) - 1
+        u0 = Field.from_function(GRID, lambda x: 0.1 * np.sin(x))
+        result = run_ensemble(cfg, u0, 1)
+        (rec,) = result.records
+        out = tmp_path / "path.jsonl"
+        persist(result, str(out))
+        head, path, *rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert head["columns"] == ["t", *integrate.DIAGNOSTIC_NAMES]
+        assert path["status"] == "completed" and len(rows) == rec.times.size == 11
+        assert [row["v"] for row in rows] == np.column_stack(
+            [rec.times, *(rec.diagnostics[k] for k in integrate.DIAGNOSTIC_NAMES)]).tolist()
