@@ -295,8 +295,7 @@ def cmd_global(cfg: dict, args) -> int:
     if k1 is None:
         k1 = diagnostics.fit_k1_from_sweep(model, sim.s, q_hat, study["k2"],
                                            stream(sim.seed, 2, 1))
-    records = ensemble.run_paths(ensemble.SimTask(sim, u0), sim.seed, n_paths,
-                                 workers=study["workers"])
+    records = ensemble.run_paths(sim, u0, n_paths, workers=study["workers"])
     n_done, n_blew, n_div = (sum(r.status == status for r in records)
                              for status in ("completed", "blewup", "diverged"))
     # too few completed paths for the growth check is a failed study
@@ -364,7 +363,7 @@ def cmd_instability(cfg: dict, args) -> int:
         points.append((float(n), out["mean_sup_sq"]))
         rows.append([n, out["mean_sup_sq"], out["det_sup_sq"]])
         print(f"n={n:5d}  E sup |defect|^2 = {out['mean_sup_sq']:.6e}")
-    slope, _, r2 = ensemble.rate_fit(points)
+    slope, r2 = ensemble.rate_fit(points)
     target = 2.0 * sep_p.rate_error + 0.3
     print(f"defect slope {slope:.3f} (target <= {target:.3f}, r2={r2:.3f})")
     write_csv(args.report, ["n", "mean_sup_sq_defect", "det_sup_sq"], rows)

@@ -1,11 +1,11 @@
 """Monte Carlo orchestration, persistence and the mollifier-convergence study.
 
-Path i of study seed ``seed_base`` runs on :func:`~ccflab.noise.path_seed`
-``(seed_base, i)``, computed in the parent, so results are independent of the
-worker count and scheduling order; they come back in path-index order, and
-aggregating them is idempotent.  Every result carries a digest of its
-configuration, which :func:`persist` writes into the header of its JSON-lines
-file.
+Every study runs its SPDE paths through :func:`run_paths`, path i on
+:func:`~ccflab.noise.path_seed` ``(cfg.seed, i)``, computed in the parent, so
+results are independent of the worker count and scheduling order; they come
+back in path-index order, and aggregating them is idempotent.  Every result
+carries a digest of its configuration, which :func:`persist` writes into the
+header of its JSON-lines file.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .spectral import Field, sobolev_norm
 __all__ = [
     "EnsembleResult",
     "run_paths",
-    "SimTask",
     "run_ensemble",
     "recompute_summaries",
     "config_digest",
@@ -35,15 +34,27 @@ __all__ = [
 ]
 
 
-def run_paths(task, seed_base: int, num_paths: int, workers: int = 1) -> list:
-    """Map a picklable ``task(seed)`` over the per-path seeds.
+@dataclass(frozen=True)
+class _PathTask:
+    """Picklable per-seed task: one SPDE path from shared initial data."""
 
-    The result order is by path index regardless of scheduling.
-    """
-    seeds = [path_seed(seed_base, i) for i in range(num_paths)]
+    cfg: SimConfig
+    u0: Field
+
+    def __call__(self, seed: int) -> PathRecord:
+        return simulate_path(replace(self.cfg, seed=seed), self.u0)
+
+
+def run_paths(cfg: SimConfig, u0: Field, num_paths: int,
+              workers: int = 1) -> list[PathRecord]:
+    """The one runner of SPDE paths: ``num_paths`` paths from shared initial data,
+    path i on ``path_seed(cfg.seed, i)``, in path-index order whatever the
+    scheduling, on at most ``num_paths`` worker processes."""
+    task = _PathTask(cfg, u0)
+    seeds = [path_seed(cfg.seed, i) for i in range(num_paths)]
     if workers <= 1 or num_paths <= 1:
         return [task(s) for s in seeds]
-    with multiprocessing.Pool(processes=workers) as pool:
+    with multiprocessing.Pool(processes=min(workers, num_paths)) as pool:
         return pool.map(task, seeds)
 
 
@@ -116,24 +127,13 @@ def wilson_ci(successes: int, trials: int) -> tuple[float, float]:
     return center - half, center + half
 
 
-@dataclass(frozen=True)
-class SimTask:
-    """Picklable per-seed task: one SPDE path from shared initial data."""
-
-    cfg: SimConfig
-    u0: Field
-
-    def __call__(self, seed: int) -> PathRecord:
-        return simulate_path(replace(self.cfg, seed=seed), self.u0)
-
-
 def run_ensemble(cfg: SimConfig, u0: Field, num_paths: int,
                  workers: int = 1) -> EnsembleResult:
     """``num_paths >= 1`` independent paths from shared initial data, path i
     on ``path_seed(cfg.seed, i)``."""
     if num_paths < 1:
         raise ValueError(f"num_paths must be >= 1, got {num_paths}")
-    records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers)
+    records = run_paths(cfg, u0, num_paths, workers)
     seeds = [path_seed(cfg.seed, i) for i in range(num_paths)]
     return EnsembleResult(config_digest(cfg), seeds, records, recompute_summaries(records))
 
@@ -161,8 +161,8 @@ def persist(result: EnsembleResult, path: str):
 # -- rate fitting ---------------------------------------------------------------------
 
 
-def rate_fit(points: list[tuple[float, float]]) -> tuple[float, float, float]:
-    """Log-log least squares; returns ``(slope, intercept, r_squared)``."""
+def rate_fit(points: list[tuple[float, float]]) -> tuple[float, float]:
+    """Log-log least squares; returns ``(slope, r_squared)``."""
     if len({x for x, _ in points}) < 2:
         raise ValueError("rate fit needs at least two distinct abscissae")
     xs = np.log(np.array([p[0] for p in points], dtype=float))
@@ -174,41 +174,24 @@ def rate_fit(points: list[tuple[float, float]]) -> tuple[float, float, float]:
     ss_res = float(np.sum((ys - pred) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(intercept), r2
+    return float(slope), r2
 
 
 # -- mollifier convergence study -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _CoupledFamilyTask:
-    """Sup-differences of all widths against one shared reference run, for one
-    seed (the Wiener realization couples every member of the family)."""
-
-    cfg: SimConfig
-    u0: Field
-    eps_list: tuple[float, ...]
-    eps_ref: float
-    k_threshold: float
-
-    def __call__(self, seed: int) -> list[float]:
-        base = replace(self.cfg, seed=seed, keep_snapshots=True)
-        rec_r = simulate_path(replace(base, eps_mollify=self.eps_ref), self.u0)
-        s32 = self.cfg.s - 1.5
-        out = []
-        for eps in self.eps_list:
-            rec_e = simulate_path(replace(base, eps_mollify=eps), self.u0)
-            worst = 0.0
-            for (te, ue), (tr, ur) in zip(rec_e.snapshots, rec_r.snapshots):
-                if abs(te - tr) > 1e-12:
-                    break
-                # stopped supremum: both paths must stay inside the K-ball
-                if sobolev_norm(ue, self.cfg.s) >= self.k_threshold or \
-                        sobolev_norm(ur, self.cfg.s) >= self.k_threshold:
-                    break
-                worst = max(worst, sobolev_norm(ue - ur, s32) ** 2)
-            out.append(worst)
-        return out
+def _stopped_sup(rec_e: PathRecord, rec_r: PathRecord, s: float, k_threshold: float) -> float:
+    """Sup of the squared H^{s-3/2} gap of two paths on one path seed over their
+    shared recorded times, stopped once either leaves the ``k_threshold`` ball."""
+    worst = 0.0
+    for (te, ue), (tr, ur) in zip(rec_e.snapshots, rec_r.snapshots):
+        # a path that blew up recorded its last state off the record grid
+        if te != tr:
+            break
+        if sobolev_norm(ue, s) >= k_threshold or sobolev_norm(ur, s) >= k_threshold:
+            break
+        worst = max(worst, sobolev_norm(ue - ur, s - 1.5) ** 2)
+    return worst
 
 
 def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
@@ -217,11 +200,12 @@ def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
     supremum of the squared H^{s-3/2} gap against the reference width, with a
     log-log rate fit.
 
-    The initial datum is a power-law spectrum at the critical decay for the
-    configured Sobolev index, drawn from the data stream ``stream(cfg.seed)``;
-    it keeps tail mass at every scale (smooth data would collapse the study
-    to spectral round-off).  The sup stops once either path leaves the ball of
-    radius ``50 |u0|_{H^s}``.
+    Every width runs the same path seeds as the reference, so path i of each
+    sees one Wiener path.  The initial datum is a power-law spectrum at the
+    critical decay for the configured Sobolev index, drawn from the data
+    stream ``stream(cfg.seed)``; it keeps tail mass at every scale (smooth
+    data would collapse the study to spectral round-off).  The sup stops once
+    either path leaves the ball of radius ``50 |u0|_{H^s}``.
     """
     if len(set(eps_list)) < 2:
         raise ValueError("need at least two distinct mollifier widths")
@@ -231,11 +215,15 @@ def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
     u0 = power_law_field(cfg.grid, cfg.s, stream(cfg.seed), amplitude=1.0)
     k_threshold = 50.0 * sobolev_norm(u0, cfg.s)
 
-    task = _CoupledFamilyTask(cfg, u0, tuple(eps_sorted), eps_ref, k_threshold)
-    per_seed = np.array(run_paths(task, cfg.seed, num_paths, workers))
+    def paths(eps: float) -> list[PathRecord]:
+        return run_paths(replace(cfg, eps_mollify=eps, keep_snapshots=True), u0,
+                         num_paths, workers)
+
+    ref = paths(eps_ref)
     table = []
-    for j, eps in enumerate(eps_sorted):
-        sups = per_seed[:, j]
+    for eps in eps_sorted:
+        sups = np.array([_stopped_sup(rec, rec_r, cfg.s, k_threshold)
+                         for rec, rec_r in zip(paths(eps), ref)])
         table.append({"eps": eps, "mean_sq_gap": float(sups.mean()),
                       "sem": float(sups.std(ddof=1) / np.sqrt(num_paths))
                       if num_paths > 1 else 0.0})
@@ -244,5 +232,5 @@ def convergence_study(cfg: SimConfig, eps_list: list[float], num_paths: int,
     zero_gap_eps = [row["eps"] for row in table if row["mean_sq_gap"] == 0.0]
     slope = float("nan")
     if not zero_gap_eps:
-        slope, _, _ = rate_fit([(row["eps"], row["mean_sq_gap"]) for row in table])
+        slope, _ = rate_fit([(row["eps"], row["mean_sq_gap"]) for row in table])
     return {"table": table, "slope": slope, "zero_gap_eps": zero_gap_eps}

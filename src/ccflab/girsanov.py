@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .ensemble import SimTask, run_paths, wilson_ci
-from .integrate import SimConfig, simulate_low_frequency, simulate_path
-from .noise import LinearB, exp_decay, path_seed, stream
+from .ensemble import run_paths, wilson_ci
+from .integrate import SimConfig, simulate_low_frequency
+from .noise import LinearB, exp_decay, stream
 from .spectral import Field, argmax_refined, evaluate_at, frac_laplacian, sobolev_norm
 
 __all__ = [
@@ -104,12 +104,11 @@ def girsanov_residual(cfg: SimConfig, u0: Field) -> tuple[float, str]:
     """
     if not isinstance(cfg.noise, LinearB):
         raise ValueError("girsanov_residual needs a LinearB noise model")
-    base = replace(cfg, seed=path_seed(cfg.seed, 0), keep_snapshots=True)
-    rec = simulate_path(base, u0)
+    (rec,) = run_paths(replace(cfg, keep_snapshots=True), u0, 1)
     if rec.status != "completed":
         return float("nan"), rec.status
     beta = beta_path(cfg.noise.b0, cfg.noise.lam, rec.wiener_increments, cfg.dt)
-    _, fields_v = run_random_pde(base, u0, beta)
+    _, fields_v = run_random_pde(cfg, u0, beta)
     worst = 0.0
     for (tu, u), v in zip(rec.snapshots, fields_v):
         bu = beta[int(round(tu / cfg.dt))]
@@ -247,7 +246,7 @@ def blowup_ensemble(cfg: SimConfig, threshold_k: float, u0: Field,
     bound = blowup_probability_bound(noise.b0, noise.lam, threshold_k, mc_paths,
                                      stream(cfg.seed, 1))
 
-    records = run_paths(SimTask(cfg, u0), cfg.seed, num_paths, workers=workers)
+    records = run_paths(cfg, u0, num_paths, workers=workers)
     n_blew = sum(1 for r in records if r.status == "blewup")
     n_bad = sum(1 for r in records if r.status == "diverged")
     frac = n_blew / num_paths

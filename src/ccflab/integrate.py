@@ -118,6 +118,9 @@ class SimConfig:
             raise ValueError("dt and horizon must be positive")
         if not np.isfinite(self.horizon / self.dt):
             raise ValueError(f"horizon / dt must be finite, got {self.horizon / self.dt}")
+        if abs(round(self.horizon / self.dt) * self.dt - self.horizon) > 1e-9 * self.horizon:
+            raise ValueError(f"horizon {self.horizon:g} is not a whole number of "
+                             f"steps of dt {self.dt:g}")
         if self.s <= 3.0:
             raise ValueError("Sobolev index must exceed 3 for these runs")
         if not 0.0 <= self.eps_mollify < 1.0:

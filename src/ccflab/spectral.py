@@ -218,10 +218,10 @@ class Field:
 
     __slots__ = ("grid", "_coeffs", "_samples", "_rows", "_sups", "_transport")
 
-    def __init__(self, grid: SpectralGrid, coeffs: np.ndarray, _samples=None):
+    def __init__(self, grid: SpectralGrid, coeffs: np.ndarray):
         self.grid = grid
         self._coeffs = coeffs
-        self._samples = _samples
+        self._samples = None
         self._rows = None
         self._sups = None
         self._transport = None
@@ -241,12 +241,13 @@ class Field:
 
     @classmethod
     def from_samples(cls, grid: SpectralGrid, samples: np.ndarray) -> "Field":
+        """Samples on ``grid.x``; the Nyquist mode is dropped from both views."""
         s = np.asarray(samples, dtype=np.float64)
         if s.shape != (grid.n_modes,):
             raise ValueError("sample array has wrong length")
         c = np.fft.rfft(s, norm="forward")
         c[grid.nyquist_index] = 0.0
-        return cls(grid, c, s.copy())
+        return cls(grid, c)
 
     @classmethod
     def from_function(cls, grid: SpectralGrid, fn) -> "Field":

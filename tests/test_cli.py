@@ -233,6 +233,23 @@ class TestExitCodes:
                      "--set", "sim.dt=1e-10"]) == 3
         assert "horizon / dt must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate", "--paths", "1", "--set", "sim.horizon=0.0015"],
+         "horizon 0.0015 is not a whole number of steps of dt 0.001"),
+        (["girsanov", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.05",
+          "--set", "study.dt_list=[0.004,0.001]"],
+         "horizon 0.05 is not a whole number of steps of dt 0.004"),
+    ], ids=["simulate", "girsanov-coarse-dt"])
+    def test_fractional_step_count_is_a_usage_error(self, argv, message, monkeypatch,
+                                                     capsys):
+        # a horizon between two step grids used to be rounded to the nearer
+        # one: 0.0015 at dt 1e-3 ran to 0.002, and 0.05 at dt 4e-3 to 0.048
+        def forbidden(*args, **kwargs):
+            raise AssertionError("study work started")
+        monkeypatch.setattr(ensemble, "run_paths", forbidden)
+        assert main(argv) == 3
+        assert message in capsys.readouterr().err
+
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 3
         out = capsys.readouterr().out
@@ -423,7 +440,7 @@ class TestExitCodes:
 
     def test_girsanov_smoke(self, capsys):
         code = main(["girsanov", "--set", "grid.n_modes=64",
-                     "--set", "sim.horizon=0.05",
+                     "--set", "sim.horizon=0.048",
                      "--set", "study.dt_list=[0.004,0.001]",
                      "--set", "study.amplitude=0.2"])
         assert code in (0, 2)  # ordering can be noisy at this tiny scale
@@ -461,7 +478,7 @@ class TestExitCodes:
         # residual is exactly 0 and has no refinement ratio
         rep = tmp_path / "girsanov.csv"
         code = main(["girsanov", "--set", "study.amplitude=0", "--set", "grid.n_modes=64",
-                     "--set", "sim.horizon=0.01", "--report", str(rep)])
+                     "--set", "sim.horizon=0.012", "--report", str(rep)])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out.count("coupled residual 0.000000e+00") == 3

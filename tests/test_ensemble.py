@@ -3,14 +3,13 @@ JSON-lines format of ``persist``, configuration digests, idempotent
 aggregation, and the rate-fit plumbing."""
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
 from ccflab import ensemble
 from ccflab.ensemble import (
-    SimTask,
     config_digest,
     convergence_study,
     persist,
@@ -20,9 +19,9 @@ from ccflab.ensemble import (
     run_paths,
     wilson_ci,
 )
-from ccflab.integrate import DIAGNOSTIC_NAMES, SimConfig, power_law_field
+from ccflab.integrate import DIAGNOSTIC_NAMES, PathRecord, SimConfig, power_law_field
 from ccflab.noise import GeneralH, LinearB, StrongAlpha, path_seed, stream
-from ccflab.spectral import Field, SpectralGrid
+from ccflab.spectral import Field, SpectralGrid, sobolev_norm
 
 GRID = SpectralGrid(n_modes=64)
 
@@ -40,6 +39,10 @@ def small_u0():
     return power_law_field(GRID, 3.1, rng, amplitude=0.2)
 
 
+# a completed path's record without rows, to lay snapshots over
+RECORD = PathRecord(np.zeros(0), {}, "completed", 0.02, [], np.zeros(0))
+
+
 class TestSeeding:
     def test_path_seeds_injective(self):
         # no two (study seed, path) pairs share a seed, and no path runs on a
@@ -53,7 +56,7 @@ class TestSeeding:
         # data and Monte Carlo streams of a study seed are not the increment
         # stream of its path 0, which is stream (0,) of that path's seed
         cfg = small_cfg()
-        (rec,) = run_paths(SimTask(cfg, small_u0()), cfg.seed, 1)
+        (rec,) = run_paths(cfg, small_u0(), 1)
         dw = rec.wiener_increments
         scale = np.sqrt(cfg.dt)
         assert np.array_equal(
@@ -73,6 +76,28 @@ class TestSeeding:
         assert r1.config_digest == r2.config_digest
         assert r1.seeds == r2.seeds == [path_seed(cfg.seed, i) for i in range(6)]
         assert_same_records(r1.records, r2.records)
+
+    def test_pool_holds_at_most_one_process_per_path(self, monkeypatch):
+        # study.workers is unbounded: two paths start two processes, not four
+        started = []
+
+        class Pool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, task, seeds):
+                return [task(s) for s in seeds]
+
+        monkeypatch.setattr(ensemble.multiprocessing, "Pool", Pool)
+        cfg, u0 = small_cfg(), small_u0()
+        assert_same_records(run_paths(cfg, u0, 2, workers=4), run_paths(cfg, u0, 2))
+        assert started == [2]
 
     def test_rerun_identical(self):
         cfg, u0 = small_cfg(), small_u0()
@@ -164,7 +189,7 @@ class TestWilson:
 class TestRateFit:
     def test_exact_power_law(self):
         pts = [(float(n), float(n) ** -2.0) for n in (8, 16, 32, 64)]
-        slope, _, r2 = rate_fit(pts)
+        slope, r2 = rate_fit(pts)
         assert slope == pytest.approx(-2.0, abs=1e-12)
         assert r2 == pytest.approx(1.0, abs=1e-12)
 
@@ -178,19 +203,29 @@ class TestRateFit:
         rng = np.random.default_rng(4)
         pts = [(float(2**j), 2.0 ** (-1.3 * j) * np.exp(0.03 * rng.normal()))
                for j in range(3, 11)]
-        slope, _, _ = rate_fit(pts)
+        slope, _ = rate_fit(pts)
         assert abs(slope - (-1.3 / np.log(2) * np.log(2))) < 0.1
 
 
 class TestCoupledFamily:
     def test_shared_wiener_draws(self):
-        # the reference width run against itself gaps by exactly 0.0 only if
-        # both runs take the same Wiener draws; another width gaps by > 0
-        task = ensemble._CoupledFamilyTask(small_cfg(), small_u0(), (0.1, 0.025),
-                                           eps_ref=0.025, k_threshold=1e6)
-        gap_other, gap_ref = task(9)
+        # the reference width among the widths gaps by exactly 0.0 only if its
+        # runs take the same Wiener draws as the reference runs; another width
+        # gaps by > 0
+        out = convergence_study(small_cfg(), [0.1, 0.025], num_paths=2, eps_ref=0.025)
+        gap_other, gap_ref = (row["mean_sq_gap"] for row in out["table"])
         assert gap_ref == 0.0
         assert gap_other > 0.0
+        assert out["zero_gap_eps"] == [0.025]
+
+    def test_off_grid_stop_ends_the_sup(self):
+        # a path that blew up recorded its last state between two recorded
+        # times of the other path: states at different times are not compared
+        u = Field.from_samples(GRID, np.sin(GRID.x))
+        rec_e = replace(RECORD, snapshots=[(0.0, u), (0.01, 1.5 * u), (0.015, 9.0 * u)])
+        rec_r = replace(RECORD, snapshots=[(0.0, u), (0.01, u), (0.02, u)])
+        want = sobolev_norm(1.5 * u - u, 3.1 - 1.5) ** 2   # the gap at t = 0.01
+        assert ensemble._stopped_sup(rec_e, rec_r, 3.1, 1e6) == want
 
 
 class TestConvergenceStudy:
@@ -210,12 +245,25 @@ class TestConvergenceStudy:
         assert out["slope"] > 0.3
 
     def test_sem_is_std_over_sqrt_n(self, monkeypatch):
-        # fixed per-seed rows, one column per width (largest width first)
+        # fixed per-path sups, one column per width (largest width first)
         rows = [[4.0, 1.0], [5.0, 1.5], [7.0, 2.0], [8.0, 3.5]]
-        monkeypatch.setattr(ensemble, "run_paths", lambda task, seed, n, workers: rows)
+        column = {0.2: 0, 0.1: 1}
+        monkeypatch.setattr(ensemble, "run_paths", lambda cfg, u0, n, workers:
+                            [(cfg.eps_mollify, i) for i in range(n)])
+        monkeypatch.setattr(ensemble, "_stopped_sup", lambda rec, rec_r, s, k:
+                            rows[rec[1]][column[rec[0]]])
         out = convergence_study(small_cfg(), [0.2, 0.1], num_paths=len(rows))
         cols = np.array(rows)
         for j, row in enumerate(out["table"]):
             want = cols[:, j].std(ddof=1) / np.sqrt(len(rows))
             assert row["sem"] == pytest.approx(want, rel=1e-14)
             assert row["mean_sq_gap"] == pytest.approx(cols[:, j].mean(), rel=1e-14)
+
+    def test_worker_count_invariance(self):
+        # every width opens its own pool; the table and slope do not move
+        cfg = small_cfg(noise=GeneralH(n_components=2))
+        one = convergence_study(cfg, [0.2, 0.1], num_paths=3, workers=1)
+        two = convergence_study(cfg, [0.2, 0.1], num_paths=3, workers=2)
+        assert one["table"] == two["table"]
+        assert one["slope"] == two["slope"]
+        assert all(row["mean_sq_gap"] > 0.0 for row in one["table"])

@@ -9,7 +9,8 @@ only the tests call lives in ``src``; the only random generator is built by
 ``noise.stream``, and the only path Wiener stream ``stream(seed, 0)`` is
 drawn by ``noise.wiener_increments``; real fields are transformed only by
 ``spectral``'s ``rfft``/``irfft`` and stepped only by ``integrate.em_step``;
-and importing the CLI loads no scipy."""
+every SPDE path is run by ``ensemble.run_paths``; and importing the CLI
+loads no scipy."""
 
 import ast
 import importlib
@@ -197,6 +198,14 @@ def test_real_fields_step_through_em_step():
     sites = {path.name: call_sites(path.read_text(), "rk4") for path in MODULES}
     assert {name: s for name, s in sites.items() if s} == {
         "integrate.py": ["em_step"], "instability.py": ["simulate_actual_mod"]}
+
+
+def test_spde_paths_run_through_run_paths():
+    # every study launches its SPDE paths through ensemble.run_paths, whose
+    # per-seed task is the one caller of simulate_path
+    sites = {path.name: call_sites(path.read_text(), "simulate_path") for path in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {
+        "ensemble.py": ["_PathTask.__call__"]}
 
 
 def bench_instrument():

@@ -714,7 +714,7 @@ class TestLowFrequencyDecay:
             p = params(n=2**k)
             pts.append((float(2**k), sobolev_norm(build_low_initial(p, p.env_grid), p.s)))
         from ccflab.ensemble import rate_fit
-        slope, _, _ = rate_fit(pts)
+        slope, _ = rate_fit(pts)
         assert abs(slope - (0.45 - 1.0)) < 0.05
 
     def test_trajectory_stays_bounded(self):

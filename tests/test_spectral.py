@@ -120,9 +120,12 @@ class TestGrid:
         assert SpectralGrid(n_modes=n).dealias_keep == keep
 
     def test_nyquist_always_zeroed(self):
+        # in both views: the samples are those of the kept coefficients, not
+        # the caller's
         g = SpectralGrid(n_modes=16)
         f = Field.from_samples(g, np.cos(8 * g.x))  # pure Nyquist content
         assert np.max(np.abs(f.coefficients)) < 1e-14
+        assert f.max_abs() < 1e-14
 
 
 class TestHilbert:
