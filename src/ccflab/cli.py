@@ -342,8 +342,9 @@ def cmd_girsanov(cfg: dict, args) -> int:
 
 def cmd_instability(cfg: dict, args) -> int:
     study = cfg["study"]
-    # the SimConfig checks on horizon and dt, before any work
+    # the SimConfig checks on horizon and dt, the separation's too, before any work
     sim = build_sim(cfg, "instability")
+    sep_horizon = replace(sim, horizon=max(sim.horizon, 1.8)).horizon
     noise, horizon, dt, seed = sim.noise, sim.horizon, sim.dt, sim.seed
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
     if len(set(study["n_list"])) < 2:
@@ -352,8 +353,7 @@ def cmd_instability(cfg: dict, args) -> int:
     # the separation experiment do not depend on n or m)
     sep_p = instability.InstabilityParams(m=study["m"],
                                           n=study["separation_n"],
-                                          delta=study["delta"], s=sim.s,
-                                          sigma0=noise.sigma0)
+                                          delta=study["delta"], s=sim.s)
     rows = []
     points = []
     for n in study["n_list"]:
@@ -364,11 +364,11 @@ def cmd_instability(cfg: dict, args) -> int:
         rows.append([n, out["mean_sup_sq"], out["det_sup_sq"]])
         print(f"n={n:5d}  E sup |defect|^2 = {out['mean_sup_sq']:.6e}")
     slope, r2 = ensemble.rate_fit(points)
-    target = 2.0 * sep_p.rate_error + 0.3
+    target = 2.0 * sep_p.rate_error(noise.sigma0) + 0.3
     print(f"defect slope {slope:.3f} (target <= {target:.3f}, r2={r2:.3f})")
     write_csv(args.report, ["n", "mean_sup_sq_defect", "det_sup_sq"], rows)
 
-    sep = instability.separation_experiment(sep_p, horizon=max(horizon, 1.8),
+    sep = instability.separation_experiment(sep_p, horizon=sep_horizon,
                                             dt=dt, noise=noise,
                                             num_paths=max(1, n_paths // 4), seed=seed)
     if args.out:

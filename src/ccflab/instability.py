@@ -36,9 +36,10 @@ path.
 
 The squared defect functional is ``O(n^{2 rate_error})``, with the one
 exponent ``rate_error = -s - 1 + sigma0 + delta``, below -5/4 on the parameter
-ranges.  Every study runs the weak noise :class:`~ccflab.noise.InstabilityH`:
-its deterministic run is ``InstabilityH(q=0.0)``, a zero coefficient formed
-without a transform, and ``num_paths=0`` is the defect-only run.
+ranges.  Every study runs the weak noise :class:`~ccflab.noise.InstabilityH`,
+whose ``sigma0`` this is: its deterministic run is ``InstabilityH(q=0.0)``, a
+zero coefficient formed without a transform, and ``num_paths=0`` is the
+defect-only run.
 """
 
 from __future__ import annotations
@@ -122,7 +123,6 @@ class InstabilityParams:
     n: int
     delta: float = 0.9
     s: float = 3.1
-    sigma0: float = 1.6
     exit_radius: float = 20.0
     env_modes: int = 1024
 
@@ -135,16 +135,13 @@ class InstabilityParams:
             raise ValueError("delta must lie in (3/4, 1)")
         if self.s <= 3.0:
             raise ValueError("s must exceed 3")
-        if not 1.5 < self.sigma0 < 1.75:
-            raise ValueError("sigma0 must lie in (3/2, 7/4)")
 
     @property
     def period(self) -> float:
         return 16.0 * float(self.n) ** self.delta
 
-    @property
-    def rate_error(self) -> float:
-        return -self.s - 1.0 + self.sigma0 + self.delta
+    def rate_error(self, sigma0: float) -> float:
+        return -self.s - 1.0 + sigma0 + self.delta
 
     @cached_property
     def env_grid(self) -> SpectralGrid:
@@ -319,7 +316,7 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH,
                               num_paths: int, horizon: float, dt: float,
                               seed: int = 0) -> dict:
     """Monte Carlo estimate of ``E sup_t |int_0^t E dt' - int_0^t h dW|^2`` in
-    ``H^{sigma0}``.
+    ``H^{sigma0}``, the space of ``noise``'s vanishing factor.
 
     One pass over the steps, stepping the low-frequency profile alongside:
     the drift integrand and the noise coefficient along the deterministic
@@ -331,7 +328,7 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH,
     their ``H^{sigma0}`` norms in one batched :func:`~ccflab.modulated.carrier_norms`.
     """
     n_steps = int(round(horizon / dt))
-    sigma0 = p.sigma0
+    sigma0 = noise.sigma0
     dws = np.array([wiener_increments(path_seed(seed, idx), dt, n_steps)
                     for idx in range(num_paths)])
     itos = np.zeros((num_paths, CARRIER_ROWS, p.env_modes), dtype=np.complex128)

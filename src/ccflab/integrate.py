@@ -227,6 +227,9 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     ``|u_x|_inf + |H u_x|_inf`` reaches ``blowup_threshold``, which must exceed
     its initial value.  Stepping runs with numpy's floating-point warnings
     off: a path that overflows is reported by its ``diverged`` status.
+    A path records every ``record_every``-th state and the state it stopped
+    at (the horizon state, the blown-up state or the last finite one) once;
+    ``t_stop`` is the time of the last step taken.
     Deterministic given the config: bit-identical on reruns.
     """
     if u0.grid != cfg.grid:
@@ -243,49 +246,38 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     times, rows = [], []
     snapshots: list[tuple[float, Field]] = []
 
-    def record(t: float, f: Field):
+    def record(step: int, f: Field):
+        t = step * cfg.dt
         sup_fx, sup_hfx, mlam = gradient_sups(f)
         hm1 = sobolev_norm(f, cfg.s - 1.0)
         hm32 = sobolev_norm(f, cfg.s - 1.5)
         times.append(t)
         rows.append((sobolev_norm(f, cfg.s), hm1, hm32, sup_fx, sup_hfx, mlam, np.log1p(hm1**2)))
-
-    def snapshot(t: float, f: Field):
         if cfg.keep_snapshots:
             # a bare field: the step caches of ``f`` hold several times its size
             snapshots.append((t, Field(f.grid, f.coefficients)))
 
-    def finalize(status: str, t_stop: float, taken: int) -> PathRecord:
-        diags = {name: np.array([r[i] for r in rows])
-                 for i, name in enumerate(DIAGNOSTIC_NAMES)}
-        return PathRecord(np.array(times), diags, status, t_stop, snapshots,
-                          increments[:taken])
-
-    record(0.0, u)
-    snapshot(0.0, u)
-
-    t = 0.0
+    record(0, u)
+    # ``u`` is the state after ``step`` steps; ``taken`` counts the steps tried
+    status, step, taken = "completed", 0, n_steps
     for i, dw in enumerate(increments):
-        u_next = em_step(u, t, cfg, dw)
-        t = (i + 1) * cfg.dt
-
+        u_next = em_step(u, i * cfg.dt, cfg, dw)
         if u_next.diverged:
-            # the last finite state, at its own time i dt, unless already recorded
-            if i % cfg.record_every:
-                record(i * cfg.dt, u)
-            return finalize("diverged", t, i + 1)
-        u, sups = u_next, gradient_sups(u_next)
-
+            status, taken = "diverged", i + 1
+            break
+        u, sups, step = u_next, gradient_sups(u_next), i + 1
+        if step % cfg.record_every == 0:
+            record(step, u)
         if sups[0] + sups[1] >= cfg.blowup_threshold:
-            record(t, u)
-            snapshot(t, u)
-            return finalize("blewup", t, i + 1)
+            status, taken = "blewup", step
+            break
 
-        if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-            record(t, u)
-            snapshot(t, u)
-
-    return finalize("completed", t, n_steps)
+    # the state the path stopped at, unless the record grid holds it
+    if step % cfg.record_every:
+        record(step, u)
+    diags = {name: np.array([r[j] for r in rows]) for j, name in enumerate(DIAGNOSTIC_NAMES)}
+    return PathRecord(np.array(times), diags, status, taken * cfg.dt, snapshots,
+                      increments[:taken])
 
 
 # -- deterministic stream ------------------------------------------------------------

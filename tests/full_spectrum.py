@@ -139,7 +139,9 @@ class Full:
 
     def simulate_path(self, cfg, c0):
         """The rules of ``simulate_path``: its statuses and records, one step
-        per macro step."""
+        per macro step.  A path records every ``record_every``-th state and
+        then the state it stopped at, unless that one is the last recorded:
+        the horizon state, the blown-up state or the last finite state."""
         n_steps = int(round(cfg.horizon / cfg.dt))
         increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
 
@@ -151,28 +153,26 @@ class Full:
             rows.append((self.sobolev_norm(c, cfg.s), hm1, self.sobolev_norm(c, cfg.s - 1.5),
                          *self.gradient_sups(c), np.log1p(hm1**2)))
 
-        def result(status, t, taken):
-            return {"times": np.array(times), "rows": np.array(rows), "status": status,
-                    "t_stop": t, "increments": increments[:taken]}
-
         c = np.where(self.mask, c0, 0.0)
         record(0.0, c)
-        t = 0.0
+        status, t, taken = "completed", 0.0, n_steps
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i, dw in enumerate(increments):
-                new = self.em_step(c, t, cfg, dw, cfg.dt)
-                t = (i + 1) * cfg.dt
+                new = self.em_step(c, i * cfg.dt, cfg, dw, cfg.dt)
                 if not np.isfinite(new).all():
+                    status, taken = "diverged", i + 1
+                    break
+                c, t = new, (i + 1) * cfg.dt
+                if (i + 1) % cfg.record_every == 0:
                     record(t, c)
-                    return result("diverged", t, i + 1)
-                c = new
                 sup_ux, sup_hux, _ = self.gradient_sups(c)
                 if sup_ux + sup_hux >= cfg.blowup_threshold:
-                    record(t, c)
-                    return result("blewup", t, i + 1)
-                if (i + 1) % cfg.record_every == 0 or i == n_steps - 1:
-                    record(t, c)
-        return result("completed", t, n_steps)
+                    status, taken = "blewup", i + 1
+                    break
+            if times[-1] != t:
+                record(t, c)
+        return {"times": np.array(times), "rows": np.array(rows), "status": status,
+                "t_stop": taken * cfg.dt, "increments": increments[:taken]}
 
     def low_frequency(self, c0, horizon, dt):
         """The states of the RK4 solve of ``u_t + (Hu) u_x = 0``."""

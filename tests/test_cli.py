@@ -239,14 +239,20 @@ class TestExitCodes:
         (["girsanov", "--set", "grid.n_modes=64", "--set", "sim.horizon=0.05",
           "--set", "study.dt_list=[0.004,0.001]"],
          "horizon 0.05 is not a whole number of steps of dt 0.004"),
-    ], ids=["simulate", "girsanov-coarse-dt"])
+        (["instability", "--set", "sim.dt=0.007", "--set", "sim.horizon=0.7"],
+         "horizon 1.8 is not a whole number of steps of dt 0.007"),
+    ], ids=["simulate", "girsanov-coarse-dt", "instability-separation"])
     def test_fractional_step_count_is_a_usage_error(self, argv, message, monkeypatch,
                                                      capsys):
         # a horizon between two step grids used to be rounded to the nearer
-        # one: 0.0015 at dt 1e-3 ran to 0.002, and 0.05 at dt 4e-3 to 0.048
+        # one: 0.0015 at dt 1e-3 ran to 0.002, and 0.05 at dt 4e-3 to 0.048;
+        # the separation experiment's horizon max(sim.horizon, 1.8) ran to
+        # 1.799 at dt 0.007
         def forbidden(*args, **kwargs):
             raise AssertionError("study work started")
         monkeypatch.setattr(ensemble, "run_paths", forbidden)
+        for name in ("error_functional_ensemble", "separation_experiment"):
+            monkeypatch.setattr(instability, name, forbidden)
         assert main(argv) == 3
         assert message in capsys.readouterr().err
 

@@ -25,6 +25,7 @@ from ccflab.noise import (
     StrongAlpha,
     ZeroNoise,
     helmholtz_inverse_dx,
+    stream,
 )
 from ccflab.spectral import (
     SpectralGrid,
@@ -164,6 +165,42 @@ def test_linear_noise_path_matches_full_spectrum(monkeypatch):
     assert np.array_equal(rec.wiener_increments, want["increments"])
     for j, name in enumerate(("h_s", "h_sm1", "h_sm32", "sup_ux", "sup_hux",
                               "max_lam", "lyapunov")):
+        assert_close(rec.diagnostics[name], want["rows"][:, j], name)
+
+
+def stopped_path_case(kind: str, record_every: int):
+    """A path that diverges (the state after its fourth step is the last
+    finite one) or blows up (at step 28), each on or off the record grid."""
+    if kind == "diverged":
+        # round-off grows with the state: this path reaches ~1e48 before it
+        # overflows and agrees to ~1e-14; at seed 1 it reaches ~1e117 and
+        # agrees to ~1e-12 only
+        grid = SpectralGrid(n_modes=64)
+        cfg = SimConfig(grid=grid, s=3.1, dt=0.02, horizon=2.0, seed=2,
+                        noise=GeneralH(q=50.0), record_every=record_every,
+                        blowup_threshold=1e300)
+        return cfg, power_law_field(grid, 3.1, stream(0), amplitude=5.0)
+    grid = SpectralGrid(n_modes=256)
+    cfg = SimConfig(grid=grid, s=3.1, dt=1e-3, horizon=0.2, seed=5,
+                    noise=LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25),
+                    record_every=record_every, blowup_threshold=30.0)
+    return cfg, blowup_bump(grid, 10.0)
+
+
+@pytest.mark.parametrize("kind, record_every, times", [
+    ("diverged", 1, 5), ("diverged", 3, 3), ("blewup", 4, 8), ("blewup", 5, 7),
+])
+def test_stopped_path_matches_full_spectrum(kind, record_every, times):
+    # the state a path stops at is recorded once, on or off the record grid
+    cfg, u0 = stopped_path_case(kind, record_every)
+    full = Full(cfg.grid)
+    want = full.simulate_path(cfg, full.mirror(u0.coefficients))
+    rec = simulate_path(cfg, u0)
+    assert rec.status == want["status"] == kind
+    assert rec.t_stop == want["t_stop"]
+    assert np.array_equal(rec.times, want["times"]) and rec.times.size == times
+    assert np.array_equal(rec.wiener_increments, want["increments"])
+    for j, name in enumerate(integrate.DIAGNOSTIC_NAMES):
         assert_close(rec.diagnostics[name], want["rows"][:, j], name)
 
 

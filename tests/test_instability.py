@@ -55,6 +55,9 @@ from dense_reference import approx_solution, build_high_frequency, to_dense_fiel
 # the deterministic carrier run: its weak-noise coefficient is zero, formed
 # without a transform
 DETERMINISTIC = InstabilityH(q=0.0)
+# the weak noise at defaults; its sigma0 (1.6) is the defect's Sobolev index
+NOISE = InstabilityH()
+SIGMA0 = NOISE.sigma0
 
 
 def params(n=32, m=1, env=1024):
@@ -70,15 +73,13 @@ def dense_grid_for(p, factor=16):
 class TestParams:
     def test_exponents_at_defaults(self):
         p = params()
-        assert p.rate_error == pytest.approx(-1.6, abs=1e-12)
+        assert p.rate_error(SIGMA0) == pytest.approx(-1.6, abs=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
             InstabilityParams(m=2, n=32)
         with pytest.raises(ValueError):
             InstabilityParams(m=1, n=32, delta=0.5)
-        with pytest.raises(ValueError):
-            InstabilityParams(m=1, n=32, sigma0=1.9)
 
     def test_cached_carrier_rows_read_only(self):
         p = params()
@@ -148,7 +149,7 @@ class TestModulatedAlgebra:
     def test_dense_agreement_noise(self, k, n):
         p = params()
         dense = dense_grid_for(p)
-        model = InstabilityH(exponent_k=k, exponent_n=n, sigma0=p.sigma0)
+        model = InstabilityH(exponent_k=k, exponent_n=n)
         u = approx_solution_mod(p, 0.1, build_low_initial(p, p.env_grid))
         got = to_dense_field(eval_noise_mod(model, 0.1, u), dense)
         want = model.components(0.1, to_dense_field(u, dense))
@@ -395,12 +396,11 @@ class TestCarrierTransformBudget:
         # one defect step: the integrand (2) and the low-frequency RK4 step
         # (8); the noise coefficient along u_h + u_l takes none
         p = InstabilityParams(m=1, n=64, env_modes=256)
-        noise = InstabilityH(sigma0=p.sigma0)
-        error_functional_ensemble(p, noise, 2, horizon=0.01, dt=5e-3)   # warm caches
+        error_functional_ensemble(p, NOISE, 2, horizon=0.01, dt=5e-3)   # warm caches
         counts = []
         for horizon in (0.05, 0.1):
             fft_calls.clear()
-            error_functional_ensemble(p, noise, 2, horizon=horizon, dt=5e-3)
+            error_functional_ensemble(p, NOISE, 2, horizon=horizon, dt=5e-3)
             counts.append(len(fft_calls))
         assert counts[1] - counts[0] == 10 * 10
 
@@ -480,7 +480,7 @@ ORACLE_REL = 1e-10
 
 
 def oracle_distance(p, got, want):
-    return modulated_norm(got - want, p.sigma0) / modulated_norm(want, p.sigma0)
+    return modulated_norm(got - want, SIGMA0) / modulated_norm(want, SIGMA0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -532,8 +532,8 @@ class TestErrorIntegrand:
         # pointwise agreement is limited by skirt truncation; the norms that
         # enter the rate study agree much more tightly
         assert np.max(np.abs(got.samples - want.samples)) < 5e-3 * scale
-        rel_norm = abs(sobolev_norm(got, p.sigma0) - sobolev_norm(want, p.sigma0)) \
-            / sobolev_norm(want, p.sigma0)
+        rel_norm = abs(sobolev_norm(got, SIGMA0) - sobolev_norm(want, SIGMA0)) \
+            / sobolev_norm(want, SIGMA0)
         assert rel_norm < 1e-6
 
     def test_first_term_vanishes_at_t0(self):
@@ -544,7 +544,7 @@ class TestErrorIntegrand:
         hul0 = hilbert(ul_env)
         e0 = error_integrand_mod(p, 0.0, ul_env, hul0)
         term1, term2, term3 = reference_integrand_terms(p, 0.0, ul_env, hul0)
-        assert modulated_norm(term1, p.sigma0) == 0.0
+        assert modulated_norm(term1, SIGMA0) == 0.0
         assert oracle_distance(p, e0, term2 + term3) < ORACLE_REL
         # control: hul0 from another datum (the m = -1 profile) switches the
         # sin term on, which lives on carrier row 1 alone
@@ -563,29 +563,27 @@ class TestStudies:
 
     def test_error_functional_repeatable(self):
         p = params(n=64)
-        noise = InstabilityH(sigma0=p.sigma0)
-        a = error_functional_ensemble(p, noise, 2, horizon=0.3, dt=5e-3, seed=5)
-        b = error_functional_ensemble(p, noise, 2, horizon=0.3, dt=5e-3, seed=5)
+        a = error_functional_ensemble(p, NOISE, 2, horizon=0.3, dt=5e-3, seed=5)
+        b = error_functional_ensemble(p, NOISE, 2, horizon=0.3, dt=5e-3, seed=5)
         assert a["mean_sup_sq"] == b["mean_sup_sq"]
 
     def test_gap_interpolation_inequality(self):
         # |g|_{H^s} <= |g|_{H^sigma0}^{1/2} |g|_{H^{2s-sigma0}}^{1/2} on the
         # actual-minus-approximate states g of three paths
         p = params(n=64)
-        noise = InstabilityH(sigma0=p.sigma0)
         horizon, dt = 0.4, 5e-3
         approx = [approx_solution_mod(p, i * dt, ul)
                   for i, ul in enumerate(low_trajectory(p, horizon, dt))]
-        high = 2.0 * p.s - p.sigma0
+        high = 2.0 * p.s - SIGMA0
         gaps = []
 
         def observe(i, t, u):
             g = u - approx[i]
-            gaps.append((modulated_norm(g, p.s), modulated_norm(g, p.sigma0),
+            gaps.append((modulated_norm(g, p.s), modulated_norm(g, SIGMA0),
                          modulated_norm(g, high)))
 
         for idx in range(3):
-            out = simulate_actual_mod(p, noise, path_seed(0, idx), horizon, dt,
+            out = simulate_actual_mod(p, NOISE, path_seed(0, idx), horizon, dt,
                                       observer=observe)
             assert out["status"] == "completed"
         assert len(gaps) == 3 * len(approx) == 3 * 81
@@ -595,16 +593,15 @@ class TestStudies:
 
     def test_same_rotation_zero_gap(self):
         p = params(n=64)
-        noise = InstabilityH(sigma0=p.sigma0)
-        r1 = simulate_actual_mod(p, noise, seed=9, horizon=0.2, dt=5e-3)
-        r2 = simulate_actual_mod(p, noise, seed=9, horizon=0.2, dt=5e-3)
+        r1 = simulate_actual_mod(p, NOISE, seed=9, horizon=0.2, dt=5e-3)
+        r2 = simulate_actual_mod(p, NOISE, seed=9, horizon=0.2, dt=5e-3)
         gap = modulated_norm(r1["state"] - r2["state"], p.s)
         assert gap == 0.0
 
     def test_separation_smoke(self):
         p = params(n=256)
         out = separation_experiment(p, horizon=1.8, dt=5e-3,
-                                    noise=InstabilityH(sigma0=p.sigma0), num_paths=1)
+                                    noise=NOISE, num_paths=1)
         t_idx = np.argmin(np.abs(out["times"] - np.pi / 2))
         assert out["gap_curve"][t_idx] > 0.5 * out["reference"][t_idx]
         assert out["initial_gap"] < out["reference_amplitude"]
@@ -624,13 +621,13 @@ class TestStudies:
     def test_frozen_actual_mod(self):
         # frozen values: a change in the RK4 stage arithmetic shows here
         p = InstabilityParams(m=1, n=64, env_modes=256)
-        out = simulate_actual_mod(p, InstabilityH(sigma0=p.sigma0), seed=9,
+        out = simulate_actual_mod(p, NOISE, seed=9,
                                   horizon=0.02, dt=5e-3)
         assert out["status"] == "completed"
         assert out["t_stop"] == 0.02
         assert modulated_norm(out["state"], p.s) == pytest.approx(1.236154364519811,
                                                                   rel=1e-12)
-        assert modulated_norm(out["state"], p.sigma0) == pytest.approx(
+        assert modulated_norm(out["state"], SIGMA0) == pytest.approx(
             0.18714942821316036, rel=1e-12)
 
     def test_exit_time_respected(self):
@@ -644,7 +641,7 @@ class TestStudies:
     def test_frozen_error_functional(self):
         # frozen values: a change in the order of the running sums shows here
         p = InstabilityParams(m=1, n=64, env_modes=256)
-        out = error_functional_ensemble(p, InstabilityH(sigma0=p.sigma0), 2,
+        out = error_functional_ensemble(p, NOISE, 2,
                                         horizon=0.3, dt=5e-3, seed=5)
         assert out["mean_sup_sq"] == 2.902587987612532e-11
         assert out["det_sup_sq"] == 2.872377000285298e-14
@@ -657,13 +654,12 @@ class TestStudies:
         # 320-step call alike (per-step lists of integrands, noise
         # coefficients, partial sums or low-frequency fields would exceed it)
         p = InstabilityParams(m=1, n=64, env_modes=256)
-        noise = InstabilityH(sigma0=p.sigma0)
-        error_functional_ensemble(p, noise, 2, horizon=0.01, dt=5e-3)  # warm caches
+        error_functional_ensemble(p, NOISE, 2, horizon=0.01, dt=5e-3)  # warm caches
         stack_bytes = CARRIER_ROWS * p.env_modes * 16
         for horizon in (0.4, 1.6):
             tracemalloc.start()
             try:
-                error_functional_ensemble(p, noise, 2, horizon=horizon, dt=5e-3)
+                error_functional_ensemble(p, NOISE, 2, horizon=horizon, dt=5e-3)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -683,7 +679,7 @@ class TestStudies:
 
         monkeypatch.setattr(instability, "low_trajectory", counted)
         p = InstabilityParams(m=1, n=64, env_modes=256)
-        error_functional_ensemble(p, InstabilityH(sigma0=p.sigma0), 2, horizon=0.05,
+        error_functional_ensemble(p, NOISE, 2, horizon=0.05,
                                   dt=5e-3)
         assert len(read) == 10
 
@@ -696,10 +692,9 @@ class TestStudies:
         monkeypatch.setattr(integrate, "simulate_low_frequency", forbidden)
         monkeypatch.setattr(instability, "simulate_low_frequency", forbidden)
         p = InstabilityParams(m=1, n=64, env_modes=256)
-        noise = InstabilityH(sigma0=p.sigma0)
-        res = simulate_actual_mod(p, noise, seed=9, horizon=0.02, dt=5e-3)
+        res = simulate_actual_mod(p, NOISE, seed=9, horizon=0.02, dt=5e-3)
         assert res["status"] == "completed" and res["t_stop"] == 0.02
-        sep = separation_experiment(p, horizon=0.5, dt=5e-3, noise=noise,
+        sep = separation_experiment(p, horizon=0.5, dt=5e-3, noise=NOISE,
                                     num_paths=2, seed=3)
         assert len(sep["times"]) == len(sep["gap_curve"]) == 101
         assert sep["gap_curve"][-1] == 0.81464608037081

@@ -484,6 +484,55 @@ class TestSimulatePath:
         for name, values in sparse.diagnostics.items():
             assert np.array_equal(values, dense.diagnostics[name][[0, 4, 5]]), name
 
+    @staticmethod
+    def stop_case(stop: str, record_every: int):
+        """``(cfg, u0, status, step)``: a path that stops after ``step`` steps
+        with ``status``, its last state on the grid of ``record_every`` 4
+        (``"on"``) or off it (``"off"``)."""
+        kind = stop.split("-")[0]
+        if kind == "diverged":
+            # the step after the last finite state overflows
+            grid = SpectralGrid(n_modes=64)
+            seed, step = {"diverged-off": (1, 5), "diverged-on": (2, 4)}[stop]
+            cfg = SimConfig(grid=grid, s=3.1, dt=0.02, horizon=2.0, seed=seed,
+                            noise=GeneralH(q=50.0), record_every=record_every,
+                            keep_snapshots=True, blowup_threshold=1e300)
+            return cfg, power_law_field(grid, 3.1, stream(0), amplitude=5.0), kind, step
+        # the monitored quantity reads 29.43, 29.79, 30.25 at steps 26-28
+        horizon, threshold, step = {"completed-off": (0.01, 1e3, 10),
+                                    "completed-on": (0.012, 1e3, 12),
+                                    "blewup-off": (0.2, 29.6, 27),
+                                    "blewup-on": (0.2, 30.0, 28)}[stop]
+        cfg = zero_cfg(horizon=horizon, seed=5, record_every=record_every,
+                       keep_snapshots=True, blowup_threshold=threshold,
+                       noise=LinearB(b0=0.5, lam=1.0, b_star=1.05 * 0.25))
+        return cfg, blowup_bump(GRID, 10.0), kind, step
+
+    @pytest.mark.parametrize("record_every", [1, 4])
+    @pytest.mark.parametrize("stop", ["completed-off", "completed-on", "blewup-off",
+                                      "blewup-on", "diverged-off", "diverged-on"])
+    def test_stop_records_its_state_once(self, stop, record_every):
+        # every record_every-th state, then the state the path stopped at
+        # (horizon, blown-up or last finite) unless the grid holds it; t_stop
+        # is the time of the last step taken
+        cfg, u0, status, step = self.stop_case(stop, record_every)
+        rec = simulate_path(cfg, u0)
+        want = reference_path(cfg, u0)
+        taken = step + (status == "diverged")
+        assert rec.status == want["status"] == status
+        assert rec.t_stop == want["t_stop"] == taken * cfg.dt
+        assert np.array_equal(rec.wiener_increments, want["increments"])
+        assert rec.wiener_increments.shape == (taken,)
+        steps = sorted(set(range(0, step + 1, record_every)) | {step})
+        assert np.array_equal(rec.times, want["times"])
+        assert np.array_equal(rec.times, np.array(steps) * cfg.dt)
+        for j, name in enumerate(integrate.DIAGNOSTIC_NAMES):
+            assert np.array_equal(rec.diagnostics[name], want["rows"][:, j]), name
+        # one kept state per row: the snapshots are the recorded states
+        assert [t for t, _ in rec.snapshots] == list(rec.times)
+        assert [sobolev_norm(f, cfg.s) for _, f in rec.snapshots] \
+            == list(rec.diagnostics["h_s"])
+
     def test_frozen_general_h(self):
         # tiny GeneralH path; frozen values: a change in the RK4 stage
         # arithmetic or the noise shows here
