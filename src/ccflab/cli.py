@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, ensemble, girsanov, instability
-from .integrate import SimConfig, blowup_bump, power_law_field
+from .integrate import SimConfig, blowup_bump, power_law_field, whole_steps
 from .noise import GeneralH, InstabilityH, LinearB, StrongAlpha, ZeroNoise, stream
 from .spectral import (
     SpectralGrid,
@@ -342,10 +342,11 @@ def cmd_girsanov(cfg: dict, args) -> int:
 
 def cmd_instability(cfg: dict, args) -> int:
     study = cfg["study"]
-    # the SimConfig checks on horizon and dt, the separation's too, before any work
+    # the whole-step checks on horizon and dt, the separation's too, before any work
     sim = build_sim(cfg, "instability")
-    sep_horizon = replace(sim, horizon=max(sim.horizon, 1.8)).horizon
     noise, horizon, dt, seed = sim.noise, sim.horizon, sim.dt, sim.seed
+    sep_horizon = max(horizon, 1.8)
+    whole_steps(sep_horizon, dt)
     n_paths = study_paths(cfg, args, 0)   # 0: deterministic defect only
     if len(set(study["n_list"])) < 2:
         raise ValueError("need at least two distinct carriers in study.n_list")

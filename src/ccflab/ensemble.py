@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -54,6 +53,8 @@ def run_paths(cfg: SimConfig, u0: Field, num_paths: int,
     seeds = [path_seed(cfg.seed, i) for i in range(num_paths)]
     if workers <= 1 or num_paths <= 1:
         return [task(s) for s in seeds]
+    # only a pool needs it, so a study run on one worker skips its import
+    import multiprocessing
     with multiprocessing.Pool(processes=min(workers, num_paths)) as pool:
         return pool.map(task, seeds)
 

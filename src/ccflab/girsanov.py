@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .ensemble import run_paths, wilson_ci
-from .integrate import SimConfig, simulate_low_frequency
+from .integrate import SimConfig, simulate_low_frequency, whole_steps
 from .noise import LinearB, exp_decay, stream
 from .spectral import Field, argmax_refined, evaluate_at, frac_laplacian, sobolev_norm
 
@@ -70,7 +70,7 @@ def run_random_pde(cfg: SimConfig, u0: Field, beta: np.ndarray):
     ``ValueError`` naming the time of the first non-finite step instead of
     returning a shortened ``(times, fields)``.
     """
-    n_steps = int(round(cfg.horizon / cfg.dt))
+    n_steps = whole_steps(cfg.horizon, cfg.dt)
     if len(beta) < n_steps + 1:
         raise ValueError(f"beta holds {len(beta)} values; {n_steps} steps need "
                          f"{n_steps + 1}")

@@ -51,7 +51,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .integrate import SimConfig, plateau_bump, rk4, simulate_low_frequency
+from .integrate import SimConfig, plateau_bump, rk4, simulate_low_frequency, whole_steps
 from .modulated import (
     CARRIER_ROWS,
     CarrierBasis,
@@ -232,11 +232,11 @@ def build_low_initial(p: InstabilityParams, grid: SpectralGrid) -> Field:
 
 def low_trajectory(p: InstabilityParams, horizon: float, dt: float) -> Iterator[Field]:
     """Stream of ``u_l(i dt)`` on the envelope grid, one per step from
-    ``t = 0`` over ``round(horizon / dt)`` steps; each step runs when its
-    state is read."""
-    cfg = SimConfig(p.env_grid, p.s, dt, horizon)
-    return simulate_low_frequency(cfg, build_low_initial(p, p.env_grid),
-                                  repeat(dt, int(round(horizon / dt))))
+    ``t = 0`` over the :func:`~ccflab.integrate.whole_steps` of ``horizon``;
+    each step runs when its state is read."""
+    return simulate_low_frequency(SimConfig(p.env_grid, p.s, dt, horizon),
+                                  build_low_initial(p, p.env_grid),
+                                  repeat(dt, whole_steps(horizon, dt)))
 
 
 def approx_solution_mod(p: InstabilityParams, t: float, ul_t: Field) -> ModulatedField:
@@ -327,7 +327,7 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH,
     are one ``(num_paths, CARRIER_ROWS, N)`` array, and each step takes
     their ``H^{sigma0}`` norms in one batched :func:`~ccflab.modulated.carrier_norms`.
     """
-    n_steps = int(round(horizon / dt))
+    n_steps = whole_steps(horizon, dt)
     sigma0 = noise.sigma0
     dws = np.array([wiener_increments(path_seed(seed, idx), dt, n_steps)
                     for idx in range(num_paths)])
@@ -358,14 +358,13 @@ def error_functional_ensemble(p: InstabilityParams, noise: InstabilityH,
 # -- actual solutions and separation ---------------------------------------------------
 
 
-def _mod_rhs(u: ModulatedField) -> ModulatedField:
-    return -1.0 * mod_transport_product(u)
-
-
 def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH,
                         seed: int, horizon: float, dt: float, observer=None) -> dict:
     """One path of the stochastic equation from the approximate initial datum
-    ``u_h(0) + u_l(0)``, over ``round(horizon / dt)`` steps of size ``dt``.
+    ``u_h(0) + u_l(0)``, over the :func:`~ccflab.integrate.whole_steps` of
+    ``horizon``: RK4 of the transport product over ``-dt``, as
+    :func:`~ccflab.integrate.em_step` steps a real field, plus the noise
+    increment.
 
     ``seed`` is a path seed; its :func:`~ccflab.noise.wiener_increments`
     drive the steps.
@@ -375,15 +374,15 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH,
     (and once at t=0) for gap accumulation; the final state is returned
     together with the stop time and status.
     """
+    n_steps = whole_steps(horizon, dt)
     u = approx_solution_mod(p, 0.0, build_low_initial(p, p.env_grid))
-    n_steps = int(round(horizon / dt))
     dws = wiener_increments(seed, dt, n_steps)
     if observer is not None:
         observer(0, 0.0, u)
     status, t_stop = "completed", n_steps * dt
     for i in range(n_steps):
         t = i * dt
-        u = rk4(_mod_rhs, u, dt) + float(dws[i]) * eval_noise_mod(noise, t, u)
+        u = rk4(mod_transport_product, u, -dt) + float(dws[i]) * eval_noise_mod(noise, t, u)
         if u.diverged:
             status, t_stop = "diverged", (i + 1) * dt
             break

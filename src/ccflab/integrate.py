@@ -38,13 +38,15 @@ The first stage is ``u``'s transport product, whose one ``rfft`` the forward
 transform of a ``GeneralH``/``InstabilityH`` noise carries; the scalar rates
 add none.  So a macro step takes 8 transform calls: the step rows (1), the
 noise with stage 1 (1) and stages 2-4 (6).  With a mollifier stage 1
-transforms ``J u`` on its own (10).  A step of the deterministic stream reads
-no sups, so stage 1 transforms two rows and forms their product (2): 8 calls
-too.
+transforms ``J u`` on its own (10).  A step of the deterministic stream has
+no noise, so its stage 1 is step rows, then product: 2 calls, 8 in all.
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
-:func:`~ccflab.noise.wiener_increments` of it, drawn up front.
+:func:`~ccflab.noise.wiener_increments` of it, drawn up front.  Every loop
+that steps to a horizon, a path's or the carrier lab's, takes its step count
+from :func:`whole_steps`, which rejects a horizon that is not a whole number
+of steps.
 
 :func:`simulate_low_frequency` is the mollified deterministic equation
 alone: a stream of noiseless :func:`em_step` states on step sizes the caller
@@ -81,6 +83,7 @@ from .spectral import (
 
 __all__ = [
     "SimConfig",
+    "whole_steps",
     "PathRecord",
     "rk4",
     "drift",
@@ -96,6 +99,21 @@ __all__ = [
 def plateau_bump(y: np.ndarray, inner: float = 1.0, outer: float = 2.0) -> np.ndarray:
     """C-infinity plateau profile: 1 on |y|<=inner, 0 on |y|>=outer."""
     return transition_bump((np.abs(y) - inner) / (outer - inner))
+
+
+def whole_steps(horizon: float, dt: float) -> int:
+    """The number of steps of size ``dt`` that make up ``horizon``, the one
+    rule for every horizon a study steps to.  Raises ``ValueError`` unless
+    both are positive and ``horizon`` is a whole number of steps (to 1e-9
+    relative)."""
+    if dt <= 0.0 or horizon <= 0.0:
+        raise ValueError("dt and horizon must be positive")
+    if not np.isfinite(horizon / dt):
+        raise ValueError(f"horizon / dt must be finite, got {horizon / dt}")
+    n_steps = int(round(horizon / dt))
+    if abs(n_steps * dt - horizon) > 1e-9 * horizon:
+        raise ValueError(f"horizon {horizon:g} is not a whole number of steps of dt {dt:g}")
+    return n_steps
 
 
 @dataclass(frozen=True)
@@ -114,13 +132,7 @@ class SimConfig:
     keep_snapshots: bool = False
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.horizon <= 0.0:
-            raise ValueError("dt and horizon must be positive")
-        if not np.isfinite(self.horizon / self.dt):
-            raise ValueError(f"horizon / dt must be finite, got {self.horizon / self.dt}")
-        if abs(round(self.horizon / self.dt) * self.dt - self.horizon) > 1e-9 * self.horizon:
-            raise ValueError(f"horizon {self.horizon:g} is not a whole number of "
-                             f"steps of dt {self.dt:g}")
+        whole_steps(self.horizon, self.dt)
         if self.s <= 3.0:
             raise ValueError("Sobolev index must exceed 3 for these runs")
         if not 0.0 <= self.eps_mollify < 1.0:
@@ -234,7 +246,7 @@ def simulate_path(cfg: SimConfig, u0: Field) -> PathRecord:
     """
     if u0.grid != cfg.grid:
         raise ValueError("initial field lives on the wrong grid")
-    n_steps = int(round(cfg.horizon / cfg.dt))
+    n_steps = whole_steps(cfg.horizon, cfg.dt)
     increments = wiener_increments(cfg.seed, cfg.dt, n_steps)
 
     # each state keeps its sups: the blow-up check, a StrongAlpha rate and

@@ -37,8 +37,8 @@ rows are bit-identical to separate 1-D transforms.
 A field computes what a time step reads of it once, when first asked for:
 ``step_rows``, the samples of ``Hf``, ``f_x`` and ``H f_x`` from one inverse
 transform, and ``transport_coefficients``, the dealiased ``(Hf) f_x`` from one
-forward transform of the first two rows (a field without step rows transforms
-those two alone and keeps nothing).  :func:`transport_product` and
+forward transform of the first two rows: step rows, then product, 2 calls for
+a field that has neither.  :func:`transport_product` and
 :func:`gradient_sups` (``sup|f_x|``, ``sup|H f_x|``, ``max Lam f = -min H f_x``)
 read these caches.  A forward transform of a function of the step rows
 (:func:`dealiased_with_transport`, the noise's) always forms the transport
@@ -210,10 +210,9 @@ class Field:
     coefficients, ``N/2 + 1`` of them.
 
     The DC coefficient is real and the Nyquist mode is held at zero.
-    Construct through :meth:`from_samples`,
-    :meth:`from_coefficients` or :meth:`from_function`.  The samples, the
-    step rows, the gradient sups and the transport product are computed once,
-    when first asked for.
+    Construct through :meth:`from_samples` or :meth:`from_coefficients`.  The
+    samples, the step rows, the gradient sups and the transport product are
+    computed once, when first asked for.
     """
 
     __slots__ = ("grid", "_coeffs", "_samples", "_rows", "_sups", "_transport")
@@ -250,10 +249,6 @@ class Field:
         return cls(grid, c)
 
     @classmethod
-    def from_function(cls, grid: SpectralGrid, fn) -> "Field":
-        return cls.from_samples(grid, fn(grid.x))
-
-    @classmethod
     def zeros(cls, grid: SpectralGrid) -> "Field":
         return cls(grid, np.zeros(grid.n_modes // 2 + 1, dtype=np.complex128))
 
@@ -288,17 +283,9 @@ class Field:
     @property
     def transport_coefficients(self) -> np.ndarray:
         """Coefficients of the dealiased ``(Hf) f_x`` (read-only), formed from
-        the first two step rows and kept; a field whose rows are not formed
-        transforms those two alone and keeps nothing.  That branch serves the
-        deterministic stream (the ``girsanov`` twin, the ``instability``
-        low-frequency profile): at N = 1024 on a 2-core Xeon it takes 31 us,
-        forming and keeping the three rows 36 us, some 16 ms over the 3,500
-        twin steps of a ``girsanov`` refinement of dt 2e-3, 1e-3, 5e-4."""
+        the first two step rows and kept."""
         if self._transport is None:
-            if self._rows is None:
-                hf, fx = inverse_samples(self.grid, self._coeffs * self.grid.transport_symbols)
-                return _read_only(dealiased_coefficients(self.grid, hf * fx))
-            hf, fx = self._rows[:2]
+            hf, fx = self.step_rows[:2]
             self._transport = _read_only(dealiased_coefficients(self.grid, hf * fx))
         return self._transport
 
@@ -327,9 +314,6 @@ class Field:
         return Field(self.grid, self._coeffs * float(scalar))
 
     __rmul__ = __mul__
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self._coeffs.copy())
 
 
 # -- multiplier operators ----------------------------------------------------
@@ -427,9 +411,8 @@ def dealiased_with_transport(f: Field, samples: np.ndarray) -> np.ndarray:
 
 
 def transport_product(w: Field) -> Field:
-    """Dealiased ``(H w) w_x``: one stacked inverse and one forward transform,
-    or, cached on ``w``, the forward one alone when ``w``'s step rows are
-    formed.
+    """Dealiased ``(H w) w_x`` from ``w``'s step rows and one forward
+    transform, both kept on ``w``.
 
     Bit-identical to ``dealiased_product(hilbert(w), derivative(w))``.
     """

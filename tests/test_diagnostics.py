@@ -42,7 +42,7 @@ class TestBlowupQuantity:
         assert blowup_quantity(Field.zeros(GRID)) == 0.0
 
     def test_cos(self):
-        u = Field.from_function(GRID, lambda x: np.cos(x))
+        u = Field.from_samples(GRID, np.cos(GRID.x))
         assert blowup_quantity(u) == pytest.approx(2.0, abs=1e-10)
 
     def test_homogeneous(self):
@@ -63,7 +63,7 @@ class TestLyapunovValue:
         assert self.recorded(Field.zeros(GRID)) == 0.0
 
     def test_unit_norm(self):
-        u = Field.from_function(GRID, lambda x: np.cos(x))
+        u = Field.from_samples(GRID, np.cos(GRID.x))
         u = (1.0 / sobolev_norm(u, 2.1)) * u
         assert self.recorded(u) == pytest.approx(np.log(2.0), rel=1e-10)
 
@@ -80,7 +80,7 @@ class TestTransportPairing:
 
     def test_cos_l2_vanishes(self):
         # integral of sin^2 x * cos x over the period is zero
-        u = Field.from_function(GRID, lambda x: np.cos(x))
+        u = Field.from_samples(GRID, np.cos(GRID.x))
         assert abs(transport_pairing(u, 0.0)) < 1e-12
 
     def test_pairing_lemma_bound(self):

@@ -3,6 +3,7 @@ JSON-lines format of ``persist``, configuration digests, idempotent
 aggregation, and the rate-fit plumbing."""
 
 import json
+import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,7 +95,7 @@ class TestSeeding:
             def map(self, task, seeds):
                 return [task(s) for s in seeds]
 
-        monkeypatch.setattr(ensemble.multiprocessing, "Pool", Pool)
+        monkeypatch.setattr(multiprocessing, "Pool", Pool)
         cfg, u0 = small_cfg(), small_u0()
         assert_same_records(run_paths(cfg, u0, 2, workers=4), run_paths(cfg, u0, 2))
         assert started == [2]

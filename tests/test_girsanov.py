@@ -157,7 +157,7 @@ class TestRandomPDE:
         u0 = blowup_bump(GRID, 5.0)
         times, fields = run_random_pde(cfg, u0, beta)
         quiet = replace(cfg, noise=ZeroNoise())
-        v, want = u0.copy(), [u0]
+        v, want = Field(u0.grid, u0.coefficients), [u0]
         for i in range(10):
             v = em_step(v, i * cfg.dt, quiet, 0.0, beta[i] * cfg.dt)
             if (i + 1) % 3 == 0 or i == 9:
@@ -173,10 +173,10 @@ class TestRandomPDE:
         u0 = blowup_bump(GRID, 5.0)
         cfg = self.cfg(horizon=1e-3)
         fft_calls.clear()
-        run_random_pde(cfg, u0.copy(), np.ones(2))
+        run_random_pde(cfg, Field(u0.grid, u0.coefficients), np.ones(2))
         assert fft_calls == ["irfft", "rfft"] * 4
         fft_calls.clear()
-        run_random_pde(self.cfg(), u0.copy(), np.ones(11))
+        run_random_pde(self.cfg(), Field(u0.grid, u0.coefficients), np.ones(11))
         assert len(fft_calls) == 10 * 8
 
     def test_recorded_fields_are_bare(self):
@@ -204,7 +204,7 @@ class TestRandomPDE:
 
 class TestCharacteristicTrack:
     def test_constant_field(self):
-        v = Field.from_function(GRID, lambda x: 0 * x + 0.7)
+        v = Field.from_samples(GRID, 0 * GRID.x + 0.7)
         cfg = SimConfig(grid=GRID, s=3.1, dt=0.01, horizon=0.1, noise=ZeroNoise())
         _, fields = run_random_pde(cfg, v, np.ones(11))
         trk = characteristic_track(fields, np.ones(11), cfg.dt)
@@ -273,8 +273,7 @@ class TestIdentitySV:
     def wide_bump(self, amp=1.0, n_modes=4096, period=400.0, center=0.5):
         g = SpectralGrid(period=period, n_modes=n_modes)
         w = period / 16.0
-        return Field.from_function(
-            g, lambda x: amp * np.exp(-((x - center * period) ** 2) / w**2))
+        return Field.from_samples(g, amp * np.exp(-((g.x - center * period) ** 2) / w**2))
 
     def test_zero(self):
         assert identity_sv_residual(Field.zeros(GRID)) == 0.0
@@ -290,7 +289,7 @@ class TestIdentitySV:
         assert r3 == pytest.approx(9.0 * r1, rel=1e-6)
 
     def test_rejects_spread_field(self):
-        v = Field.from_function(GRID, lambda x: np.cos(x))
+        v = Field.from_samples(GRID, np.cos(GRID.x))
         with pytest.raises(ValueError):
             identity_sv_residual(v)
 

@@ -9,8 +9,9 @@ only the tests call lives in ``src``; the only random generator is built by
 ``noise.stream``, and the only path Wiener stream ``stream(seed, 0)`` is
 drawn by ``noise.wiener_increments``; real fields are transformed only by
 ``spectral``'s ``rfft``/``irfft`` and stepped only by ``integrate.em_step``;
-every SPDE path is run by ``ensemble.run_paths``; and importing the CLI
-loads no scipy."""
+every SPDE path is run by ``ensemble.run_paths``; every horizon's step count
+comes from ``integrate.whole_steps``; and importing the CLI loads neither
+scipy nor multiprocessing."""
 
 import ast
 import importlib
@@ -93,13 +94,9 @@ def test_exports_defined_here(path):
     assert foreign_exports(path.read_text()) == []
 
 
-def call_sites(source: str, name: str, args: tuple | None = None) -> list[str]:
-    """Sorted names of the top-level functions and the ``Class.method``s
-    that call ``name`` (as a bare name or an attribute), one entry per call
-    (``<module>`` for a call outside any function).  With ``args``, only calls
-    with exactly that many positional arguments whose constant ones (the
-    non-``None`` entries) match count."""
-    tree = ast.parse(source)
+def owners(tree: ast.Module) -> dict[ast.AST, str]:
+    """The top-level function or ``Class.method`` each node of ``tree`` lies
+    in, ``<module>`` outside any function."""
     owner = {}
     for top in tree.body:
         for node in ast.walk(top):
@@ -107,6 +104,17 @@ def call_sites(source: str, name: str, args: tuple | None = None) -> list[str]:
         for method in top.body if isinstance(top, ast.ClassDef) else ():
             for node in ast.walk(method) if isinstance(method, ast.FunctionDef) else ():
                 owner[node] = f"{top.name}.{method.name}"
+    return owner
+
+
+def call_sites(source: str, name: str, args: tuple | None = None) -> list[str]:
+    """Sorted names of the top-level functions and the ``Class.method``s
+    that call ``name`` (as a bare name or an attribute), one entry per call
+    (``<module>`` for a call outside any function).  With ``args``, only calls
+    with exactly that many positional arguments whose constant ones (the
+    non-``None`` entries) match count."""
+    tree = ast.parse(source)
+    owner = owners(tree)
 
     def matches(call: ast.Call) -> bool:
         if name not in {getattr(call.func, "attr", None), getattr(call.func, "id", None)}:
@@ -200,6 +208,40 @@ def test_real_fields_step_through_em_step():
         "integrate.py": ["em_step"], "instability.py": ["simulate_actual_mod"]}
 
 
+def step_counts(source: str) -> list[str]:
+    """Sorted ``owner: quotient`` of each ``round``, ``int``, ``floor`` or
+    ``ceil`` of a quotient (``/`` or ``//``) in ``source``, the owner as in
+    :func:`owners`: every way to turn a time over a step into a count."""
+    tree = ast.parse(source)
+    owner = owners(tree)
+    return sorted(f"{owner[node]}: {ast.unparse(node.args[0])}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and {getattr(node.func, "attr", None), getattr(node.func, "id", None)}
+                  & {"round", "int", "floor", "ceil"}
+                  and node.args and isinstance(node.args[0], ast.BinOp)
+                  and isinstance(node.args[0].op, (ast.Div, ast.FloorDiv)))
+
+
+def test_detects_step_counts():
+    source = ("def f(h, dt):\n    return int(round(h / dt)), round(h * dt), int(h // dt)\n"
+              "class C:\n    def m(self):\n        return math.ceil(self.h / 2)\n"
+              "n = np.floor(T / dt) + int(len(x)) + round(x)\n")
+    assert step_counts(source) == ["<module>: T / dt", "C.m: self.h / 2", "f: h / dt",
+                                   "f: h // dt"]
+
+
+def test_one_horizon_step_count():
+    # every loop that steps to a horizon takes its step count from
+    # integrate.whole_steps, which checks that the horizon is a whole number
+    # of steps; the other two turn a snapshot's time into its index and the
+    # record cadence of 0.02 into a stride
+    sites = {path.name: step_counts(path.read_text()) for path in MODULES}
+    assert {name: s for name, s in sites.items() if s} == {
+        "cli.py": ["cmd_girsanov: 0.02 / dt"],
+        "girsanov.py": ["girsanov_residual: tu / cfg.dt"],
+        "integrate.py": ["whole_steps: horizon / dt"]}
+
+
 def test_spde_paths_run_through_run_paths():
     # every study launches its SPDE paths through ensemble.run_paths, whose
     # per-seed task is the one caller of simulate_path
@@ -266,18 +308,30 @@ def test_bench_observers_read_parameters():
     assert unknown == []
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only dependency; scipy would cost about half the import
-    # time of every CLI run
+def cli_import_loads(package: str) -> list[str]:
+    """The modules of ``package`` that importing ``ccflab.cli`` loads, in a
+    fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(ccflab.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = ("import sys, ccflab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    return ast.literal_eval(out.stdout.strip())
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only dependency; scipy would cost about half the import
+    # time of every CLI run
+    assert cli_import_loads("scipy") == []
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only a pool of workers needs it (run_paths imports it there), and no
+    # study runs one at its defaults
+    assert cli_import_loads("multiprocessing") == []
 
 
 def reached_defs(sources: dict[str, str], root: tuple[str, str]) -> set[tuple[str, str]]:

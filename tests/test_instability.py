@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from ccflab import instability, integrate
 from ccflab.instability import (
     InstabilityParams,
-    _mod_rhs,
     approx_solution_mod,
     build_high_frequency_mod,
     build_low_initial,
@@ -357,7 +356,7 @@ class TestCarrierTransformBudget:
     def test_transport_rhs(self, fft_calls):
         u = self.fresh()
         fft_calls.clear()
-        _mod_rhs(u)
+        mod_transport_product(u)
         assert fft_calls == ["ifft", "fft"]
 
     def test_error_integrand(self, fft_calls):
@@ -555,6 +554,19 @@ class TestErrorIntegrand:
 
 
 class TestStudies:
+    @pytest.mark.parametrize("run", [
+        lambda p, h, dt: low_trajectory(p, h, dt),
+        lambda p, h, dt: error_functional_ensemble(p, NOISE, 1, h, dt),
+        lambda p, h, dt: simulate_actual_mod(p, NOISE, 0, h, dt),
+        lambda p, h, dt: separation_experiment(p, h, dt, NOISE)],
+        ids=["low_trajectory", "error_functional_ensemble", "simulate_actual_mod",
+             "separation_experiment"])
+    def test_fractional_horizon_raises(self, run):
+        # every horizon is a whole number of steps, as an SPDE path's is:
+        # 0.07 / 0.02 = 3.5 steps is rejected, not rounded to 4
+        with pytest.raises(ValueError, match="horizon 0.07 is not a whole number"):
+            run(params(n=64, env=256), 0.07, 0.02)
+
     def test_error_functional_deterministic_bound(self):
         p = params(n=64)
         out = error_functional_ensemble(p, DETERMINISTIC, num_paths=0,

@@ -6,6 +6,7 @@ time-change identity of a scalar-rate path, and a fast deterministic blow-up
 smoke run."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from ccflab.integrate import (
     rk4,
     simulate_low_frequency,
     simulate_path,
+    whole_steps,
 )
 from ccflab.instability import InstabilityParams, build_low_initial
 from ccflab.noise import (
@@ -92,10 +94,10 @@ def reference_em_step(u: Field, t: float, cfg: SimConfig, dw: float,
                       dt: float | None = None) -> Field:
     """RK4 of the drift, then the exact factor ``exp(a dw - a^2 dt / 2)`` of
     ``a = rate`` or the noise ``components(t, u) dw``, each operator applied
-    on its own; ``u`` is copied first, so no transform a stepper cached on it
-    is read."""
+    on its own; from a bare field of ``u``'s coefficients, so no transform a
+    stepper cached on ``u`` is read."""
     dt = cfg.dt if dt is None else dt
-    u = u.copy()
+    u = Field(u.grid, u.coefficients)
     unew = rk4(lambda f: reference_drift(f, cfg), u, dt)
     rate = reference_rate(cfg.noise, t, u)
     if rate is not None:
@@ -150,6 +152,25 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="horizon / dt must be finite"):
             zero_cfg(horizon=horizon, dt=dt)
 
+    @pytest.mark.parametrize("horizon, dt, n", [(1.0, 1e-3, 1000), (0.07, 0.01, 7),
+                                                (1.8, 0.02, 90), (0.2, 5e-4, 400)])
+    def test_whole_steps(self, horizon, dt, n):
+        steps = whole_steps(horizon, dt)
+        assert steps == n and type(steps) is int
+
+    @pytest.mark.parametrize("horizon, dt, message", [
+        (0.0, 1e-3, "dt and horizon must be positive"),
+        (1.0, -1e-3, "dt and horizon must be positive"),
+        (np.inf, 1e-3, "horizon / dt must be finite"),
+        (0.07, 0.02, "horizon 0.07 is not a whole number of steps of dt 0.02")])
+    def test_whole_steps_checks_as_sim_config_does(self, horizon, dt, message):
+        # one rule: the same checks and messages for a path and for a loop
+        # that steps to a horizon without a SimConfig
+        with pytest.raises(ValueError, match=message):
+            whole_steps(horizon, dt)
+        with pytest.raises(ValueError, match=message):
+            zero_cfg(horizon=horizon, dt=dt)
+
 
 class TestRk4:
     # one step of y' = lam y multiplies y by the degree-4 Taylor polynomial
@@ -177,7 +198,7 @@ class TestDrift:
 
     def test_cos_hand_value(self):
         # (Hu)u_x = sin^2 x for u = cos x; drift is its negative
-        u = Field.from_function(GRID, lambda x: np.cos(x))
+        u = Field.from_samples(GRID, np.cos(GRID.x))
         got = drift(u, zero_cfg())
         assert np.allclose(got.samples, -np.sin(GRID.x) ** 2, atol=1e-12)
 
@@ -211,7 +232,8 @@ class TestEmStep:
             other = zero_cfg(noise=noise, **kw)
             assert np.array_equal(drift(u, other).coefficients,
                                   reference_drift(u, own).coefficients)
-            assert np.array_equal(em_step(u.copy(), 0.1, other, 0.02).coefficients,
+            bare = Field(u.grid, u.coefficients)
+            assert np.array_equal(em_step(bare, 0.1, other, 0.02).coefficients,
                                   reference_em_step(u, 0.1, own, 0.02).coefficients)
 
     def test_zero_fixed_point(self):
@@ -228,7 +250,7 @@ class TestEmStep:
         # step reproduces its frozen-coefficient closed form up to round-off
         b0, lam = 0.8, 1.0
         noise = LinearB(b0=b0, lam=lam, b_star=b0**2 * 1.05)
-        u0 = Field.from_function(GRID, lambda x: 0.0 * x + 1.0)
+        u0 = Field.from_samples(GRID, 0.0 * GRID.x + 1.0)
         errs = []
         for dt in (1e-3, 1e-3 / 16.0):
             cfg = zero_cfg(dt=dt, horizon=0.5, noise=noise, seed=77,
@@ -250,11 +272,11 @@ class TestEmStep:
     def test_scalar_rate_step_is_the_exact_factor(self, noise):
         # on a constant datum the drift vanishes and the sups are 0, so one
         # step is u exp(a dw - a^2 dt / 2) with a = q or b(t)
-        u = Field.from_function(GRID, lambda x: 0.0 * x + 1.0)
+        u = Field.from_samples(GRID, 0.0 * GRID.x + 1.0)
         cfg = zero_cfg(noise=noise)
         t, dt, dw = 0.3, 2e-3, 0.07
         a = noise.q if isinstance(noise, StrongAlpha) else noise.b0 * np.exp(-noise.lam * t)
-        got = em_step(u.copy(), t, cfg, dw, dt)
+        got = em_step(Field(u.grid, u.coefficients), t, cfg, dw, dt)
         want = u.coefficients * np.exp(a * dw - a * a * dt / 2.0)
         assert np.allclose(got.coefficients, want, rtol=1e-14, atol=0.0)
 
@@ -289,11 +311,11 @@ class TestReferenceStep:
             cfg = zero_cfg(noise=noise, eps_mollify=eps)
             for dt in (1e-3, 2.5e-4):
                 want = reference_em_step(u, 0.3, cfg, 0.02, dt)
-                got = em_step(u.copy(), 0.3, cfg, 0.02, dt)
+                got = em_step(Field(u.grid, u.coefficients), 0.3, cfg, 0.02, dt)
                 assert np.array_equal(got.coefficients, want.coefficients)
                 # from a state whose sups were read first, as a path steps
                 # from each state it reaches
-                v = u.copy()
+                v = Field(u.grid, u.coefficients)
                 gradient_sups(v)
                 got = em_step(v, 0.3, cfg, 0.02, dt)
                 assert np.array_equal(got.coefficients, want.coefficients)
@@ -306,7 +328,7 @@ class TestReferenceStep:
 
     def test_start_sups_equal_reference(self):
         for u in self.states():
-            assert gradient_sups(u.copy()) == reference_sups(u)
+            assert gradient_sups(Field(u.grid, u.coefficients)) == reference_sups(u)
 
     def test_noisy_paths_equal_reference(self):
         u0 = blowup_bump(GRID, 10.0)
@@ -333,13 +355,13 @@ class TestTransformBudget:
         assert fft_calls == ["irfft", "rfft"]
 
     def test_gradient_sups(self, fft_calls):
-        gradient_sups(self.U.copy())
+        gradient_sups(Field(self.U.grid, self.U.coefficients))
         assert fft_calls == ["irfft"]
 
     def test_gradient_sups_kept_on_the_field(self, fft_calls):
         # the path takes a state's sups once; a StrongAlpha rate of that
         # state reads the same tuple
-        u = self.U.copy()
+        u = Field(self.U.grid, self.U.coefficients)
         sups = gradient_sups(u)
         assert gradient_sups(u) is sups
         assert StrongAlpha(q=0.5).rate(0.0, u) == 0.5 * (1.0 + sups[0] + sups[1])
@@ -348,14 +370,14 @@ class TestTransformBudget:
     def test_general_h_em_step(self, fft_calls):
         # the step rows (1), the noise with stage 1 (1), stages 2-4 (6)
         cfg = zero_cfg(noise=GeneralH(n_components=8))
-        em_step(self.U.copy(), 0.0, cfg, 1e-3)
+        em_step(Field(self.U.grid, self.U.coefficients), 0.0, cfg, 1e-3)
         assert len(fft_calls) == 8
 
     def test_general_h_em_step_mollified(self, fft_calls):
         # stage 1 transforms J u on its own (2): no more than one drift and
         # one noise transform each per stage
         cfg = zero_cfg(noise=GeneralH(n_components=8), eps_mollify=0.05)
-        em_step(self.U.copy(), 0.0, cfg, 1e-3)
+        em_step(Field(self.U.grid, self.U.coefficients), 0.0, cfg, 1e-3)
         assert len(fft_calls) == 10
 
     @pytest.mark.parametrize("noise, per_step", [(GeneralH(n_components=8), 8),
@@ -423,7 +445,7 @@ class TestSimulatePath:
 
     def test_transport_range_preserved(self):
         # pure transport: [min u, max u] invariant up to O(dt + spectral error)
-        u0 = Field.from_function(GRID, lambda x: 0.3 * np.sin(x) + 0.1 * np.cos(2 * x))
+        u0 = Field.from_samples(GRID, 0.3 * np.sin(GRID.x) + 0.1 * np.cos(2 * GRID.x))
         cfg = zero_cfg(dt=5e-4, horizon=0.5, record_every=100, keep_snapshots=True)
         rec = simulate_path(cfg, u0)
         assert rec.status == "completed"
@@ -433,7 +455,7 @@ class TestSimulatePath:
 
     def test_snapshots_are_bare_fields(self):
         # a kept state does not keep the transforms its step cached on it
-        u0 = Field.from_function(GRID, lambda x: 0.3 * np.sin(x))
+        u0 = Field.from_samples(GRID, 0.3 * np.sin(GRID.x))
         rec = simulate_path(zero_cfg(horizon=0.01, keep_snapshots=True,
                                      noise=GeneralH(n_components=2)), u0)
         assert len(rec.snapshots) == 11
@@ -457,32 +479,6 @@ class TestSimulatePath:
         cfg = zero_cfg(blowup_threshold=1.0)
         with pytest.raises(ValueError):
             simulate_path(cfg, u0)
-
-    def test_diverged_path_records_its_last_finite_state_once(self):
-        # step 5 overflows: the state at 5 dt is the last finite one; it is
-        # recorded at 5 dt, once, while t_stop is the failed step's 6 dt
-        grid = SpectralGrid(n_modes=64)
-        u0 = power_law_field(grid, 3.1, stream(0), amplitude=5.0)
-        recs = {}
-        for every in (1, 4):
-            cfg = SimConfig(grid=grid, s=3.1, dt=0.02, horizon=2.0, seed=1,
-                            noise=GeneralH(q=50.0), record_every=every,
-                            blowup_threshold=1e300)
-            rec = recs[every] = simulate_path(cfg, u0)
-            assert rec.status == "diverged"
-            assert rec.wiener_increments.shape == (6,)
-            assert rec.t_stop == 6 * cfg.dt
-            assert rec.times[-1] == 5 * cfg.dt
-            want = reference_path(cfg, u0)
-            assert np.array_equal(rec.times, want["times"])
-            for j, name in enumerate(integrate.DIAGNOSTIC_NAMES):
-                assert np.array_equal(rec.diagnostics[name], want["rows"][:, j]), name
-        # every fourth row and the last finite one are rows of the dense record
-        dense, sparse = recs[1], recs[4]
-        assert np.array_equal(dense.times, 0.02 * np.arange(6))
-        assert np.array_equal(sparse.times, dense.times[[0, 4, 5]])
-        for name, values in sparse.diagnostics.items():
-            assert np.array_equal(values, dense.diagnostics[name][[0, 4, 5]]), name
 
     @staticmethod
     def stop_case(stop: str, record_every: int):
@@ -532,6 +528,13 @@ class TestSimulatePath:
         assert [t for t, _ in rec.snapshots] == list(rec.times)
         assert [sobolev_norm(f, cfg.s) for _, f in rec.snapshots] \
             == list(rec.diagnostics["h_s"])
+        if record_every > 1:
+            # every fourth row and the stop's are rows of the dense record:
+            # [0, 4, 5] for diverged-off
+            dense = simulate_path(replace(cfg, record_every=1), u0)
+            assert np.array_equal(dense.times, cfg.dt * np.arange(step + 1))
+            for name, values in rec.diagnostics.items():
+                assert np.array_equal(values, dense.diagnostics[name][steps]), name
 
     def test_frozen_general_h(self):
         # tiny GeneralH path; frozen values: a change in the RK4 stage
@@ -559,10 +562,10 @@ def low_cfg(grid: SpectralGrid, dt: float, horizon: float, **kw) -> SimConfig:
 
 
 def low_stream(u0: Field, horizon: float, dt: float, **kw):
-    """The deterministic stream of ``round(horizon / dt)`` steps of size
-    ``dt`` from ``u0``."""
-    n = int(round(horizon / dt))
-    return simulate_low_frequency(low_cfg(u0.grid, dt, horizon, **kw), u0, [dt] * n)
+    """The deterministic stream of the whole steps of size ``dt`` in
+    ``horizon`` from ``u0``."""
+    return simulate_low_frequency(low_cfg(u0.grid, dt, horizon, **kw), u0,
+                                  [dt] * whole_steps(horizon, dt))
 
 
 class TestLowFrequency:
@@ -685,7 +688,7 @@ class TestPathRecordIO:
     def test_jsonl_roundtrip_rows(self, tmp_path):
         # persist writes a path's recorded rows as they are, bit for bit
         cfg = zero_cfg(horizon=0.01)
-        u0 = Field.from_function(GRID, lambda x: 0.1 * np.sin(x))
+        u0 = Field.from_samples(GRID, 0.1 * np.sin(GRID.x))
         result = run_ensemble(cfg, u0, 1)
         (rec,) = result.records
         out = tmp_path / "path.jsonl"
