@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 
 import numpy as np
@@ -377,12 +377,14 @@ def simulate_actual_mod(p: InstabilityParams, noise: InstabilityH,
     n_steps = whole_steps(horizon, dt)
     u = approx_solution_mod(p, 0.0, build_low_initial(p, p.env_grid))
     dws = wiener_increments(seed, dt, n_steps)
+    rhs = partial(mod_transport_product, p.basis)
     if observer is not None:
         observer(0, 0.0, u)
     status, t_stop = "completed", n_steps * dt
     for i in range(n_steps):
         t = i * dt
-        u = rk4(mod_transport_product, u, -dt) + float(dws[i]) * eval_noise_mod(noise, t, u)
+        u = (ModulatedField(p.basis, rk4(rhs, u.coeffs, -dt))
+             + float(dws[i]) * eval_noise_mod(noise, t, u))
         if u.diverged:
             status, t_stop = "diverged", (i + 1) * dt
             break

@@ -28,6 +28,14 @@ stages of :func:`em_step`, which steps it over ``-dt`` (bit for bit RK4 of
 its negative over ``dt``) and takes every step of a real field: the SPDE
 paths and the deterministic stream of :func:`simulate_low_frequency`.
 
+Work arrays: :func:`rk4` steps an array ``y`` with a right-hand side
+``rhs(y, out)`` that writes into ``out`` and returns it.  It allocates its
+stack of four stages and its stage argument once per call, and the transport
+right-hand side allocates its transform work arrays once per step and writes
+both transforms into them (``out=``, see :mod:`ccflab.spectral`); the noise
+and the first stage share one work block.  The state a step returns is a
+fresh array, and no module holds a mutable buffer, so steps stay pure.
+
 Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
 real field is one of them, see :mod:`ccflab.spectral`): what a step shares
 of its start state ``u`` lives in ``u``'s own caches.  Its step rows, one
@@ -35,11 +43,13 @@ stacked ``irfft``, serve the monitored sups and the recorded ``max Lam u``
 (taken once and kept on ``u``, where a ``StrongAlpha`` rate reads them too),
 the gradient samples of the noise and the samples of the first RK4 stage.
 The first stage is ``u``'s transport product, whose one ``rfft`` the forward
-transform of a ``GeneralH``/``InstabilityH`` noise carries; the scalar rates
+transform of a ``GeneralH``/``InstabilityH`` noise carries as the second row
+of its work block (:func:`~ccflab.noise.gradient_noise`); the scalar rates
 add none.  So a macro step takes 8 transform calls: the step rows (1), the
 noise with stage 1 (1) and stages 2-4 (6).  With a mollifier stage 1
-transforms ``J u`` on its own (10).  A step of the deterministic stream has
-no noise, so its stage 1 is step rows, then product: 2 calls, 8 in all.
+transforms ``J u`` on its own and the noise's transform holds its one row
+(10).  A step of the deterministic stream has no noise, so its stage 1 is
+step rows, then product: 2 calls, 8 in all.
 
 One path is one logical task: no shared mutable state, bit-identical reruns
 for a fixed config.  ``cfg.seed`` is a path seed: the macro increments are
@@ -64,7 +74,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import NoiseModel, ZeroNoise, wiener_increments
+from .noise import NoiseModel, ZeroNoise, gradient_noise, wiener_increments
 from .spectral import (
     Field,
     SpectralGrid,
@@ -160,18 +170,29 @@ class PathRecord:
 # -- drift and stepping ----------------------------------------------------------
 
 
-def rk4(rhs, y, dt: float, k1=None):
-    """One classical fourth-order Runge-Kutta step of ``y' = rhs(y)``.
+def rk4(rhs, y: np.ndarray, dt: float, k1: np.ndarray | None = None) -> np.ndarray:
+    """One classical fourth-order Runge-Kutta step of ``y' = rhs(y)`` for an
+    array ``y``, returned as a fresh array.
 
-    ``y`` may be a float, a coefficient array or a ``ModulatedField``:
-    anything closed under addition and scaling by a float.
-    ``k1`` is ``rhs(y)`` when the caller already has it.
+    ``rhs(y, out)`` writes the right-hand side at ``y`` into ``out``, an
+    array shaped like ``y``, and returns ``out``; it must not keep either.
+    The four stages and the stage argument are one work stack allocated per
+    call.  ``k1`` is ``rhs(y)`` when the caller already has it.  The
+    arithmetic is the textbook expression's, operation for operation:
+    ``y + (0.5 dt) k1``, ``y + (0.5 dt) k2``, ``y + dt k3`` and
+    ``y + (dt / 6) (((k1 + 2 k2) + 2 k3) + k4)``.
     """
-    k1 = rhs(y) if k1 is None else k1
-    k2 = rhs(y + (0.5 * dt) * k1)
-    k3 = rhs(y + (0.5 * dt) * k2)
-    k4 = rhs(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k = np.empty((5, *y.shape), dtype=y.dtype)
+    first, k2, k3, k4, stage = k
+    k1 = rhs(y, first) if k1 is None else k1
+    rhs(np.add(y, np.multiply(0.5 * dt, k1, out=stage), out=stage), k2)
+    rhs(np.add(y, np.multiply(0.5 * dt, k2, out=stage), out=stage), k3)
+    rhs(np.add(y, np.multiply(dt, k3, out=stage), out=stage), k4)
+    np.multiply(2.0, k[1:3], out=k[1:3])   # 2 k2 and 2 k3 in one call
+    np.add(k1, k2, out=k2)
+    np.add(k2, k3, out=k2)
+    np.add(k2, k4, out=k2)
+    return y + np.multiply(dt / 6.0, k2, out=k2)
 
 
 @lru_cache(maxsize=64)
@@ -186,20 +207,31 @@ def _mollifier(grid: SpectralGrid, cfg: SimConfig) -> np.ndarray | None:
     return _mollifier_values(grid, eps) if eps > 0.0 else None
 
 
-def _transport_rhs(c: np.ndarray, grid: SpectralGrid,
-                   mollifier: np.ndarray | None) -> np.ndarray:
-    """``J[(H J c) (J c)_x]``, dealiased, for the coefficients ``c``: one
-    stacked inverse and one forward FFT.  ``J`` multiplies by ``mollifier``
-    (the identity for ``None``)."""
-    w = c if mollifier is None else c * mollifier
-    hw, wx = inverse_samples(grid, w * grid.transport_symbols)
-    product = dealiased_coefficients(grid, hw * wx)
-    return product if mollifier is None else product * mollifier
+def _transport_rhs(grid: SpectralGrid, mollifier: np.ndarray | None):
+    """``rhs(c, out)`` for :func:`rk4`: writes ``J[(H J c) (J c)_x]``,
+    dealiased, for the coefficients ``c`` into ``out``, by one stacked
+    inverse and one forward FFT.  ``J`` multiplies by ``mollifier`` (the
+    identity for ``None``).  The inverse transform's input and output are
+    work arrays allocated here, once for every evaluation of the returned
+    function; ``J c`` is formed in ``out`` before the forward transform
+    overwrites it."""
+    spectra = np.empty((2, grid.n_modes // 2 + 1), dtype=np.complex128)
+    samples = np.empty((2, grid.n_modes))
+    hw, wx = samples
+
+    def rhs(c: np.ndarray, out: np.ndarray) -> np.ndarray:
+        w = c if mollifier is None else np.multiply(c, mollifier, out=out)
+        inverse_samples(grid, np.multiply(w, grid.transport_symbols, out=spectra), out=samples)
+        dealiased_coefficients(grid, np.multiply(hw, wx, out=hw), out=out)
+        return out if mollifier is None else np.multiply(out, mollifier, out=out)
+
+    return rhs
 
 
 def drift(u: Field, cfg: SimConfig) -> Field:
     """Negated transport term, ready to be added to the state."""
-    return Field(u.grid, -_transport_rhs(u.coefficients, u.grid, _mollifier(u.grid, cfg)))
+    rhs = _transport_rhs(u.grid, _mollifier(u.grid, cfg))
+    return Field(u.grid, -rhs(u.coefficients, np.empty_like(u.coefficients)))
 
 
 def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
@@ -212,22 +244,23 @@ def em_step(u: Field, t: float, cfg: SimConfig, dw: float,
     The substep is RK4 of the transport term over ``-dt``.  The noise is
     formed before it: without a mollifier the first stage is ``u``'s own
     transport product, which the forward transform of a field-valued noise
-    forms in the same call.
+    forms in the same call (:func:`~ccflab.noise.gradient_noise`) and which
+    ``u`` keeps otherwise.  The returned state is a fresh array.
     """
     dt = cfg.dt if dt is None else dt
     grid, mollifier, noise = u.grid, _mollifier(u.grid, cfg), cfg.noise
-    a = h = None
+    a = h = k1 = None
     if hasattr(noise, "rate"):
         a = noise.rate(t, u)
-    else:
-        coefficient = noise.components(t, u)
-        h = None if coefficient is None else coefficient.coefficients
-    k1 = u.transport_coefficients if mollifier is None else None
-    c = rk4(lambda y: _transport_rhs(y, grid, mollifier), u.coefficients, -dt, k1)
+    elif hasattr(noise, "factor"):
+        h, k1 = gradient_noise(noise, t, u, transport=mollifier is None)
+    if mollifier is None and k1 is None:
+        k1 = u.transport_coefficients
+    c = rk4(_transport_rhs(grid, mollifier), u.coefficients, -dt, k1)
     if a is not None:
-        c = c * np.exp(a * dw - 0.5 * a**2 * dt)
+        np.multiply(c, np.exp(a * dw - 0.5 * a**2 * dt), out=c)
     elif h is not None:
-        c = c + h * dw
+        np.add(c, np.multiply(h, dw, out=h), out=c)
     return Field(grid, c)
 
 

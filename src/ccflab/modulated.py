@@ -45,6 +45,13 @@ modes outside the band are tiny, not zero).  Norms take none;
 integrand of :mod:`ccflab.instability` makes no generic product: its carrier
 rows are in closed form, at 2 calls, one ``irfft`` and one
 :func:`dealiased_envelopes`.
+
+The transport right-hand side is ``rhs(y, out)`` of
+:func:`~ccflab.integrate.rk4` on coefficient stacks: its forward ``fft``
+writes into the caller's ``out``, one of the step's stages.  Its ``ifft``
+and carrier sums allocate their arrays as numpy does.  At ``N = 1024`` a
+``(2, 2 CARRIER_ROWS - 1, N)`` work stack for them made a carrier step
+slower, not faster.
 """
 
 from __future__ import annotations
@@ -209,16 +216,20 @@ def mod_helmholtz_inverse_dx(mf: ModulatedField) -> ModulatedField:
     return apply_symbol(mf, mf.basis.helmholtz_dx_symbol)
 
 
-def dealiased_envelopes(basis: CarrierBasis, samples: np.ndarray) -> np.ndarray:
+def dealiased_envelopes(basis: CarrierBasis, samples: np.ndarray,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Envelope coefficients of every row of the complex ``samples``, masked
-    into the dealias band: one forward-normalized ``fft`` along the last axis."""
-    c = np.fft.fft(samples, axis=-1, norm="forward")
+    into the dealias band: one forward-normalized ``fft`` along the last
+    axis, written into ``out`` when given."""
+    c = np.fft.fft(samples, axis=-1, norm="forward", out=out)
     c[..., basis.aliased_modes] = 0.0
     return c
 
 
-def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray) -> ModulatedField:
-    """Carrier algebra of two sample stacks; one stacked forward transform."""
+def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Envelope coefficients of the carrier algebra of two sample stacks; one
+    stacked forward transform, written into ``out`` when given."""
     cmax = CARRIER_ROWS - 1
     # carrier -c carries the conjugate envelope of carrier c
     ca, cb = np.conj(pa), np.conj(pb)
@@ -228,7 +239,7 @@ def _carrier_product(basis: CarrierBasis, pa: np.ndarray, pb: np.ndarray) -> Mod
             c2 = cout - c1
             acc[cout] += (pa[c1] if c1 >= 0 else ca[-c1]) * (pb[c2] if c2 >= 0 else cb[-c2])
     acc[0] = acc[0].real  # conjugate pairs cancel
-    return ModulatedField(basis, dealiased_envelopes(basis, acc))
+    return dealiased_envelopes(basis, acc, out)
 
 
 def mod_product(a: ModulatedField, b: ModulatedField) -> ModulatedField:
@@ -236,17 +247,21 @@ def mod_product(a: ModulatedField, b: ModulatedField) -> ModulatedField:
     beyond the last carrier row dropped."""
     if b.basis != a.basis:
         raise ValueError("operands live on different carrier bases")
-    return _carrier_product(a.basis, a.phys, b.phys)
+    return ModulatedField(a.basis, _carrier_product(a.basis, a.phys, b.phys))
 
 
-def mod_transport_product(u: ModulatedField) -> ModulatedField:
-    """Dealiased ``(H u) u_x``: one inverse transform of the Hilbert and
-    derivative stacks together, and one forward transform.
+def mod_transport_product(basis: CarrierBasis, coeffs: np.ndarray,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Envelope coefficients of the dealiased ``(H u) u_x`` of the stack
+    ``coeffs``, written into ``out`` when given: one inverse transform of the
+    Hilbert and derivative stacks together, and one forward transform.  With
+    ``out`` it is the right-hand side ``rhs(y, out)`` of
+    :func:`~ccflab.integrate.rk4`.
 
     Bit-identical to ``mod_product(mod_hilbert(u), mod_derivative(u))``.
     """
-    hu, ux = np.fft.ifft(u.basis.transport_symbols * u.coeffs, axis=-1, norm="forward")
-    return _carrier_product(u.basis, hu, ux)
+    hu, ux = np.fft.ifft(basis.transport_symbols * coeffs, axis=-1, norm="forward")
+    return _carrier_product(basis, hu, ux, out)
 
 
 @lru_cache(maxsize=512)

@@ -6,8 +6,11 @@ equation).  A truncated cylindrical sum ``sum_j c_j g(u) dW_j`` whose
 components are all multiples of one field ``g`` equals ``|c|_2 g dB`` in law,
 so the general family is that one field.  The two families ``h = a(t, u) u``
 with a scalar ``a``, :class:`StrongAlpha` and :class:`LinearB`, also give that
-``rate(t, u)``, so the stepper can take their noise exactly.  Models are
-immutable and evaluation is pure.
+``rate(t, u)``, so the stepper can take their noise exactly.  The two
+field-valued families, :class:`GeneralH` and :class:`InstabilityH`, are
+``factor(t, u) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]`` with a scalar
+``factor``, and both their ``components`` and the stepper form that field
+through :func:`gradient_noise`.  Models are immutable and evaluation is pure.
 
 Seeding rule: every random stream of the lab is :func:`stream`, the child
 ``key`` of ``SeedSequence(seed)``, so streams with different keys are
@@ -31,9 +34,8 @@ import numpy as np
 
 from .spectral import (
     Field,
-    apply_multiplier,
     dealias,
-    dealiased_with_transport,
+    dealiased_coefficients,
     gradient_sups,
     is_dealiased,
     sobolev_norm,
@@ -46,8 +48,8 @@ __all__ = [
     "LinearB",
     "InstabilityH",
     "exp_decay",
-    "helmholtz_inverse_dx",
     "transport_gradient_powers",
+    "gradient_noise",
     "stream",
     "path_seed",
     "wiener_increments",
@@ -80,26 +82,58 @@ def wiener_increments(seed: int, dt: float, n: int) -> np.ndarray:
 # -- shared building blocks ------------------------------------------------------
 
 
-def helmholtz_inverse_dx(f: Field) -> Field:
-    """Apply ``(1 - d_xx)^{-1} d_x``, the multiplier ``i xi / (1 + xi^2)``."""
-    return apply_multiplier(f, f.grid.helmholtz_dx_symbol)
-
-
-def transport_gradient_powers(u: Field, k: int, n: int) -> Field:
+def transport_gradient_powers(u: Field, k: int, n: int, samples: np.ndarray | None = None,
+                              out: np.ndarray | None = None) -> Field:
     """``(u_x)^k + (H u_x)^n`` with dealiased pointwise powers.
 
     Exponents 1 and 2 are alias-free under the 2/3 rule; higher powers fold a
     small aliased tail back into the band, so keep k, n <= 2 in production runs.
     A ``u`` inside the band is its own dealiased part, so its cached
-    ``gradient_samples`` serve, and the one forward transform here also forms
-    its transport product, ready for the first RK4 stage of a step from ``u``
-    (:func:`~ccflab.spectral.dealiased_with_transport`).
+    ``gradient_samples`` serve.
+
+    ``samples`` (real) and ``out`` (complex) are a caller's ``(R, N)`` and
+    ``(R, N/2 + 1)`` work block: the powers' samples go to row 0 of
+    ``samples``, one forward transform takes every row of it into ``out``,
+    and the field holds row 0 of ``out``.  So a caller that fills the other
+    rows, a step its transport product, has them transformed in the same
+    call.  By default both are one fresh row.
     """
     if k < 1 or n < 1:
         raise ValueError("exponents must be >= 1")
     v = u if is_dealiased(u) else dealias(u)
     ux, hux = v.gradient_samples
-    return Field(u.grid, dealiased_with_transport(v, ux**k + hux**n))
+    samples = np.empty((1, u.grid.n_modes)) if samples is None else samples
+    # x**1 is x bit for bit, without numpy's pow call
+    np.add(ux if k == 1 else ux**k, hux if n == 1 else hux**n, out=samples[0])
+    return Field(u.grid, dealiased_coefficients(u.grid, samples, out=out)[0])
+
+
+def gradient_noise(model: GeneralH | InstabilityH, t: float, u: Field,
+                   transport: bool = False) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Coefficients ``(h, p)`` of one field-valued noise evaluation: ``h`` of
+    ``model.factor(t, u) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]`` and, with
+    ``transport``, ``p`` of ``u``'s dealiased transport product ``(Hu) u_x``,
+    the first RK4 stage of a step from ``u``.
+
+    Both come from one forward transform of a ``(2, N)`` work block
+    (:func:`transport_gradient_powers`), ``p`` from the first two step rows
+    of ``u`` as :attr:`~ccflab.spectral.Field.transport_coefficients` forms
+    it.  A zero factor gives ``(None, None)`` and transforms nothing.  Both
+    arrays are fresh rows of one block that the caller owns.
+    """
+    factor = model.factor(t, u)
+    if factor == 0.0:
+        return None, None
+    grid, rows = u.grid, 1 + transport
+    samples = np.empty((rows, grid.n_modes))
+    out = np.empty((rows, grid.n_modes // 2 + 1), dtype=np.complex128)
+    if transport:
+        np.multiply(*u.step_rows[:2], out=samples[1])
+    h = transport_gradient_powers(u, model.exponent_k, model.exponent_n, samples,
+                                  out).coefficients
+    np.multiply(h, grid.helmholtz_dx_symbol, out=h)
+    np.multiply(h, float(factor), out=h)
+    return h, (out[1] if transport else None)
 
 
 def exp_decay(b0: float, lam: float, t: float) -> float:
@@ -154,11 +188,14 @@ class GeneralH:
         return math.sqrt(sum(j ** (-2.0 * self.component_decay)
                              for j in range(1, self.n_components + 1)))
 
+    def factor(self, t: float, u: Field) -> float:
+        """``q |c|_2``."""
+        return self.q * self.amplitude
+
     def components(self, t: float, u: Field) -> Field:
         """``q |c|_2 (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``."""
-        base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,
-                                                              self.exponent_n))
-        return (self.q * self.amplitude) * base
+        h, _ = gradient_noise(self, t, u)
+        return Field.zeros(u.grid) if h is None else Field(u.grid, h)
 
 
 @dataclass(frozen=True)
@@ -248,14 +285,14 @@ class InstabilityH:
         if self.exponent_k < 1 or self.exponent_n < 1:
             raise ValueError("exponents must be >= 1")
 
+    def factor(self, t: float, u: Field) -> float:
+        """``q exp(-1/|u|_{H^sigma0})``."""
+        return self.q * instability_factor(sobolev_norm(u, self.sigma0))
+
     def components(self, t: float, u: Field) -> Field:
         """``q exp(-1/|u|_{H^sigma0}) (1-d_xx)^{-1} d_x[(u_x)^k + (H u_x)^n]``."""
-        factor = self.q * instability_factor(sobolev_norm(u, self.sigma0))
-        if factor == 0.0:
-            return Field.zeros(u.grid)
-        base = helmholtz_inverse_dx(transport_gradient_powers(u, self.exponent_k,
-                                                              self.exponent_n))
-        return factor * base
+        h, _ = gradient_noise(self, t, u)
+        return Field.zeros(u.grid) if h is None else Field(u.grid, h)
 
 
 NoiseModel = ZeroNoise | GeneralH | StrongAlpha | LinearB | InstabilityH

@@ -34,17 +34,22 @@ callers.  :func:`inverse_samples` (one ``irfft``) and
 fields: each acts on every row of a stack along the last axis, and stacked
 rows are bit-identical to separate 1-D transforms.
 
+Work-array rule: both transform rules take ``out=``, an array of the caller's
+that the transform writes into, bit for bit what it would have allocated.  A
+time step allocates its work arrays once per call and writes its stages,
+their transforms and its noise into them (:mod:`ccflab.integrate`); what it
+returns, and what a field keeps, is a fresh array, and no module holds a
+mutable buffer.
+
 A field computes what a time step reads of it once, when first asked for:
 ``step_rows``, the samples of ``Hf``, ``f_x`` and ``H f_x`` from one inverse
 transform, and ``transport_coefficients``, the dealiased ``(Hf) f_x`` from one
 forward transform of the first two rows: step rows, then product, 2 calls for
 a field that has neither.  :func:`transport_product` and
 :func:`gradient_sups` (``sup|f_x|``, ``sup|H f_x|``, ``max Lam f = -min H f_x``)
-read these caches.  A forward transform of a function of the step rows
-(:func:`dealiased_with_transport`, the noise's) always forms the transport
-product in the same call: a step forms its noise before reading the product.
-At small N the per-call overhead of a transform outweighs its arithmetic, so
-the number of calls, not their length, sets the cost of a time step.
+read these caches.  At small N the per-call overhead of a transform outweighs
+its arithmetic, so the number of calls, not their length, sets the cost of a
+time step.
 
 Fields are immutable after construction and all operations are pure, so
 concurrent evaluation is safe.
@@ -73,7 +78,6 @@ __all__ = [
     "dealiased_product",
     "transport_product",
     "inverse_samples",
-    "dealiased_with_transport",
     "pad_field",
     "sobolev_norm",
     "sobolev_inner",
@@ -382,32 +386,25 @@ def dealiased_product(f: Field, g: Field) -> Field:
     return Field(f.grid, dealiased_coefficients(f.grid, f.samples * g.samples))
 
 
-def dealiased_coefficients(grid: SpectralGrid, samples: np.ndarray) -> np.ndarray:
+def dealiased_coefficients(grid: SpectralGrid, samples: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients of the real ``samples`` masked into the
-    dealias band: one ``rfft`` along the last axis.  Its ``1/N`` is applied
+    dealias band: one ``rfft`` along the last axis, written into ``out`` when
+    given (complex, ``N/2 + 1`` along the last axis).  Its ``1/N`` is applied
     in the transform (``norm="forward"``); N is a power of two, so this equals
     ``rfft(samples) / N`` bit for bit wherever no value is subnormal."""
-    c = np.fft.rfft(samples, axis=-1, norm="forward")
+    c = np.fft.rfft(samples, axis=-1, norm="forward", out=out)
     c[..., grid.aliased_modes] = 0.0
     return c
 
 
-def inverse_samples(grid: SpectralGrid, coeffs: np.ndarray) -> np.ndarray:
+def inverse_samples(grid: SpectralGrid, coeffs: np.ndarray,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Samples of every row of the half-spectrum stack ``coeffs``: one
-    ``irfft`` along the last axis, without its ``1/N``, which equals
+    ``irfft`` along the last axis, written into ``out`` when given (real, N
+    along the last axis), without its ``1/N``, which equals
     ``irfft(coeffs * N)`` bit for bit wherever no value is subnormal."""
-    return np.fft.irfft(coeffs, n=grid.n_modes, axis=-1, norm="forward")
-
-
-def dealiased_with_transport(f: Field, samples: np.ndarray) -> np.ndarray:
-    """:func:`dealiased_coefficients` of ``samples``, a pointwise function of
-    the step rows of ``f``, with the forward transform of
-    :attr:`Field.transport_coefficients` always stacked into the same call
-    and cached on ``f``: a step forms its noise before reading the product."""
-    hf, fx = f.step_rows[:2]
-    both = dealiased_coefficients(f.grid, np.stack([samples, hf * fx]))
-    f._transport = _read_only(both[1])
-    return both[0]
+    return np.fft.irfft(coeffs, n=grid.n_modes, axis=-1, norm="forward", out=out)
 
 
 def transport_product(w: Field) -> Field:
@@ -470,10 +467,10 @@ def gradient_sups(f: Field) -> tuple[float, float, float]:
     tuple is kept on ``f`` next to its rows: every later call returns it.
     """
     if f._sups is None:
-        fx, hfx = f.gradient_samples
+        rows = f.gradient_samples
+        sup_fx, sup_hfx = np.abs(rows).max(axis=-1)
         # 0.0 - m rather than -m: a zero field gives +0.0, as the max of Lam f does
-        f._sups = (float(np.abs(fx).max()), float(np.abs(hfx).max()),
-                   0.0 - float(hfx.min()))
+        f._sups = (float(sup_fx), float(sup_hfx), 0.0 - float(rows[1].min()))
     return f._sups
 
 

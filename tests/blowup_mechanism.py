@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ccflab.integrate import rk4
 from ccflab.spectral import (
     Field,
     argmax_refined,
@@ -24,6 +23,7 @@ from ccflab.spectral import (
     hilbert,
     pad_field,
 )
+from full_spectrum import rk4
 
 
 @dataclass

@@ -195,6 +195,9 @@ class Full:
 
 
 def rk4(rhs, y, dt):
+    """The textbook RK4 step, out of place, on anything closed under
+    addition and scaling by a float: the test references' own, independent
+    of the production :func:`ccflab.integrate.rk4` and its work arrays."""
     k1 = rhs(y)
     k2 = rhs(y + (0.5 * dt) * k1)
     k3 = rhs(y + (0.5 * dt) * k2)

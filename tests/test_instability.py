@@ -296,7 +296,7 @@ class TestStackedCarriers:
             hu = _ref_symbol(basis, REF_SYMBOLS[mod_hilbert], list(u.coeffs))
             ux = _ref_symbol(basis, REF_SYMBOLS[mod_derivative], list(u.coeffs))
             want = _ref_product(basis, _ref_phys(basis, hu), _ref_phys(basis, ux))
-            assert np.array_equal(mod_transport_product(u).coeffs, want)
+            assert np.array_equal(mod_transport_product(u.basis, u.coeffs), want)
 
     def test_norm(self, fields):
         basis, fs = fields
@@ -354,10 +354,13 @@ class TestCarrierTransformBudget:
         assert fft_calls == ["ifft", "ifft", "fft"]
 
     def test_transport_rhs(self, fft_calls):
+        # the forward transform writes into the caller's out, a stage of rk4
         u = self.fresh()
         fft_calls.clear()
-        mod_transport_product(u)
+        out = np.empty_like(u.coeffs)
+        assert mod_transport_product(u.basis, u.coeffs, out) is out
         assert fft_calls == ["ifft", "fft"]
+        assert [call.out for call in fft_calls] == [False, True]
 
     def test_error_integrand(self, fft_calls):
         # one stacked inverse transform of the real low-frequency rows, one
@@ -602,6 +605,23 @@ class TestStudies:
         assert max(lo for _, lo, _ in gaps) > 0.0
         for hs, lo, hi in gaps:
             assert hs <= (lo * hi) ** 0.5 * (1.0 + 1e-9) or hs < 1e-300
+
+    def test_kept_states_share_no_memory(self):
+        # the states an observer keeps, as separation_experiment keeps the
+        # m = +1 run, are fresh arrays: pairwise distinct, and equal to a
+        # rerun's bit for bit
+        p = params(n=64)
+        runs = []
+        for _ in range(2):
+            kept = []
+            simulate_actual_mod(p, NOISE, 9, 0.05, 5e-3,
+                                observer=lambda i, t, u: kept.append(u.coeffs))
+            runs.append(kept)
+        kept, again = runs
+        assert len(kept) == len(again) == 11
+        for i, a in enumerate(kept):
+            assert np.array_equal(a, again[i])
+            assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
 
     def test_same_rotation_zero_gap(self):
         p = params(n=64)

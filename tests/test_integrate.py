@@ -51,6 +51,7 @@ from ccflab.spectral import (
     sobolev_norm,
     sup_norms,
 )
+from full_spectrum import rk4 as reference_rk4
 
 GRID = SpectralGrid(period=2.0 * np.pi, n_modes=256)
 
@@ -98,7 +99,7 @@ def reference_em_step(u: Field, t: float, cfg: SimConfig, dw: float,
     stepper cached on ``u`` is read."""
     dt = cfg.dt if dt is None else dt
     u = Field(u.grid, u.coefficients)
-    unew = rk4(lambda f: reference_drift(f, cfg), u, dt)
+    unew = reference_rk4(lambda f: reference_drift(f, cfg), u, dt)
     rate = reference_rate(cfg.noise, t, u)
     if rate is not None:
         return np.exp(rate * dw - 0.5 * rate**2 * dt) * unew
@@ -178,18 +179,38 @@ class TestRk4:
     def amplification(z):
         return 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
 
+    @staticmethod
+    def linear(lam):
+        return lambda y, out: np.multiply(lam, y, out=out)
+
     def test_scalar_linear(self):
         lam, dt = -1.7, 0.3
-        got = rk4(lambda y: lam * y, 2.0, dt)
-        assert got == pytest.approx(2.0 * self.amplification(lam * dt), rel=1e-14)
+        got = rk4(self.linear(lam), np.array([2.0]), dt)
+        assert got[0] == pytest.approx(2.0 * self.amplification(lam * dt), rel=1e-14)
 
     def test_field_linear_per_coefficient(self):
         rng = np.random.default_rng(12)
         u = random_band_limited(GRID, 20, rng, rms=0.5)
         lam, dt = 0.9, 0.05
-        got = rk4(lambda f: lam * f, u, dt)
+        got = rk4(self.linear(lam), u.coefficients, dt)
         want = self.amplification(lam * dt) * u.coefficients
-        assert np.allclose(got.coefficients, want, rtol=1e-14, atol=1e-16)
+        assert np.allclose(got, want, rtol=1e-14, atol=1e-16)
+
+    def test_equals_the_textbook_step(self):
+        # the in-place stages keep the textbook operation order bit for bit,
+        # with or without a given k1; the step reads y and k1 only (both
+        # read-only here) and returns a fresh array
+        rng = np.random.default_rng(3)
+        y = rng.standard_normal(129) + 1j * rng.standard_normal(129)
+        y.setflags(write=False)
+        k1 = y * y
+        k1.setflags(write=False)
+        for dt in (0.07, -0.07):
+            want = reference_rk4(lambda v: v * v, y, dt)
+            for given in (None, k1):
+                got = rk4(lambda v, out: np.multiply(v, v, out=out), y, dt, given)
+                assert np.array_equal(got, want)
+                assert got.flags.writeable and not np.shares_memory(got, y)
 
 
 class TestDrift:
@@ -368,17 +389,26 @@ class TestTransformBudget:
         assert fft_calls == ["irfft"]
 
     def test_general_h_em_step(self, fft_calls):
-        # the step rows (1), the noise with stage 1 (1), stages 2-4 (6)
+        # the step rows (1), the noise with stage 1 (1), stages 2-4 (6); the
+        # noise's transform holds two rows, and every transform after the
+        # step rows writes into an array of the step's
         cfg = zero_cfg(noise=GeneralH(n_components=8))
         em_step(Field(self.U.grid, self.U.coefficients), 0.0, cfg, 1e-3)
         assert len(fft_calls) == 8
+        assert fft_calls[1] == "rfft" and fft_calls[1].shape == (2, GRID.n_modes)
+        assert [call.out for call in fft_calls] == [False] + [True] * 7
 
     def test_general_h_em_step_mollified(self, fft_calls):
         # stage 1 transforms J u on its own (2): no more than one drift and
-        # one noise transform each per stage
+        # one noise transform each per stage; the noise's transform holds its
+        # one row, and no transport product is kept on u
         cfg = zero_cfg(noise=GeneralH(n_components=8), eps_mollify=0.05)
-        em_step(Field(self.U.grid, self.U.coefficients), 0.0, cfg, 1e-3)
+        u = Field(self.U.grid, self.U.coefficients)
+        em_step(u, 0.0, cfg, 1e-3)
         assert len(fft_calls) == 10
+        assert fft_calls[1] == "rfft" and fft_calls[1].shape == (1, GRID.n_modes)
+        assert [call.out for call in fft_calls] == [False] + [True] * 9
+        assert u._transport is None
 
     @pytest.mark.parametrize("noise, per_step", [(GeneralH(n_components=8), 8),
                                                  (LinearB(b0=0.4, lam=1.0, b_star=0.2), 8),
@@ -452,6 +482,20 @@ class TestSimulatePath:
         _, ufinal = rec.snapshots[-1]
         assert abs(ufinal.samples.max() - u0.samples.max()) < 5e-4
         assert abs(ufinal.samples.min() - u0.samples.min()) < 5e-4
+
+    def test_kept_states_share_no_memory(self):
+        # every kept state is a fresh array, none a work array a later step
+        # writes into: the snapshots of a GeneralH path are pairwise distinct
+        # and equal a rerun's bit for bit
+        u0 = blowup_bump(GRID, 10.0)
+        cfg = zero_cfg(horizon=0.02, keep_snapshots=True, noise=GeneralH(n_components=8),
+                       seed=4)
+        kept = [f.coefficients for _, f in simulate_path(cfg, u0).snapshots]
+        again = [f.coefficients for _, f in simulate_path(cfg, u0).snapshots]
+        assert len(kept) == len(again) == 21
+        for i, a in enumerate(kept):
+            assert np.array_equal(a, again[i])
+            assert not any(np.shares_memory(a, b) for b in kept[i + 1:])
 
     def test_snapshots_are_bare_fields(self):
         # a kept state does not keep the transforms its step cached on it
@@ -590,7 +634,7 @@ class TestLowFrequency:
             return -1.0 * dealiased_product(hilbert(f), derivative(f))
 
         for _ in range(int(T / dt)):
-            u = rk4(rhs, u, dt)
+            u = reference_rk4(rhs, u, dt)
         assert np.allclose(u.samples, -u0.samples, atol=1e-8)
 
     def test_frozen_values(self):

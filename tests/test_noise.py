@@ -12,16 +12,26 @@ from ccflab.noise import (
     LinearB,
     StrongAlpha,
     ZeroNoise,
-    helmholtz_inverse_dx,
     wiener_increments,
 )
-from ccflab.spectral import Field, SpectralGrid, random_band_limited, sobolev_norm
+from ccflab.spectral import (
+    Field,
+    SpectralGrid,
+    apply_multiplier,
+    random_band_limited,
+    sobolev_norm,
+)
 
 GRID = SpectralGrid(period=2.0 * np.pi, n_modes=256)
 
 
 def cosx(amp=1.0):
     return Field.from_samples(GRID, amp * np.cos(GRID.x))
+
+
+def helmholtz_inverse_dx(f):
+    # (1 - d_xx)^{-1} d_x, the grid's cached symbol the field noises apply
+    return apply_multiplier(f, f.grid.helmholtz_dx_symbol)
 
 
 class TestHelmholtzInverseDx:

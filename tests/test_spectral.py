@@ -19,7 +19,6 @@ from ccflab.spectral import (
     cotlar_residual,
     dealias,
     dealiased_product,
-    dealiased_with_transport,
     derivative,
     evaluate_at,
     frac_laplacian,
@@ -34,7 +33,7 @@ from ccflab.spectral import (
     transport_product,
 )
 from ccflab import integrate, spectral
-from ccflab.noise import transport_gradient_powers
+from ccflab.noise import GeneralH, gradient_noise, transport_gradient_powers
 
 GRID = SpectralGrid(period=2.0 * np.pi, n_modes=256)
 
@@ -342,17 +341,28 @@ class TestStackedTransforms:
 
     @pytest.mark.parametrize("n", SIZES)
     def test_noise_transform_carries_transport(self, n, fft_calls):
+        # a field noise's one forward transform also takes u's transport
+        # product as the second row of its work block, written into the
+        # block's coefficient array; the product is not kept on u
+        model = GeneralH(n_components=8, exponent_k=2, exponent_n=1)
         for u in self.fields(n):
-            samples = np.cos(u.grid.x) * u.samples
-            want = dealias(Field.from_samples(u.grid, samples)).coefficients
+            want = model.components(0.3, Field(u.grid, u.coefficients)).coefficients
             want_transport = transport_product(Field(u.grid, u.coefficients)).coefficients
-            fresh = Field(u.grid, u.coefficients)
-            fresh.step_rows
-            fft_calls.clear()
-            got = dealiased_with_transport(fresh, samples)
-            assert np.array_equal(got, want)
-            assert np.array_equal(fresh.transport_coefficients, want_transport)
-            assert fft_calls == ["rfft"]    # the product came with the one call
+            for transport in (True, False):
+                fresh = Field(u.grid, u.coefficients)
+                fresh.step_rows
+                dealiased = is_dealiased(fresh)
+                fft_calls.clear()
+                h, p = gradient_noise(model, 0.3, fresh, transport=transport)
+                assert np.array_equal(h, want)
+                # a field outside the band transforms its dealiased part's rows
+                assert fft_calls == ["rfft"] if dealiased else ["irfft", "rfft"]
+                assert fft_calls[-1].shape == (1 + transport, n) and fft_calls[-1].out
+                if transport:
+                    assert np.array_equal(p, want_transport)
+                else:
+                    assert p is None
+                assert fresh._transport is None
 
     def test_is_dealiased(self):
         f = random_band_limited(GRID, GRID.dealias_keep, np.random.default_rng(3))
