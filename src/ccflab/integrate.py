@@ -36,8 +36,9 @@ both transforms into them (``out=``, see :mod:`ccflab.spectral`); the noise
 and the first stage share one work block.  The state a step returns is a
 fresh array, and no module holds a mutable buffer, so steps stay pure.
 
-Transform budget, counted in ``rfft``/``irfft`` calls (every transform of a
-real field is one of them, see :mod:`ccflab.spectral`): what a step shares
+Transform budget, counted in calls of the kernel's ``rfft``/``irfft`` (every
+transform of a real field is one of them, see :mod:`ccflab.spectral`), whose
+per-call overhead outweighs its arithmetic at small N: what a step shares
 of its start state ``u`` lives in ``u``'s own caches.  Its step rows, one
 stacked ``irfft``, serve the monitored sups and the recorded ``max Lam u``
 (taken once and kept on ``u``, where a ``StrongAlpha`` rate reads them too),

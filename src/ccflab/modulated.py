@@ -31,25 +31,25 @@ band, and shifted multiplier symbols (read-only).  A real field of
 :mod:`ccflab.spectral` keeps only its half spectrum; :func:`carrier0` is the
 one place where it is expanded into an envelope row.
 
-Every envelope transform is normalized forward (``norm="forward"``), as a
-real field's is: the ``fft`` to coefficients applies the ``1/N`` and the
-``ifft`` to samples none.  N is a power of two, so this equals scaling by
-hand bit for bit wherever no value is subnormal.  :func:`dealiased_envelopes`
-is the one masked forward transform.  Transform budget: one ``ifft`` per
-:attr:`ModulatedField.phys`, 3 calls per :func:`mod_product` of two fields
-whose samples are not yet cached, and 2 per :func:`mod_transport_product`,
-the right-hand side of the transport step; each product ends in one
-:func:`dealiased_envelopes`.  :func:`packet` takes one unmasked ``fft`` (its
-modes outside the band are tiny, not zero).  Norms take none;
-:func:`carrier_norms` reduces a batch of stacks at once.  The defect
-integrand of :mod:`ccflab.instability` makes no generic product: its carrier
-rows are in closed form, at 2 calls, one ``irfft`` and one
+Every envelope transform is a call of the transform kernel of
+:mod:`ccflab.spectral`, normalized forward as a real field's is: its ``fft``
+to coefficients applies the ``1/N`` and its ``ifft`` to samples none.  N is a
+power of two, so this equals scaling by hand bit for bit wherever no value is
+subnormal.  :func:`dealiased_envelopes` is the one masked forward transform.
+Transform budget: one ``ifft`` per :attr:`ModulatedField.phys`, 3 calls
+per :func:`mod_product` of two fields whose samples are not yet cached, and
+2 per :func:`mod_transport_product`, the right-hand side of the transport
+step; each product ends in one :func:`dealiased_envelopes`.  :func:`packet`
+takes one unmasked ``fft`` (its modes outside the band are tiny, not zero).
+Norms take none; :func:`carrier_norms` reduces a batch of stacks at once.
+The defect integrand of :mod:`ccflab.instability` makes no generic product:
+its carrier rows are in closed form, at 2 calls, one ``irfft`` and one
 :func:`dealiased_envelopes`.
 
 The transport right-hand side is ``rhs(y, out)`` of
 :func:`~ccflab.integrate.rk4` on coefficient stacks: its forward ``fft``
 writes into the caller's ``out``, one of the step's stages.  Its ``ifft``
-and carrier sums allocate their arrays as numpy does.  At ``N = 1024`` a
+and carrier sums allocate their own arrays.  At ``N = 1024`` a
 ``(2, 2 CARRIER_ROWS - 1, N)`` work stack for them made a carrier step
 slower, not faster.
 """
@@ -61,6 +61,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import spectral
 from .spectral import Field, SpectralGrid, _read_only
 
 __all__ = ["CARRIER_ROWS", "CarrierBasis", "ModulatedField", "modulated_norm",
@@ -152,7 +153,7 @@ class ModulatedField:
     def phys(self) -> np.ndarray:
         """Envelope samples, one row per carrier (one stacked ``ifft``)."""
         if self._phys is None:
-            self._phys = np.fft.ifft(self._coeffs, axis=-1, norm="forward")
+            self._phys = spectral.ifft(self._coeffs)
         return self._phys
 
     @property
@@ -194,7 +195,7 @@ def packet(basis: CarrierBasis, envelope_samples: np.ndarray) -> ModulatedField:
     """
     mf = ModulatedField.zeros(basis)
     env = np.asarray(envelope_samples, dtype=np.complex128) * 0.5
-    mf.coeffs[1] = np.fft.fft(env, norm="forward")
+    mf.coeffs[1] = spectral.fft(env)
     return mf
 
 
@@ -219,9 +220,9 @@ def mod_helmholtz_inverse_dx(mf: ModulatedField) -> ModulatedField:
 def dealiased_envelopes(basis: CarrierBasis, samples: np.ndarray,
                         out: np.ndarray | None = None) -> np.ndarray:
     """Envelope coefficients of every row of the complex ``samples``, masked
-    into the dealias band: one forward-normalized ``fft`` along the last
-    axis, written into ``out`` when given."""
-    c = np.fft.fft(samples, axis=-1, norm="forward", out=out)
+    into the dealias band: one :func:`~ccflab.spectral.fft`, written into
+    ``out`` when given."""
+    c = spectral.fft(samples, out=out)
     c[..., basis.aliased_modes] = 0.0
     return c
 
@@ -260,7 +261,7 @@ def mod_transport_product(basis: CarrierBasis, coeffs: np.ndarray,
 
     Bit-identical to ``mod_product(mod_hilbert(u), mod_derivative(u))``.
     """
-    hu, ux = np.fft.ifft(basis.transport_symbols * coeffs, axis=-1, norm="forward")
+    hu, ux = spectral.ifft(basis.transport_symbols * coeffs)
     return _carrier_product(basis, hu, ux, out)
 
 

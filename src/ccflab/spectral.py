@@ -29,10 +29,21 @@ Multiplier symbols are built once per grid: :class:`SpectralGrid` caches
 ``step_symbols = [i sgn(xi), i xi, (i xi)(i sgn(xi))]`` (``Hf``, ``f_x`` and
 ``H f_x``) and its view ``transport_symbols`` (rows 0-1, ``Hw`` and ``w_x``).
 Every cached array is read-only, since each grid hands the same array to all
-callers.  :func:`inverse_samples` (one ``irfft``) and
+callers.
+
+Transform kernel: every transform of the package is one call of
+:func:`rfft`, :func:`irfft`, :func:`fft` or :func:`ifft`.  Each acts on every
+row of a stack along the last axis, takes ``out=`` and is normalized forward:
+the transform to coefficients applies the ``1/N``, the transform to samples
+none; this is the one place the normalization is set.  Each calls
+pocketfft's gufunc directly, with the arguments ``np.fft`` passes it under
+``norm="forward"`` (scale ``1/n`` forward, 1 inverse), so it equals
+``np.fft``'s transform bit for bit without numpy's per-call Python wrapper,
+a large share of a call at N = 256.  Call sites look the four functions up
+through this module's globals, so wrapping the four names here sees every
+transform.  :func:`inverse_samples` (one ``irfft``) and
 :func:`dealiased_coefficients` (one ``rfft``) are the transform rules of real
-fields: each acts on every row of a stack along the last axis, and stacked
-rows are bit-identical to separate 1-D transforms.
+fields, and stacked rows are bit-identical to separate 1-D transforms.
 
 Work-array rule: both transform rules take ``out=``, an array of the caller's
 that the transform writes into, bit for bit what it would have allocated.  A
@@ -61,8 +72,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+from numpy.fft import _pocketfft_umath as _pocketfft
 
 __all__ = [
+    "rfft",
+    "irfft",
+    "fft",
+    "ifft",
     "SpectralGrid",
     "Field",
     "BandwidthError",
@@ -103,6 +119,54 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     # cached arrays are shared by every caller of a grid
     a.setflags(write=False)
     return a
+
+
+# -- the transform kernel (see the module docstring) -------------------------
+#
+# The gufunc takes the transform length from ``out``, so a wrong last axis is
+# rejected here, as ``np.fft`` rejects it.  An output allocated here is
+# C-ordered, as numpy's is for the C-ordered inputs the package transforms.
+
+_AXES = [(-1,), (), (-1,)]
+
+
+def rfft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Half spectrum of the real rows of ``a``, of even length ``n`` (every
+    grid's N is): ``n // 2 + 1`` coefficients."""
+    n = a.shape[-1]
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n // 2 + 1,), np.complex128)
+    elif out.shape[-1] != n // 2 + 1:
+        raise ValueError("output array has wrong shape")
+    return _pocketfft.rfft_n_even(a, 1 / n, axes=_AXES, out=out)
+
+
+def irfft(a: np.ndarray, n: int, out: np.ndarray | None = None) -> np.ndarray:
+    """The ``n`` real samples of each half-spectrum row of ``a``."""
+    if out is None:
+        out = np.empty(a.shape[:-1] + (n,), np.float64)
+    elif out.shape[-1] != n:
+        raise ValueError("output array has wrong shape")
+    return _pocketfft.irfft(a, 1.0, axes=_AXES, out=out)
+
+
+def fft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Spectrum of the complex rows of ``a``."""
+    n = a.shape[-1]
+    if out is None:
+        out = np.empty(a.shape, np.complex128)
+    elif out.shape[-1] != n:
+        raise ValueError("output array has wrong shape")
+    return _pocketfft.fft(a, 1 / n, axes=_AXES, out=out)
+
+
+def ifft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Complex samples of each spectrum row of ``a``."""
+    if out is None:
+        out = np.empty(a.shape, np.complex128)
+    elif out.shape[-1] != a.shape[-1]:
+        raise ValueError("output array has wrong shape")
+    return _pocketfft.ifft(a, 1.0, axes=_AXES, out=out)
 
 
 @dataclass(frozen=True)
@@ -248,7 +312,7 @@ class Field:
         s = np.asarray(samples, dtype=np.float64)
         if s.shape != (grid.n_modes,):
             raise ValueError("sample array has wrong length")
-        c = np.fft.rfft(s, norm="forward")
+        c = rfft(s)
         c[grid.nyquist_index] = 0.0
         return cls(grid, c)
 
@@ -389,11 +453,11 @@ def dealiased_product(f: Field, g: Field) -> Field:
 def dealiased_coefficients(grid: SpectralGrid, samples: np.ndarray,
                            out: np.ndarray | None = None) -> np.ndarray:
     """Half-spectrum coefficients of the real ``samples`` masked into the
-    dealias band: one ``rfft`` along the last axis, written into ``out`` when
-    given (complex, ``N/2 + 1`` along the last axis).  Its ``1/N`` is applied
-    in the transform (``norm="forward"``); N is a power of two, so this equals
-    ``rfft(samples) / N`` bit for bit wherever no value is subnormal."""
-    c = np.fft.rfft(samples, axis=-1, norm="forward", out=out)
+    dealias band: one :func:`rfft`, written into ``out`` when given (complex,
+    ``N/2 + 1`` along the last axis).  Its ``1/N`` is applied in the
+    transform; N is a power of two, so this equals ``np.fft.rfft(samples) /
+    N`` bit for bit wherever no value is subnormal."""
+    c = rfft(samples, out=out)
     c[..., grid.aliased_modes] = 0.0
     return c
 
@@ -401,10 +465,10 @@ def dealiased_coefficients(grid: SpectralGrid, samples: np.ndarray,
 def inverse_samples(grid: SpectralGrid, coeffs: np.ndarray,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Samples of every row of the half-spectrum stack ``coeffs``: one
-    ``irfft`` along the last axis, written into ``out`` when given (real, N
-    along the last axis), without its ``1/N``, which equals
-    ``irfft(coeffs * N)`` bit for bit wherever no value is subnormal."""
-    return np.fft.irfft(coeffs, n=grid.n_modes, axis=-1, norm="forward", out=out)
+    :func:`irfft`, written into ``out`` when given (real, N along the last
+    axis), without its ``1/N``, which equals ``np.fft.irfft(coeffs * N)`` bit
+    for bit wherever no value is subnormal."""
+    return irfft(coeffs, grid.n_modes, out=out)
 
 
 def transport_product(w: Field) -> Field:
@@ -550,7 +614,7 @@ def lambda_shift_residual(f: Field) -> float:
     lam = np.abs(xi)
 
     def apply_c(mult, values):
-        return np.fft.ifft(mult * np.fft.fft(values, norm="forward"), norm="forward")
+        return ifft(mult * fft(values))
 
     fs = f.samples
     lhs = apply_c(lam, e1 * fs) - e1 * apply_c(lam, fs)

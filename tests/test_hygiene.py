@@ -7,11 +7,12 @@ argument its observers read is a parameter of the function they wrap; every
 public name is reached from the CLI or wrapped by the benchmark, so no helper
 only the tests call lives in ``src``; the only random generator is built by
 ``noise.stream``, and the only path Wiener stream ``stream(seed, 0)`` is
-drawn by ``noise.wiener_increments``; real fields are transformed only by
-``spectral``'s ``rfft``/``irfft`` and stepped only by ``integrate.em_step``;
-every SPDE path is run by ``ensemble.run_paths``; every horizon's step count
-comes from ``integrate.whole_steps``; and importing the CLI loads neither
-scipy nor multiprocessing."""
+drawn by ``noise.wiener_increments``; numpy's FFT module is reached only by
+``spectral``'s transform kernel, through which every transform runs; real
+fields are stepped only by ``integrate.em_step``; every SPDE path is run by
+``ensemble.run_paths``; every horizon's step count comes from
+``integrate.whole_steps``; and importing the CLI loads neither scipy nor
+multiprocessing."""
 
 import ast
 import importlib
@@ -158,32 +159,54 @@ def test_one_wiener_stream_site():
     assert {name: s for name, s in sites.items() if s} == {"noise.py": ["wiener_increments"]}
 
 
-def forward_normalized(source: str, name: str) -> bool:
-    """Whether every call of ``name`` in ``source`` passes ``norm="forward"``."""
-    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)
-             and name in {getattr(node.func, "attr", None), getattr(node.func, "id", None)}]
-    return all(any(kw.arg == "norm" and isinstance(kw.value, ast.Constant)
-                   and kw.value.value == "forward" for kw in call.keywords)
-               for call in calls)
+def numpy_fft_refs(source: str) -> list[str]:
+    """Sorted owners, as in :func:`owners`, of each reference to numpy's FFT
+    module in ``source``: an attribute ``np.fft``/``numpy.fft`` or an import
+    of ``numpy.fft`` or of anything in it."""
+    tree = ast.parse(source)
+    owner = owners(tree)
+
+    def refers(node: ast.AST) -> bool:
+        if isinstance(node, ast.Attribute):
+            return (node.attr == "fft" and isinstance(node.value, ast.Name)
+                    and node.value.id in {"np", "numpy"})
+        if isinstance(node, ast.ImportFrom):
+            return (node.module or "").startswith("numpy.fft") or (
+                node.module == "numpy" and any(a.name == "fft" for a in node.names))
+        if isinstance(node, ast.Import):
+            return any(a.name.startswith("numpy.fft") for a in node.names)
+        return False
+
+    return sorted(owner[node] for node in ast.walk(tree) if refers(node))
 
 
-def test_detects_unnormalized_transforms():
-    assert forward_normalized("np.fft.fft(a, norm='forward')\nfft(b, norm='forward')\n",
-                              "fft")
-    assert not forward_normalized("np.fft.fft(a, norm='forward')\nnp.fft.fft(b) / n\n",
-                                  "fft")
-    assert not forward_normalized("np.fft.ifft(a, norm='backward')\n", "ifft")
+def test_detects_numpy_fft_refs():
+    source = ("import numpy as np\nfrom numpy.fft import _pocketfft_umath\n"
+              "def f(a):\n    return np.fft.fft(a, norm='forward')\n"
+              "class C:\n    def m(self, a):\n        import numpy.fft\n"
+              "        return numpy.fft.irfft(a)\n"
+              "def g(a):\n    from numpy import fft\n    return fft.rfft(a)\n"
+              "def h(a):\n    return np.fftpack(a), spectral.fft(a), np.linalg.norm(a)\n")
+    assert numpy_fft_refs(source) == ["<module>", "C.m", "C.m", "f", "g"]
+
+
+KERNEL = ("rfft", "irfft", "fft", "ifft")
 
 
 def test_each_representation_has_one_transform_rule():
-    # every transform of a real field is spectral's rfft (Field.from_samples,
-    # dealiased_coefficients) or irfft (inverse_samples); every transform of
-    # carrier envelopes is modulated's fft (packet, dealiased_envelopes) or
-    # ifft (ModulatedField.phys, mod_transport_product); each representation
-    # normalizes forward.  The one other complex pair transforms the
-    # modulated samples of lambda_shift_residual, forward-normalized too.
+    # numpy's FFT module is reached only by the import of spectral's transform
+    # kernel, whose four functions state the normalization once; the test
+    # references call np.fft and stay independent of it
     sources = {path.name: path.read_text() for path in MODULES}
-    sites = {name: {fn: call_sites(source, fn) for fn in ("fft", "ifft", "rfft", "irfft")}
+    refs = {name: numpy_fft_refs(source) for name, source in sources.items()}
+    assert {name: r for name, r in refs.items() if r} == {"spectral.py": ["<module>"]}
+    # every transform of a real field is the kernel's rfft (Field.from_samples,
+    # dealiased_coefficients) or irfft (inverse_samples); every transform of
+    # carrier envelopes is its fft (packet, dealiased_envelopes) or ifft
+    # (ModulatedField.phys, mod_transport_product).  The one other complex
+    # pair transforms the modulated samples of lambda_shift_residual.
+    sites = {name: {fn: [site for site in call_sites(source, fn) if site not in KERNEL]
+                    for fn in KERNEL}
              for name, source in sources.items()}
     real = {name: sorted(s["rfft"] + s["irfft"]) for name, s in sites.items()
             if s["rfft"] + s["irfft"]}
@@ -195,9 +218,6 @@ def test_each_representation_has_one_transform_rule():
         "modulated.py": ["ModulatedField.phys", "dealiased_envelopes",
                          "mod_transport_product", "packet"],
         "spectral.py": ["lambda_shift_residual", "lambda_shift_residual"]}
-    assert all(forward_normalized(sources["spectral.py"], fn)
-               for fn in ("rfft", "irfft", "fft", "ifft"))
-    assert all(forward_normalized(sources["modulated.py"], fn) for fn in ("fft", "ifft"))
 
 
 def test_real_fields_step_through_em_step():

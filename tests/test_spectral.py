@@ -381,6 +381,72 @@ class TestStackedTransforms:
             assert np.array_equal(got.coefficients, want.coefficients)
 
 
+class TestTransformKernel:
+    """spectral's rfft/irfft/fft/ifft equal ``np.fft``'s under
+    ``norm="forward"`` bit for bit, on every shape the package transforms."""
+
+    SIZES = [16, 64, 256, 1024, 2048]
+    ROWS = [(), (2,), (3,)]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(np.ascontiguousarray(got).view(np.uint8),
+                              np.ascontiguousarray(want).view(np.uint8))
+
+    @staticmethod
+    def complex_normal(rng, shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_rfft(self, n, rows):
+        a = np.random.default_rng(n).normal(size=rows + (n,))
+        want = np.fft.rfft(a, norm="forward")
+        self.assert_same_bits(spectral.rfft(a), want)
+        out = np.empty_like(want)
+        assert spectral.rfft(a, out=out) is out
+        self.assert_same_bits(out, want)
+
+    @pytest.mark.parametrize("rows", ROWS)
+    @pytest.mark.parametrize("n", SIZES)
+    def test_irfft(self, n, rows):
+        c = self.complex_normal(np.random.default_rng(n), rows + (n // 2 + 1,))
+        want = np.fft.irfft(c, n=n, norm="forward")
+        self.assert_same_bits(spectral.irfft(c, n), want)
+        out = np.empty_like(want)
+        assert spectral.irfft(c, n, out=out) is out
+        self.assert_same_bits(out, want)
+
+    @pytest.mark.parametrize("name", ["fft", "ifft"])
+    @pytest.mark.parametrize("shape", [(3, 1024), (2, 3, 1024)])
+    def test_envelope_stacks(self, name, shape):
+        a = self.complex_normal(np.random.default_rng(len(shape)), shape)
+        want = getattr(np.fft, name)(a, norm="forward")
+        kernel = getattr(spectral, name)
+        self.assert_same_bits(kernel(a), want)
+        out = np.empty_like(want)
+        assert kernel(a, out=out) is out
+        self.assert_same_bits(out, want)
+
+    def test_fft_of_real_samples(self):
+        # lambda_shift_residual transforms real samples with the complex fft
+        a = np.random.default_rng(5).normal(size=256)
+        self.assert_same_bits(spectral.fft(a), np.fft.fft(a, norm="forward"))
+
+    @pytest.mark.parametrize("call", [
+        lambda: spectral.rfft(np.zeros((2, 256)), out=np.empty((2, 128), complex)),
+        lambda: spectral.irfft(np.zeros((2, 129), complex), 256, out=np.empty((2, 255))),
+        lambda: spectral.fft(np.zeros((3, 1024), complex), out=np.empty((3, 1023), complex)),
+        lambda: spectral.ifft(np.zeros((3, 1024), complex), out=np.empty((3, 1025), complex)),
+    ], ids=["rfft", "irfft", "fft", "ifft"])
+    def test_out_of_wrong_length_raises(self, call):
+        # the gufunc takes the transform length from out and would silently
+        # compute a transform of that length
+        with pytest.raises(ValueError, match="wrong shape"):
+            call()
+
+
 class TestDerivative:
     def test_cos(self):
         got = derivative(cos_field(GRID, 4))
